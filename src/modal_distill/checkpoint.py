@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+import os
+import zipfile
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +17,14 @@ from .tensor import Tensor
 FORMAT_VERSION = 1
 _META_KEY = "__meta__"
 _PARAM_PREFIX = "param/"
+# config keys of options that no longer exist; older checkpoints carry them
+RETIRED_CONFIG_KEYS = ("detach_teacher",)
 
 
 def save_checkpoint(path: str | Path, params: dict[str, Tensor],
                     config: TrainConfig, extra: dict | None = None) -> Path:
+    """Write to a temporary file beside ``path``, then rename it over
+    ``path``, so a failed save leaves the previous checkpoint intact."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     meta = {
@@ -28,11 +34,14 @@ def save_checkpoint(path: str | Path, params: dict[str, Tensor],
     }
     arrays = {_PARAM_PREFIX + name: np.asarray(t.data) for name, t in params.items()}
     arrays[_META_KEY] = np.array(json.dumps(meta, sort_keys=True))
-    np.savez(path, **arrays)
-    # np.savez appends .npz when missing; keep the caller's path authoritative
-    written = path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
-    if written != path:
-        written.rename(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -40,15 +49,24 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], TrainConfi
     path = Path(path)
     if not path.exists():
         raise DataError(f"checkpoint not found: {path}")
-    with np.load(path, allow_pickle=False) as bundle:
-        if _META_KEY not in bundle:
-            raise DataError(f"checkpoint {path} has no metadata block")
-        meta = json.loads(str(bundle[_META_KEY]))
-        version = meta.get("format_version")
-        if version != FORMAT_VERSION:
-            raise DataError(f"checkpoint {path}: unsupported format version {version}")
-        params = {key[len(_PARAM_PREFIX):]: bundle[key]
-                  for key in bundle.files if key.startswith(_PARAM_PREFIX)}
-    config = TrainConfig(**meta["config"])
+    try:
+        with np.load(path, allow_pickle=False) as bundle:
+            arrays = {key: bundle[key] for key in bundle.files}
+        meta = json.loads(str(arrays[_META_KEY])) if _META_KEY in arrays else None
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise DataError(f"checkpoint {path} is corrupt or truncated: {exc}") from exc
+    if meta is None:
+        raise DataError(f"checkpoint {path} has no metadata block")
+    version = meta.get("format_version")
+    if version != FORMAT_VERSION:
+        raise DataError(f"checkpoint {path}: unsupported format version {version}")
+    params = {key[len(_PARAM_PREFIX):]: value
+              for key, value in arrays.items() if key.startswith(_PARAM_PREFIX)}
+    stored = {k: v for k, v in meta["config"].items() if k not in RETIRED_CONFIG_KEYS}
+    known = {f.name for f in fields(TrainConfig)}
+    for key in sorted(stored):
+        if key not in known:
+            raise DataError(f"checkpoint {path}: unknown config key {key!r}")
+    config = TrainConfig(**stored)
     config.validate()
     return params, config, meta.get("extra", {})

@@ -55,8 +55,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-homogd", action="store_true", help="disable shared-space distillation")
     p.add_argument("--no-ca", action="store_true", help="disable crossmodal attention")
     p.add_argument("--no-heterogd", action="store_true", help="disable private-space distillation")
-    p.add_argument("--no-detach-teacher", action="store_true",
-                   help="let gradients reach teacher logits (debugging only)")
 
 
 _FLAG_FIELDS = ("lambda1", "lambda2", "gamma", "alpha", "lr", "d", "heads",
@@ -81,8 +79,6 @@ def _build_config(args, base: TrainConfig | None = None) -> TrainConfig:
         config.ca = False
     if args.no_heterogd:
         config.heterogd = False
-    if args.no_detach_teacher:
-        config.detach_teacher = False
     config.validate()
     return config
 

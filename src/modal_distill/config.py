@@ -33,7 +33,6 @@ class TrainConfig:
     ca_layers: int = 1
     conv_width: int = 3
     edge_mode: str = "squared"
-    detach_teacher: bool = True   # debug escape hatch; training semantics need True
     data_manifest: str = ""       # empty = caller supplies samples directly
     out_dir: str = ""             # empty = keep everything in memory, write no artifacts
 

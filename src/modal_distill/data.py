@@ -439,22 +439,11 @@ def _pad_stack(mats: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return feats, masks, lengths
 
 
-def make_batch(samples: list[Sample], mode: str = "unaligned",
-               resample: bool = True) -> Batch:
+def make_batch(samples: list[Sample], mode: str = "unaligned") -> Batch:
     if mode not in ("aligned", "unaligned"):
         raise ConfigError(f"batch mode must be 'aligned' or 'unaligned', got {mode!r}")
     if mode == "aligned":
-        prepared = []
-        for s in samples:
-            lens = {m: seq.length for m, seq in s.sequences.items()}
-            if len(set(lens.values())) > 1:
-                if not resample:
-                    raise DataError(
-                        f"sample {s.id}: aligned mode needs equal lengths, got "
-                        f"{ {m.tag: t for m, t in lens.items()} } and resampling is off")
-                s = align_sample(s)
-            prepared.append(s)
-        samples = prepared
+        samples = [align_sample(s) for s in samples]
     features, masks, lengths = {}, {}, {}
     for m in MODALITIES:
         f, k, n = _pad_stack([s.sequences[m].features for s in samples])
@@ -470,8 +459,7 @@ def make_batch(samples: list[Sample], mode: str = "unaligned",
 
 
 def batches(samples: list[Sample], batch_size: int, mode: str = "unaligned",
-            seed: int = 0, epoch: int = 0, shuffle: bool = True,
-            resample: bool = True):
+            seed: int = 0, epoch: int = 0, shuffle: bool = True):
     """Yield Batches over the dataset, shuffled deterministically per epoch."""
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
@@ -480,7 +468,7 @@ def batches(samples: list[Sample], batch_size: int, mode: str = "unaligned",
         np.random.default_rng((seed, epoch)).shuffle(order)
     for start in range(0, len(samples), batch_size):
         chunk = [samples[i] for i in order[start:start + batch_size]]
-        yield make_batch(chunk, mode=mode, resample=resample)
+        yield make_batch(chunk, mode=mode)
 
 
 def split_dataset(samples: list[Sample], seed: int = 0,

@@ -1,10 +1,15 @@
 """Adaptive graph distillation over the three modalities.
 
-A GDUnit regresses a scalar logit per modality, scores every directed
-modality pair with a learned gate, normalizes incoming edges per target with
-a softmax, and pays a distillation penalty of edge weight times logit
-discrepancy.  Gradient flows only into each edge's target (student) branch:
-teacher logits and all gate inputs are detached.
+A GDUnit is one dynamic graph per sample: three modality vertices, each with
+a scalar logit from a shared logit head, and six directed edges scored by a
+learned gate.  The two edges entering each target are normalized with a
+softmax, and the unit pays edge weight times logit discrepancy.  Gradient
+flows only into each edge's target (student) branch: teacher logits and all
+gate inputs are constants.
+
+The whole batch is one computation: logits ``[B, 3]`` from one logit-head
+matmul, all ``6B`` edges scored by one edge-scorer matmul, and a softmax over
+the last axis of ``[B, 3, 2]`` (target, incoming source).
 
 Instantiated twice with disjoint parameters: once over shared-space pooled
 features, once over the transformer-reinforced private features.
@@ -12,7 +17,7 @@ features, once over the transformer-reinforced private features.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,54 +27,41 @@ from .layers import Linear
 from .tensor import (
     Tensor,
     absolute,
-    concat,
     mul,
     reshape,
     softmax,
+    stack_rows,
     stop_gradient,
     tsum,
 )
 
-MOD_INDEX = {m: i for i, m in enumerate(MODALITIES)}
-
 EDGE_MODES = ("squared", "abs")
 
+# EDGE_SOURCES[j, k] is the source of the k-th edge entering target j,
+# sources in (L, V, A) order; _EDGE_TARGETS[j, k] is j
+EDGE_SOURCES = np.array([[1, 2], [0, 2], [0, 1]])
+_EDGE_TARGETS = np.array([[0, 0], [1, 1], [2, 2]])
 
-def discrepancy(logit_src: Tensor, logit_tgt: Tensor, mode: str = "squared",
-                detach: bool = True) -> Tensor:
-    """Penalty for the src -> tgt edge; ``detach`` freezes the teacher side."""
+
+def discrepancy(logit_src: Tensor, logit_tgt: Tensor, mode: str = "squared") -> Tensor:
+    """Penalty for src -> tgt edges; the teacher (src) side gets no gradient."""
     if mode not in EDGE_MODES:
         raise ConfigError(f"edge discrepancy mode must be one of {EDGE_MODES}, got {mode!r}")
-    src = stop_gradient(logit_src) if detach else logit_src
-    diff = src - logit_tgt
+    diff = stop_gradient(logit_src) - logit_tgt
     return mul(diff, diff) if mode == "squared" else absolute(diff)
 
 
-def gd_loss(weights: np.ndarray, discrepancies: np.ndarray) -> float:
-    """Reference form of the unit loss: elementwise product, summed."""
-    if weights.shape != discrepancies.shape:
-        raise ShapeError(f"gd_loss: shapes {weights.shape} vs {discrepancies.shape}")
-    return float(np.sum(weights * discrepancies))
-
-
 @dataclass
-class FrozenSample:
-    """Constants recorded on a normal pass so a finite-difference re-run
-    differentiates exactly the function backprop saw: gate inputs and
-    teacher logits held at their base values."""
+class FrozenGraph:
+    """The constants of one pass.  A finite-difference re-run that passes
+    them back in differentiates exactly the function backprop saw.
 
-    gate_inputs: dict[tuple[Modality, Modality], np.ndarray]
-    teacher_logits: dict[tuple[Modality, Modality], float]
+    ``gate_inputs`` is ``[B, 3, 2, 2(d+1)]``, indexed by target then
+    incoming source, each row ``[logit_src, feat_src, logit_tgt, feat_tgt]``;
+    ``teacher_logits`` is ``[B, 3, 2]`` in the same edge order."""
 
-
-@dataclass
-class SampleDistill:
-    loss: Tensor
-    per_edge: dict[tuple[Modality, Modality], Tensor]
-    weights: np.ndarray          # [3, 3], W[i, j] = w_{i -> j}, diagonal 0
-    discrepancies: np.ndarray    # [3, 3], same layout
-    logits: dict[Modality, Tensor]
-    frozen: FrozenSample
+    gate_inputs: np.ndarray
+    teacher_logits: np.ndarray
 
 
 @dataclass
@@ -88,27 +80,37 @@ class DistillGraph:
         }
 
 
+def _by_source_target(x: np.ndarray) -> np.ndarray:
+    """[B, 3, 2] per-target edge values -> [B, 3, 3] indexed [source, target]."""
+    out = np.zeros((x.shape[0], 3, 3))
+    out[:, EDGE_SOURCES, _EDGE_TARGETS] = x
+    return out
+
+
 @dataclass
 class BatchDistill:
     loss: Tensor
-    graph: DistillGraph
-    samples: list[SampleDistill] = field(default_factory=list)
+    edges: Tensor                # [B, 3, 2] weighted edges w * eps, EDGE_SOURCES order
+    logits: Tensor               # [B, 3] in (L, V, A) order
+    weights: np.ndarray          # [B, 3, 3], W[b, i, j] = w_{i -> j}, diagonal 0
+    discrepancies: np.ndarray    # [B, 3, 3], same layout
+    frozen: FrozenGraph
 
     @property
-    def frozen(self) -> list[FrozenSample]:
-        return [s.frozen for s in self.samples]
+    def graph(self) -> DistillGraph:
+        return DistillGraph(weights=self.weights.mean(axis=0),
+                            discrepancies=self.discrepancies.mean(axis=0),
+                            logits=self.logits.data.mean(axis=0))
 
 
 class GDUnit:
     """One graph-distillation unit with its own logit head and edge gate."""
 
-    def __init__(self, rng: np.random.Generator, d_in: int,
-                 edge_mode: str = "squared", detach_teacher: bool = True):
+    def __init__(self, rng: np.random.Generator, d_in: int, edge_mode: str = "squared"):
         if edge_mode not in EDGE_MODES:
             raise ConfigError(f"edge discrepancy mode must be one of {EDGE_MODES}, got {edge_mode!r}")
         self.input_dim = d_in
         self.edge_mode = edge_mode
-        self.detach_teacher = detach_teacher
         self.logit_head = Linear(rng, d_in, 1)
         # zero init makes untrained edges tie at weight 0.5 per target
         self.edge_scorer = Linear(rng, 2 * (d_in + 1), 1, zero_init=True)
@@ -118,84 +120,33 @@ class GDUnit:
         out.update(self.edge_scorer.parameters(f"{prefix}.edge_scorer"))
         return out
 
-    def logit(self, feat: Tensor) -> Tensor:
-        if feat.shape != (self.input_dim,):
-            raise ShapeError(f"logit head expects [{self.input_dim}], got {feat.shape}")
-        return reshape(self.logit_head(reshape(feat, (1, self.input_dim))), ())
-
-    def _edge_score(self, gate_input: np.ndarray) -> Tensor:
-        out = self.edge_scorer(Tensor(gate_input.reshape(1, -1)))
-        return reshape(out, ())
-
-    def distill_sample(self, feats: dict[Modality, Tensor],
-                       frozen: FrozenSample | None = None) -> SampleDistill:
-        """Distillation loss and edge record for one sample's pooled features."""
-        logits = {m: self.logit(feats[m]) for m in MODALITIES}
-        if frozen is None:
-            gate_inputs = {}
-            teacher_vals = {}
-            for i in MODALITIES:
-                for j in MODALITIES:
-                    if i is j:
-                        continue
-                    gate_inputs[(i, j)] = np.concatenate([
-                        logits[i].data.reshape(1), feats[i].data,
-                        logits[j].data.reshape(1), feats[j].data,
-                    ]).copy()
-                    teacher_vals[(i, j)] = float(logits[i].data)
-            frozen = FrozenSample(gate_inputs=gate_inputs, teacher_logits=teacher_vals)
-            live_teacher = True
-        else:
-            live_teacher = False
-
-        w_rec = np.zeros((3, 3))
-        e_rec = np.zeros((3, 3))
-        per_edge: dict[tuple[Modality, Modality], Tensor] = {}
-        loss = None
-        for j in MODALITIES:
-            incoming = [i for i in MODALITIES if i is not j]
-            scores = concat([reshape(self._edge_score(frozen.gate_inputs[(i, j)]), (1,))
-                             for i in incoming], axis=0)
-            w_vec = softmax(scores, axis=-1)
-            for idx, i in enumerate(incoming):
-                if live_teacher or not self.detach_teacher:
-                    # an undetached teacher is part of the differentiated
-                    # function, so replay must keep it live too
-                    eps = discrepancy(logits[i], logits[j], self.edge_mode,
-                                      detach=self.detach_teacher)
-                else:
-                    eps = discrepancy(Tensor(frozen.teacher_logits[(i, j)]),
-                                      logits[j], self.edge_mode, detach=False)
-                pick = np.zeros(2)
-                pick[idx] = 1.0
-                w_ij = tsum(mul(w_vec, Tensor(pick)))
-                zeta = mul(w_ij, eps)
-                per_edge[(i, j)] = zeta
-                loss = zeta if loss is None else loss + zeta
-                w_rec[MOD_INDEX[i], MOD_INDEX[j]] = float(w_ij.data)
-                e_rec[MOD_INDEX[i], MOD_INDEX[j]] = float(eps.data)
-        return SampleDistill(loss=loss, per_edge=per_edge, weights=w_rec,
-                             discrepancies=e_rec, logits=logits, frozen=frozen)
-
     def distill_batch(self, pooled: list[dict[Modality, Tensor]],
-                      frozen: list[FrozenSample] | None = None) -> BatchDistill:
-        """Mean sample loss plus the batch-mean edge record."""
+                      frozen: FrozenGraph | None = None) -> BatchDistill:
+        """Mean sample loss and per-sample edge records for a batch of
+        pooled features; ``frozen`` replays an earlier pass's constants."""
         if not pooled:
             raise ConfigError("distill_batch needs at least one sample")
-        if frozen is not None and len(frozen) != len(pooled):
+        b = len(pooled)
+        feats = stack_rows([sample[m] for sample in pooled for m in MODALITIES])
+        if feats.shape[1] != self.input_dim:
+            raise ShapeError(f"logit head expects [{self.input_dim}], got [{feats.shape[1]}]")
+        logits = reshape(self.logit_head(feats), (b, 3))
+        if frozen is None:
+            nodes = np.concatenate([logits.data[..., None], feats.data.reshape(b, 3, -1)],
+                                   axis=-1)
+            frozen = FrozenGraph(
+                gate_inputs=np.concatenate([nodes[:, EDGE_SOURCES], nodes[:, _EDGE_TARGETS]],
+                                           axis=-1),
+                teacher_logits=logits.data[:, EDGE_SOURCES])
+        elif frozen.teacher_logits.shape[0] != b:
             raise ConfigError(
-                f"frozen record count {len(frozen)} != batch size {len(pooled)}")
-        results = [self.distill_sample(feats, frozen[i] if frozen else None)
-                   for i, feats in enumerate(pooled)]
-        total = results[0].loss
-        for r in results[1:]:
-            total = total + r.loss
-        loss = total * (1.0 / len(results))
-        graph = DistillGraph(
-            weights=np.mean([r.weights for r in results], axis=0),
-            discrepancies=np.mean([r.discrepancies for r in results], axis=0),
-            logits=np.array([
-                np.mean([float(r.logits[m].data) for r in results])
-                for m in MODALITIES]),
-        )
-        return BatchDistill(loss=loss, graph=graph, samples=results)
+                f"frozen graph holds {frozen.teacher_logits.shape[0]} samples, batch has {b}")
+
+        gates = Tensor(frozen.gate_inputs.reshape(6 * b, -1))
+        weights = softmax(reshape(self.edge_scorer(gates), (b, 3, 2)), axis=-1)
+        eps = discrepancy(Tensor(frozen.teacher_logits), reshape(logits, (b, 3, 1)),
+                          self.edge_mode)
+        edges = mul(weights, eps)
+        return BatchDistill(loss=tsum(edges) * (1.0 / b), edges=edges, logits=logits,
+                            weights=_by_source_target(weights.data),
+                            discrepancies=_by_source_target(eps.data), frozen=frozen)

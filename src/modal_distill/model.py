@@ -28,7 +28,7 @@ from .data import MODALITIES, RAW_DIMS, Batch, Modality
 from .decouple import Decoupler, loss_cyc, loss_dec, loss_margin, loss_ort, loss_rec
 from .errors import ConfigError, DataError
 from .fusion import FusionHead, bin7, task_loss, total_loss
-from .graph_distill import DistillGraph, FrozenSample, GDUnit
+from .graph_distill import DistillGraph, FrozenGraph, GDUnit
 from .tensor import Tensor, mean_pool_time
 
 COMPONENT_NAMES = ("task", "rec", "cyc", "margin", "ort", "dec",
@@ -46,8 +46,8 @@ class StepOutput:
     n_triplets: int
     homo_graph: DistillGraph | None
     hetero_graph: DistillGraph | None
-    frozen_homo: list[FrozenSample] | None
-    frozen_hetero: list[FrozenSample] | None
+    frozen_homo: FrozenGraph | None
+    frozen_hetero: FrozenGraph | None
 
     def scalars(self) -> dict[str, float]:
         return {name: float(t.data) for name, t in self.components.items()}
@@ -77,8 +77,8 @@ class Model:
         self.raw_dims = dict(raw_dims) if raw_dims is not None else dict(RAW_DIMS)
         rng = np.random.default_rng(config.seed)
         self.decoupler = Decoupler(rng, self.raw_dims, config.d, config.conv_width)
-        self.homo_gd = GDUnit(rng, config.d, config.edge_mode, config.detach_teacher)
-        self.hetero_gd = GDUnit(rng, 2 * config.d, config.edge_mode, config.detach_teacher)
+        self.homo_gd = GDUnit(rng, config.d, config.edge_mode)
+        self.hetero_gd = GDUnit(rng, 2 * config.d, config.edge_mode)
         self.reinforcer = CrossmodalReinforcer(rng, config.d, config.heads, config.ca_layers)
         self.fusion = FusionHead(rng, config.d)
 
@@ -116,8 +116,8 @@ class Model:
         return seqs
 
     def forward_batch(self, batch: Batch,
-                      frozen_homo: list[FrozenSample] | None = None,
-                      frozen_hetero: list[FrozenSample] | None = None) -> StepOutput:
+                      frozen_homo: FrozenGraph | None = None,
+                      frozen_hetero: FrozenGraph | None = None) -> StepOutput:
         cfg = self.config
         if frozen_homo is not None and not cfg.homogd:
             raise ConfigError("frozen_homo given but homogd is off")

@@ -362,24 +362,6 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return Tensor._result(out_data, (a,), backward)
 
 
-def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean, unit variance (no affine part)."""
-    x = a.data
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = (x - mu) * inv
-    n = x.shape[-1]
-
-    def backward(g):
-        # gradients of mu and sigma fold into the two mean terms
-        g_mean = g.mean(axis=-1, keepdims=True)
-        gy_mean = (g * y).mean(axis=-1, keepdims=True)
-        a._accum(inv * (g - g_mean - y * gy_mean))
-
-    return Tensor._result(y, (a,), backward)
-
-
 # ---- structural ops ----
 
 

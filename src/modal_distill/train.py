@@ -16,8 +16,9 @@ from .config import TrainConfig
 from .data import MODALITIES, Batch, Modality, Sample, SyntheticConfig, batches, generate, make_batch, split_dataset
 from .errors import ConfigError, DataError, NumericError
 from .fusion import bin7, non_negative
+from .graph_distill import EDGE_SOURCES
 from .model import COMPONENT_NAMES, FeatureBundle, Model, StepOutput
-from .tensor import Tensor
+from .tensor import Tensor, mul, tsum
 
 log = logging.getLogger(__name__)
 
@@ -293,7 +294,6 @@ class ComponentCheck:
 class GradcheckReport:
     checks: list[ComponentCheck]
     tol: float
-    teacher_detached: bool
     teacher_path_grad: float
     gd_params_zero_when_lambda2_zero: bool
     passed: bool
@@ -305,11 +305,8 @@ class GradcheckReport:
             status = "ok" if c.passed else "FAIL"
             out.append(f"{status:4s} {c.name:<11s} max rel err {c.max_rel_err:.3e}"
                        f"  (worst at {c.worst_param})")
-        if self.teacher_detached:
-            out.append(f"ok   teacher path gradient = {self.teacher_path_grad:.3e} (detached)")
-        else:
-            out.append(f"WARN teacher detachment disabled; teacher path gradient = "
-                       f"{self.teacher_path_grad:.3e}")
+        out.append(("ok  " if self.teacher_path_grad == 0.0 else "FAIL")
+                   + f" teacher path gradient = {self.teacher_path_grad:.3e}")
         out.append(("ok  " if self.gd_params_zero_when_lambda2_zero else "FAIL")
                    + " distillation parameters get exactly zero gradient at lambda2=0")
         out.extend(self.notes)
@@ -360,7 +357,7 @@ def gradcheck(config: TrainConfig | None = None, n_probes: int = 20,
 
     Finite differences re-run the forward pass with the gate inputs and
     teacher logits frozen at their base values, which is exactly the
-    function backprop differentiates (both are detached on the live pass).
+    function backprop differentiates (both are constants on the live pass).
     """
     if config is None:
         config = gradcheck_model_config(seed)
@@ -424,10 +421,8 @@ def gradcheck(config: TrainConfig | None = None, n_probes: int = 20,
     teacher_grad = _teacher_path_grad(model, seed)
     gd_zero = _gd_params_zero_at_lambda2_zero(config, batch)
 
-    passed = (all(c.passed for c in checks) and gd_zero
-              and (not config.detach_teacher or teacher_grad == 0.0))
+    passed = all(c.passed for c in checks) and gd_zero and teacher_grad == 0.0
     return GradcheckReport(checks=checks, tol=tol,
-                           teacher_detached=config.detach_teacher,
                            teacher_path_grad=teacher_grad,
                            gd_params_zero_when_lambda2_zero=gd_zero,
                            passed=passed)
@@ -435,16 +430,15 @@ def gradcheck(config: TrainConfig | None = None, n_probes: int = 20,
 
 def _teacher_path_grad(model: Model, seed: int) -> float:
     """Gradient magnitude reaching a teacher's features through its outgoing
-    distillation edges; exactly zero whenever the teacher side is detached."""
+    distillation edges; exactly zero because teacher logits are constants."""
     rng = np.random.default_rng(seed + 1)
     d = model.config.d
     feats = {m: Tensor(rng.standard_normal(d), requires_grad=True)
              for m in MODALITIES}
-    sd = model.homo_gd.distill_sample(feats)
-    teacher = MODALITIES[0]
-    out_edges = [sd.per_edge[(teacher, t)] for t in MODALITIES if t is not teacher]
-    (out_edges[0] + out_edges[1]).backward()
-    g = feats[teacher].grad
+    edges = model.homo_gd.distill_batch([feats]).edges
+    teacher = 0
+    tsum(mul(edges, Tensor(EDGE_SOURCES == teacher))).backward()
+    g = feats[MODALITIES[teacher]].grad
     return 0.0 if g is None else float(np.max(np.abs(g)))
 
 

@@ -62,6 +62,13 @@ def check_grads(build, leaves: dict[str, Tensor], tol: float = 1e-5, h: float = 
         assert err < tol, f"gradient mismatch for {name}: rel err {err:.3e} >= {tol:.0e}"
 
 
+def gd_loss(weights: np.ndarray, discrepancies: np.ndarray) -> float:
+    """Reference form of a GD-Unit's loss: edge weights times edge
+    discrepancies, summed over every entry of the [.., 3, 3] records."""
+    assert weights.shape == discrepancies.shape, (weights.shape, discrepancies.shape)
+    return float(np.sum(weights * discrepancies))
+
+
 def set_identity_two_layer(net: TwoLayer) -> None:
     """Hand-set a d -> 2d -> d two-layer net to the exact identity map.
 

@@ -22,9 +22,9 @@ from modal_distill.data import (
 )
 from modal_distill.decouple import Decoupler, loss_cyc, loss_margin, loss_rec
 from modal_distill.fusion import bin7
-from modal_distill.graph_distill import GDUnit
+from modal_distill.graph_distill import EDGE_SOURCES, GDUnit
 from modal_distill.model import COMPONENT_NAMES
-from modal_distill.tensor import Tensor
+from modal_distill.tensor import Tensor, mul, tsum
 from modal_distill.train import (
     collect_features,
     gradcheck,
@@ -74,18 +74,18 @@ def test_criterion_2_distillation_invariants():
             unit.edge_scorer.bias.shape)
         feats = {m: Tensor(rng.standard_normal(d_in), requires_grad=True)
                  for m in MODALITIES}
-        out = unit.distill_sample(feats)
-        col_err = np.abs(out.weights.sum(axis=0) - 1.0).max()
+        out = unit.distill_batch([feats])
+        col_err = np.abs(out.weights[0].sum(axis=0) - 1.0).max()
         worst_col = max(worst_col, col_err)
         ok &= col_err <= 1e-9
         ok &= float(out.loss.data) >= 0.0
         tied = Tensor(rng.standard_normal(d_in))
-        equal = unit.distill_sample({m: tied for m in MODALITIES})
+        equal = unit.distill_batch([{m: tied for m in MODALITIES}])
         ok &= float(equal.loss.data) == 0.0
-        src = MODALITIES[draw % 3]
-        outgoing = [out.per_edge[(src, j)] for j in MODALITIES if j is not src]
-        (outgoing[0] + outgoing[1]).backward()
-        grad = feats[src].grad
+        src = draw % 3
+        # the teacher's outgoing edges, picked by a constant mask
+        tsum(mul(out.edges, Tensor(EDGE_SOURCES == src))).backward()
+        grad = feats[MODALITIES[src]].grad
         ok &= grad is None or not np.any(grad)
     verdict(2, "distillation invariants", ok,
             f"100 draws, worst column-sum error {worst_col:.1e}, teacher grad exactly 0")

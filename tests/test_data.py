@@ -284,16 +284,6 @@ def test_aligned_mode_resamples_to_median():
             assert batch.lengths[m][i] == target
 
 
-def test_aligned_mode_without_resampler_errors():
-    samples = generate(3, seed=6, config=small_config())
-    unequal = [s for s in samples
-               if len({seq.length for seq in s.sequences.values()}) > 1]
-    assert unequal, "generator config should produce unequal lengths"
-    with pytest.raises(DataError) as exc:
-        make_batch(unequal, mode="aligned", resample=False)
-    assert unequal[0].id in str(exc.value)
-
-
 def test_resample_nearest_neighbor_properties():
     x = np.arange(10.0).reshape(5, 2)
     np.testing.assert_array_equal(resample_to_length(x, 5), x)

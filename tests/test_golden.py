@@ -44,12 +44,11 @@ def gd_case(edge_mode: str, b: int) -> dict:
              for _ in range(b)]
     out = unit.distill_batch(feats)
     out.loss.backward()
-    samples = out.samples
     return {
         "loss": float(out.loss.data),
-        "W": np.stack([s.weights for s in samples]).tolist(),
-        "E": np.stack([s.discrepancies for s in samples]).tolist(),
-        "logits": [[float(s.logits[m].data) for m in MODALITIES] for s in samples],
+        "W": out.weights.tolist(),
+        "E": out.discrepancies.tolist(),
+        "logits": out.logits.data.tolist(),
         "param_grads": {k: p.grad.tolist() for k, p in unit.parameters("gd").items()},
         "feat_grads": [[f[m].grad.tolist() for m in MODALITIES] for f in feats],
     }

@@ -1,24 +1,22 @@
 """GD-Unit tests: logit head fixtures, edge weight normalization and
 symmetry, discrepancy fixtures, teacher-path blocking, the reference-form
-cross-check, and frozen-replay finite-difference checks."""
+cross-check, batch-versus-single-sample properties, and frozen-replay
+finite-difference checks."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modal_distill.data import MODALITIES, Modality
 from modal_distill.errors import ConfigError
-from modal_distill.graph_distill import (
-    MOD_INDEX,
-    FrozenSample,
-    GDUnit,
-    discrepancy,
-    gd_loss,
-)
-from modal_distill.tensor import Tensor
+from modal_distill.graph_distill import EDGE_SOURCES, FrozenGraph, GDUnit, discrepancy
+from modal_distill.tensor import Tensor, mul, tsum
 
-from conftest import check_grads, numeric_grad
+from conftest import check_grads, gd_loss, numeric_grad
 
 L, V, A = Modality.LANGUAGE, Modality.VISION, Modality.AUDIO
+MOD_INDEX = {m: i for i, m in enumerate(MODALITIES)}
 D_IN = 4
 
 
@@ -36,6 +34,11 @@ def random_feats(seed):
     return {m: Tensor(rng.standard_normal(D_IN), requires_grad=True) for m in MODALITIES}
 
 
+def single(unit, feats):
+    """The unit run on a batch of one sample."""
+    return unit.distill_batch([feats])
+
+
 # ---- logit head ----
 
 
@@ -43,7 +46,8 @@ def test_logit_zero_params():
     unit = make_unit()
     unit.logit_head.weight.data[:] = 0.0
     unit.logit_head.bias.data[:] = 0.0
-    assert unit.logit(Tensor(np.ones(D_IN))).item() == 0.0
+    out = single(unit, {m: Tensor(np.ones(D_IN)) for m in MODALITIES})
+    assert np.all(out.logits.data == 0.0)
 
 
 def test_logit_ones_weight_basis_input():
@@ -52,14 +56,16 @@ def test_logit_ones_weight_basis_input():
     unit.logit_head.bias.data[:] = 0.7
     e1 = np.zeros(D_IN)
     e1[1] = 1.0
-    assert unit.logit(Tensor(e1)).item() == pytest.approx(1.7, abs=1e-15)
+    out = single(unit, {m: Tensor(e1) for m in MODALITIES})
+    np.testing.assert_allclose(out.logits.data, 1.7, atol=1e-15)
 
 
 def test_logit_gradcheck():
     unit = make_unit(3)
-    x = Tensor(np.random.default_rng(5).standard_normal(D_IN), requires_grad=True)
-    leaves = {"x": x, **unit.logit_head.parameters("f")}
-    check_grads(lambda: unit.logit(x), leaves, tol=1e-6)
+    feats = random_feats(5)
+    coef = Tensor(np.array([[0.3, -1.1, 0.8]]))
+    leaves = {**{m.tag: feats[m] for m in MODALITIES}, **unit.logit_head.parameters("f")}
+    check_grads(lambda: tsum(mul(single(unit, feats).logits, coef)), leaves, tol=1e-6)
 
 
 # ---- discrepancy ----
@@ -81,13 +87,6 @@ def test_discrepancy_source_gradient_blocked():
     # which is exactly what the stop must remove
     num = numeric_grad(lambda: ((src.data - tgt.data) ** 2), src)
     assert abs(num) > 1.0
-
-
-def test_discrepancy_detach_off_restores_teacher_gradient():
-    src = Tensor(3.0, requires_grad=True)
-    tgt = Tensor(1.0, requires_grad=True)
-    discrepancy(src, tgt, detach=False).backward()
-    assert src.grad == pytest.approx(4.0)
 
 
 def test_discrepancy_rejects_unknown_mode():
@@ -120,52 +119,61 @@ def test_gd_loss_equals_per_target_sums():
 
 def test_zero_gate_gives_uniform_weights():
     unit = make_unit()
-    result = unit.distill_sample(random_feats(1))
-    for j in MODALITIES:
-        for i in MODALITIES:
-            expected = 0.5 if i is not j else 0.0
-            assert result.weights[MOD_INDEX[i], MOD_INDEX[j]] == pytest.approx(expected, abs=1e-12)
+    w = single(unit, random_feats(1)).weights[0]
+    expected = np.full((3, 3), 0.5)
+    np.fill_diagonal(expected, 0.0)
+    np.testing.assert_allclose(w, expected, atol=1e-12)
 
 
 def test_columns_sum_to_one():
     unit = make_unit(randomize_gate=True)
-    result = unit.distill_sample(random_feats(2))
-    sums = result.weights.sum(axis=0)
-    np.testing.assert_allclose(sums, 1.0, atol=1e-9)
-    assert np.all((result.weights >= 0) & (result.weights <= 1))
+    w = single(unit, random_feats(2)).weights[0]
+    np.testing.assert_allclose(w.sum(axis=0), 1.0, atol=1e-9)
+    assert np.all((w >= 0) & (w <= 1))
 
 
 def test_weights_match_manual_softmax_and_shift_invariance():
     unit = make_unit(randomize_gate=True)
-    result = unit.distill_sample(random_feats(3))
+    out = single(unit, random_feats(3))
     gw = unit.edge_scorer.weight.data.reshape(-1)
     gb = float(unit.edge_scorer.bias.data[0])
-    for j in MODALITIES:
-        incoming = [i for i in MODALITIES if i is not j]
-        raw = np.array([gw @ result.frozen.gate_inputs[(i, j)] + gb for i in incoming])
 
-        def softmax_np(s):
-            e = np.exp(s - s.max())
-            return e / e.sum()
+    def softmax_np(s):
+        e = np.exp(s - s.max())
+        return e / e.sum()
 
+    for j in range(3):
+        raw = out.frozen.gate_inputs[0, j] @ gw + gb
         expected = softmax_np(raw)
-        got = np.array([result.weights[MOD_INDEX[i], MOD_INDEX[j]] for i in incoming])
+        got = out.weights[0, EDGE_SOURCES[j], j]
         np.testing.assert_allclose(got, expected, atol=1e-12)
         np.testing.assert_allclose(softmax_np(raw + 17.3), expected, atol=1e-9)
+
+
+def test_gate_input_layout():
+    unit = make_unit(randomize_gate=True)
+    feats = random_feats(13)
+    out = single(unit, feats)
+    logit = {m: out.logits.data[0, MOD_INDEX[m]] for m in MODALITIES}
+    # the first edge entering A comes from L
+    row = out.frozen.gate_inputs[0, MOD_INDEX[A], 0]
+    expected = np.concatenate([[logit[L]], feats[L].data, [logit[A]], feats[A].data])
+    np.testing.assert_array_equal(row, expected)
+    assert out.frozen.teacher_logits[0, MOD_INDEX[A], 0] == logit[L]
 
 
 def test_swapping_sources_swaps_weights():
     unit = make_unit(randomize_gate=True)
     feats = random_feats(4)
-    base = unit.distill_sample(feats)
+    base = single(unit, feats).weights[0]
     swapped_feats = dict(feats)
     swapped_feats[L], swapped_feats[V] = feats[V], feats[L]
-    swapped = unit.distill_sample(swapped_feats)
+    swapped = single(unit, swapped_feats).weights[0]
     # for target A the two sources exchanged roles, so their weights swap
-    assert swapped.weights[MOD_INDEX[V], MOD_INDEX[A]] == pytest.approx(
-        base.weights[MOD_INDEX[L], MOD_INDEX[A]], abs=1e-12)
-    assert swapped.weights[MOD_INDEX[L], MOD_INDEX[A]] == pytest.approx(
-        base.weights[MOD_INDEX[V], MOD_INDEX[A]], abs=1e-12)
+    assert swapped[MOD_INDEX[V], MOD_INDEX[A]] == pytest.approx(
+        base[MOD_INDEX[L], MOD_INDEX[A]], abs=1e-12)
+    assert swapped[MOD_INDEX[L], MOD_INDEX[A]] == pytest.approx(
+        base[MOD_INDEX[V], MOD_INDEX[A]], abs=1e-12)
 
 
 # ---- unit loss semantics ----
@@ -174,52 +182,63 @@ def test_swapping_sources_swaps_weights():
 def test_identical_inputs_zero_loss():
     unit = make_unit(randomize_gate=True)
     v = Tensor(np.random.default_rng(6).standard_normal(D_IN))
-    result = unit.distill_sample({m: v for m in MODALITIES})
-    assert result.loss.item() == 0.0
+    assert single(unit, {m: v for m in MODALITIES}).loss.item() == 0.0
 
 
 def test_distinct_logits_positive_loss():
     unit = make_unit(randomize_gate=True)
-    result = unit.distill_sample(random_feats(7))
-    logit_vals = [float(result.logits[m].data) for m in MODALITIES]
-    assert len(set(logit_vals)) > 1
-    assert result.loss.item() > 0.0
+    out = single(unit, random_feats(7))
+    assert len(set(out.logits.data[0].tolist())) > 1
+    assert out.loss.item() > 0.0
 
 
 def test_sample_loss_matches_reference_form():
     unit = make_unit(randomize_gate=True)
-    result = unit.distill_sample(random_feats(8))
-    assert result.loss.item() == pytest.approx(
-        gd_loss(result.weights, result.discrepancies), abs=1e-12)
+    out = single(unit, random_feats(8))
+    assert out.loss.item() == pytest.approx(
+        gd_loss(out.weights[0], out.discrepancies[0]), abs=1e-12)
 
 
 def test_teacher_out_edges_carry_no_gradient():
     unit = make_unit(randomize_gate=True)
     feats = random_feats(9)
-    result = unit.distill_sample(feats)
-    out_edges = result.per_edge[(L, V)] + result.per_edge[(L, A)]
-    out_edges.backward()
-    assert feats[L].grad is None  # language only ever acted as teacher here
-    assert feats[V].grad is not None and feats[A].grad is not None
-
-
-def test_teacher_gradient_restored_without_detach():
-    unit = make_unit(randomize_gate=True, detach_teacher=False)
-    feats = random_feats(9)
-    result = unit.distill_sample(feats)
-    (result.per_edge[(L, V)] + result.per_edge[(L, A)]).backward()
-    assert feats[L].grad is not None and np.any(feats[L].grad != 0.0)
+    out = single(unit, feats)
+    tsum(mul(out.edges, Tensor(EDGE_SOURCES == MOD_INDEX[L]))).backward()
+    # language only ever acted as teacher here
+    assert feats[L].grad is None or not np.any(feats[L].grad)
+    assert np.any(feats[V].grad) and np.any(feats[A].grad)
 
 
 def test_batch_loss_is_mean_of_samples():
     unit = make_unit(randomize_gate=True)
     pooled = [random_feats(s) for s in range(3)]
     batch = unit.distill_batch(pooled)
-    per_sample = [unit.distill_sample(f).loss.item() for f in pooled]
+    per_sample = [single(unit, f).loss.item() for f in pooled]
     assert batch.loss.item() == pytest.approx(np.mean(per_sample), abs=1e-12)
-    np.testing.assert_allclose(
-        batch.graph.weights,
-        np.mean([s.weights for s in batch.samples], axis=0), atol=1e-15)
+    np.testing.assert_allclose(batch.graph.weights, batch.weights.mean(axis=0), atol=1e-15)
+
+
+@given(b=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       edge_mode=st.sampled_from(["squared", "abs"]))
+@settings(max_examples=40, deadline=None)
+def test_batch_matches_samples_scored_alone(b, seed, edge_mode):
+    rng = np.random.default_rng(seed)
+    unit = GDUnit(rng, D_IN, edge_mode)
+    unit.edge_scorer.weight.data[:] = rng.standard_normal(unit.edge_scorer.weight.shape)
+    unit.edge_scorer.bias.data[:] = rng.standard_normal(1)
+    pooled = [{m: Tensor(rng.standard_normal(D_IN)) for m in MODALITIES} for _ in range(b)]
+    batch = unit.distill_batch(pooled)
+    for s, feats in enumerate(pooled):
+        alone = single(unit, feats)
+        np.testing.assert_allclose(batch.weights[s], alone.weights[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(batch.discrepancies[s], alone.discrepancies[0],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(batch.logits.data[s], alone.logits.data[0],
+                                   rtol=0, atol=1e-12)
+    np.testing.assert_allclose(batch.weights.sum(axis=1), 1.0, atol=1e-12)
+    assert batch.loss.item() >= 0.0
+    assert batch.loss.item() == pytest.approx(
+        gd_loss(batch.weights, batch.discrepancies) / b, abs=1e-12)
 
 
 def test_frozen_replay_reproduces_forward_exactly():
@@ -233,9 +252,10 @@ def test_frozen_replay_reproduces_forward_exactly():
 def test_frozen_count_mismatch_rejected():
     unit = make_unit()
     pooled = [random_feats(1), random_feats(2)]
-    base = unit.distill_batch(pooled)
+    base = unit.distill_batch(pooled).frozen
     with pytest.raises(ConfigError):
-        unit.distill_batch(pooled, frozen=base.frozen[:1])
+        unit.distill_batch(pooled, frozen=FrozenGraph(base.gate_inputs[:1],
+                                                      base.teacher_logits[:1]))
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -1,7 +1,11 @@
 """Harness tests: config parsing, metrics fixtures, the optimizer, training
 loop behavior, checkpoints, probes, and the CLI."""
 
+import importlib
 import json
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -269,6 +273,67 @@ def test_checkpoint_appends_npz_suffix(tmp_path):
     assert out.exists() and out.name == "plain"
 
 
+def _eval_checkpoint(path, config_extra=None):
+    """Save an untrained default-dims model to ``path``, with ``config_extra``
+    merged into its stored config."""
+    cfg = tiny_config()
+    model = Model(cfg)
+    save_checkpoint(path, model.parameters(), cfg,
+                    {"raw_dims": {m.tag: d for m, d in model.raw_dims.items()}})
+    if config_extra:
+        with np.load(path) as bundle:
+            arrays = {k: bundle[k] for k in bundle.files}
+        meta = json.loads(str(arrays["__meta__"]))
+        meta["config"].update(config_extra)
+        arrays["__meta__"] = np.array(json.dumps(meta))
+        np.savez(path, **arrays)
+    return cfg
+
+
+def test_checkpoint_with_retired_config_key_loads(tmp_path):
+    path = tmp_path / "old.npz"
+    cfg = _eval_checkpoint(path, {"detach_teacher": True})
+    assert load_checkpoint(path)[1] == cfg
+    assert main(["eval", "--checkpoint", str(path), "--synthetic", "4"]) == 0
+
+
+def test_checkpoint_with_unknown_config_key_exits_two(tmp_path, capsys):
+    path = tmp_path / "bogus.npz"
+    _eval_checkpoint(path, {"bogus_knob": 1})
+    assert main(["eval", "--checkpoint", str(path), "--synthetic", "4"]) == 2
+    assert "unknown config key 'bogus_knob'" in capsys.readouterr().err
+
+
+def test_corrupt_or_truncated_checkpoint_exits_two(tmp_path):
+    path = tmp_path / "ck.npz"
+    _eval_checkpoint(path)
+    raw = path.read_bytes()
+    for name, content in (("truncated", raw[:len(raw) // 2]), ("garbage", b"not a zip" * 50)):
+        bad = tmp_path / f"{name}.npz"
+        bad.write_bytes(content)
+        with pytest.raises(DataError, match="corrupt or truncated"):
+            load_checkpoint(bad)
+        assert main(["eval", "--checkpoint", str(bad), "--synthetic", "4"]) == 2
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "checkpoint.npz"
+    good = {"w": Tensor(np.arange(3.0))}
+    save_checkpoint(path, good, tiny_config())
+
+    def failing_savez(fh, **arrays):
+        fh.write(b"PK\x03\x04 partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", failing_savez)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, {"w": Tensor(np.zeros(3))}, tiny_config())
+    monkeypatch.undo()
+    params, _, _ = load_checkpoint(path)
+    np.testing.assert_array_equal(params["w"], good["w"].data)
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.npz"]
+
+
 # ---- gradcheck plumbing ----
 
 
@@ -425,6 +490,23 @@ def test_cli_toggle_flags():
     cfg = _build_config(args)
     assert not (cfg.fd or cfg.homogd or cfg.ca or cfg.heterogd)
     assert cfg.seed == 7 and cfg.mode == "aligned"
+
+
+def test_bench_wrapper_targets_exist():
+    """Every attribute the benchmark's traced run wraps must exist where it
+    looks for it, or ``bench/run.py --trace 1`` crashes."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    sys.path.insert(0, str(bench))
+    try:
+        instrument = importlib.import_module("instrument")
+    finally:
+        sys.path.remove(str(bench))
+    names = ("cli", "train", "model", "data", "decouple", "crossmodal", "fusion",
+             "graph_distill", "tensor")
+    md = SimpleNamespace(**{n: importlib.import_module(f"modal_distill.{n}") for n in names})
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, *_ in instrument.targets(md) if attr not in vars(owner)]
+    assert not missing, missing
 
 
 def test_cli_help_exits_zero():
