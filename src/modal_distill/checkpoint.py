@@ -5,12 +5,12 @@ from __future__ import annotations
 import json
 import os
 import zipfile
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .config import TrainConfig
+from .config import TrainConfig, field_types
 from .errors import DataError
 from .tensor import Tensor
 
@@ -18,7 +18,7 @@ FORMAT_VERSION = 1
 _META_KEY = "__meta__"
 _PARAM_PREFIX = "param/"
 # config keys of options that no longer exist; older checkpoints carry them
-RETIRED_CONFIG_KEYS = ("detach_teacher",)
+RETIRED_CONFIG_KEYS = ("detach_teacher", "data_manifest")
 
 
 def save_checkpoint(path: str | Path, params: dict[str, Tensor],
@@ -63,10 +63,16 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], TrainConfi
     params = {key[len(_PARAM_PREFIX):]: value
               for key, value in arrays.items() if key.startswith(_PARAM_PREFIX)}
     stored = {k: v for k, v in meta["config"].items() if k not in RETIRED_CONFIG_KEYS}
-    known = {f.name for f in fields(TrainConfig)}
+    types = field_types()
     for key in sorted(stored):
-        if key not in known:
+        if key not in types:
             raise DataError(f"checkpoint {path}: unknown config key {key!r}")
+        kind, value = types[key], stored[key]
+        if kind is float and type(value) is int:
+            stored[key] = float(value)
+        elif type(value) is not kind:
+            raise DataError(f"checkpoint {path}: config key {key!r} expects "
+                            f"{kind.__name__}, got {value!r}")
     config = TrainConfig(**stored)
     config.validate()
     return params, config, meta.get("extra", {})

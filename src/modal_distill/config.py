@@ -33,7 +33,6 @@ class TrainConfig:
     ca_layers: int = 1
     conv_width: int = 3
     edge_mode: str = "squared"
-    data_manifest: str = ""       # empty = caller supplies samples directly
     out_dir: str = ""             # empty = keep everything in memory, write no artifacts
 
     def validate(self) -> None:
@@ -84,13 +83,13 @@ def _coerce(name: str, kind: type, raw: str):
         raise ConfigError(f"config key {name}: expected {kind.__name__}, got {raw!r}")
 
 
-def _field_types() -> dict[str, type]:
+def field_types() -> dict[str, type]:
     return {f.name: type(getattr(TrainConfig(), f.name)) for f in fields(TrainConfig)}
 
 
 def apply_overrides(config: TrainConfig, overrides: dict[str, str]) -> TrainConfig:
     """Set fields from string values, with type coercion and name checking."""
-    types = _field_types()
+    types = field_types()
     for key, raw in overrides.items():
         if key not in types:
             raise ConfigError(f"unknown config key {key!r}")

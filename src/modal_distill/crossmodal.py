@@ -13,7 +13,7 @@ import numpy as np
 from .data import MODALITIES, Modality
 from .errors import ConfigError, ShapeError
 from .layers import Linear
-from .tensor import Tensor, concat, matmul, slice_cols, softmax
+from .tensor import Tensor, concat, matmul, reshape, softmax, transpose
 
 DIRECTED_PAIRS = tuple((src, tgt) for tgt in MODALITIES for src in MODALITIES
                        if src is not tgt)
@@ -40,27 +40,26 @@ class CrossmodalPair:
         out.update(self.proj_out.parameters(f"{prefix}.out"))
         return out
 
-    def forward(self, src: Tensor, tgt: Tensor) -> tuple[Tensor, list[np.ndarray]]:
-        """Attend tgt over src; returns output and per-head attention maps."""
+    def forward(self, src: Tensor, tgt: Tensor) -> tuple[Tensor, np.ndarray]:
+        """Attend tgt over src; returns the output and the attention maps,
+        shaped [heads, T_tgt, T_src]."""
         if src.ndim != 2 or tgt.ndim != 2 or src.shape[1] != self.dim or tgt.shape[1] != self.dim:
             raise ShapeError(
                 f"crossmodal attention expects [T, {self.dim}] inputs, got "
                 f"src {src.shape}, tgt {tgt.shape}")
         if src.shape[0] == 0:
             raise ShapeError("crossmodal attention: source sequence is empty")
-        q = self.proj_q(tgt)
-        k = self.proj_k(src)
-        v = self.proj_v(src)
-        scale = 1.0 / np.sqrt(self.head_dim)
-        outputs = []
-        maps = []
-        for h in range(self.heads):
-            lo, hi = h * self.head_dim, (h + 1) * self.head_dim
-            scores = matmul(slice_cols(q, lo, hi), slice_cols(k, lo, hi).T) * scale
-            attn = softmax(scores, axis=-1)
-            maps.append(attn.data.copy())
-            outputs.append(matmul(attn, slice_cols(v, lo, hi)))
-        return self.proj_out(concat(outputs, axis=1)), maps
+        t_tgt, t_src = tgt.shape[0], src.shape[0]
+        # head h owns feature columns h*head_dim .. (h+1)*head_dim; after the
+        # transpose those are rows, so a reshape splits them into [heads, head_dim, T]
+        q = reshape(self.proj_q(tgt).T, (self.heads, self.head_dim, t_tgt))
+        k = reshape(self.proj_k(src).T, (self.heads, self.head_dim, t_src))
+        v = reshape(self.proj_v(src).T, (self.heads, self.head_dim, t_src))
+        scores = matmul(transpose(q), k) * (1.0 / np.sqrt(self.head_dim))
+        attn = softmax(scores, axis=-1)                      # [heads, T_tgt, T_src]
+        heads_out = matmul(v, transpose(attn))               # [heads, head_dim, T_tgt]
+        out = reshape(heads_out, (self.dim, t_tgt)).T
+        return self.proj_out(out), attn.data
 
     def __call__(self, src: Tensor, tgt: Tensor) -> Tensor:
         return self.forward(src, tgt)[0]

@@ -133,21 +133,6 @@ class Tensor:
 
     # ---- method forms of common ops ----
 
-    def relu(self) -> "Tensor":
-        return relu(self)
-
-    def sigmoid(self) -> "Tensor":
-        return sigmoid(self)
-
-    def sqrt(self) -> "Tensor":
-        return sqrt(self)
-
-    def abs(self) -> "Tensor":
-        return absolute(self)
-
-    def clamp_min(self, floor: float) -> "Tensor":
-        return clamp_min(self, floor)
-
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return tsum(self, axis=axis, keepdims=keepdims)
 
@@ -160,13 +145,6 @@ class Tensor:
     @property
     def T(self) -> "Tensor":
         return transpose(self)
-
-    def detach(self) -> "Tensor":
-        return stop_gradient(self)
-
-
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
 
 
 def _lift(x) -> Tensor:
@@ -237,25 +215,31 @@ def neg(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    """Matrix product over the last two axes; leading axes broadcast, as in
+    numpy ``@``."""
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    out_data = a.data @ b.data
+    try:
+        out_data = a.data @ b.data
+    except ValueError:
+        raise ShapeError(f"matmul: leading axes of {a.shape} and {b.shape} do not broadcast")
 
     def backward(g):
-        a._accum(g @ b.data.T)
-        b._accum(a.data.T @ g)
+        a._accum(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+        b._accum(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return Tensor._result(out_data, (a, b), backward)
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got shape {a.shape}")
+    """Swap the last two axes."""
+    if a.ndim < 2:
+        raise ShapeError(f"transpose needs at least 2 axes, got shape {a.shape}")
 
     def backward(g):
-        a._accum(g.T)
+        a._accum(np.swapaxes(g, -1, -2))
 
-    return Tensor._result(a.data.T.copy(), (a,), backward)
+    return Tensor._result(np.swapaxes(a.data, -1, -2).copy(), (a,), backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -397,18 +381,6 @@ def stack_rows(vectors: list[Tensor]) -> Tensor:
     return Tensor._result(out_data, tuple(vectors), backward)
 
 
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeError(f"slice_cols expects a matrix, got shape {a.shape}")
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[:, start:stop] = g
-        a._accum(full)
-
-    return Tensor._result(a.data[:, start:stop].copy(), (a,), backward)
-
-
 def take_rc(a: Tensor, rows: Array, cols: Array) -> Tensor:
     """Gather entries a[rows[k], cols[k]] into a vector."""
     if a.ndim != 2:
@@ -427,12 +399,11 @@ def take_rc(a: Tensor, rows: Array, cols: Array) -> Tensor:
 # ---- temporal convolution ----
 
 
-def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride: int = 1) -> Tensor:
+def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     """1-D temporal convolution with zero same-padding.
 
     ``x`` is time-major ``[T, d_in]``; ``kernel`` is ``[w, d_in, d_out]`` with
-    odd width ``w`` so the output keeps the input temporal length when
-    ``stride == 1`` (length ``ceil(T / stride)`` otherwise).
+    odd width ``w`` so the output keeps the input temporal length.
     """
     if x.ndim != 2 or kernel.ndim != 3:
         raise ShapeError(f"conv1d: expected [T,d_in] and [w,d_in,d_out], got {x.shape} and {kernel.shape}")
@@ -441,18 +412,14 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride: int = 
         raise ConfigError(f"conv1d kernel width must be odd, got {w}")
     if x.shape[1] != d_in:
         raise ShapeError(f"conv1d: input feature dim {x.shape[1]} != kernel d_in {d_in}")
-    if stride < 1:
-        raise ConfigError(f"conv1d stride must be >= 1, got {stride}")
     t_in = x.shape[0]
     pad = w // 2
     xp = np.zeros((t_in + 2 * pad, d_in))
     xp[pad:pad + t_in] = x.data
-    positions = np.arange(0, t_in, stride)
-    t_out = positions.size
-    # im2col: row t holds the width-w window centered on input step t*stride
-    col = np.empty((t_out, w * d_in))
+    # im2col: row t holds the width-w window centered on input step t
+    col = np.empty((t_in, w * d_in))
     for k in range(w):
-        col[:, k * d_in:(k + 1) * d_in] = xp[positions + k]
+        col[:, k * d_in:(k + 1) * d_in] = xp[k:k + t_in]
     k_flat = kernel.data.reshape(w * d_in, d_out)
     out_data = col @ k_flat
     if bias is not None:
@@ -467,7 +434,7 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride: int = 
         g_col = g @ k_flat.T
         g_xp = np.zeros_like(xp)
         for k in range(w):
-            np.add.at(g_xp, positions + k, g_col[:, k * d_in:(k + 1) * d_in])
+            g_xp[k:k + t_in] += g_col[:, k * d_in:(k + 1) * d_in]
         x._accum(g_xp[pad:pad + t_in])
 
     return Tensor._result(out_data, parents, backward)

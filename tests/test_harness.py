@@ -292,7 +292,7 @@ def _eval_checkpoint(path, config_extra=None):
 
 def test_checkpoint_with_retired_config_key_loads(tmp_path):
     path = tmp_path / "old.npz"
-    cfg = _eval_checkpoint(path, {"detach_teacher": True})
+    cfg = _eval_checkpoint(path, {"detach_teacher": True, "data_manifest": ""})
     assert load_checkpoint(path)[1] == cfg
     assert main(["eval", "--checkpoint", str(path), "--synthetic", "4"]) == 0
 
@@ -302,6 +302,26 @@ def test_checkpoint_with_unknown_config_key_exits_two(tmp_path, capsys):
     _eval_checkpoint(path, {"bogus_knob": 1})
     assert main(["eval", "--checkpoint", str(path), "--synthetic", "4"]) == 2
     assert "unknown config key 'bogus_knob'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("d", "8"), ("d", 8.0), ("fd", 1), ("batch_size", True), ("lr", True),
+    ("lr", "0.1"), ("mode", 0),
+])
+def test_checkpoint_with_mistyped_config_value_exits_two(tmp_path, capsys, key, value):
+    path = tmp_path / "typed.npz"
+    _eval_checkpoint(path, {key: value})
+    with pytest.raises(DataError, match=f"config key '{key}' expects"):
+        load_checkpoint(path)
+    assert main(["eval", "--checkpoint", str(path), "--synthetic", "4"]) == 2
+    assert f"config key '{key}'" in capsys.readouterr().err
+
+
+def test_checkpoint_accepts_int_for_float_field(tmp_path):
+    path = tmp_path / "int_lr.npz"
+    _eval_checkpoint(path, {"lr": 1})
+    cfg = load_checkpoint(path)[1]
+    assert cfg.lr == 1.0 and type(cfg.lr) is float
 
 
 def test_corrupt_or_truncated_checkpoint_exits_two(tmp_path):

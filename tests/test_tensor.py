@@ -21,7 +21,6 @@ from modal_distill.tensor import (
     relu,
     reshape,
     sigmoid,
-    slice_cols,
     softmax,
     sqrt,
     stack_rows,
@@ -58,6 +57,22 @@ def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(ShapeError) as exc:
         matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
     assert "(2, 3)" in str(exc.value) and "(4, 5)" in str(exc.value)
+
+
+def test_matmul_batched_matches_numpy():
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((3, 2, 4))
+    b = rng.standard_normal((4, 5))
+    np.testing.assert_array_equal(matmul(Tensor(a), Tensor(b)).data, a @ b)
+    np.testing.assert_array_equal(transpose(Tensor(a)).data, np.swapaxes(a, 1, 2))
+
+
+def test_matmul_batched_shape_errors():
+    with pytest.raises(ShapeError) as exc:
+        matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 5, 3))))
+    assert "(2, 3, 4)" in str(exc.value) and "(2, 5, 3)" in str(exc.value)
+    with pytest.raises(ShapeError):
+        matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
 
 
 def test_softmax_symmetry():
@@ -122,13 +137,6 @@ def test_conv1d_matches_direct_convolution():
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
-def test_conv1d_stride_two_length():
-    rng = np.random.default_rng(3)
-    x = Tensor(rng.standard_normal((7, 2)))
-    kernel = Tensor(rng.standard_normal((3, 2, 2)))
-    assert conv1d(x, kernel, stride=2).shape == (4, 2)
-
-
 def test_cosine_fixed_points():
     u = Tensor([1.0, 2.0, -3.0])
     assert cosine(u, Tensor([1.0, 2.0, -3.0])).item() == pytest.approx(1.0, abs=1e-12)
@@ -180,6 +188,9 @@ def test_gradients_match_finite_differences(seed):
     v = make(rng, 5)
     w = make(rng, 5)
     row = make(rng, 1, 4)
+    batch = make(rng, 2, 3, 4)
+    batch_b = make(rng, 2, 4, 2)
+    out_w = Tensor(rng.standard_normal((2, 3, 2)))
 
     cases = {
         "add": (lambda: tsum(a + b), {"a": a, "b": b}),
@@ -201,7 +212,11 @@ def test_gradients_match_finite_differences(seed):
         "mean_axis": (lambda: tsum(tmean(a, axis=1) * 3.0), {"a": a}),
         "softmax": (lambda: tsum(softmax(a, axis=1) * b), {"a": a, "b": b}),
         "concat": (lambda: tsum(mul_concat()), {"a": a, "b": b}),
-        "slice": (lambda: tsum(slice_cols(a, 1, 3)), {"a": a}),
+        "matmul_3d": (lambda: tsum(matmul(batch, batch_b) * out_w),
+                      {"batch": batch, "batch_b": batch_b}),
+        "matmul_broadcast": (lambda: tsum(matmul(a, batch_b) * out_w),
+                             {"a": a, "batch_b": batch_b}),
+        "transpose_3d": (lambda: tsum(matmul(transpose(batch), batch)), {"batch": batch}),
         "cosine": (lambda: cosine(v, w), {"v": v, "w": w}),
         "frobenius": (lambda: frobenius_sq(a - b), {"a": a, "b": b}),
         "mean_pool": (lambda: tsum(mean_pool_time(a) * tsum(b, axis=0)), {"a": a, "b": b}),
