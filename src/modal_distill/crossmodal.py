@@ -3,7 +3,10 @@ the other two modalities, queries from the target and keys/values from the
 source, then concatenated into a double-width stream per target.
 
 No positional encodings are used, so outputs are invariant to permutations
-of source time steps; temporal length always follows the target.
+of source time steps; temporal length always follows the target.  Inputs
+are padded batches ``[B, T, d]``: a constant key mask gives a source's
+padded steps exactly zero weight, and padded target rows are queries whose
+outputs nothing downstream reads (pooling masks them).
 """
 
 from __future__ import annotations
@@ -13,7 +16,11 @@ import numpy as np
 from .data import MODALITIES, Modality
 from .errors import ConfigError, ShapeError
 from .layers import Linear
-from .tensor import Tensor, concat, matmul, reshape, softmax, transpose
+from .tensor import Tensor, add, concat, matmul, reshape, softmax, transpose
+
+# added to the scores of padded keys: finite, yet far enough below any real
+# score that exp() of it after max subtraction is exactly 0
+MASKED_SCORE = -1e30
 
 DIRECTED_PAIRS = tuple((src, tgt) for tgt in MODALITIES for src in MODALITIES
                        if src is not tgt)
@@ -40,29 +47,35 @@ class CrossmodalPair:
         out.update(self.proj_out.parameters(f"{prefix}.out"))
         return out
 
-    def forward(self, src: Tensor, tgt: Tensor) -> tuple[Tensor, np.ndarray]:
-        """Attend tgt over src; returns the output and the attention maps,
-        shaped [heads, T_tgt, T_src]."""
-        if src.ndim != 2 or tgt.ndim != 2 or src.shape[1] != self.dim or tgt.shape[1] != self.dim:
+    def forward(self, src: Tensor, tgt: Tensor,
+                src_mask: np.ndarray) -> tuple[Tensor, np.ndarray]:
+        """Attend tgt ``[B, T_tgt, d]`` over src ``[B, T_src, d]`` whose valid
+        steps ``src_mask`` ``[B, T_src]`` marks; returns the output and the
+        attention maps, shaped [B, heads, T_tgt, T_src]."""
+        if (src.ndim != 3 or tgt.ndim != 3 or src.shape[0] != tgt.shape[0]
+                or src.shape[2] != self.dim or tgt.shape[2] != self.dim):
             raise ShapeError(
-                f"crossmodal attention expects [T, {self.dim}] inputs, got "
+                f"crossmodal attention expects [B, T, {self.dim}] inputs, got "
                 f"src {src.shape}, tgt {tgt.shape}")
-        if src.shape[0] == 0:
+        if np.shape(src_mask) != src.shape[:2]:
+            raise ShapeError(f"source mask {np.shape(src_mask)} does not match src {src.shape}")
+        if not np.all(np.any(src_mask, axis=1)):
             raise ShapeError("crossmodal attention: source sequence is empty")
-        t_tgt, t_src = tgt.shape[0], src.shape[0]
+        b, t_tgt, t_src = tgt.shape[0], tgt.shape[1], src.shape[1]
         # head h owns feature columns h*head_dim .. (h+1)*head_dim; after the
-        # transpose those are rows, so a reshape splits them into [heads, head_dim, T]
-        q = reshape(self.proj_q(tgt).T, (self.heads, self.head_dim, t_tgt))
-        k = reshape(self.proj_k(src).T, (self.heads, self.head_dim, t_src))
-        v = reshape(self.proj_v(src).T, (self.heads, self.head_dim, t_src))
+        # transpose those are rows, so a reshape splits them into [B, heads, head_dim, T]
+        q = reshape(self.proj_q(tgt).T, (b, self.heads, self.head_dim, t_tgt))
+        k = reshape(self.proj_k(src).T, (b, self.heads, self.head_dim, t_src))
+        v = reshape(self.proj_v(src).T, (b, self.heads, self.head_dim, t_src))
         scores = matmul(transpose(q), k) * (1.0 / np.sqrt(self.head_dim))
-        attn = softmax(scores, axis=-1)                      # [heads, T_tgt, T_src]
-        heads_out = matmul(v, transpose(attn))               # [heads, head_dim, T_tgt]
-        out = reshape(heads_out, (self.dim, t_tgt)).T
+        key_bias = np.where(src_mask > 0, 0.0, MASKED_SCORE)[:, None, None, :]
+        attn = softmax(add(scores, Tensor(key_bias)), axis=-1)  # [B, heads, T_tgt, T_src]
+        heads_out = matmul(v, transpose(attn))                  # [B, heads, head_dim, T_tgt]
+        out = reshape(heads_out, (b, self.dim, t_tgt)).T
         return self.proj_out(out), attn.data
 
-    def __call__(self, src: Tensor, tgt: Tensor) -> Tensor:
-        return self.forward(src, tgt)[0]
+    def __call__(self, src: Tensor, tgt: Tensor, src_mask: np.ndarray) -> Tensor:
+        return self.forward(src, tgt, src_mask)[0]
 
 
 def incoming_sources(target: Modality) -> tuple[Modality, ...]:
@@ -89,21 +102,23 @@ class CrossmodalReinforcer:
                 out.update(layer.parameters(f"ca.{src.tag}_to_{tgt.tag}.{depth}"))
         return out
 
-    def reinforce(self, hetero: dict[Modality, Tensor]) -> dict[Modality, Tensor]:
-        """Per target: [CA(src1 -> tgt), CA(src2 -> tgt)] along features."""
+    def reinforce(self, hetero: dict[Modality, Tensor],
+                  masks: dict[Modality, np.ndarray]) -> dict[Modality, Tensor]:
+        """Per target: [CA(src1 -> tgt), CA(src2 -> tgt)] along features,
+        each source's padded steps masked out as keys."""
         out = {}
         for tgt in MODALITIES:
             streams = []
             for src in incoming_sources(tgt):
                 stream = hetero[tgt]
                 for layer in self.stacks[(src, tgt)]:
-                    stream = layer(hetero[src], stream)
+                    stream = layer(hetero[src], stream, masks[src])
                 streams.append(stream)
-            out[tgt] = concat(streams, axis=1)
+            out[tgt] = concat(streams, axis=-1)
         return out
 
 
 def passthrough(hetero: dict[Modality, Tensor]) -> dict[Modality, Tensor]:
     """Attention-off fallback: duplicate each private stream to double width
     so downstream shapes match the reinforced case."""
-    return {m: concat([hetero[m], hetero[m]], axis=1) for m in MODALITIES}
+    return {m: concat([hetero[m], hetero[m]], axis=-1) for m in MODALITIES}

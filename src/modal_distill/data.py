@@ -442,6 +442,10 @@ def _pad_stack(mats: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarr
 def make_batch(samples: list[Sample], mode: str = "unaligned") -> Batch:
     if mode not in ("aligned", "unaligned"):
         raise ConfigError(f"batch mode must be 'aligned' or 'unaligned', got {mode!r}")
+    for s in samples:
+        for m in MODALITIES:
+            if s.sequences[m].length < 1:
+                raise DataError(f"sample {s.id}: empty {m.tag} sequence")
     if mode == "aligned":
         samples = [align_sample(s) for s in samples]
     features, masks, lengths = {}, {}, {}

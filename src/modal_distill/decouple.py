@@ -29,7 +29,6 @@ from .tensor import (
     mul,
     relu,
     sqrt,
-    stack_rows,
     take_rc,
     tmean,
     tsum,
@@ -40,12 +39,12 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class DecoupledPair:
-    """Shared-space and private-space views of one modality sequence."""
+    """Shared-space and private-space views of one modality's padded batch."""
 
-    homo: Tensor            # [T, d]
-    hetero: Tensor          # [T, d]
-    homo_pooled: Tensor     # [d]
-    hetero_pooled: Tensor   # [d]
+    homo: Tensor            # [B, T, d]
+    hetero: Tensor          # [B, T, d]
+    homo_pooled: Tensor     # [B, d], mean over valid steps
+    hetero_pooled: Tensor   # [B, d]
 
 
 class Decoupler:
@@ -54,7 +53,9 @@ class Decoupler:
     Encoders are position-wise two-layer nets with hidden width 2d, wide
     enough to represent the exact identity map (needed by the
     reconstruction sanity tests); decoders map the concatenated pair back
-    to the pre-decoupling space.
+    to the pre-decoupling space.  Every method takes a padded batch
+    ``[B, T, ·]``; only pooling reads the ``[B, T]`` mask, since nothing
+    else mixes time steps.
     """
 
     def __init__(self, rng: np.random.Generator, raw_dims: dict[Modality, int],
@@ -88,31 +89,32 @@ class Decoupler:
         return params
 
     def shallow_encode(self, features: Tensor, modality: Modality) -> Tensor:
-        """Project a raw [T, d_raw] sequence into the common dim via temporal conv."""
+        """Project raw [B, T, d_raw] sequences into the common dim via temporal
+        conv; the zero padding of shorter sequences is their conv padding."""
         expected = self.raw_dims[modality]
-        if features.ndim != 2 or features.shape[1] != expected:
+        if features.ndim != 3 or features.shape[2] != expected:
             raise ConfigError(
-                f"shallow_encode({modality.tag}): expected [T, {expected}], got {features.shape}")
+                f"shallow_encode({modality.tag}): expected [B, T, {expected}], got {features.shape}")
         return conv1d(features, self.shallow_kernel[modality], self.shallow_bias[modality])
 
-    def decouple(self, x_tilde: Tensor, modality: Modality) -> DecoupledPair:
+    def decouple(self, x_tilde: Tensor, modality: Modality, mask: np.ndarray) -> DecoupledPair:
         if modality not in self.private_encoders:
             raise ConfigError(f"unknown modality {modality!r}")
-        if x_tilde.ndim != 2 or x_tilde.shape[1] != self.common_dim:
+        if x_tilde.ndim != 3 or x_tilde.shape[2] != self.common_dim:
             raise ShapeError(
-                f"decouple({modality.tag}): expected [T, {self.common_dim}], got {x_tilde.shape}")
+                f"decouple({modality.tag}): expected [B, T, {self.common_dim}], got {x_tilde.shape}")
         homo = self.shared_encoder(x_tilde)
         hetero = self.private_encoders[modality](x_tilde)
         return DecoupledPair(
             homo=homo,
             hetero=hetero,
-            homo_pooled=mean_pool_time(homo),
-            hetero_pooled=mean_pool_time(hetero),
+            homo_pooled=mean_pool_time(homo, mask),
+            hetero_pooled=mean_pool_time(hetero, mask),
         )
 
     def reconstruct(self, pair: DecoupledPair, modality: Modality) -> Tensor:
         """Decode [homo, hetero] back toward the pre-decoupling sequence."""
-        return self.decoders[modality](concat([pair.homo, pair.hetero], axis=1))
+        return self.decoders[modality](concat([pair.homo, pair.hetero], axis=-1))
 
     def reencode_private(self, recon: Tensor, modality: Modality) -> Tensor:
         return self.private_encoders[modality](recon)
@@ -121,66 +123,71 @@ class Decoupler:
 # ---- losses ----
 
 
-def loss_rec(x_tilde: Tensor, recon: Tensor) -> Tensor:
-    """Squared Frobenius distance between input and its reconstruction."""
-    if x_tilde.shape != recon.shape:
-        raise ShapeError(f"loss_rec: shapes {x_tilde.shape} vs {recon.shape}")
-    return frobenius_sq(x_tilde - recon)
+def _masked_frobenius_sq(a: Tensor, b: Tensor, mask: np.ndarray, name: str) -> Tensor:
+    if a.shape != b.shape or np.shape(mask) != a.shape[:-1]:
+        raise ShapeError(f"{name}: shapes {a.shape} vs {b.shape}, mask {np.shape(mask)}")
+    return frobenius_sq(mul(a - b, Tensor(mask[..., None])))
 
 
-def loss_cyc(hetero: Tensor, reencoded: Tensor) -> Tensor:
+def loss_rec(x_tilde: Tensor, recon: Tensor, mask: np.ndarray) -> Tensor:
+    """Squared Frobenius distance between input and its reconstruction over
+    the valid rows, summed over the batch."""
+    return _masked_frobenius_sq(x_tilde, recon, mask, "loss_rec")
+
+
+def loss_cyc(hetero: Tensor, reencoded: Tensor, mask: np.ndarray) -> Tensor:
     """Squared Frobenius distance between private features and their
-    re-encoding from the reconstruction."""
-    if hetero.shape != reencoded.shape:
-        raise ShapeError(f"loss_cyc: shapes {hetero.shape} vs {reencoded.shape}")
-    return frobenius_sq(hetero - reencoded)
+    re-encoding from the reconstruction over the valid rows, summed over the
+    batch."""
+    return _masked_frobenius_sq(hetero, reencoded, mask, "loss_cyc")
 
 
-MarginItem = tuple[Tensor, Modality, int]
+def margin_triplets(tags: list[tuple[Modality, int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays (anchors i, cross-modal positives j, same-modal
+    negatives k) of every valid triplet: j shares the anchor's class from
+    another modality, k shares the anchor's modality with another class.
+
+    Anchors sharing a (modality, class) tag share their positive and
+    negative sets, so each such group contributes one index grid.
+    """
+    mods = np.array([MODALITIES.index(m) for m, _ in tags], dtype=np.intp)
+    classes = np.array([c for _, c in tags], dtype=np.int64)
+    parts = [np.empty((3, 0), dtype=np.intp)]
+    for m, c in sorted(set(zip(mods.tolist(), classes.tolist()))):
+        same_mod, same_class = mods == m, classes == c
+        grid = np.meshgrid(np.flatnonzero(same_mod & same_class),
+                           np.flatnonzero(~same_mod & same_class),
+                           np.flatnonzero(same_mod & ~same_class), indexing="ij")
+        parts.append(np.stack([g.ravel() for g in grid]))
+    ii, jj, kk = np.concatenate(parts, axis=1)
+    return ii, jj, kk
 
 
-def margin_triplets(tags: list[tuple[Modality, int]]) -> list[tuple[int, int, int]]:
-    """All (anchor i, cross-modal positive j, same-modal negative k) index
-    triples: j shares the anchor's class from another modality, k shares the
-    anchor's modality with another class."""
-    out = []
-    n = len(tags)
-    for i in range(n):
-        m_i, c_i = tags[i]
-        js = [j for j in range(n) if tags[j][0] != m_i and tags[j][1] == c_i]
-        ks = [k for k in range(n) if tags[k][0] == m_i and tags[k][1] != c_i]
-        out.extend((i, j, k) for j in js for k in ks)
-    return out
-
-
-def loss_margin(items: list[MarginItem], alpha: float) -> tuple[Tensor, int]:
-    """Hinge over all valid triplets: mean of max(0, α − cos(i,j) + cos(i,k)).
+def loss_margin(x: Tensor, tags: list[tuple[Modality, int]], alpha: float) -> tuple[Tensor, int]:
+    """Hinge over all valid triplets of the rows of ``x`` ``[N, d]``, tagged
+    (modality, class) by ``tags``: mean of max(0, α − cos(i,j) + cos(i,k)).
 
     Returns the loss and the triplet count; an empty triplet set yields 0
     with a warning so a degenerate minibatch cannot crash training.
     """
-    triplets = margin_triplets([(m, c) for _, m, c in items])
-    if not triplets:
-        log.warning("margin loss: no valid triplets in batch of %d items", len(items))
+    if x.ndim != 2 or x.shape[0] != len(tags):
+        raise ShapeError(f"loss_margin: {len(tags)} tags for rows of {x.shape}")
+    ii, jj, kk = margin_triplets(tags)
+    if not ii.size:
+        log.warning("margin loss: no valid triplets in batch of %d items", len(tags))
         return Tensor(0.0), 0
-    x = stack_rows([vec for vec, _, _ in items])
     norms = sqrt(clamp_min(tsum(mul(x, x), axis=1, keepdims=True), 1e-24))
     xn = div(x, norms)
     cos = matmul(xn, xn.T)
-    ii = np.array([t[0] for t in triplets])
-    jj = np.array([t[1] for t in triplets])
-    kk = np.array([t[2] for t in triplets])
-    cos_ij = take_rc(cos, ii, jj)
-    cos_ik = take_rc(cos, ii, kk)
-    hinge = relu(alpha - cos_ij + cos_ik)
-    return tmean(hinge), len(triplets)
+    hinge = relu(alpha - take_rc(cos, ii, jj) + take_rc(cos, ii, kk))
+    return tmean(hinge), int(ii.size)
 
 
 def loss_ort(pairs: dict[Modality, DecoupledPair]) -> Tensor:
-    """Sum over modalities of cos(pooled shared, pooled private)."""
+    """Sum over modalities and the batch of cos(pooled shared, pooled private)."""
     total = None
     for m in MODALITIES:
-        c = cosine(pairs[m].homo_pooled, pairs[m].hetero_pooled)
+        c = tsum(cosine(pairs[m].homo_pooled, pairs[m].hetero_pooled))
         total = c if total is None else total + c
     return total
 

@@ -17,7 +17,7 @@ import numpy as np
 from .data import LABEL_MAX, LABEL_MIN, MODALITIES, Modality
 from .errors import ConfigError, DataError, ShapeError
 from .layers import Linear, TwoLayer
-from .tensor import Tensor, absolute, concat, mul, reshape, sigmoid
+from .tensor import Tensor, absolute, concat, mul, reshape, sigmoid, tmean
 
 
 def bin7(score: float) -> int:
@@ -60,26 +60,26 @@ class FusionHead:
         return out
 
     def _gated(self, stream: Tensor, gate: Linear) -> Tensor:
-        k = stream.shape[0]
-        pre = reshape(gate(reshape(stream, (1, k))), ())
-        return mul(stream, sigmoid(pre))
+        return mul(stream, sigmoid(gate(stream)))
 
     def fuse(self, homo: dict[Modality, Tensor],
              hetero: dict[Modality, Tensor]) -> Tensor:
-        """Concatenate gated streams in (homo L,V,A, hetero L,V,A) order."""
+        """Concatenate gated ``[B, ·]`` streams in (homo L,V,A, hetero L,V,A)
+        order, giving ``[B, 9d]``."""
         parts = []
         for m in MODALITIES:
-            if homo[m].shape != (self.dim,):
-                raise ShapeError(f"fuse: homo {m.tag} stream must be [{self.dim}], got {homo[m].shape}")
+            if homo[m].ndim != 2 or homo[m].shape[1] != self.dim:
+                raise ShapeError(f"fuse: homo {m.tag} stream must be [B, {self.dim}], got {homo[m].shape}")
             parts.append(self._gated(homo[m], self.homo_gates[m]))
         for m in MODALITIES:
-            if hetero[m].shape != (2 * self.dim,):
-                raise ShapeError(f"fuse: hetero {m.tag} stream must be [{2 * self.dim}], got {hetero[m].shape}")
+            if hetero[m].ndim != 2 or hetero[m].shape[1] != 2 * self.dim:
+                raise ShapeError(f"fuse: hetero {m.tag} stream must be [B, {2 * self.dim}], got {hetero[m].shape}")
             parts.append(self._gated(hetero[m], self.hetero_gates[m]))
-        return concat(parts, axis=0)
+        return concat(parts, axis=-1)
 
     def predict(self, fused: Tensor) -> Tensor:
-        return reshape(self.head(reshape(fused, (1, 9 * self.dim))), ())
+        """One score per row of ``[B, 9d]``, shaped ``[B]``."""
+        return reshape(self.head(fused), fused.shape[:1])
 
     def __call__(self, homo: dict[Modality, Tensor],
                  hetero: dict[Modality, Tensor]) -> Tensor:
@@ -89,18 +89,15 @@ class FusionHead:
 # ---- objectives ----
 
 
-def task_loss(preds: list[Tensor], labels: np.ndarray) -> Tensor:
-    """Mean absolute error over the batch."""
-    if len(preds) != len(labels) or not preds:
-        raise ShapeError(f"task_loss: {len(preds)} predictions vs {len(labels)} labels")
-    for y in labels:
-        if not (LABEL_MIN <= y <= LABEL_MAX):
-            raise DataError(f"label {y} outside [{LABEL_MIN}, {LABEL_MAX}]")
-    total = None
-    for p, y in zip(preds, labels):
-        err = absolute(p - float(y))
-        total = err if total is None else total + err
-    return total * (1.0 / len(preds))
+def task_loss(preds: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean absolute error over the batch; ``preds`` is ``[B]``."""
+    labels = np.asarray(labels, dtype=np.float64)
+    if preds.shape != labels.shape or labels.ndim != 1 or not labels.size:
+        raise ShapeError(f"task_loss: predictions {preds.shape} vs labels {labels.shape}")
+    bad = labels[~((labels >= LABEL_MIN) & (labels <= LABEL_MAX))]
+    if bad.size:
+        raise DataError(f"label {bad[0]} outside [{LABEL_MIN}, {LABEL_MAX}]")
+    return tmean(absolute(preds - labels))
 
 
 def total_loss(task: Tensor | float, dec: Tensor | float, dtl_homo: Tensor | float,

@@ -7,9 +7,10 @@ softmax, and the unit pays edge weight times logit discrepancy.  Gradient
 flows only into each edge's target (student) branch: teacher logits and all
 gate inputs are constants.
 
-The whole batch is one computation: logits ``[B, 3]`` from one logit-head
-matmul, all ``6B`` edges scored by one edge-scorer matmul, and a softmax over
-the last axis of ``[B, 3, 2]`` (target, incoming source).
+The whole batch is one computation: the pooled ``[B, d]`` features of the
+three modalities stacked to ``[B, 3, d]``, logits ``[B, 3]`` from one
+logit-head matmul, all ``6B`` edges scored by one edge-scorer matmul, and a
+softmax over the last axis of ``[B, 3, 2]`` (target, incoming source).
 
 Instantiated twice with disjoint parameters: once over shared-space pooled
 features, once over the transformer-reinforced private features.
@@ -27,10 +28,10 @@ from .layers import Linear
 from .tensor import (
     Tensor,
     absolute,
+    concat,
     mul,
     reshape,
     softmax,
-    stack_rows,
     stop_gradient,
     tsum,
 )
@@ -120,20 +121,24 @@ class GDUnit:
         out.update(self.edge_scorer.parameters(f"{prefix}.edge_scorer"))
         return out
 
-    def distill_batch(self, pooled: list[dict[Modality, Tensor]],
+    def distill_batch(self, pooled: dict[Modality, Tensor],
                       frozen: FrozenGraph | None = None) -> BatchDistill:
-        """Mean sample loss and per-sample edge records for a batch of
-        pooled features; ``frozen`` replays an earlier pass's constants."""
-        if not pooled:
+        """Mean sample loss and per-sample edge records for pooled features
+        ``[B, d_in]`` per modality; ``frozen`` replays an earlier pass's
+        constants."""
+        shape = pooled[MODALITIES[0]].shape
+        if len(shape) != 2 or any(pooled[m].shape != shape for m in MODALITIES):
+            raise ShapeError("distill_batch needs [B, d] features of one shape, got "
+                             + ", ".join(f"{m.tag} {pooled[m].shape}" for m in MODALITIES))
+        b, d = shape
+        if b == 0:
             raise ConfigError("distill_batch needs at least one sample")
-        b = len(pooled)
-        feats = stack_rows([sample[m] for sample in pooled for m in MODALITIES])
-        if feats.shape[1] != self.input_dim:
-            raise ShapeError(f"logit head expects [{self.input_dim}], got [{feats.shape[1]}]")
+        if d != self.input_dim:
+            raise ShapeError(f"logit head expects [{self.input_dim}], got [{d}]")
+        feats = concat([reshape(pooled[m], (b, 1, d)) for m in MODALITIES], axis=1)
         logits = reshape(self.logit_head(feats), (b, 3))
         if frozen is None:
-            nodes = np.concatenate([logits.data[..., None], feats.data.reshape(b, 3, -1)],
-                                   axis=-1)
+            nodes = np.concatenate([logits.data[..., None], feats.data], axis=-1)
             frozen = FrozenGraph(
                 gate_inputs=np.concatenate([nodes[:, EDGE_SOURCES], nodes[:, _EDGE_TARGETS]],
                                            axis=-1),

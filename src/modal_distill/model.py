@@ -14,6 +14,11 @@ Ablation toggles change which pathway feeds each fusion slot:
 
 Every component is always constructed, whatever the toggles, so parameter
 names and checkpoint layout never depend on the ablation.
+
+The forward pass runs every stage once per batch on the padded ``[B, T, ·]``
+arrays of a ``Batch``, so the graph's size depends on the model's depth,
+not on ``B``.  Masks are read only where rows get mixed or summed: temporal
+pooling, the rec/cyc sums, and the attention keys.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .decouple import Decoupler, loss_cyc, loss_dec, loss_margin, loss_ort, loss
 from .errors import ConfigError, DataError
 from .fusion import FusionHead, bin7, task_loss, total_loss
 from .graph_distill import DistillGraph, FrozenGraph, GDUnit
-from .tensor import Tensor, mean_pool_time
+from .tensor import Tensor, concat, mean_pool_time, reshape
 
 COMPONENT_NAMES = ("task", "rec", "cyc", "margin", "ort", "dec",
                    "dtl_homo", "dtl_hetero", "total")
@@ -42,7 +47,7 @@ class StepOutput:
 
     total: Tensor
     components: dict[str, Tensor]
-    preds: list[Tensor]
+    preds: np.ndarray            # [B] scores
     n_triplets: int
     homo_graph: DistillGraph | None
     hetero_graph: DistillGraph | None
@@ -53,7 +58,7 @@ class StepOutput:
         return {name: float(t.data) for name, t in self.components.items()}
 
     def scores(self) -> list[float]:
-        return [float(p.data) for p in self.preds]
+        return self.preds.tolist()
 
 
 @dataclass
@@ -106,15 +111,6 @@ class Model:
 
     # ---- forward ----
 
-    def _sample_sequences(self, batch: Batch, s: int) -> dict[Modality, Tensor]:
-        seqs = {}
-        for m in MODALITIES:
-            length = int(batch.lengths[m][s])
-            if length < 1:
-                raise DataError(f"sample {batch.ids[s]}: empty {m.tag} sequence")
-            seqs[m] = Tensor(batch.features[m][s, :length])
-        return seqs
-
     def forward_batch(self, batch: Batch,
                       frozen_homo: FrozenGraph | None = None,
                       frozen_hetero: FrozenGraph | None = None) -> StepOutput:
@@ -124,68 +120,53 @@ class Model:
         if frozen_hetero is not None and not cfg.heterogd:
             raise ConfigError("frozen_hetero given but heterogd is off")
 
-        zero_2d = Tensor(np.zeros(2 * cfg.d))
-        rec_sum = cyc_sum = ort_sum = None
-        margin_items = []
-        homo_pooled_batch: list[dict[Modality, Tensor]] = []
-        z_pooled_batch: list[dict[Modality, Tensor]] = []
-        preds: list[Tensor] = []
-
-        hetero_alive = cfg.fd and (cfg.ca or cfg.heterogd)
-        for s in range(batch.size):
-            seqs = self._sample_sequences(batch, s)
-            shallow = {m: self.decoupler.shallow_encode(seqs[m], m) for m in MODALITIES}
-            if cfg.fd:
-                pairs = {m: self.decoupler.decouple(shallow[m], m) for m in MODALITIES}
-                for m in MODALITIES:
-                    recon = self.decoupler.reconstruct(pairs[m], m)
-                    rec_m = loss_rec(shallow[m], recon)
-                    cyc_m = loss_cyc(pairs[m].hetero,
-                                     self.decoupler.reencode_private(recon, m))
-                    rec_sum = rec_m if rec_sum is None else rec_sum + rec_m
-                    cyc_sum = cyc_m if cyc_sum is None else cyc_sum + cyc_m
-                ort_s = loss_ort(pairs)
-                ort_sum = ort_s if ort_sum is None else ort_sum + ort_s
-                label_bin = bin7(float(batch.labels[s]))
-                margin_items.extend(
-                    (pairs[m].homo_pooled, m, label_bin) for m in MODALITIES)
-                fusion_homo = {m: pairs[m].homo_pooled for m in MODALITIES}
-                homo_pooled_batch.append(fusion_homo)
-                if hetero_alive:
-                    hetero_seq = {m: pairs[m].hetero for m in MODALITIES}
-                    z = (self.reinforcer.reinforce(hetero_seq) if cfg.ca
-                         else passthrough(hetero_seq))
-                    z_pooled = {m: mean_pool_time(z[m]) for m in MODALITIES}
-                    z_pooled_batch.append(z_pooled)
-                    fusion_hetero = z_pooled
-                else:
-                    fusion_hetero = {m: zero_2d for m in MODALITIES}
-            else:
-                fusion_homo = {m: mean_pool_time(shallow[m]) for m in MODALITIES}
-                fusion_hetero = {m: zero_2d for m in MODALITIES}
-            preds.append(self.fusion(fusion_homo, fusion_hetero))
-
-        inv_b = 1.0 / batch.size
-        task = task_loss(preds, batch.labels)
+        b = batch.size
+        masks = batch.masks
+        shallow = {m: self.decoupler.shallow_encode(Tensor(batch.features[m]), m)
+                   for m in MODALITIES}
+        zero_2d = Tensor(np.zeros((b, 2 * cfg.d)))
+        fusion_hetero = {m: zero_2d for m in MODALITIES}
         if cfg.fd:
-            rec = rec_sum * inv_b
-            cyc = cyc_sum * inv_b
-            ort = ort_sum * inv_b
-            margin, n_triplets = loss_margin(margin_items, cfg.alpha)
+            pairs = {m: self.decoupler.decouple(shallow[m], m, masks[m]) for m in MODALITIES}
+            rec_sum = cyc_sum = None
+            for m in MODALITIES:
+                recon = self.decoupler.reconstruct(pairs[m], m)
+                rec_m = loss_rec(shallow[m], recon, masks[m])
+                cyc_m = loss_cyc(pairs[m].hetero,
+                                 self.decoupler.reencode_private(recon, m), masks[m])
+                rec_sum = rec_m if rec_sum is None else rec_sum + rec_m
+                cyc_sum = cyc_m if cyc_sum is None else cyc_sum + cyc_m
+            inv_b = 1.0 / b
+            rec, cyc, ort = rec_sum * inv_b, cyc_sum * inv_b, loss_ort(pairs) * inv_b
+            fusion_homo = {m: pairs[m].homo_pooled for m in MODALITIES}
+            # rows sample-major, modalities (L, V, A) within a sample
+            stacked = reshape(concat([fusion_homo[m] for m in MODALITIES], axis=-1),
+                              (3 * b, cfg.d))
+            classes = np.repeat(list(map(bin7, batch.labels)), 3)
+            tags = list(zip(MODALITIES * b, classes))
+            margin, n_triplets = loss_margin(stacked, tags, cfg.alpha)
             dec = loss_dec(rec, cyc, margin, ort, cfg.gamma)
+            if cfg.ca or cfg.heterogd:
+                hetero_seq = {m: pairs[m].hetero for m in MODALITIES}
+                z = (self.reinforcer.reinforce(hetero_seq, masks) if cfg.ca
+                     else passthrough(hetero_seq))
+                fusion_hetero = {m: mean_pool_time(z[m], masks[m]) for m in MODALITIES}
         else:
+            fusion_homo = {m: mean_pool_time(shallow[m], masks[m]) for m in MODALITIES}
             rec, cyc, ort, margin = Tensor(0.0), Tensor(0.0), Tensor(0.0), Tensor(0.0)
             n_triplets = 0
             dec = Tensor(0.0)
+        preds = self.fusion(fusion_homo, fusion_hetero)
+        task = task_loss(preds, batch.labels)
 
         if cfg.homogd:
-            homo_batch = self.homo_gd.distill_batch(homo_pooled_batch, frozen_homo)
+            homo_batch = self.homo_gd.distill_batch(fusion_homo, frozen_homo)
             dtl_homo, homo_graph = homo_batch.loss, homo_batch.graph
             out_frozen_homo = homo_batch.frozen
         else:
             dtl_homo, homo_graph, out_frozen_homo = Tensor(0.0), None, None
         if cfg.heterogd:
-            hetero_batch = self.hetero_gd.distill_batch(z_pooled_batch, frozen_hetero)
+            hetero_batch = self.hetero_gd.distill_batch(fusion_hetero, frozen_hetero)
             dtl_hetero, hetero_graph = hetero_batch.loss, hetero_batch.graph
             out_frozen_hetero = hetero_batch.frozen
         else:
@@ -196,7 +177,7 @@ class Model:
             "task": task, "rec": rec, "cyc": cyc, "margin": margin, "ort": ort,
             "dec": dec, "dtl_homo": dtl_homo, "dtl_hetero": dtl_hetero, "total": total,
         }
-        return StepOutput(total=total, components=components, preds=preds,
+        return StepOutput(total=total, components=components, preds=preds.data,
                           n_triplets=n_triplets, homo_graph=homo_graph,
                           hetero_graph=hetero_graph, frozen_homo=out_frozen_homo,
                           frozen_hetero=out_frozen_hetero)
@@ -205,20 +186,17 @@ class Model:
 
     def extract_features(self, batch: Batch) -> FeatureBundle:
         cfg = self.config
-        b = batch.size
-        homo = np.zeros((b, 3, cfg.d))
-        hetero = np.zeros((b, 3, cfg.d))
-        shallow_out = np.zeros((b, 3, cfg.d))
-        for s in range(b):
-            seqs = self._sample_sequences(batch, s)
-            for k, m in enumerate(MODALITIES):
-                x = self.decoupler.shallow_encode(seqs[m], m)
-                shallow_out[s, k] = mean_pool_time(x).data
-                if cfg.fd:
-                    pair = self.decoupler.decouple(x, m)
-                    homo[s, k] = pair.homo_pooled.data
-                    hetero[s, k] = pair.hetero_pooled.data
-                else:
-                    homo[s, k] = shallow_out[s, k]
-        return FeatureBundle(homo=homo, hetero=hetero, shallow=shallow_out,
+        homo, hetero, shallow_out = [], [], []
+        for m in MODALITIES:
+            x = self.decoupler.shallow_encode(Tensor(batch.features[m]), m)
+            shallow_out.append(mean_pool_time(x, batch.masks[m]).data)
+            if cfg.fd:
+                pair = self.decoupler.decouple(x, m, batch.masks[m])
+                homo.append(pair.homo_pooled.data)
+                hetero.append(pair.hetero_pooled.data)
+            else:
+                homo.append(shallow_out[-1])
+                hetero.append(np.zeros((batch.size, cfg.d)))
+        return FeatureBundle(homo=np.stack(homo, axis=1), hetero=np.stack(hetero, axis=1),
+                             shallow=np.stack(shallow_out, axis=1),
                              labels=batch.labels.copy(), ids=list(batch.ids))

@@ -75,7 +75,8 @@ class Tensor:
 
         Iterative post-order traversal; each node's closure runs exactly once,
         after all of its consumers, so gradients of shared subexpressions
-        accumulate correctly.
+        accumulate correctly.  Interior nodes drop their gradient once their
+        closure has run, so only leaves (and this root) hold one afterwards.
         """
         if self.data.shape != ():
             raise ShapeError(f"backward() needs a scalar, got shape {self.shape}")
@@ -98,6 +99,10 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                # an interior gradient is dead once handed to the parents;
+                # leaves and the root keep theirs
+                if node is not self:
+                    node.grad = None
 
     # ---- arithmetic ----
 
@@ -365,22 +370,6 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
     return Tensor._result(out_data, tuple(tensors), backward)
 
 
-def stack_rows(vectors: list[Tensor]) -> Tensor:
-    """Stack 1-D tensors of equal length into a matrix, one per row."""
-    if not vectors:
-        raise ShapeError("stack_rows of an empty list")
-    for v in vectors:
-        if v.ndim != 1:
-            raise ShapeError(f"stack_rows expects vectors, got shape {v.shape}")
-    out_data = np.stack([v.data for v in vectors], axis=0)
-
-    def backward(g):
-        for i, v in enumerate(vectors):
-            v._accum(g[i])
-
-    return Tensor._result(out_data, tuple(vectors), backward)
-
-
 def take_rc(a: Tensor, rows: Array, cols: Array) -> Tensor:
     """Gather entries a[rows[k], cols[k]] into a vector."""
     if a.ndim != 2:
@@ -388,10 +377,10 @@ def take_rc(a: Tensor, rows: Array, cols: Array) -> Tensor:
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
 
+    flat = rows * a.shape[1] + cols
+
     def backward(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, (rows, cols), g)
-        a._accum(full)
+        a._accum(np.bincount(flat, weights=g, minlength=a.data.size).reshape(a.shape))
 
     return Tensor._result(a.data[rows, cols], (a,), backward)
 
@@ -402,24 +391,27 @@ def take_rc(a: Tensor, rows: Array, cols: Array) -> Tensor:
 def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     """1-D temporal convolution with zero same-padding.
 
-    ``x`` is time-major ``[T, d_in]``; ``kernel`` is ``[w, d_in, d_out]`` with
-    odd width ``w`` so the output keeps the input temporal length.
+    ``x`` is time-major ``[..., T, d_in]`` (leading axes are independent
+    sequences); ``kernel`` is ``[w, d_in, d_out]`` with odd width ``w`` so
+    the output keeps the input temporal length.  Zero rows after a shorter
+    sequence's end act exactly like its padding, so a zero-padded batch
+    gives every sequence's valid rows as if it were convolved alone.
     """
-    if x.ndim != 2 or kernel.ndim != 3:
-        raise ShapeError(f"conv1d: expected [T,d_in] and [w,d_in,d_out], got {x.shape} and {kernel.shape}")
+    if x.ndim < 2 or kernel.ndim != 3:
+        raise ShapeError(f"conv1d: expected [..., T, d_in] and [w, d_in, d_out], got {x.shape} and {kernel.shape}")
     w, d_in, d_out = kernel.shape
     if w % 2 == 0:
         raise ConfigError(f"conv1d kernel width must be odd, got {w}")
-    if x.shape[1] != d_in:
-        raise ShapeError(f"conv1d: input feature dim {x.shape[1]} != kernel d_in {d_in}")
-    t_in = x.shape[0]
+    if x.shape[-1] != d_in:
+        raise ShapeError(f"conv1d: input feature dim {x.shape[-1]} != kernel d_in {d_in}")
+    lead, t_in = x.shape[:-2], x.shape[-2]
     pad = w // 2
-    xp = np.zeros((t_in + 2 * pad, d_in))
-    xp[pad:pad + t_in] = x.data
+    xp = np.zeros(lead + (t_in + 2 * pad, d_in))
+    xp[..., pad:pad + t_in, :] = x.data
     # im2col: row t holds the width-w window centered on input step t
-    col = np.empty((t_in, w * d_in))
+    col = np.empty(lead + (t_in, w * d_in))
     for k in range(w):
-        col[:, k * d_in:(k + 1) * d_in] = xp[k:k + t_in]
+        col[..., k * d_in:(k + 1) * d_in] = xp[..., k:k + t_in, :]
     k_flat = kernel.data.reshape(w * d_in, d_out)
     out_data = col @ k_flat
     if bias is not None:
@@ -428,14 +420,16 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     parents = (x, kernel) if bias is None else (x, kernel, bias)
 
     def backward(g):
-        kernel._accum((col.T @ g).reshape(w, d_in, d_out))
+        kernel._accum((col.reshape(-1, w * d_in).T @ g.reshape(-1, d_out)).reshape(w, d_in, d_out))
         if bias is not None:
-            bias._accum(g.sum(axis=0))
+            bias._accum(g.reshape(-1, d_out).sum(axis=0))
+        if not x.requires_grad:
+            return
         g_col = g @ k_flat.T
-        g_xp = np.zeros_like(xp)
+        g_xp = np.zeros(lead + (t_in + 2 * pad, d_in))
         for k in range(w):
-            g_xp[k:k + t_in] += g_col[:, k * d_in:(k + 1) * d_in]
-        x._accum(g_xp[pad:pad + t_in])
+            g_xp[..., k:k + t_in, :] += g_col[..., k * d_in:(k + 1) * d_in]
+        x._accum(g_xp[..., pad:pad + t_in, :])
 
     return Tensor._result(out_data, parents, backward)
 
@@ -444,16 +438,17 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
 
 
 def cosine(u: Tensor, v: Tensor, eps: float = 1e-12) -> Tensor:
-    """Cosine similarity of two vectors, in [-1, 1].
+    """Cosine similarity along the last axis, in [-1, 1]; ``[..., d]``
+    inputs give ``[...]``.
 
     The denominator is clamped at ``eps`` so an all-zero vector yields 0
     instead of dividing by zero (and keeps the backward pass finite).
     """
-    if u.ndim != 1 or v.ndim != 1 or u.shape != v.shape:
-        raise ShapeError(f"cosine expects equal-length vectors, got {u.shape} and {v.shape}")
-    num = tsum(mul(u, v))
-    nu = sqrt(clamp_min(tsum(mul(u, u)), eps * eps))
-    nv = sqrt(clamp_min(tsum(mul(v, v)), eps * eps))
+    if u.ndim < 1 or u.shape != v.shape:
+        raise ShapeError(f"cosine expects equal-shape vectors, got {u.shape} and {v.shape}")
+    num = tsum(mul(u, v), axis=-1)
+    nu = sqrt(clamp_min(tsum(mul(u, u), axis=-1), eps * eps))
+    nv = sqrt(clamp_min(tsum(mul(v, v), axis=-1), eps * eps))
     return div(num, clamp_min(mul(nu, nv), eps))
 
 
@@ -462,20 +457,19 @@ def frobenius_sq(a: Tensor) -> Tensor:
     return tsum(mul(a, a))
 
 
-def mean_pool_time(x: Tensor) -> Tensor:
-    """Temporal mean over a [T, d] sequence, giving a length-d vector."""
-    if x.ndim != 2:
-        raise ShapeError(f"mean_pool_time expects [T,d], got {x.shape}")
-    return tmean(x, axis=0)
+def mean_pool_time(x: Tensor, mask: Array) -> Tensor:
+    """Temporal mean of ``[..., T, d]`` over the valid steps of each
+    sequence, giving ``[..., d]``.
 
-
-def masked_mean_pool(x: Tensor, mask: Array, length: int) -> Tensor:
-    """Mean over valid time steps only; padded rows contribute exactly zero.
-
-    ``mask`` is a constant 0/1 vector of length T; the divisor is the true
-    length, never the padded one.
+    ``mask`` is a constant 0/1 array shaped ``[..., T]``; the pool is one
+    matmul with weights ``mask / length``, so padded rows contribute exactly
+    zero and the divisor is the true length, never the padded one.
     """
-    if x.ndim != 2 or mask.shape != (x.shape[0],):
-        raise ShapeError(f"masked_mean_pool: got x {x.shape}, mask {np.shape(mask)}")
-    masked = mul(x, Tensor(mask.reshape(-1, 1)))
-    return tsum(masked, axis=0) * (1.0 / float(length))
+    if x.ndim < 2 or np.shape(mask) != x.shape[:-1]:
+        raise ShapeError(f"mean_pool_time: got x {x.shape}, mask {np.shape(mask)}")
+    lengths = mask.sum(axis=-1, keepdims=True)
+    if np.any(lengths == 0):
+        raise ShapeError("mean_pool_time: a sequence has no valid step")
+    weights = mask / lengths
+    pooled = matmul(Tensor(weights[..., None, :]), x)
+    return reshape(pooled, x.shape[:-2] + x.shape[-1:])

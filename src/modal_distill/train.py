@@ -120,9 +120,10 @@ def predict_scores(model: Model, samples: list[Sample],
     scores: list[float] = []
     labels: list[float] = []
     for batch in batches(samples, bs, mode=model.config.mode, shuffle=False):
-        out = model.forward_batch(batch)
+        # keep no reference to the graph, so it is freed before the next
+        # batch's forward builds another
+        scores.extend(model.forward_batch(batch).scores())
         ids.extend(batch.ids)
-        scores.extend(out.scores())
         labels.extend(batch.labels.tolist())
     return ids, np.array(scores), np.array(labels)
 
@@ -192,7 +193,8 @@ def train(config: TrainConfig, samples: list[Sample],
         out_dir.mkdir(parents=True, exist_ok=True)
         log_path = out_dir / "train_log.jsonl"
         checkpoint_path = out_dir / "checkpoint.npz"
-        log_fh = open(log_path, "w")
+        # line-buffered: each record reaches the file as it is emitted
+        log_fh = open(log_path, "w", buffering=1)
 
     extra_meta = {"raw_dims": {m.tag: raw_dims[m] for m in MODALITIES}}
 
@@ -242,6 +244,7 @@ def train(config: TrainConfig, samples: list[Sample],
                 opt.lr = lr_at(step)
                 opt.step()
                 emit(_step_record(step, epoch, out))
+                del out  # frees this step's graph before the next one is built
                 step += 1
                 if config.max_steps > 0 and step >= config.max_steps:
                     done = True
@@ -433,9 +436,9 @@ def _teacher_path_grad(model: Model, seed: int) -> float:
     distillation edges; exactly zero because teacher logits are constants."""
     rng = np.random.default_rng(seed + 1)
     d = model.config.d
-    feats = {m: Tensor(rng.standard_normal(d), requires_grad=True)
+    feats = {m: Tensor(rng.standard_normal((1, d)), requires_grad=True)
              for m in MODALITIES}
-    edges = model.homo_gd.distill_batch([feats]).edges
+    edges = model.homo_gd.distill_batch(feats).edges
     teacher = 0
     tsum(mul(edges, Tensor(EDGE_SOURCES == teacher))).backward()
     g = feats[MODALITIES[teacher]].grad

@@ -72,15 +72,15 @@ def test_criterion_2_distillation_invariants():
             unit.edge_scorer.weight.shape)
         unit.edge_scorer.bias.data[:] = rng.standard_normal(
             unit.edge_scorer.bias.shape)
-        feats = {m: Tensor(rng.standard_normal(d_in), requires_grad=True)
+        feats = {m: Tensor(rng.standard_normal((1, d_in)), requires_grad=True)
                  for m in MODALITIES}
-        out = unit.distill_batch([feats])
+        out = unit.distill_batch(feats)
         col_err = np.abs(out.weights[0].sum(axis=0) - 1.0).max()
         worst_col = max(worst_col, col_err)
         ok &= col_err <= 1e-9
         ok &= float(out.loss.data) >= 0.0
-        tied = Tensor(rng.standard_normal(d_in))
-        equal = unit.distill_batch([{m: tied for m in MODALITIES}])
+        tied = Tensor(rng.standard_normal((1, d_in)))
+        equal = unit.distill_batch({m: tied for m in MODALITIES})
         ok &= float(equal.loss.data) == 0.0
         src = draw % 3
         # the teacher's outgoing edges, picked by a constant mask
@@ -108,8 +108,7 @@ def test_criterion_3_margin_oracle():
         tags = [(MODALITIES[int(rng.integers(3))], int(rng.integers(-3, 4)))
                 for _ in range(n)]
         alpha = float(rng.uniform(0.05, 1.0))
-        items = [(Tensor(v), m, c) for v, (m, c) in zip(vecs, tags)]
-        loss, count = loss_margin(items, alpha)
+        loss, count = loss_margin(Tensor(np.stack(vecs)), tags, alpha)
         hinges = []
         for i, (m_i, c_i) in enumerate(tags):
             for j, (m_j, c_j) in enumerate(tags):
@@ -139,12 +138,13 @@ def test_criterion_4_identity_autoencoder():
     worst_cyc = 0.0
     for m in MODALITIES:
         # non-negative inputs keep the averaging decoder exact
-        x = Tensor(rng.uniform(0.05, 1.0, size=(4, d)))
-        pair = dec.decouple(x, m)
+        x = Tensor(rng.uniform(0.05, 1.0, size=(1, 4, d)))
+        mask = np.ones((1, 4))
+        pair = dec.decouple(x, m, mask)
         recon = dec.reconstruct(pair, m)
-        worst_rec = max(worst_rec, float(loss_rec(x, recon).data))
+        worst_rec = max(worst_rec, float(loss_rec(x, recon, mask).data))
         worst_cyc = max(worst_cyc, float(
-            loss_cyc(pair.hetero, dec.reencode_private(recon, m)).data))
+            loss_cyc(pair.hetero, dec.reencode_private(recon, m), mask).data))
     ok = worst_rec < 1e-10 and worst_cyc < 1e-10
     verdict(4, "identity autoencoder", ok,
             f"L_rec {worst_rec:.1e}, L_cyc {worst_cyc:.1e}")

@@ -19,7 +19,7 @@ from modal_distill.decouple import (
     margin_triplets,
 )
 from modal_distill.errors import ConfigError
-from modal_distill.tensor import Tensor, mean_pool_time, tsum
+from modal_distill.tensor import Tensor, concat, reshape
 
 from conftest import check_grads, set_averaging_decoder, set_identity_two_layer
 
@@ -32,9 +32,14 @@ def make_decoupler(d=4, seed=0):
     return Decoupler(np.random.default_rng(seed), SMALL_RAW, d=d)
 
 
+def ones_mask(x):
+    return np.ones(x.shape[:-1])
+
+
 def pooled_pair(homo_vec, hetero_vec):
-    h = Tensor(np.asarray(homo_vec, dtype=float))
-    p = Tensor(np.asarray(hetero_vec, dtype=float))
+    """A batch of one whose pooled vectors are the given ones."""
+    h = Tensor(np.asarray(homo_vec, dtype=float)[None])
+    p = Tensor(np.asarray(hetero_vec, dtype=float)[None])
     return DecoupledPair(homo=h, hetero=p, homo_pooled=h, hetero_pooled=p)
 
 
@@ -44,21 +49,21 @@ def pooled_pair(homo_vec, hetero_vec):
 def test_shallow_encode_shape():
     dec = make_decoupler(d=16)
     rng = np.random.default_rng(1)
-    out = dec.shallow_encode(Tensor(rng.standard_normal((8, SMALL_RAW[V]))), V)
-    assert out.shape == (8, 16)
+    out = dec.shallow_encode(Tensor(rng.standard_normal((1, 8, SMALL_RAW[V]))), V)
+    assert out.shape == (1, 8, 16)
 
 
 def test_shallow_encode_rejects_wrong_dim():
     dec = make_decoupler()
     with pytest.raises(ConfigError):
-        dec.shallow_encode(Tensor(np.zeros((8, SMALL_RAW[V] + 1))), V)
+        dec.shallow_encode(Tensor(np.zeros((1, 8, SMALL_RAW[V] + 1))), V)
 
 
 def test_shared_encoder_is_one_parameter_set():
     dec = make_decoupler(d=4)
-    x = Tensor(np.random.default_rng(2).standard_normal((5, 4)))
-    as_l = dec.decouple(x, L)
-    as_v = dec.decouple(x, V)
+    x = Tensor(np.random.default_rng(2).standard_normal((1, 5, 4)))
+    as_l = dec.decouple(x, L, ones_mask(x))
+    as_v = dec.decouple(x, V, ones_mask(x))
     np.testing.assert_array_equal(as_l.homo.data, as_v.homo.data)
     assert not np.array_equal(as_l.hetero.data, as_v.hetero.data)
 
@@ -66,39 +71,63 @@ def test_shared_encoder_is_one_parameter_set():
 @pytest.mark.parametrize("t", [1, 7, 50])
 def test_decouple_preserves_shapes(t):
     dec = make_decoupler(d=4)
-    x = Tensor(np.random.default_rng(t).standard_normal((t, 4)))
-    pair = dec.decouple(x, A)
-    assert pair.homo.shape == (t, 4) and pair.hetero.shape == (t, 4)
-    assert pair.homo_pooled.shape == (4,) and pair.hetero_pooled.shape == (4,)
+    x = Tensor(np.random.default_rng(t).standard_normal((1, t, 4)))
+    pair = dec.decouple(x, A, ones_mask(x))
+    assert pair.homo.shape == (1, t, 4) and pair.hetero.shape == (1, t, 4)
+    assert pair.homo_pooled.shape == (1, 4) and pair.hetero_pooled.shape == (1, 4)
 
 
 def test_pooled_vectors_are_temporal_means():
     dec = make_decoupler(d=3)
-    x = Tensor(np.random.default_rng(5).standard_normal((6, 3)))
-    pair = dec.decouple(x, L)
-    np.testing.assert_allclose(pair.homo_pooled.data, pair.homo.data.mean(axis=0), atol=1e-15)
+    x = Tensor(np.random.default_rng(5).standard_normal((1, 6, 3)))
+    pair = dec.decouple(x, L, ones_mask(x))
+    np.testing.assert_allclose(pair.homo_pooled.data, pair.homo.data.mean(axis=1), atol=1e-15)
+
+
+def test_pooling_and_rec_cyc_ignore_padded_rows():
+    # the padded rows of encoder outputs are not zero, so only the mask
+    # keeps them out of the pooled vectors and the rec/cyc sums
+    dec = make_decoupler(d=3)
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((1, 6, 3))
+    mask = np.array([[1.0, 1.0, 1.0, 1.0, 0.0, 0.0]])
+    garbage = x.copy()
+    garbage[0, 4:] = 50.0
+    for seq in (x, garbage):
+        pair = dec.decouple(Tensor(seq), L, mask)
+        recon = dec.reconstruct(pair, L)
+        short = dec.decouple(Tensor(seq[:, :4]), L, mask[:, :4])
+        short_recon = dec.reconstruct(short, L)
+        np.testing.assert_allclose(pair.homo_pooled.data, short.homo_pooled.data, atol=1e-14)
+        np.testing.assert_allclose(pair.hetero_pooled.data, short.hetero_pooled.data, atol=1e-14)
+        assert loss_rec(Tensor(seq), recon, mask).item() == pytest.approx(
+            loss_rec(Tensor(seq[:, :4]), short_recon, mask[:, :4]).item(), abs=1e-12)
+        assert loss_cyc(pair.hetero, dec.reencode_private(recon, L), mask).item() == pytest.approx(
+            loss_cyc(short.hetero, dec.reencode_private(short_recon, L), mask[:, :4]).item(),
+            abs=1e-12)
 
 
 # ---- reconstruction losses ----
 
 
 def test_loss_rec_zero_when_equal():
-    x = Tensor(np.random.default_rng(0).standard_normal((3, 4)))
-    assert loss_rec(x, Tensor(x.data.copy())).item() == 0.0
-    z = Tensor(np.zeros((3, 4)))
-    assert loss_rec(z, Tensor(np.zeros((3, 4)))).item() == 0.0
+    x = Tensor(np.random.default_rng(0).standard_normal((1, 3, 4)))
+    assert loss_rec(x, Tensor(x.data.copy()), ones_mask(x)).item() == 0.0
+    z = Tensor(np.zeros((1, 3, 4)))
+    assert loss_rec(z, Tensor(np.zeros((1, 3, 4))), ones_mask(z)).item() == 0.0
 
 
 def test_loss_rec_unit_differences():
-    x = Tensor(np.zeros((2, 2)))
-    recon = Tensor(np.ones((2, 2)))
-    assert loss_rec(x, recon).item() == pytest.approx(4.0, abs=1e-15)
+    x = Tensor(np.zeros((1, 2, 2)))
+    recon = Tensor(np.ones((1, 2, 2)))
+    assert loss_rec(x, recon, ones_mask(x)).item() == pytest.approx(4.0, abs=1e-15)
 
 
 def test_loss_cyc_fixtures():
-    h = Tensor(np.array([[2.0]]))
-    assert loss_cyc(h, Tensor(np.array([[3.0]]))).item() == pytest.approx(1.0, abs=1e-15)
-    assert loss_cyc(h, Tensor(np.array([[2.0]]))).item() == 0.0
+    h = Tensor(np.array([[[2.0]]]))
+    assert loss_cyc(h, Tensor(np.array([[[3.0]]])), ones_mask(h)).item() == pytest.approx(
+        1.0, abs=1e-15)
+    assert loss_cyc(h, Tensor(np.array([[[2.0]]])), ones_mask(h)).item() == 0.0
 
 
 def test_identity_autoencoder_zeros_rec_and_cyc():
@@ -108,12 +137,13 @@ def test_identity_autoencoder_zeros_rec_and_cyc():
         set_identity_two_layer(dec.private_encoders[m])
         set_averaging_decoder(dec.decoders[m])
     # non-negative input keeps the decoder's hidden relu in its linear region
-    x = Tensor(np.random.default_rng(3).uniform(0.1, 2.0, size=(5, 4)))
+    x = Tensor(np.random.default_rng(3).uniform(0.1, 2.0, size=(1, 5, 4)))
+    mask = ones_mask(x)
     for m in MODALITIES:
-        pair = dec.decouple(x, m)
+        pair = dec.decouple(x, m, mask)
         recon = dec.reconstruct(pair, m)
-        assert loss_rec(x, recon).item() < 1e-10
-        assert loss_cyc(pair.hetero, dec.reencode_private(recon, m)).item() < 1e-10
+        assert loss_rec(x, recon, mask).item() < 1e-10
+        assert loss_cyc(pair.hetero, dec.reencode_private(recon, m), mask).item() < 1e-10
 
 
 # ---- margin loss ----
@@ -141,14 +171,15 @@ def oracle_margin(vectors, tags, alpha):
 
 
 def items_from(vectors, tags):
-    return [(Tensor(v), m, c) for v, (m, c) in zip(vectors, tags)]
+    """The (rows, tags) arguments of ``loss_margin``."""
+    return Tensor(np.stack(vectors)), tags
 
 
 def test_margin_zero_when_separated():
     # cos(i,j)=1, cos(i,k)=-1 with one valid triplet
     vectors = [np.array([1.0, 0.0]), np.array([2.0, 0.0]), np.array([-1.0, 0.0])]
     tags = [(L, 1), (V, 1), (L, 2)]
-    loss, count = loss_margin(items_from(vectors, tags), alpha=0.2)
+    loss, count = loss_margin(*items_from(vectors, tags), alpha=0.2)
     assert count == 1
     assert loss.item() == 0.0
 
@@ -159,7 +190,7 @@ def test_margin_single_triplet_forced_value():
                np.array([0.5, np.sqrt(3) / 2]),
                np.array([0.5, -np.sqrt(3) / 2])]
     tags = [(L, 1), (V, 1), (L, 2)]
-    loss, count = loss_margin(items_from(vectors, tags), alpha=0.2)
+    loss, count = loss_margin(*items_from(vectors, tags), alpha=0.2)
     assert count == 1
     assert loss.item() == pytest.approx(0.2, abs=1e-12)
 
@@ -168,7 +199,7 @@ def test_margin_empty_set_warns(caplog):
     vectors = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
     tags = [(L, 1), (L, 1)]  # same modality: no cross-modal positive exists
     with caplog.at_level("WARNING"):
-        loss, count = loss_margin(items_from(vectors, tags), alpha=0.2)
+        loss, count = loss_margin(*items_from(vectors, tags), alpha=0.2)
     assert count == 0 and loss.item() == 0.0
     assert any("no valid triplets" in r.message for r in caplog.records)
 
@@ -179,7 +210,7 @@ def test_margin_matches_exhaustive_oracle(seed):
     n = int(rng.integers(3, 13))
     vectors = [rng.standard_normal(4) for _ in range(n)]
     tags = [(MODALITIES[rng.integers(0, 3)], int(rng.integers(-3, 4))) for _ in range(n)]
-    loss, count = loss_margin(items_from(vectors, tags), alpha=0.2)
+    loss, count = loss_margin(*items_from(vectors, tags), alpha=0.2)
     expected, expected_count = oracle_margin(vectors, tags, alpha=0.2)
     assert count == expected_count
     assert abs(loss.item() - expected) < 1e-12
@@ -191,15 +222,15 @@ def test_margin_invariant_to_positive_rescaling(scale, which):
     rng = np.random.default_rng(42)
     vectors = [rng.standard_normal(3) for _ in range(4)]
     tags = [(L, 1), (V, 1), (L, 2), (A, 1)]
-    base, _ = loss_margin(items_from(vectors, tags), alpha=0.2)
+    base, _ = loss_margin(*items_from(vectors, tags), alpha=0.2)
     scaled = [v * scale if i == which else v for i, v in enumerate(vectors)]
-    rescaled, _ = loss_margin(items_from(scaled, tags), alpha=0.2)
+    rescaled, _ = loss_margin(*items_from(scaled, tags), alpha=0.2)
     assert rescaled.item() == pytest.approx(base.item(), abs=1e-9)
 
 
 def test_margin_triplet_enumeration_structure():
     tags = [(L, 1), (V, 1), (A, 2), (L, 2)]
-    triplets = margin_triplets(tags)
+    triplets = list(zip(*margin_triplets(tags)))
     assert (0, 1, 3) in triplets
     for i, j, k in triplets:
         assert tags[j][0] != tags[i][0] and tags[j][1] == tags[i][1]
@@ -240,43 +271,41 @@ def test_loss_dec_weighted_sum():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_decoupling_losses_gradcheck(seed):
-    # two samples with different class bins so the margin set is non-empty
+    # a batch of two samples with different class bins so the margin set is
+    # non-empty
     dec = make_decoupler(d=3, seed=seed)
     rng = np.random.default_rng(1000 + seed)
     raw = [{m: rng.standard_normal((4, SMALL_RAW[m])) for m in MODALITIES}
            for _ in range(2)]
-    classes = [1, -2]
+    feats = {m: np.stack([sample[m] for sample in raw]) for m in MODALITIES}
+    mask = np.ones((2, 4))
+    tags = [(m, c) for c in (1, -2) for m in MODALITIES]
 
     def build():
         total_rec, total_cyc = Tensor(0.0), Tensor(0.0)
-        items = []
-        ort_sum = Tensor(0.0)
-        for sample, cls in zip(raw, classes):
-            pairs = {}
-            for m in MODALITIES:
-                x = dec.shallow_encode(Tensor(sample[m]), m)
-                pair = dec.decouple(x, m)
-                pairs[m] = pair
-                recon = dec.reconstruct(pair, m)
-                total_rec = total_rec + loss_rec(x, recon)
-                total_cyc = total_cyc + loss_cyc(pair.hetero, dec.reencode_private(recon, m))
-                items.append((pair.homo_pooled, m, cls))
-            ort_sum = ort_sum + loss_ort(pairs)
-        mar, count = loss_margin(items, alpha=0.2)
+        pairs = {}
+        for m in MODALITIES:
+            x = dec.shallow_encode(Tensor(feats[m]), m)
+            pair = dec.decouple(x, m, mask)
+            pairs[m] = pair
+            recon = dec.reconstruct(pair, m)
+            total_rec = total_rec + loss_rec(x, recon, mask)
+            total_cyc = total_cyc + loss_cyc(pair.hetero, dec.reencode_private(recon, m), mask)
+        rows = reshape(concat([pairs[m].homo_pooled for m in MODALITIES], axis=-1), (6, 3))
+        mar, count = loss_margin(rows, tags, alpha=0.2)
         assert count > 0
-        return loss_dec(total_rec, total_cyc, mar, ort_sum, gamma=0.1)
+        return loss_dec(total_rec, total_cyc, mar, loss_ort(pairs), gamma=0.1)
 
     check_grads(build, dec.parameters(), tol=1e-5)
 
 
 def test_margin_gradcheck():
     rng = np.random.default_rng(77)
-    leaves = {f"v{i}": Tensor(rng.standard_normal(3), requires_grad=True) for i in range(4)}
+    leaves = {"x": Tensor(rng.standard_normal((4, 3)), requires_grad=True)}
     tags = [(L, 1), (V, 1), (L, 2), (A, 1)]
 
     def build():
-        items = [(v, m, c) for v, (m, c) in zip(leaves.values(), tags)]
-        loss, _ = loss_margin(items, alpha=0.5)
+        loss, _ = loss_margin(leaves["x"], tags, alpha=0.5)
         return loss
 
     check_grads(build, leaves, tol=1e-5)

@@ -30,9 +30,10 @@ def make_head(seed=0):
 
 
 def streams(seed=0):
+    """The six streams of a batch of one."""
     rng = np.random.default_rng(seed)
-    homo = {m: Tensor(rng.standard_normal(D)) for m in MODALITIES}
-    hetero = {m: Tensor(rng.standard_normal(2 * D)) for m in MODALITIES}
+    homo = {m: Tensor(rng.standard_normal((1, D))) for m in MODALITIES}
+    hetero = {m: Tensor(rng.standard_normal((1, 2 * D))) for m in MODALITIES}
     return homo, hetero
 
 
@@ -44,24 +45,24 @@ def test_zero_gate_preactivations_scale_by_half():
     homo, hetero = streams(1)
     fused = head.fuse(homo, hetero)
     expected = 0.5 * np.concatenate(
-        [homo[m].data for m in MODALITIES] + [hetero[m].data for m in MODALITIES])
+        [homo[m].data for m in MODALITIES] + [hetero[m].data for m in MODALITIES], axis=1)
     np.testing.assert_allclose(fused.data, expected, atol=1e-15)
 
 
 def test_zeroed_hetero_streams_leave_zero_slots():
     head = make_head(2)
     homo, _ = streams(3)
-    hetero = {m: Tensor(np.zeros(2 * D)) for m in MODALITIES}
+    hetero = {m: Tensor(np.zeros((1, 2 * D))) for m in MODALITIES}
     fused = head.fuse(homo, hetero)
-    assert fused.shape == (9 * D,)
-    np.testing.assert_array_equal(fused.data[3 * D:], 0.0)
-    assert np.all(fused.data[:3 * D] != 0.0)
+    assert fused.shape == (1, 9 * D)
+    np.testing.assert_array_equal(fused.data[:, 3 * D:], 0.0)
+    assert np.all(fused.data[:, :3 * D] != 0.0)
 
 
 def test_fuse_rejects_wrong_stream_width():
     head = make_head()
     homo, hetero = streams(4)
-    hetero[V] = Tensor(np.zeros(D))  # should be 2d wide
+    hetero[V] = Tensor(np.zeros((1, D)))  # should be 2d wide
     with pytest.raises(Exception):
         head.fuse(homo, hetero)
 
@@ -69,28 +70,42 @@ def test_fuse_rejects_wrong_stream_width():
 def test_fuse_and_head_gradcheck():
     head = make_head(5)
     rng = np.random.default_rng(6)
-    homo = {m: Tensor(rng.standard_normal(D), requires_grad=True) for m in MODALITIES}
-    hetero = {m: Tensor(rng.standard_normal(2 * D), requires_grad=True) for m in MODALITIES}
+    homo = {m: Tensor(rng.standard_normal((1, D)), requires_grad=True) for m in MODALITIES}
+    hetero = {m: Tensor(rng.standard_normal((1, 2 * D)), requires_grad=True) for m in MODALITIES}
     leaves = {**head.parameters()}
     for m in MODALITIES:
         leaves[f"homo.{m.tag}"] = homo[m]
         leaves[f"hetero.{m.tag}"] = hetero[m]
-    check_grads(lambda: head(homo, hetero), leaves, tol=1e-5)
+    check_grads(lambda: tsum(head(homo, hetero)), leaves, tol=1e-5)
+
+
+def test_batch_rows_match_rows_alone():
+    head = make_head(7)
+    rng = np.random.default_rng(8)
+    homo = {m: rng.standard_normal((4, D)) for m in MODALITIES}
+    hetero = {m: rng.standard_normal((4, 2 * D)) for m in MODALITIES}
+    preds = head({m: Tensor(homo[m]) for m in MODALITIES},
+                 {m: Tensor(hetero[m]) for m in MODALITIES})
+    assert preds.shape == (4,)
+    for s in range(4):
+        alone = head({m: Tensor(homo[m][s:s + 1]) for m in MODALITIES},
+                     {m: Tensor(hetero[m][s:s + 1]) for m in MODALITIES})
+        assert alone.data[0] == pytest.approx(preds.data[s], abs=1e-12)
 
 
 # ---- task and total losses ----
 
 
 def test_task_loss_fixtures():
-    assert task_loss([Tensor(1.5)], np.array([1.5])).item() == 0.0
-    assert task_loss([Tensor(2.0)], np.array([-1.0])).item() == pytest.approx(3.0, abs=1e-15)
-    batch = task_loss([Tensor(0.0), Tensor(1.0)], np.array([1.0, 1.0]))
+    assert task_loss(Tensor([1.5]), np.array([1.5])).item() == 0.0
+    assert task_loss(Tensor([2.0]), np.array([-1.0])).item() == pytest.approx(3.0, abs=1e-15)
+    batch = task_loss(Tensor([0.0, 1.0]), np.array([1.0, 1.0]))
     assert batch.item() == pytest.approx(0.5, abs=1e-15)
 
 
 def test_task_loss_rejects_out_of_range_label():
     with pytest.raises(DataError):
-        task_loss([Tensor(0.0)], np.array([3.5]))
+        task_loss(Tensor([0.0]), np.array([3.5]))
 
 
 def test_total_loss_fixtures():

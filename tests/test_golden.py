@@ -2,7 +2,7 @@
 full forward pass.
 
 ``golden.json`` holds outputs recorded from the per-sample distillation
-implementation: for each GD-Unit case (edge mode x batch size) the batch
+implementation and the per-sample forward pass: for each GD-Unit case (edge mode x batch size) the batch
 loss, the per-sample edge weights, discrepancies and logits, and the
 gradients of the unit's parameters and of the pooled features; for each
 model case (aligned and unaligned, every stage on, d=8) every loss
@@ -40,8 +40,8 @@ def gd_case(edge_mode: str, b: int) -> dict:
     unit = GDUnit(rng, D_IN, edge_mode)
     unit.edge_scorer.weight.data[:] = rng.standard_normal(unit.edge_scorer.weight.shape)
     unit.edge_scorer.bias.data[:] = rng.standard_normal(1)
-    feats = [{m: Tensor(rng.standard_normal(D_IN), requires_grad=True) for m in MODALITIES}
-             for _ in range(b)]
+    raw = rng.standard_normal((b, len(MODALITIES), D_IN))
+    feats = {m: Tensor(raw[:, k], requires_grad=True) for k, m in enumerate(MODALITIES)}
     out = unit.distill_batch(feats)
     out.loss.backward()
     return {
@@ -50,7 +50,7 @@ def gd_case(edge_mode: str, b: int) -> dict:
         "E": out.discrepancies.tolist(),
         "logits": out.logits.data.tolist(),
         "param_grads": {k: p.grad.tolist() for k, p in unit.parameters("gd").items()},
-        "feat_grads": [[f[m].grad.tolist() for m in MODALITIES] for f in feats],
+        "feat_grads": [[feats[m].grad[s].tolist() for m in MODALITIES] for s in range(b)],
     }
 
 

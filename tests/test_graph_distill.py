@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from modal_distill.data import MODALITIES, Modality
 from modal_distill.errors import ConfigError
 from modal_distill.graph_distill import EDGE_SOURCES, FrozenGraph, GDUnit, discrepancy
-from modal_distill.tensor import Tensor, mul, tsum
+from modal_distill.tensor import Tensor, concat, mul, tsum
 
 from conftest import check_grads, gd_loss, numeric_grad
 
@@ -30,13 +30,19 @@ def make_unit(seed=0, randomize_gate=False, **kw):
 
 
 def random_feats(seed):
+    """Pooled features of a batch of one, as gradient leaves."""
     rng = np.random.default_rng(seed)
-    return {m: Tensor(rng.standard_normal(D_IN), requires_grad=True) for m in MODALITIES}
+    return {m: Tensor(rng.standard_normal((1, D_IN)), requires_grad=True) for m in MODALITIES}
 
 
 def single(unit, feats):
     """The unit run on a batch of one sample."""
-    return unit.distill_batch([feats])
+    return unit.distill_batch(feats)
+
+
+def batch_of(samples):
+    """Stack batches of one into one batch, per modality."""
+    return {m: concat([f[m] for f in samples], axis=0) for m in MODALITIES}
 
 
 # ---- logit head ----
@@ -46,7 +52,7 @@ def test_logit_zero_params():
     unit = make_unit()
     unit.logit_head.weight.data[:] = 0.0
     unit.logit_head.bias.data[:] = 0.0
-    out = single(unit, {m: Tensor(np.ones(D_IN)) for m in MODALITIES})
+    out = single(unit, {m: Tensor(np.ones((1, D_IN))) for m in MODALITIES})
     assert np.all(out.logits.data == 0.0)
 
 
@@ -54,8 +60,8 @@ def test_logit_ones_weight_basis_input():
     unit = make_unit()
     unit.logit_head.weight.data[:] = 1.0
     unit.logit_head.bias.data[:] = 0.7
-    e1 = np.zeros(D_IN)
-    e1[1] = 1.0
+    e1 = np.zeros((1, D_IN))
+    e1[0, 1] = 1.0
     out = single(unit, {m: Tensor(e1) for m in MODALITIES})
     np.testing.assert_allclose(out.logits.data, 1.7, atol=1e-15)
 
@@ -157,7 +163,7 @@ def test_gate_input_layout():
     logit = {m: out.logits.data[0, MOD_INDEX[m]] for m in MODALITIES}
     # the first edge entering A comes from L
     row = out.frozen.gate_inputs[0, MOD_INDEX[A], 0]
-    expected = np.concatenate([[logit[L]], feats[L].data, [logit[A]], feats[A].data])
+    expected = np.concatenate([[logit[L]], feats[L].data[0], [logit[A]], feats[A].data[0]])
     np.testing.assert_array_equal(row, expected)
     assert out.frozen.teacher_logits[0, MOD_INDEX[A], 0] == logit[L]
 
@@ -181,7 +187,7 @@ def test_swapping_sources_swaps_weights():
 
 def test_identical_inputs_zero_loss():
     unit = make_unit(randomize_gate=True)
-    v = Tensor(np.random.default_rng(6).standard_normal(D_IN))
+    v = Tensor(np.random.default_rng(6).standard_normal((1, D_IN)))
     assert single(unit, {m: v for m in MODALITIES}).loss.item() == 0.0
 
 
@@ -212,7 +218,7 @@ def test_teacher_out_edges_carry_no_gradient():
 def test_batch_loss_is_mean_of_samples():
     unit = make_unit(randomize_gate=True)
     pooled = [random_feats(s) for s in range(3)]
-    batch = unit.distill_batch(pooled)
+    batch = unit.distill_batch(batch_of(pooled))
     per_sample = [single(unit, f).loss.item() for f in pooled]
     assert batch.loss.item() == pytest.approx(np.mean(per_sample), abs=1e-12)
     np.testing.assert_allclose(batch.graph.weights, batch.weights.mean(axis=0), atol=1e-15)
@@ -226,10 +232,10 @@ def test_batch_matches_samples_scored_alone(b, seed, edge_mode):
     unit = GDUnit(rng, D_IN, edge_mode)
     unit.edge_scorer.weight.data[:] = rng.standard_normal(unit.edge_scorer.weight.shape)
     unit.edge_scorer.bias.data[:] = rng.standard_normal(1)
-    pooled = [{m: Tensor(rng.standard_normal(D_IN)) for m in MODALITIES} for _ in range(b)]
-    batch = unit.distill_batch(pooled)
-    for s, feats in enumerate(pooled):
-        alone = single(unit, feats)
+    raw = rng.standard_normal((b, len(MODALITIES), D_IN))
+    batch = unit.distill_batch({m: Tensor(raw[:, k]) for k, m in enumerate(MODALITIES)})
+    for s in range(b):
+        alone = single(unit, {m: Tensor(raw[s:s + 1, k]) for k, m in enumerate(MODALITIES)})
         np.testing.assert_allclose(batch.weights[s], alone.weights[0], rtol=0, atol=1e-12)
         np.testing.assert_allclose(batch.discrepancies[s], alone.discrepancies[0],
                                    rtol=0, atol=1e-12)
@@ -243,7 +249,7 @@ def test_batch_matches_samples_scored_alone(b, seed, edge_mode):
 
 def test_frozen_replay_reproduces_forward_exactly():
     unit = make_unit(randomize_gate=True)
-    pooled = [random_feats(s) for s in range(2)]
+    pooled = batch_of([random_feats(s) for s in range(2)])
     base = unit.distill_batch(pooled)
     replay = unit.distill_batch(pooled, frozen=base.frozen)
     assert replay.loss.item() == base.loss.item()
@@ -251,7 +257,7 @@ def test_frozen_replay_reproduces_forward_exactly():
 
 def test_frozen_count_mismatch_rejected():
     unit = make_unit()
-    pooled = [random_feats(1), random_feats(2)]
+    pooled = batch_of([random_feats(1), random_feats(2)])
     base = unit.distill_batch(pooled).frozen
     with pytest.raises(ConfigError):
         unit.distill_batch(pooled, frozen=FrozenGraph(base.gate_inputs[:1],
@@ -264,14 +270,13 @@ def test_unit_gradcheck_frozen_replay(seed):
     # function backprop actually differentiates
     unit = make_unit(seed, randomize_gate=True)
     rng = np.random.default_rng(500 + seed)
-    raw = [{m: rng.standard_normal(D_IN) for m in MODALITIES} for _ in range(2)]
+    raw = rng.standard_normal((2, len(MODALITIES), D_IN))
     params = unit.parameters("gd")
-    feats_leaves = {f"feat{si}.{m.tag}": Tensor(raw[si][m], requires_grad=True)
-                    for si in range(2) for m in MODALITIES}
+    feats_leaves = {m.tag: Tensor(raw[:, k].copy(), requires_grad=True)
+                    for k, m in enumerate(MODALITIES)}
 
     def pooled():
-        return [{m: feats_leaves[f"feat{si}.{m.tag}"] for m in MODALITIES}
-                for si in range(2)]
+        return {m: feats_leaves[m.tag] for m in MODALITIES}
 
     frozen = unit.distill_batch(pooled()).frozen
 

@@ -202,6 +202,28 @@ def test_train_smoke_and_artifacts(tmp_path):
     assert steps[0]["homo"] is not None and "W" in steps[0]["homo"]
 
 
+def test_train_log_records_reach_disk_before_checkpoint(tmp_path, monkeypatch):
+    """Every record emitted so far is in the file when a checkpoint is
+    saved, so a crash right after it loses no logged step."""
+    import modal_distill.train as train_module
+
+    run = tmp_path / "run"
+    seen = []
+    real_save = train_module.save_checkpoint
+
+    def save_after_reading_log(path, params, config, meta):
+        text = (run / "train_log.jsonl").read_text()
+        seen.append((meta["step"], [json.loads(l) for l in text.splitlines()]))
+        real_save(path, params, config, meta)
+
+    monkeypatch.setattr(train_module, "save_checkpoint", save_after_reading_log)
+    train(tiny_config(out_dir=str(run)), generate(12, seed=0, config=small_world()))
+    assert seen
+    for step, records in seen:
+        assert [r["step"] for r in records if r["event"] == "step"] == list(range(step))
+        assert records[-1]["event"] == "val" and records[-1]["step"] == step
+
+
 def test_train_is_deterministic():
     samples = generate(10, seed=1, config=small_world())
     res_a = train(tiny_config(), samples)

@@ -3,17 +3,21 @@ parameter management, and feature extraction."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modal_distill.config import TrainConfig
 from modal_distill.data import (
     MODALITIES,
     Modality,
+    ModalitySequence,
     SyntheticConfig,
     generate,
     make_batch,
 )
 from modal_distill.errors import ConfigError, DataError
 from modal_distill.model import COMPONENT_NAMES, Model
+from modal_distill.tensor import Tensor
 
 SMALL_RAW = {Modality.LANGUAGE: 6, Modality.VISION: 5, Modality.AUDIO: 4}
 
@@ -65,24 +69,27 @@ def test_forward_deterministic_given_seed():
 
 
 def test_empty_sequence_rejected():
-    model, batch, _ = build(n=2)
-    batch.lengths[Modality.VISION][0] = 0
-    with pytest.raises(DataError, match="empty"):
-        model.forward_batch(batch)
+    samples = generate(2, 0, small_world())
+    samples[1].sequences[Modality.VISION] = ModalitySequence(
+        Modality.VISION, np.zeros((0, SMALL_RAW[Modality.VISION])))
+    for mode in ("aligned", "unaligned"):
+        with pytest.raises(DataError, match=f"sample {samples[1].id}: empty V sequence"):
+            make_batch(samples, mode=mode)
 
 
 # ---- padding invariance ----
 
 
 def test_padding_invariance_per_sample():
-    """A sample's prediction is identical whether it sits in a padded batch
-    or alone, because only its valid rows are ever touched."""
+    """A sample's prediction is the same whether it sits in a padded batch
+    or alone, because masks keep its padded rows out of every sum; only the
+    grouping of float terms in those sums differs."""
     model, batch, samples = build(n=4, seed=1)
     batch_scores = model.forward_batch(batch).scores()
     for i, sample in enumerate(samples):
         single = make_batch([sample], mode="unaligned")
         single_scores = model.forward_batch(single).scores()
-        assert single_scores[0] == batch_scores[i]
+        assert single_scores[0] == pytest.approx(batch_scores[i], rel=0, abs=1e-12)
 
 
 def test_batch_losses_are_means_of_singles():
@@ -95,6 +102,47 @@ def test_batch_losses_are_means_of_singles():
     for name in ("task", "rec", "cyc", "ort", "dtl_homo", "dtl_hetero"):
         mean = np.mean([s[name] for s in singles])
         assert out[name] == pytest.approx(mean, rel=1e-12, abs=1e-12), name
+
+
+def count_nodes(root: Tensor) -> int:
+    """Tensors reachable from ``root`` through the recorded parents."""
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+# one model and one pool of samples for the property tests below
+PROPERTY_MODEL = Model(small_config(seed=5), dict(SMALL_RAW))
+PROPERTY_POOL = generate(8, 21, small_world())
+
+
+@given(data=st.data(), b=st.integers(1, 8))
+@settings(max_examples=25, deadline=None)
+def test_batch_scores_match_alone_and_follow_permutation(data, b):
+    """Every sample scores the same in any batch as alone, and permuting the
+    batch permutes the scores."""
+    idx = data.draw(st.lists(st.integers(0, len(PROPERTY_POOL) - 1), min_size=b, max_size=b))
+    samples = [PROPERTY_POOL[i] for i in idx]
+    scores = PROPERTY_MODEL.forward_batch(make_batch(samples)).preds
+    assert scores.shape == (b,)
+    for s, sample in enumerate(samples):
+        alone = PROPERTY_MODEL.forward_batch(make_batch([sample])).preds
+        assert abs(alone[0] - scores[s]) <= 1e-12
+    perm = data.draw(st.permutations(range(b)))
+    permuted = PROPERTY_MODEL.forward_batch(make_batch([samples[i] for i in perm])).preds
+    np.testing.assert_allclose(permuted, scores[list(perm)], rtol=0, atol=1e-12)
+
+
+def test_graph_size_does_not_grow_with_batch():
+    samples = generate(7, 22, small_world())
+    nodes = [count_nodes(PROPERTY_MODEL.forward_batch(make_batch(samples[:b])).total)
+             for b in (2, 7)]
+    assert nodes[0] == nodes[1]
 
 
 # ---- ablation toggles ----
@@ -158,18 +206,13 @@ def test_hetero_pathway_alive_iff_ca_or_heterogd():
     fd_only = Model(small_config(fd=True, homogd=False, ca=False, heterogd=False),
                     dict(SMALL_RAW))
     out = fd_only.forward_batch(batch)
-    d = fd_only.config.d
-    zero = np.zeros(2 * d)
-    from modal_distill.tensor import Tensor
-    for i in range(batch.size):
-        seqs = fd_only._sample_sequences(batch, i)
-        homo = {}
-        for m in MODALITIES:
-            pair = fd_only.decoupler.decouple(
-                fd_only.decoupler.shallow_encode(seqs[m], m), m)
-            homo[m] = pair.homo_pooled
-        pred = fd_only.fusion(homo, {m: Tensor(zero) for m in MODALITIES})
-        assert float(pred.data) == out.scores()[i]
+    zero = Tensor(np.zeros((batch.size, 2 * fd_only.config.d)))
+    homo = {}
+    for m in MODALITIES:
+        shallow = fd_only.decoupler.shallow_encode(Tensor(batch.features[m]), m)
+        homo[m] = fd_only.decoupler.decouple(shallow, m, batch.masks[m]).homo_pooled
+    pred = fd_only.fusion(homo, {m: zero for m in MODALITIES})
+    assert pred.data.tolist() == out.scores()
 
 
 def test_frozen_records_match_toggles():

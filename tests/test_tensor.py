@@ -15,7 +15,6 @@ from modal_distill.tensor import (
     conv1d,
     cosine,
     frobenius_sq,
-    masked_mean_pool,
     matmul,
     mean_pool_time,
     relu,
@@ -23,7 +22,6 @@ from modal_distill.tensor import (
     sigmoid,
     softmax,
     sqrt,
-    stack_rows,
     stop_gradient,
     take_rc,
     tmean,
@@ -159,13 +157,35 @@ def test_cosine_bounded(u, v):
     assert -1.0 - 1e-9 <= val <= 1.0 + 1e-9
 
 
+def test_cosine_along_last_axis():
+    rng = np.random.default_rng(3)
+    u = rng.standard_normal((2, 3, 4))
+    v = rng.standard_normal((2, 3, 4))
+    got = cosine(Tensor(u), Tensor(v)).data
+    assert got.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        assert got[idx] == pytest.approx(cosine(Tensor(u[idx]), Tensor(v[idx])).item(),
+                                         abs=1e-15)
+
+
 def test_masked_mean_pool_ignores_padding():
     x = np.zeros((4, 2))
     x[:2] = [[1.0, 2.0], [3.0, 4.0]]
     x[2:] = 99.0  # padded garbage must not leak through the mask
     mask = np.array([1.0, 1.0, 0.0, 0.0])
-    out = masked_mean_pool(Tensor(x), mask, 2)
-    np.testing.assert_allclose(out.data, [2.0, 3.0], atol=1e-15)
+    out = mean_pool_time(Tensor(x[None]), mask[None])
+    np.testing.assert_allclose(out.data, [[2.0, 3.0]], atol=1e-15)
+
+
+def test_mean_pool_time_batch_and_errors():
+    x = np.arange(12.0).reshape(2, 3, 2)
+    mask = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
+    out = mean_pool_time(Tensor(x), mask)
+    np.testing.assert_allclose(out.data, [x[0].mean(axis=0), x[1, 0]], atol=1e-15)
+    with pytest.raises(ShapeError):
+        mean_pool_time(Tensor(x), mask[:, :2])
+    with pytest.raises(ShapeError, match="no valid step"):
+        mean_pool_time(Tensor(x), np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
 
 
 def test_take_rc_gathers_and_scatters():
@@ -174,6 +194,35 @@ def test_take_rc_gathers_and_scatters():
     np.testing.assert_array_equal(out.data, [2.0, 4.0, 2.0])
     tsum(out).backward()
     np.testing.assert_array_equal(a.grad, [[0, 0, 2], [0, 1, 0]])
+
+
+@given(rows=st.integers(1, 6), cols=st.integers(1, 6), n=st.integers(0, 60),
+       seed=st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_take_rc_backward_matches_add_at(rows, cols, n, seed):
+    rng = np.random.default_rng(seed)
+    a = Tensor(rng.standard_normal((rows, cols)), requires_grad=True)
+    ri = rng.integers(0, rows, size=n)  # n > rows * cols forces repeats
+    ci = rng.integers(0, cols, size=n)
+    w = rng.standard_normal(n)
+    tsum(take_rc(a, ri, ci) * w).backward()
+    want = np.zeros((rows, cols))
+    np.add.at(want, (ri, ci), w)
+    np.testing.assert_array_equal(a.grad, want)
+
+
+def test_conv1d_batch_matches_sequences_alone():
+    # a zero-padded shorter sequence keeps its same-padding result on its
+    # valid rows
+    rng = np.random.default_rng(4)
+    k = Tensor(rng.standard_normal((3, 2, 3)))
+    b = Tensor(rng.standard_normal(3))
+    short, long = rng.standard_normal((2, 2)), rng.standard_normal((5, 2))
+    padded = np.zeros((2, 5, 2))
+    padded[0, :2], padded[1] = short, long
+    out = conv1d(Tensor(padded), k, b)
+    np.testing.assert_allclose(out.data[0, :2], conv1d(Tensor(short), k, b).data, atol=1e-15)
+    np.testing.assert_allclose(out.data[1], conv1d(Tensor(long), k, b).data, atol=1e-15)
 
 
 # ---- backward: finite differences on every differentiable op ----
@@ -191,6 +240,7 @@ def test_gradients_match_finite_differences(seed):
     batch = make(rng, 2, 3, 4)
     batch_b = make(rng, 2, 4, 2)
     out_w = Tensor(rng.standard_normal((2, 3, 2)))
+    conv_k = make(rng, 3, 4, 2)
 
     cases = {
         "add": (lambda: tsum(a + b), {"a": a, "b": b}),
@@ -219,8 +269,11 @@ def test_gradients_match_finite_differences(seed):
         "transpose_3d": (lambda: tsum(matmul(transpose(batch), batch)), {"batch": batch}),
         "cosine": (lambda: cosine(v, w), {"v": v, "w": w}),
         "frobenius": (lambda: frobenius_sq(a - b), {"a": a, "b": b}),
-        "mean_pool": (lambda: tsum(mean_pool_time(a) * tsum(b, axis=0)), {"a": a, "b": b}),
-        "stack_rows": (lambda: tsum(stack_rows([v, w]) * 2.0), {"v": v, "w": w}),
+        "mean_pool": (lambda: tsum(mean_pool_time(a, np.ones(3)) * tsum(b, axis=0)),
+                      {"a": a, "b": b}),
+        "cosine_rows": (lambda: tsum(cosine(a, b)), {"a": a, "b": b}),
+        "conv1d_batch": (lambda: tsum(conv1d(batch, conv_k) * 0.5),
+                         {"batch": batch, "conv_k": conv_k}),
     }
 
     def mul_ab():
@@ -260,9 +313,10 @@ def test_conv1d_gradient_tight(seed):
 
 def test_masked_pool_gradient():
     rng = np.random.default_rng(7)
-    x = make(rng, 5, 3)
-    mask = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
-    check_grads(lambda: tsum(masked_mean_pool(x, mask, 3)), {"x": x}, tol=1e-6)
+    x = make(rng, 2, 5, 3)
+    mask = np.array([[1.0, 1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0, 1.0]])
+    w = Tensor(rng.standard_normal((2, 3)))
+    check_grads(lambda: tsum(mean_pool_time(x, mask) * w), {"x": x}, tol=1e-6)
 
 
 # ---- graph semantics ----
@@ -299,6 +353,16 @@ def test_diamond_graph_gradient():
 def test_backward_requires_scalar():
     with pytest.raises(ShapeError):
         Tensor(np.zeros(3), requires_grad=True).backward()
+
+
+def test_backward_frees_interior_gradients():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    hidden = x * x
+    out = tsum(hidden * 3.0)
+    out.backward()
+    np.testing.assert_array_equal(x.grad, [6.0, 12.0])
+    assert hidden.grad is None
+    assert out.grad == 1.0
 
 
 def test_grads_accumulate_until_reset():
