@@ -398,7 +398,6 @@ class Batch:
     features: dict[Modality, np.ndarray]     # [B, T_pad, d_m]
     masks: dict[Modality, np.ndarray]        # [B, T_pad] of 0/1
     lengths: dict[Modality, np.ndarray]      # [B] ints
-    samples: list[Sample]
 
     @property
     def size(self) -> int:
@@ -442,6 +441,8 @@ def _pad_stack(mats: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarr
 def make_batch(samples: list[Sample], mode: str = "unaligned") -> Batch:
     if mode not in ("aligned", "unaligned"):
         raise ConfigError(f"batch mode must be 'aligned' or 'unaligned', got {mode!r}")
+    if not samples:
+        raise DataError("a batch needs at least one sample")
     for s in samples:
         for m in MODALITIES:
             if s.sequences[m].length < 1:
@@ -458,7 +459,6 @@ def make_batch(samples: list[Sample], mode: str = "unaligned") -> Batch:
         features=features,
         masks=masks,
         lengths=lengths,
-        samples=list(samples),
     )
 
 

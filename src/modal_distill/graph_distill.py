@@ -65,22 +65,6 @@ class FrozenGraph:
     teacher_logits: np.ndarray
 
 
-@dataclass
-class DistillGraph:
-    """Batch-mean edge record for logging and dump-edges."""
-
-    weights: np.ndarray
-    discrepancies: np.ndarray
-    logits: np.ndarray           # [3] in (L, V, A) order
-
-    def to_record(self) -> dict:
-        return {
-            "W": self.weights.tolist(),
-            "E": self.discrepancies.tolist(),
-            "logits": self.logits.tolist(),
-        }
-
-
 def _by_source_target(x: np.ndarray) -> np.ndarray:
     """[B, 3, 2] per-target edge values -> [B, 3, 3] indexed [source, target]."""
     out = np.zeros((x.shape[0], 3, 3))
@@ -97,11 +81,14 @@ class BatchDistill:
     discrepancies: np.ndarray    # [B, 3, 3], same layout
     frozen: FrozenGraph
 
-    @property
-    def graph(self) -> DistillGraph:
-        return DistillGraph(weights=self.weights.mean(axis=0),
-                            discrepancies=self.discrepancies.mean(axis=0),
-                            logits=self.logits.data.mean(axis=0))
+    def record(self) -> dict:
+        """Batch-mean edge weights, discrepancies and logits, for logging
+        and dump-edges."""
+        return {
+            "W": self.weights.mean(axis=0).tolist(),
+            "E": self.discrepancies.mean(axis=0).tolist(),
+            "logits": self.logits.data.mean(axis=0).tolist(),
+        }
 
 
 class GDUnit:

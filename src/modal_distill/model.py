@@ -19,6 +19,11 @@ The forward pass runs every stage once per batch on the padded ``[B, T, ·]``
 arrays of a ``Batch``, so the graph's size depends on the model's depth,
 not on ``B``.  Masks are read only where rows get mixed or summed: temporal
 pooling, the rec/cyc sums, and the attention keys.
+
+``encode`` runs the front half (shallow conv, decoupling, attention) up to
+the pooled streams, and ``distill`` runs the two GD units on those streams.
+``forward_batch`` adds the decoupling losses, fusion and the objective;
+edge dumps and probes call only the parts they read.
 """
 
 from __future__ import annotations
@@ -30,10 +35,10 @@ import numpy as np
 from .config import TrainConfig
 from .crossmodal import CrossmodalReinforcer, passthrough
 from .data import MODALITIES, RAW_DIMS, Batch, Modality
-from .decouple import Decoupler, loss_cyc, loss_dec, loss_margin, loss_ort, loss_rec
+from .decouple import DecoupledPair, Decoupler, loss_cyc, loss_dec, loss_margin, loss_ort, loss_rec
 from .errors import ConfigError, DataError
 from .fusion import FusionHead, bin7, task_loss, total_loss
-from .graph_distill import DistillGraph, FrozenGraph, GDUnit
+from .graph_distill import BatchDistill, FrozenGraph, GDUnit
 from .tensor import Tensor, concat, mean_pool_time, reshape
 
 COMPONENT_NAMES = ("task", "rec", "cyc", "margin", "ort", "dec",
@@ -43,16 +48,15 @@ COMPONENT_NAMES = ("task", "rec", "cyc", "margin", "ort", "dec",
 @dataclass
 class StepOutput:
     """Everything one forward pass produces: the differentiable total, each
-    loss component as a tensor, per-sample predictions, and edge records."""
+    loss component as a tensor, per-sample predictions, and each active
+    distillation unit's batch result."""
 
     total: Tensor
     components: dict[str, Tensor]
     preds: np.ndarray            # [B] scores
     n_triplets: int
-    homo_graph: DistillGraph | None
-    hetero_graph: DistillGraph | None
-    frozen_homo: FrozenGraph | None
-    frozen_hetero: FrozenGraph | None
+    homo: BatchDistill | None
+    hetero: BatchDistill | None
 
     def scalars(self) -> dict[str, float]:
         return {name: float(t.data) for name, t in self.components.items()}
@@ -62,15 +66,14 @@ class StepOutput:
 
 
 @dataclass
-class FeatureBundle:
-    """Pooled per-sample, per-modality features for linear probing, in
-    (L, V, A) order along the modality axis."""
+class Encoded:
+    """The front half of a forward pass, up to the pooled streams that both
+    fusion and the distillation units read."""
 
-    homo: np.ndarray      # [B, 3, d]; shared-space features, or pooled shallow when fd is off
-    hetero: np.ndarray    # [B, 3, d]; private-space features, zero when fd is off
-    shallow: np.ndarray   # [B, 3, d]
-    labels: np.ndarray    # [B]
-    ids: list[str]
+    shallow: dict[Modality, Tensor]              # [B, T, d]
+    pairs: dict[Modality, DecoupledPair] | None  # None when fd is off
+    homo: dict[Modality, Tensor]                 # [B, d]; pooled shallow when fd is off
+    hetero: dict[Modality, Tensor]               # [B, 2d]; zero while the private pathway is off
 
 
 class Model:
@@ -111,92 +114,77 @@ class Model:
 
     # ---- forward ----
 
-    def forward_batch(self, batch: Batch,
-                      frozen_homo: FrozenGraph | None = None,
-                      frozen_hetero: FrozenGraph | None = None) -> StepOutput:
+    def encode(self, batch: Batch) -> Encoded:
+        cfg = self.config
+        masks = batch.masks
+        shallow = {m: self.decoupler.shallow_encode(Tensor(batch.features[m]), m)
+                   for m in MODALITIES}
+        zero_2d = Tensor(np.zeros((batch.size, 2 * cfg.d)))
+        hetero = {m: zero_2d for m in MODALITIES}
+        if not cfg.fd:
+            homo = {m: mean_pool_time(shallow[m], masks[m]) for m in MODALITIES}
+            return Encoded(shallow=shallow, pairs=None, homo=homo, hetero=hetero)
+        pairs = {m: self.decoupler.decouple(shallow[m], m, masks[m]) for m in MODALITIES}
+        if cfg.ca or cfg.heterogd:
+            private = {m: pairs[m].hetero for m in MODALITIES}
+            z = self.reinforcer.reinforce(private, masks) if cfg.ca else passthrough(private)
+            hetero = {m: mean_pool_time(z[m], masks[m]) for m in MODALITIES}
+        return Encoded(shallow=shallow, pairs=pairs,
+                       homo={m: pairs[m].homo_pooled for m in MODALITIES}, hetero=hetero)
+
+    def distill(self, enc: Encoded,
+                frozen_homo: FrozenGraph | None = None,
+                frozen_hetero: FrozenGraph | None = None
+                ) -> tuple[BatchDistill | None, BatchDistill | None]:
+        """Run each active GD unit on the pooled streams; ``frozen_*`` replay
+        an earlier pass's constants."""
         cfg = self.config
         if frozen_homo is not None and not cfg.homogd:
             raise ConfigError("frozen_homo given but homogd is off")
         if frozen_hetero is not None and not cfg.heterogd:
             raise ConfigError("frozen_hetero given but heterogd is off")
+        homo = self.homo_gd.distill_batch(enc.homo, frozen_homo) if cfg.homogd else None
+        hetero = (self.hetero_gd.distill_batch(enc.hetero, frozen_hetero)
+                  if cfg.heterogd else None)
+        return homo, hetero
 
-        b = batch.size
-        masks = batch.masks
-        shallow = {m: self.decoupler.shallow_encode(Tensor(batch.features[m]), m)
-                   for m in MODALITIES}
-        zero_2d = Tensor(np.zeros((b, 2 * cfg.d)))
-        fusion_hetero = {m: zero_2d for m in MODALITIES}
-        if cfg.fd:
-            pairs = {m: self.decoupler.decouple(shallow[m], m, masks[m]) for m in MODALITIES}
+    def forward_batch(self, batch: Batch,
+                      frozen_homo: FrozenGraph | None = None,
+                      frozen_hetero: FrozenGraph | None = None) -> StepOutput:
+        cfg = self.config
+        enc = self.encode(batch)
+        b, masks, pairs = batch.size, batch.masks, enc.pairs
+        if pairs is not None:
             rec_sum = cyc_sum = None
             for m in MODALITIES:
                 recon = self.decoupler.reconstruct(pairs[m], m)
-                rec_m = loss_rec(shallow[m], recon, masks[m])
+                rec_m = loss_rec(enc.shallow[m], recon, masks[m])
                 cyc_m = loss_cyc(pairs[m].hetero,
                                  self.decoupler.reencode_private(recon, m), masks[m])
                 rec_sum = rec_m if rec_sum is None else rec_sum + rec_m
                 cyc_sum = cyc_m if cyc_sum is None else cyc_sum + cyc_m
             inv_b = 1.0 / b
             rec, cyc, ort = rec_sum * inv_b, cyc_sum * inv_b, loss_ort(pairs) * inv_b
-            fusion_homo = {m: pairs[m].homo_pooled for m in MODALITIES}
             # rows sample-major, modalities (L, V, A) within a sample
-            stacked = reshape(concat([fusion_homo[m] for m in MODALITIES], axis=-1),
+            stacked = reshape(concat([enc.homo[m] for m in MODALITIES], axis=-1),
                               (3 * b, cfg.d))
             classes = np.repeat(list(map(bin7, batch.labels)), 3)
             tags = list(zip(MODALITIES * b, classes))
             margin, n_triplets = loss_margin(stacked, tags, cfg.alpha)
             dec = loss_dec(rec, cyc, margin, ort, cfg.gamma)
-            if cfg.ca or cfg.heterogd:
-                hetero_seq = {m: pairs[m].hetero for m in MODALITIES}
-                z = (self.reinforcer.reinforce(hetero_seq, masks) if cfg.ca
-                     else passthrough(hetero_seq))
-                fusion_hetero = {m: mean_pool_time(z[m], masks[m]) for m in MODALITIES}
         else:
-            fusion_homo = {m: mean_pool_time(shallow[m], masks[m]) for m in MODALITIES}
-            rec, cyc, ort, margin = Tensor(0.0), Tensor(0.0), Tensor(0.0), Tensor(0.0)
+            rec, cyc, ort, margin, dec = (Tensor(0.0) for _ in range(5))
             n_triplets = 0
-            dec = Tensor(0.0)
-        preds = self.fusion(fusion_homo, fusion_hetero)
+        preds = self.fusion(enc.homo, enc.hetero)
         task = task_loss(preds, batch.labels)
 
-        if cfg.homogd:
-            homo_batch = self.homo_gd.distill_batch(fusion_homo, frozen_homo)
-            dtl_homo, homo_graph = homo_batch.loss, homo_batch.graph
-            out_frozen_homo = homo_batch.frozen
-        else:
-            dtl_homo, homo_graph, out_frozen_homo = Tensor(0.0), None, None
-        if cfg.heterogd:
-            hetero_batch = self.hetero_gd.distill_batch(fusion_hetero, frozen_hetero)
-            dtl_hetero, hetero_graph = hetero_batch.loss, hetero_batch.graph
-            out_frozen_hetero = hetero_batch.frozen
-        else:
-            dtl_hetero, hetero_graph, out_frozen_hetero = Tensor(0.0), None, None
-
+        homo, hetero = self.distill(enc, frozen_homo, frozen_hetero)
+        dtl_homo = homo.loss if homo is not None else Tensor(0.0)
+        dtl_hetero = hetero.loss if hetero is not None else Tensor(0.0)
         total = total_loss(task, dec, dtl_homo, dtl_hetero, cfg.lambda1, cfg.lambda2)
         components = {
             "task": task, "rec": rec, "cyc": cyc, "margin": margin, "ort": ort,
             "dec": dec, "dtl_homo": dtl_homo, "dtl_hetero": dtl_hetero, "total": total,
         }
         return StepOutput(total=total, components=components, preds=preds.data,
-                          n_triplets=n_triplets, homo_graph=homo_graph,
-                          hetero_graph=hetero_graph, frozen_homo=out_frozen_homo,
-                          frozen_hetero=out_frozen_hetero)
-
-    # ---- feature extraction for probes ----
-
-    def extract_features(self, batch: Batch) -> FeatureBundle:
-        cfg = self.config
-        homo, hetero, shallow_out = [], [], []
-        for m in MODALITIES:
-            x = self.decoupler.shallow_encode(Tensor(batch.features[m]), m)
-            shallow_out.append(mean_pool_time(x, batch.masks[m]).data)
-            if cfg.fd:
-                pair = self.decoupler.decouple(x, m, batch.masks[m])
-                homo.append(pair.homo_pooled.data)
-                hetero.append(pair.hetero_pooled.data)
-            else:
-                homo.append(shallow_out[-1])
-                hetero.append(np.zeros((batch.size, cfg.d)))
-        return FeatureBundle(homo=np.stack(homo, axis=1), hetero=np.stack(hetero, axis=1),
-                             shallow=np.stack(shallow_out, axis=1),
-                             labels=batch.labels.copy(), ids=list(batch.ids))
+                          n_triplets=n_triplets, homo=homo, hetero=hetero)

@@ -17,7 +17,7 @@ from .data import MODALITIES, Batch, Modality, Sample, SyntheticConfig, batches,
 from .errors import ConfigError, DataError, NumericError
 from .fusion import bin7, non_negative
 from .graph_distill import EDGE_SOURCES
-from .model import COMPONENT_NAMES, FeatureBundle, Model, StepOutput
+from .model import COMPONENT_NAMES, Model, StepOutput
 from .tensor import Tensor, mul, tsum
 
 log = logging.getLogger(__name__)
@@ -154,11 +154,10 @@ def _infer_raw_dims(samples: list[Sample]) -> dict[Modality, int]:
 
 
 def _step_record(step: int, epoch: int, out: StepOutput) -> dict:
-    record = {"event": "step", "step": step, "epoch": epoch,
-              **out.scalars(), "n_triplets": out.n_triplets}
-    record["homo"] = out.homo_graph.to_record() if out.homo_graph else None
-    record["hetero"] = out.hetero_graph.to_record() if out.hetero_graph else None
-    return record
+    return {"event": "step", "step": step, "epoch": epoch,
+            **out.scalars(), "n_triplets": out.n_triplets,
+            "homo": out.homo.record() if out.homo else None,
+            "hetero": out.hetero.record() if out.hetero else None}
 
 
 def train(config: TrainConfig, samples: list[Sample],
@@ -372,7 +371,8 @@ def gradcheck(config: TrainConfig | None = None, n_probes: int = 20,
     params = model.parameters()
 
     base = model.forward_batch(batch)
-    frozen_h, frozen_het = base.frozen_homo, base.frozen_hetero
+    frozen_h = base.homo.frozen if base.homo else None
+    frozen_het = base.hetero.frozen if base.hetero else None
 
     def frozen_forward() -> StepOutput:
         return model.forward_batch(batch, frozen_homo=frozen_h,
@@ -447,7 +447,7 @@ def _teacher_path_grad(model: Model, seed: int) -> float:
 
 def _gd_params_zero_at_lambda2_zero(config: TrainConfig, batch: Batch) -> bool:
     cfg = replace(config, lambda2=0.0)
-    raw_dims = {m: batch.samples[0].sequences[m].dim for m in MODALITIES}
+    raw_dims = {m: batch.features[m].shape[-1] for m in MODALITIES}
     model = Model(cfg, raw_dims)
     out = model.forward_batch(batch)
     out.total.backward()
@@ -472,10 +472,10 @@ def dump_edges(model: Model, samples: list[Sample],
     records: list[dict] = []
     for step, batch in enumerate(batches(samples, bs, mode=model.config.mode,
                                          shuffle=False)):
-        out = model.forward_batch(batch)
-        for space, graph in (("homo", out.homo_graph), ("hetero", out.hetero_graph)):
-            if graph is not None:
-                records.append({"step": step, "space": space, **graph.to_record()})
+        for space, unit in zip(("homo", "hetero"), model.distill(model.encode(batch))):
+            if unit is not None:
+                records.append({"step": step, "space": space, **unit.record()})
+        del unit  # frees this batch's graph before the next batch's forward
     if not records:
         log.warning("dump_edges: both distillation paths disabled, nothing to write")
     if out_path is not None:
@@ -544,16 +544,6 @@ class ProbeReport:
     n_fit: int
     n_eval: int
 
-    def to_dict(self) -> dict:
-        return {
-            "per_modality": {tag: {"acc2": p.acc2, "f1": p.f1}
-                             for tag, p in self.per_modality.items()},
-            "mean_acc2": self.mean_acc2,
-            "std_acc2": self.std_acc2,
-            "n_fit": self.n_fit,
-            "n_eval": self.n_eval,
-        }
-
     def lines(self) -> list[str]:
         out = [f"{tag}: acc2 {p.acc2:.4f}  f1 {p.f1:.4f}"
                for tag, p in self.per_modality.items()]
@@ -561,20 +551,30 @@ class ProbeReport:
         return out
 
 
+@dataclass
+class FeatureBundle:
+    """Pooled per-sample, per-modality streams for linear probing, in
+    (L, V, A) order along the modality axis."""
+
+    homo: np.ndarray      # [N, 3, d]; shared-space streams, or pooled shallow when fd is off
+    hetero: np.ndarray    # [N, 3, 2d]; private-space streams, zero while that pathway is off
+    labels: np.ndarray    # [N]
+
+
 def collect_features(model: Model, samples: list[Sample],
                      batch_size: int | None = None) -> FeatureBundle:
     if not samples:
         raise DataError("no samples to extract features from")
     bs = batch_size or model.config.batch_size
-    bundles = [model.extract_features(b)
-               for b in batches(samples, bs, mode=model.config.mode, shuffle=False)]
-    return FeatureBundle(
-        homo=np.concatenate([b.homo for b in bundles]),
-        hetero=np.concatenate([b.hetero for b in bundles]),
-        shallow=np.concatenate([b.shallow for b in bundles]),
-        labels=np.concatenate([b.labels for b in bundles]),
-        ids=[i for b in bundles for i in b.ids],
-    )
+    homo, hetero, labels = [], [], []
+    for batch in batches(samples, bs, mode=model.config.mode, shuffle=False):
+        enc = model.encode(batch)
+        homo.append(np.stack([enc.homo[m].data for m in MODALITIES], axis=1))
+        hetero.append(np.stack([enc.hetero[m].data for m in MODALITIES], axis=1))
+        labels.append(batch.labels)
+        del enc  # frees this batch's graph before the next batch's forward
+    return FeatureBundle(homo=np.concatenate(homo), hetero=np.concatenate(hetero),
+                         labels=np.concatenate(labels))
 
 
 def probe_unimodal(model: Model, samples: list[Sample], seed: int = 0,

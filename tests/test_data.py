@@ -317,3 +317,6 @@ def test_batch_rejects_bad_mode_and_size():
         make_batch(samples, mode="mixed")
     with pytest.raises(ConfigError):
         list(batches(samples, batch_size=0))
+    for mode in ("aligned", "unaligned"):
+        with pytest.raises(DataError, match="at least one sample"):
+            make_batch([], mode=mode)

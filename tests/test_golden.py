@@ -67,8 +67,8 @@ def model_case(mode: str) -> dict:
         "components": out.scalars(),
         "scores": out.scores(),
         "n_triplets": out.n_triplets,
-        "homo": out.homo_graph.to_record(),
-        "hetero": out.hetero_graph.to_record(),
+        "homo": out.homo.record(),
+        "hetero": out.hetero.record(),
         "gd_grads": {k: p.grad.tolist() for k, p in model.parameters().items()
                      if k.startswith("gd_")},
         "grad_norms": {k: float(np.linalg.norm(p.grad))

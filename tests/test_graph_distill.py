@@ -221,7 +221,7 @@ def test_batch_loss_is_mean_of_samples():
     batch = unit.distill_batch(batch_of(pooled))
     per_sample = [single(unit, f).loss.item() for f in pooled]
     assert batch.loss.item() == pytest.approx(np.mean(per_sample), abs=1e-12)
-    np.testing.assert_allclose(batch.graph.weights, batch.weights.mean(axis=0), atol=1e-15)
+    np.testing.assert_allclose(batch.record()["W"], batch.weights.mean(axis=0), atol=1e-15)
 
 
 @given(b=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),

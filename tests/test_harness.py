@@ -1,6 +1,7 @@
 """Harness tests: config parsing, metrics fixtures, the optimizer, training
 loop behavior, checkpoints, probes, and the CLI."""
 
+import gc
 import importlib
 import json
 import sys
@@ -20,11 +21,13 @@ from modal_distill.tensor import Tensor
 from modal_distill.train import (
     Adam,
     binary_f1,
+    collect_features,
     compute_metrics,
     dump_edges,
     evaluate,
     gradcheck,
     model_from_checkpoint,
+    predict_scores,
     probe_multiclass_accuracy,
     probe_unimodal,
     train,
@@ -534,21 +537,91 @@ def test_cli_toggle_flags():
     assert cfg.seed == 7 and cfg.mode == "aligned"
 
 
-def test_bench_wrapper_targets_exist():
-    """Every attribute the benchmark's traced run wraps must exist where it
-    looks for it, or ``bench/run.py --trace 1`` crashes."""
+def _bench_module(name: str):
     bench = Path(__file__).resolve().parents[1] / "bench"
     sys.path.insert(0, str(bench))
     try:
-        instrument = importlib.import_module("instrument")
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(bench))
+
+
+def _program_modules() -> SimpleNamespace:
     names = ("cli", "train", "model", "data", "decouple", "crossmodal", "fusion",
              "graph_distill", "tensor")
-    md = SimpleNamespace(**{n: importlib.import_module(f"modal_distill.{n}") for n in names})
+    return SimpleNamespace(**{n: importlib.import_module(f"modal_distill.{n}") for n in names})
+
+
+def test_bench_wrapper_targets_exist():
+    """Every attribute the benchmark's traced run wraps must exist where it
+    looks for it, or ``bench/run.py --trace 1`` crashes."""
+    instrument = _bench_module("instrument")
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
-               for owner, attr, *_ in instrument.targets(md) if attr not in vars(owner)]
+               for owner, attr, *_ in instrument.targets(_program_modules())
+               if attr not in vars(owner)]
     assert not missing, missing
+
+
+def test_bench_span_contract_holds(tmp_path):
+    """The traced benchmark fails a run unless each stage's spans fire
+    exactly where that stage is on; its three command shapes must keep that
+    contract: train with all stages on, train with all four off, and eval."""
+    instrument, spans = _bench_module("instrument"), _bench_module("spans")
+    md = _program_modules()
+    data = tmp_path / "data"
+    assert main(["gen-data", "--out", str(data), "--n", "12", "--seed", "1"]) == 0
+    manifest = str(data / "manifest.csv")
+    tiny = ["--data", manifest, "--d", "4", "--heads", "2", "--epochs", "1",
+            "--batch-size", "4"]
+    on = {"fd": True, "homogd": True, "ca": True, "heterogd": True}
+    off = dict.fromkeys(on, False)
+    runs = [
+        ("train", on, ["train", *tiny, "--out", str(tmp_path / "on")]),
+        ("train", off, ["train", *tiny, "--out", str(tmp_path / "off"),
+                        "--no-fd", "--no-homogd", "--no-ca", "--no-heterogd"]),
+        ("eval", on, ["eval", "--checkpoint", str(tmp_path / "on" / "checkpoint.npz"),
+                      "--data", manifest, "--predictions", str(tmp_path / "preds.csv")]),
+    ]
+    for rep, (kind, stages, argv) in enumerate(runs):
+        tracer = spans.Tracer()
+        with tracer.installed(instrument.targets(md), rep=rep):
+            assert md.cli.main(argv) == 0
+        expected = instrument.expected_spans(kind, **stages)
+        assert instrument.check_expected(tracer.spans, expected) == [], argv
+
+
+# ---- graph lifetime ----
+
+
+def _live_graph_nodes() -> int:
+    return sum(1 for o in gc.get_objects() if isinstance(o, Tensor) and o._parents)
+
+
+@pytest.mark.parametrize("entry", ["train", "predict_scores", "dump_edges",
+                                   "collect_features"])
+def test_no_graph_is_alive_when_a_forward_starts(entry, monkeypatch):
+    """Each batch's graph is freed before the next forward builds another,
+    so no interior node is alive when a forward starts."""
+    samples = generate(12, seed=4, config=small_world())
+    cfg = tiny_config(batch_size=4)
+    model = Model(cfg, dict(SMALL_RAW))
+    run = {
+        "train": lambda: train(cfg, samples),
+        "predict_scores": lambda: predict_scores(model, samples),
+        "dump_edges": lambda: dump_edges(model, samples),
+        "collect_features": lambda: collect_features(model, samples),
+    }[entry]
+    counts = []
+    encode = Model.encode
+
+    def counting_encode(self, batch):
+        counts.append(_live_graph_nodes())
+        return encode(self, batch)
+
+    gc.collect()  # garbage left by earlier tests is not this run's
+    monkeypatch.setattr(Model, "encode", counting_encode)
+    run()
+    assert len(counts) >= 3 and counts == [0] * len(counts)
 
 
 def test_cli_help_exits_zero():

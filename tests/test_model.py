@@ -1,5 +1,5 @@
 """Full-model tests: padding invariance, ablation toggles, loss accounting,
-parameter management, and feature extraction."""
+parameter management, and the encoded streams."""
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from modal_distill.data import (
 )
 from modal_distill.errors import ConfigError, DataError
 from modal_distill.model import COMPONENT_NAMES, Model
-from modal_distill.tensor import Tensor
+from modal_distill.tensor import Tensor, mean_pool_time
 
 SMALL_RAW = {Modality.LANGUAGE: 6, Modality.VISION: 5, Modality.AUDIO: 4}
 
@@ -56,7 +56,7 @@ def test_forward_shapes_and_finiteness():
     for name, value in scalars.items():
         assert np.isfinite(value), name
     assert out.n_triplets > 0
-    assert out.homo_graph is not None and out.hetero_graph is not None
+    assert out.homo is not None and out.hetero is not None
 
 
 def test_forward_deterministic_given_seed():
@@ -173,13 +173,13 @@ def test_toggle_rows_forward_and_accounting(fd, homogd, ca, heterogd):
             assert s[name] == 0.0, name
         assert out.n_triplets == 0
     if homogd:
-        assert out.homo_graph is not None and s["dtl_homo"] >= 0.0
+        assert out.homo is not None and s["dtl_homo"] >= 0.0
     else:
-        assert out.homo_graph is None and s["dtl_homo"] == 0.0
+        assert out.homo is None and s["dtl_homo"] == 0.0
     if heterogd:
-        assert out.hetero_graph is not None and s["dtl_hetero"] >= 0.0
+        assert out.hetero is not None and s["dtl_hetero"] >= 0.0
     else:
-        assert out.hetero_graph is None and s["dtl_hetero"] == 0.0
+        assert out.hetero is None and s["dtl_hetero"] == 0.0
 
 
 def test_all_toggles_off_reduces_to_task_loss():
@@ -218,7 +218,7 @@ def test_hetero_pathway_alive_iff_ca_or_heterogd():
 def test_frozen_records_match_toggles():
     model, batch, _ = build(heterogd=False)
     out = model.forward_batch(batch)
-    assert out.frozen_homo is not None and out.frozen_hetero is None
+    assert out.homo is not None and out.hetero is None
     with pytest.raises(ConfigError, match="frozen_hetero"):
         model.forward_batch(batch, frozen_hetero=[])
 
@@ -226,8 +226,8 @@ def test_frozen_records_match_toggles():
 def test_frozen_replay_reproduces_batch_loss():
     model, batch, _ = build(seed=6)
     out = model.forward_batch(batch)
-    replay = model.forward_batch(batch, frozen_homo=out.frozen_homo,
-                                 frozen_hetero=out.frozen_hetero)
+    replay = model.forward_batch(batch, frozen_homo=out.homo.frozen,
+                                 frozen_hetero=out.hetero.frozen)
     assert float(replay.total.data) == float(out.total.data)
 
 
@@ -273,21 +273,25 @@ def test_load_parameters_rejects_mismatch():
         model.load_parameters(arrays)
 
 
-# ---- feature extraction ----
+# ---- encode ----
 
 
-def test_extract_features_shapes_and_fd_off_fallback():
+def test_encode_shapes_and_fd_off_fallback():
     model, batch, _ = build(n=3)
-    bundle = model.extract_features(batch)
-    assert bundle.homo.shape == (3, 3, 4)
-    assert bundle.hetero.shape == (3, 3, 4)
-    assert not np.allclose(bundle.hetero, 0.0)
+    enc = model.encode(batch)
+    for m in MODALITIES:
+        assert enc.homo[m].shape == (3, 4)
+        assert enc.hetero[m].shape == (3, 8)
+        assert not np.allclose(enc.hetero[m].data, 0.0)
 
     off = Model(small_config(fd=False, homogd=False, ca=False, heterogd=False),
                 dict(SMALL_RAW))
-    bundle_off = off.extract_features(batch)
-    assert np.array_equal(bundle_off.homo, bundle_off.shallow)
-    assert np.all(bundle_off.hetero == 0.0)
+    enc_off = off.encode(batch)
+    assert enc_off.pairs is None
+    for m in MODALITIES:
+        pooled = mean_pool_time(enc_off.shallow[m], batch.masks[m])
+        assert np.array_equal(enc_off.homo[m].data, pooled.data)
+        assert np.all(enc_off.hetero[m].data == 0.0)
 
 
 def test_gradients_flow_to_every_component_with_defaults():
