@@ -16,7 +16,7 @@ import numpy as np
 from .data import MODALITIES, Modality
 from .errors import ConfigError, ShapeError
 from .layers import Linear
-from .tensor import Tensor, add, concat, matmul, reshape, softmax, transpose
+from .tensor import Tensor, attention, concat
 
 # added to the scores of padded keys: finite, yet far enough below any real
 # score that exp() of it after max subtraction is exactly 0
@@ -61,18 +61,10 @@ class CrossmodalPair:
             raise ShapeError(f"source mask {np.shape(src_mask)} does not match src {src.shape}")
         if not np.all(np.any(src_mask, axis=1)):
             raise ShapeError("crossmodal attention: source sequence is empty")
-        b, t_tgt, t_src = tgt.shape[0], tgt.shape[1], src.shape[1]
-        # head h owns feature columns h*head_dim .. (h+1)*head_dim; after the
-        # transpose those are rows, so a reshape splits them into [B, heads, head_dim, T]
-        q = reshape(self.proj_q(tgt).T, (b, self.heads, self.head_dim, t_tgt))
-        k = reshape(self.proj_k(src).T, (b, self.heads, self.head_dim, t_src))
-        v = reshape(self.proj_v(src).T, (b, self.heads, self.head_dim, t_src))
-        scores = matmul(transpose(q), k) * (1.0 / np.sqrt(self.head_dim))
-        key_bias = np.where(src_mask > 0, 0.0, MASKED_SCORE)[:, None, None, :]
-        attn = softmax(add(scores, Tensor(key_bias)), axis=-1)  # [B, heads, T_tgt, T_src]
-        heads_out = matmul(v, transpose(attn))                  # [B, heads, head_dim, T_tgt]
-        out = reshape(heads_out, (b, self.dim, t_tgt)).T
-        return self.proj_out(out), attn.data
+        key_bias = np.where(src_mask > 0, 0.0, MASKED_SCORE)
+        out, maps = attention(self.proj_q(tgt), self.proj_k(src), self.proj_v(src),
+                              self.heads, key_bias)
+        return self.proj_out(out), maps
 
     def __call__(self, src: Tensor, tgt: Tensor, src_mask: np.ndarray) -> Tensor:
         return self.forward(src, tgt, src_mask)[0]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, add, matmul, relu
+from .tensor import Tensor, affine, relu
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
@@ -20,7 +20,8 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
 
 
 class Linear:
-    """Affine map acting on the last axis of a [T, d_in] (or [N, d_in]) tensor."""
+    """Affine map acting on the last axis of a ``[..., d_in]`` tensor, run as
+    one autodiff node."""
 
     def __init__(self, rng: np.random.Generator, d_in: int, d_out: int,
                  bias: bool = True, zero_init: bool = False):
@@ -36,10 +37,7 @@ class Linear:
         self.bias = Tensor(b, requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = matmul(x, self.weight)
-        if self.bias is not None:
-            out = add(out, self.bias)
-        return out
+        return affine(x, self.weight, self.bias)
 
     def parameters(self, prefix: str) -> dict[str, Tensor]:
         params = {f"{prefix}.weight": self.weight}

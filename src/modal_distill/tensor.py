@@ -67,8 +67,10 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a private copy: g may be a view of another node's buffers
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Backpropagate from this scalar through the recorded graph.
@@ -167,14 +169,18 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
 
 
 # ---- elementwise binary ops (numpy broadcasting rules) ----
+# A parent that needs no gradient (a mask, pooling weights, a constant) gets
+# none computed for it.
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
 
     def backward(g):
-        a._accum(_unbroadcast(g, a.shape))
-        b._accum(_unbroadcast(g, b.shape))
+        if a.requires_grad:
+            a._accum(_unbroadcast(g, a.shape))
+        if b.requires_grad:
+            b._accum(_unbroadcast(g, b.shape))
 
     return Tensor._result(out_data, (a, b), backward)
 
@@ -183,8 +189,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data - b.data
 
     def backward(g):
-        a._accum(_unbroadcast(g, a.shape))
-        b._accum(_unbroadcast(-g, b.shape))
+        if a.requires_grad:
+            a._accum(_unbroadcast(g, a.shape))
+        if b.requires_grad:
+            b._accum(_unbroadcast(-g, b.shape))
 
     return Tensor._result(out_data, (a, b), backward)
 
@@ -193,8 +201,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
 
     def backward(g):
-        a._accum(_unbroadcast(g * b.data, a.shape))
-        b._accum(_unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            a._accum(_unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            b._accum(_unbroadcast(g * a.data, b.shape))
 
     return Tensor._result(out_data, (a, b), backward)
 
@@ -203,8 +213,10 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data / b.data
 
     def backward(g):
-        a._accum(_unbroadcast(g / b.data, a.shape))
-        b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        if a.requires_grad:
+            a._accum(_unbroadcast(g / b.data, a.shape))
+        if b.requires_grad:
+            b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return Tensor._result(out_data, (a, b), backward)
 
@@ -230,10 +242,37 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: leading axes of {a.shape} and {b.shape} do not broadcast")
 
     def backward(g):
-        a._accum(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        b._accum(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+        if a.requires_grad:
+            a._accum(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+        if b.requires_grad:
+            b._accum(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return Tensor._result(out_data, (a, b), backward)
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x @ w + b`` as one node: ``x`` is ``[..., d_in]``, ``w`` is
+    ``[d_in, d_out]`` and ``b`` is ``[d_out]``.  The weight gradient is one
+    product over all leading axes of ``x`` flattened together."""
+    if x.ndim < 1 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"affine: incompatible shapes {x.shape} and {w.shape}")
+    if b is not None and b.shape != w.shape[1:]:
+        raise ShapeError(f"affine: bias {b.shape} does not match weight {w.shape}")
+    d_in, d_out = w.shape
+    out_data = x.data @ w.data
+    if b is not None:
+        out_data = out_data + b.data
+
+    def backward(g):
+        g_rows = g.reshape(-1, d_out)
+        if w.requires_grad:
+            w._accum(x.data.reshape(-1, d_in).T @ g_rows)
+        if b is not None and b.requires_grad:
+            b._accum(g_rows.sum(axis=0))
+        if x.requires_grad:
+            x._accum(g @ w.data.T)
+
+    return Tensor._result(out_data, (x, w) if b is None else (x, w, b), backward)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -320,7 +359,7 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
     def backward(g):
         ge = g if axis is None or keepdims else np.expand_dims(g, axis)
-        a._accum(np.broadcast_to(ge, a.shape).copy())
+        a._accum(np.broadcast_to(ge, a.shape))
 
     return Tensor._result(out_data, (a,), backward)
 
@@ -331,24 +370,92 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
     def backward(g):
         ge = g if axis is None or keepdims else np.expand_dims(g, axis)
-        a._accum(np.broadcast_to(ge / n, a.shape).copy())
+        a._accum(np.broadcast_to(ge / n, a.shape))
 
     return Tensor._result(out_data, (a,), backward)
+
+
+def _softmax(x: Array, axis: int) -> Array:
+    """Softmax of an array along ``axis``, stabilized by max subtraction."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_grad(p: Array, g: Array, axis: int) -> Array:
+    """Gradient at the input of a softmax with output ``p``, given ``g`` at
+    its output."""
+    return p * (g - (g * p).sum(axis=axis, keepdims=True))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Softmax along ``axis``, stabilized by max subtraction."""
     if a.data.size == 0 or a.shape[axis] == 0:
         raise ShapeError(f"softmax over an empty axis (shape {a.shape}, axis {axis})")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    out_data = _softmax(a.data, axis)
 
     def backward(g):
-        dot = (g * out_data).sum(axis=axis, keepdims=True)
-        a._accum(out_data * (g - dot))
+        a._accum(_softmax_grad(out_data, g, axis))
 
     return Tensor._result(out_data, (a,), backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+              key_bias: Array) -> tuple[Tensor, Array]:
+    """Multi-head scaled dot-product attention as one node.
+
+    ``q`` is ``[B, T_tgt, d]`` and ``k``, ``v`` are ``[B, T_src, d]``; head
+    h owns feature columns h*d/heads .. (h+1)*d/heads of all three.
+    ``key_bias`` is a constant ``[B, T_src]`` added to every score of a key
+    (0 for a valid key, a large negative number for a masked one).  Returns
+    the heads' mixed values, concatenated back to ``[B, T_tgt, d]``, and the
+    attention maps ``[B, heads, T_tgt, T_src]``.
+    """
+    if (q.ndim != 3 or k.ndim != 3 or k.shape != v.shape or q.shape[0] != k.shape[0]
+            or q.shape[2] != k.shape[2]):
+        raise ShapeError(f"attention: expected [B, T, d] inputs, got q {q.shape}, "
+                         f"k {k.shape}, v {v.shape}")
+    b, t_tgt, d = q.shape
+    t_src = k.shape[1]
+    if heads < 1 or d % heads != 0:
+        raise ShapeError(f"attention: feature dim {d} not divisible by head count {heads}")
+    if np.shape(key_bias) != (b, t_src):
+        raise ShapeError(f"attention: key bias {np.shape(key_bias)} does not match k {k.shape}")
+    hd = d // heads
+    scale = 1.0 / np.sqrt(hd)
+    # BLAS rounding depends on operand layout: these contiguous orientations
+    # give the same forward values, bit for bit, as the same attention built
+    # from matmul, transpose and softmax nodes
+
+    def by_feature(x: Array, t: int) -> Array:
+        """[B, T, d] -> [B, heads, head_dim, T]"""
+        return np.ascontiguousarray(x.reshape(b, t, heads, hd).transpose(0, 2, 3, 1))
+
+    def by_step(x: Array, t: int) -> Array:
+        """[B, T, d] -> [B, heads, T, head_dim]"""
+        return np.ascontiguousarray(x.reshape(b, t, heads, hd).transpose(0, 2, 1, 3))
+
+    def merge(x: Array) -> Array:
+        """[B, heads, T, head_dim] -> [B, T, d]"""
+        return x.transpose(0, 2, 1, 3).reshape(b, -1, d)
+
+    q_h = by_step(q.data, t_tgt)
+    k_h = by_feature(k.data, t_src)
+    v_h = by_feature(v.data, t_src)
+    maps = _softmax((q_h @ k_h) * scale + key_bias[:, None, None, :], -1)
+    mixed = v_h @ np.ascontiguousarray(np.swapaxes(maps, -1, -2))  # [B, heads, head_dim, T_tgt]
+    out_data = np.ascontiguousarray(np.swapaxes(mixed.reshape(b, d, t_tgt), -1, -2))
+
+    def backward(g):
+        g_h = g.reshape(b, t_tgt, heads, hd).transpose(0, 2, 1, 3)  # [B, heads, T_tgt, head_dim]
+        if v.requires_grad:
+            v._accum(merge(np.swapaxes(maps, -1, -2) @ g_h))
+        g_scores = _softmax_grad(maps, g_h @ v_h, -1) * scale
+        if q.requires_grad:
+            q._accum(merge(g_scores @ np.swapaxes(k_h, -1, -2)))
+        if k.requires_grad:
+            k._accum(merge(np.swapaxes(g_scores, -1, -2) @ q_h))
+
+    return Tensor._result(out_data, (q, k, v), backward), maps
 
 
 # ---- structural ops ----

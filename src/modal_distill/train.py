@@ -128,10 +128,12 @@ def predict_scores(model: Model, samples: list[Sample],
     return ids, np.array(scores), np.array(labels)
 
 
-def evaluate(model: Model, samples: list[Sample],
-             batch_size: int | None = None) -> MetricsReport:
-    _, scores, labels = predict_scores(model, samples, batch_size)
-    return compute_metrics(scores, labels)
+def evaluate(model: Model, samples: list[Sample], batch_size: int | None = None
+             ) -> tuple[MetricsReport, tuple[list[str], np.ndarray, np.ndarray]]:
+    """Metrics over ``samples``, and the ``(ids, scores, labels)`` they were
+    computed from, from one scoring pass."""
+    scored = predict_scores(model, samples, batch_size)
+    return compute_metrics(scored[1], scored[2]), scored
 
 
 # ---- training loop ----
@@ -249,7 +251,7 @@ def train(config: TrainConfig, samples: list[Sample],
                     done = True
                     break
             if val_s:
-                report = evaluate(model, val_s)
+                report, _ = evaluate(model, val_s)
                 emit({"event": "val", "epoch": epoch, "step": step,
                       **report.to_dict()})
                 if best_val_mae is None or report.mae < best_val_mae:
@@ -263,7 +265,7 @@ def train(config: TrainConfig, samples: list[Sample],
         if log_fh is not None:
             log_fh.close()
 
-    final_train = evaluate(model, train_s)
+    final_train, _ = evaluate(model, train_s)
     return TrainResult(model=model, history=history, steps=step,
                        best_val_mae=best_val_mae, final_train=final_train,
                        checkpoint_path=checkpoint_path, log_path=log_path,
@@ -515,19 +517,6 @@ def probe_split(n: int, seed: int, train_frac: float = 0.7) -> tuple[np.ndarray,
     perm = np.random.default_rng(seed).permutation(n)
     cut = max(1, min(n - 1, int(round(train_frac * n))))
     return perm[:cut], perm[cut:]
-
-
-def probe_multiclass_accuracy(feats: np.ndarray, classes: np.ndarray,
-                              seed: int = 0, reg: float = 1e-2) -> float:
-    """Accuracy of a one-vs-rest ridge probe on held-out rows."""
-    classes = np.asarray(classes)
-    values = np.unique(classes)
-    onehot = (classes[:, None] == values[None, :]).astype(np.float64)
-    tr, ev = probe_split(feats.shape[0], seed)
-    fit_x, eval_x = standardize(feats[tr], feats[ev])
-    w = fit_linear_probe(fit_x, onehot[tr], reg)
-    pred = values[np.argmax(probe_scores(eval_x, w), axis=1)]
-    return float(np.mean(pred == classes[ev]))
 
 
 @dataclass

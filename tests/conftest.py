@@ -11,6 +11,7 @@ import numpy as np
 
 from modal_distill.layers import TwoLayer
 from modal_distill.tensor import Tensor
+from modal_distill.train import fit_linear_probe, probe_scores, probe_split, standardize
 
 
 def rel_err(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-4) -> float:
@@ -67,6 +68,19 @@ def gd_loss(weights: np.ndarray, discrepancies: np.ndarray) -> float:
     discrepancies, summed over every entry of the [.., 3, 3] records."""
     assert weights.shape == discrepancies.shape, (weights.shape, discrepancies.shape)
     return float(np.sum(weights * discrepancies))
+
+
+def probe_multiclass_accuracy(feats: np.ndarray, classes: np.ndarray,
+                              seed: int = 0, reg: float = 1e-2) -> float:
+    """Accuracy of a one-vs-rest ridge probe on held-out rows."""
+    classes = np.asarray(classes)
+    values = np.unique(classes)
+    onehot = (classes[:, None] == values[None, :]).astype(np.float64)
+    tr, ev = probe_split(feats.shape[0], seed)
+    fit_x, eval_x = standardize(feats[tr], feats[ev])
+    w = fit_linear_probe(fit_x, onehot[tr], reg)
+    pred = values[np.argmax(probe_scores(eval_x, w), axis=1)]
+    return float(np.mean(pred == classes[ev]))
 
 
 def set_identity_two_layer(net: TwoLayer) -> None:

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from conftest import set_averaging_decoder, set_identity_two_layer
+from conftest import probe_multiclass_accuracy, set_averaging_decoder, set_identity_two_layer
 from modal_distill.config import TrainConfig
 from modal_distill.data import (
     MODALITIES,
@@ -30,7 +30,6 @@ from modal_distill.train import (
     gradcheck,
     model_from_checkpoint,
     predict_scores,
-    probe_multiclass_accuracy,
     probe_unimodal,
     train,
 )

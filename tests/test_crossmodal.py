@@ -55,19 +55,26 @@ def per_head_attention(pair, src, tgt):
 
 
 @given(heads=st.sampled_from([1, 2, 4]), width=st.integers(1, 3),
-       t_src=st.integers(1, 6), t_tgt=st.integers(1, 6), seed=st.integers(0, 2**16))
+       lengths=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+       t_tgt=st.integers(1, 6), seed=st.integers(0, 2**16))
 @settings(max_examples=60, deadline=None)
-def test_heads_axis_matches_per_head_oracle(heads, width, t_src, t_tgt, seed):
+def test_heads_axis_matches_per_head_oracle(heads, width, lengths, t_tgt, seed):
+    # the fused attention node, heads as an axis, against one loop
+    # iteration per head for each sequence of a padded batch
     d = heads * width
     pair = make_pair(d=d, heads=heads, seed=seed)
     rng = np.random.default_rng(seed + 1)
-    src = rng.standard_normal((t_src, d))
-    tgt = rng.standard_normal((t_tgt, d))
-    out, maps = pair.forward(Tensor(src[None]), Tensor(tgt[None]), np.ones((1, t_src)))
-    want_out, want_maps = per_head_attention(pair, src, tgt)
-    assert maps.shape == (1, heads, t_tgt, t_src)
-    np.testing.assert_allclose(maps[0], want_maps, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(out.data[0], want_out, rtol=0, atol=1e-12)
+    t_pad = max(lengths)
+    src = rng.standard_normal((len(lengths), t_pad, d))
+    tgt = rng.standard_normal((len(lengths), t_tgt, d))
+    mask = (np.arange(t_pad)[None, :] < np.array(lengths)[:, None]).astype(float)
+    out, maps = pair.forward(Tensor(src), Tensor(tgt), mask)
+    assert maps.shape == (len(lengths), heads, t_tgt, t_pad)
+    assert np.all(maps[np.broadcast_to(mask[:, None, None, :] == 0, maps.shape)] == 0.0)
+    for b, t in enumerate(lengths):
+        want_out, want_maps = per_head_attention(pair, src[b, :t], tgt[b])
+        np.testing.assert_allclose(maps[b, :, :, :t], want_maps, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.data[b], want_out, rtol=0, atol=1e-12)
 
 
 @given(heads=st.sampled_from([1, 2]), lengths=st.lists(st.integers(1, 6), min_size=1, max_size=4),

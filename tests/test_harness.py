@@ -4,6 +4,7 @@ loop behavior, checkpoints, probes, and the CLI."""
 import gc
 import importlib
 import json
+import math
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -28,10 +29,11 @@ from modal_distill.train import (
     gradcheck,
     model_from_checkpoint,
     predict_scores,
-    probe_multiclass_accuracy,
     probe_unimodal,
     train,
 )
+
+from conftest import probe_multiclass_accuracy
 
 SMALL_RAW = {Modality.LANGUAGE: 6, Modality.VISION: 5, Modality.AUDIO: 4}
 
@@ -492,6 +494,29 @@ def test_cli_gen_data_and_train_eval_cycle(tmp_path):
 
     assert main(["probe-unimodal", "--checkpoint", str(ckpt),
                  "--data", str(manifest)]) == 0
+
+
+def test_eval_with_predictions_scores_each_batch_once(tmp_path, monkeypatch):
+    """``eval --predictions`` takes the metrics and the CSV rows from one
+    scoring pass: one forward per batch."""
+    path = tmp_path / "ck.npz"
+    cfg = _eval_checkpoint(path)
+    n = 2 * cfg.batch_size + 3
+    calls = []
+    forward = Model.forward_batch
+
+    def counting_forward(self, batch):
+        calls.append(len(batch.ids))
+        return forward(self, batch)
+
+    monkeypatch.setattr(Model, "forward_batch", counting_forward)
+    preds = tmp_path / "preds.csv"
+    assert main(["eval", "--checkpoint", str(path), "--synthetic", str(n),
+                 "--predictions", str(preds)]) == 0
+    assert len(calls) == math.ceil(n / cfg.batch_size) and sum(calls) == n
+    rows = preds.read_text().splitlines()[1:]
+    _, scores, _ = predict_scores(model_from_checkpoint(path)[0], generate(n, 0))
+    assert [float(r.split(",")[1]) for r in rows] == scores.tolist()
 
 
 def test_cli_usage_errors_exit_one(tmp_path):

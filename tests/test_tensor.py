@@ -10,6 +10,8 @@ from modal_distill.errors import ConfigError, ShapeError
 from modal_distill.tensor import (
     Tensor,
     absolute,
+    affine,
+    attention,
     clamp_min,
     concat,
     conv1d,
@@ -211,6 +213,29 @@ def test_take_rc_backward_matches_add_at(rows, cols, n, seed):
     np.testing.assert_array_equal(a.grad, want)
 
 
+def test_affine_matches_matmul_plus_bias():
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((2, 3, 4))
+    w = rng.standard_normal((4, 5))
+    b = rng.standard_normal(5)
+    np.testing.assert_array_equal(affine(Tensor(x), Tensor(w), Tensor(b)).data, x @ w + b)
+    np.testing.assert_array_equal(affine(Tensor(x[0]), Tensor(w)).data, x[0] @ w)
+    with pytest.raises(ShapeError):
+        affine(Tensor(x), Tensor(w.T))
+    with pytest.raises(ShapeError):
+        affine(Tensor(x), Tensor(w), Tensor(b[:4]))
+
+
+def test_attention_shape_errors():
+    q, kv = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 5, 4)))
+    with pytest.raises(ShapeError):
+        attention(q, kv, kv, 3, np.zeros((2, 5)))  # 4 features over 3 heads
+    with pytest.raises(ShapeError):
+        attention(q, kv, kv, 2, np.zeros((2, 4)))  # bias misses a key
+    with pytest.raises(ShapeError):
+        attention(q, kv, Tensor(np.zeros((2, 4, 4))), 2, np.zeros((2, 5)))
+
+
 def test_conv1d_batch_matches_sequences_alone():
     # a zero-padded shorter sequence keeps its same-padding result on its
     # valid rows
@@ -241,6 +266,12 @@ def test_gradients_match_finite_differences(seed):
     batch_b = make(rng, 2, 4, 2)
     out_w = Tensor(rng.standard_normal((2, 3, 2)))
     conv_k = make(rng, 3, 4, 2)
+    bias = make(rng, 2)
+    keys = make(rng, 2, 5, 4)
+    values = make(rng, 2, 5, 4)
+    mix_w = Tensor(rng.standard_normal((2, 3, 4)))
+    key_bias = np.zeros((2, 5))
+    key_bias[1, 3:] = -1e30  # the second sequence has two padded keys
 
     cases = {
         "add": (lambda: tsum(a + b), {"a": a, "b": b}),
@@ -274,6 +305,14 @@ def test_gradients_match_finite_differences(seed):
         "cosine_rows": (lambda: tsum(cosine(a, b)), {"a": a, "b": b}),
         "conv1d_batch": (lambda: tsum(conv1d(batch, conv_k) * 0.5),
                          {"batch": batch, "conv_k": conv_k}),
+        "affine": (lambda: tsum(affine(a, c) * out_w.data[0]), {"a": a, "c": c}),
+        "affine_bias": (lambda: tsum(affine(a, c, bias) * out_w.data[1]),
+                        {"a": a, "c": c, "bias": bias}),
+        "affine_3d": (lambda: tsum(affine(batch, c) * out_w), {"batch": batch, "c": c}),
+        "affine_3d_bias": (lambda: tsum(affine(batch, c, bias) * out_w),
+                           {"batch": batch, "c": c, "bias": bias}),
+        "attention": (lambda: tsum(attention(batch, keys, values, 2, key_bias)[0] * mix_w),
+                      {"batch": batch, "keys": keys, "values": values}),
     }
 
     def mul_ab():
