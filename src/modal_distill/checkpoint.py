@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import TrainConfig, field_types
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .tensor import Tensor
 
 FORMAT_VERSION = 1
@@ -74,5 +74,8 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], TrainConfi
             raise DataError(f"checkpoint {path}: config key {key!r} expects "
                             f"{kind.__name__}, got {value!r}")
     config = TrainConfig(**stored)
-    config.validate()
+    try:
+        config.validate()
+    except ConfigError as exc:
+        raise DataError(f"checkpoint {path}: {exc}") from exc
     return params, config, meta.get("extra", {})

@@ -328,7 +328,7 @@ def save_dataset(samples: list[Sample], out_dir: str | Path) -> Path:
 
 def _read_feature_csv(path: Path, sample_id: str, modality: Modality,
                       expected_dim: int) -> np.ndarray:
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"sample {sample_id}: missing {modality.tag} feature file {path}")
     try:
         mat = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
@@ -374,7 +374,10 @@ def load_features(manifest_path: str | Path,
                 raise DataError(f"sample {sid}: label {label} outside [{LABEL_MIN}, {LABEL_MAX}]")
             sequences = {}
             for m in MODALITIES:
-                mat = _read_feature_csv(base / row[f"path_{m.tag}"], sid, m, dims[m])
+                rel = row[f"path_{m.tag}"]  # None on a short row
+                if not rel:
+                    raise DataError(f"sample {sid}: no {m.tag} feature path in manifest {manifest}")
+                mat = _read_feature_csv(base / rel, sid, m, dims[m])
                 sequences[m] = ModalitySequence(m, mat)
             samples.append(Sample(id=sid, sequences=sequences, label=label))
     if not samples:

@@ -24,13 +24,11 @@ from .tensor import (
     cosine,
     div,
     frobenius_sq,
+    margin_hinge,
     matmul,
     mean_pool_time,
     mul,
-    relu,
     sqrt,
-    take_rc,
-    tmean,
     tsum,
 )
 
@@ -142,45 +140,25 @@ def loss_cyc(hetero: Tensor, reencoded: Tensor, mask: np.ndarray) -> Tensor:
     return _masked_frobenius_sq(hetero, reencoded, mask, "loss_cyc")
 
 
-def margin_triplets(tags: list[tuple[Modality, int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index arrays (anchors i, cross-modal positives j, same-modal
-    negatives k) of every valid triplet: j shares the anchor's class from
-    another modality, k shares the anchor's modality with another class.
-
-    Anchors sharing a (modality, class) tag share their positive and
-    negative sets, so each such group contributes one index grid.
-    """
-    mods = np.array([MODALITIES.index(m) for m, _ in tags], dtype=np.intp)
-    classes = np.array([c for _, c in tags], dtype=np.int64)
-    parts = [np.empty((3, 0), dtype=np.intp)]
-    for m, c in sorted(set(zip(mods.tolist(), classes.tolist()))):
-        same_mod, same_class = mods == m, classes == c
-        grid = np.meshgrid(np.flatnonzero(same_mod & same_class),
-                           np.flatnonzero(~same_mod & same_class),
-                           np.flatnonzero(same_mod & ~same_class), indexing="ij")
-        parts.append(np.stack([g.ravel() for g in grid]))
-    ii, jj, kk = np.concatenate(parts, axis=1)
-    return ii, jj, kk
-
-
 def loss_margin(x: Tensor, tags: list[tuple[Modality, int]], alpha: float) -> tuple[Tensor, int]:
     """Hinge over all valid triplets of the rows of ``x`` ``[N, d]``, tagged
-    (modality, class) by ``tags``: mean of max(0, α − cos(i,j) + cos(i,k)).
+    (modality, class) by ``tags``: mean of max(0, α − cos(i,j) + cos(i,k)),
+    where j shares the anchor i's class from another modality and k shares
+    its modality with another class.
 
     Returns the loss and the triplet count; an empty triplet set yields 0
     with a warning so a degenerate minibatch cannot crash training.
     """
     if x.ndim != 2 or x.shape[0] != len(tags):
         raise ShapeError(f"loss_margin: {len(tags)} tags for rows of {x.shape}")
-    ii, jj, kk = margin_triplets(tags)
-    if not ii.size:
-        log.warning("margin loss: no valid triplets in batch of %d items", len(tags))
-        return Tensor(0.0), 0
     norms = sqrt(clamp_min(tsum(mul(x, x), axis=1, keepdims=True), 1e-24))
     xn = div(x, norms)
-    cos = matmul(xn, xn.T)
-    hinge = relu(alpha - take_rc(cos, ii, jj) + take_rc(cos, ii, kk))
-    return tmean(hinge), int(ii.size)
+    mods = np.array([MODALITIES.index(m) for m, _ in tags], dtype=np.intp)
+    classes = np.array([c for _, c in tags], dtype=np.int64)
+    loss, count = margin_hinge(matmul(xn, xn.T), mods, classes, alpha)
+    if not count:
+        log.warning("margin loss: no valid triplets in batch of %d items", len(tags))
+    return loss, count
 
 
 def loss_ort(pairs: dict[Modality, DecoupledPair]) -> Tensor:

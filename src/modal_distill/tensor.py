@@ -305,7 +305,8 @@ def relu(a: Tensor) -> Tensor:
     def backward(g):
         a._accum(g * mask)
 
-    return Tensor._result(np.where(mask, a.data, 0.0), (a,), backward)
+    # np.maximum keeps NaN, which a select on ``mask`` would turn into 0
+    return Tensor._result(np.maximum(a.data, 0.0), (a,), backward)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -477,19 +478,77 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
     return Tensor._result(out_data, tuple(tensors), backward)
 
 
-def take_rc(a: Tensor, rows: Array, cols: Array) -> Tensor:
-    """Gather entries a[rows[k], cols[k]] into a vector."""
-    if a.ndim != 2:
-        raise ShapeError(f"take_rc expects a matrix, got shape {a.shape}")
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
+# ---- triplet margin ----
 
-    flat = rows * a.shape[1] + cols
+
+def margin_hinge(cos: Tensor, mods: Array, classes: Array,
+                 alpha: float) -> tuple[Tensor, int]:
+    """Mean triplet hinge ``max(0, (alpha - c_ij) + c_ik)`` over a cosine
+    matrix, as one node, and the number of triplets.
+
+    Row i of ``cos`` ``[N, N]`` is an anchor tagged ``(mods[i],
+    classes[i])``.  Its positives j share its class from another modality;
+    its negatives k share its modality with another class.  No triplet is
+    enumerated.  Each anchor's negative cosines are sorted, so one search
+    per positive counts the negatives above its threshold ``-(alpha -
+    c_ij)`` and a suffix sum gives their total: O(N² log N) time, O(N²)
+    memory.  ``c_ik > -(alpha - c_ij)`` holds exactly when the enumerated
+    ``(alpha - c_ij) + c_ik`` is positive in floating point, so ties resolve
+    as they would term by term.  With no triplet the loss is a constant 0;
+    a non-finite cosine makes it NaN.
+    """
+    if not 0.0 < alpha < 2.0:
+        raise ConfigError(f"margin_hinge: alpha must lie in (0, 2), got {alpha}")
+    n = len(mods)
+    if cos.shape != (n, n) or len(classes) != n:
+        raise ShapeError(f"margin_hinge: cosines {cos.shape} for {n} modality and "
+                         f"{len(classes)} class tags")
+    c = cos.data
+    same_mod = mods[:, None] == mods[None, :]
+    same_class = classes[:, None] == classes[None, :]
+    neg = same_mod & ~same_class
+    n_neg = neg.sum(axis=1)
+    pi, pj = np.nonzero(~same_mod & same_class)  # (anchor, positive), by anchor
+    total = int(n_neg[pi].sum())
+    if total == 0:
+        return Tensor(0.0), 0
+    if not np.isfinite(c).all():
+        def poisoned(g):
+            cos._accum(np.full(c.shape, np.nan))
+
+        return Tensor._result(np.array(np.nan), (cos,), poisoned), total
+
+    # each anchor's negatives ascending, then +inf over the rest of its row
+    order = np.argsort(np.where(neg, c, np.inf), axis=1)
+    sorted_neg = np.take_along_axis(c, order, axis=1)
+    is_neg = np.arange(n) < n_neg[:, None]
+    offset = alpha - c[pi, pj]
+    # One flat search serves every anchor: a negative or threshold is keyed
+    # by anchor * width + its rank among all of them, equal values sharing a
+    # rank, so comparing keys is comparing values exactly, ties included.
+    # The tail of a row ranks above every threshold.
+    _, rank = np.unique(np.concatenate([-offset, sorted_neg[is_neg]]), return_inverse=True)
+    width = int(rank.max()) + 2
+    t_key = pi * width + rank[:pi.size]
+    neg_key = np.full((n, n), width - 1, dtype=np.int64)
+    neg_key[is_neg] = rank[pi.size:]
+    neg_key += np.arange(n)[:, None] * width
+    first = np.searchsorted(neg_key.ravel(), t_key, side="right") - pi * n
+    active = n_neg[pi] - first  # per (anchor, positive): negatives with a positive hinge
+    suffix = np.zeros((n, n + 1))
+    suffix[:, :n] = np.cumsum(np.where(is_neg, sorted_neg, 0.0)[:, ::-1], axis=1)[:, ::-1]
+    out_data = np.array((active * offset + suffix[pi, first]).sum() / total)
 
     def backward(g):
-        a._accum(np.bincount(flat, weights=g, minlength=a.data.size).reshape(a.shape))
+        # on c_ik: how many of anchor i's positives have their threshold below it
+        t_start = np.searchsorted(pi, np.arange(n))
+        below = np.searchsorted(np.sort(t_key), neg_key, side="left") - t_start[:, None]
+        counts = np.zeros((n, n))
+        np.put_along_axis(counts, order, np.where(is_neg, below, 0), axis=1)
+        counts[pi, pj] = -active
+        cos._accum(counts * (g / total))
 
-    return Tensor._result(a.data[rows, cols], (a,), backward)
+    return Tensor._result(out_data, (cos,), backward), total
 
 
 # ---- temporal convolution ----

@@ -275,9 +275,12 @@ def train(config: TrainConfig, samples: list[Sample],
 def model_from_checkpoint(path: str | Path) -> tuple[Model, TrainConfig, dict]:
     params, config, extra = load_checkpoint(path)
     dims_meta = extra.get("raw_dims")
-    if dims_meta is None:
-        raise DataError(f"checkpoint {path} is missing raw feature dims")
-    raw_dims = {Modality(tag): int(d) for tag, d in dims_meta.items()}
+    tags = sorted(m.tag for m in MODALITIES)
+    if (not isinstance(dims_meta, dict) or sorted(dims_meta) != tags
+            or any(type(d) is not int or d < 1 for d in dims_meta.values())):
+        raise DataError(f"checkpoint {path}: raw feature dims must map {', '.join(tags)} "
+                        f"to positive integers, got {dims_meta!r}")
+    raw_dims = {Modality(tag): d for tag, d in dims_meta.items()}
     model = Model(config, raw_dims)
     model.load_parameters(params)
     return model, config, extra

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from modal_distill.data import MODALITIES
 from modal_distill.layers import TwoLayer
 from modal_distill.tensor import Tensor
 from modal_distill.train import fit_linear_probe, probe_scores, probe_split, standardize
@@ -68,6 +69,43 @@ def gd_loss(weights: np.ndarray, discrepancies: np.ndarray) -> float:
     discrepancies, summed over every entry of the [.., 3, 3] records."""
     assert weights.shape == discrepancies.shape, (weights.shape, discrepancies.shape)
     return float(np.sum(weights * discrepancies))
+
+
+def margin_triplets(tags) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays (anchors i, cross-modal positives j, same-modal
+    negatives k) of every valid triplet of ``(modality, class)`` tags: j
+    shares the anchor's class from another modality, k shares the anchor's
+    modality with another class.
+
+    Anchors sharing a (modality, class) tag share their positive and
+    negative sets, so each such group contributes one index grid.
+    """
+    mods = np.array([MODALITIES.index(m) for m, _ in tags], dtype=np.intp)
+    classes = np.array([c for _, c in tags], dtype=np.int64)
+    parts = [np.empty((3, 0), dtype=np.intp)]
+    for m, c in sorted(set(zip(mods.tolist(), classes.tolist()))):
+        same_mod, same_class = mods == m, classes == c
+        grid = np.meshgrid(np.flatnonzero(same_mod & same_class),
+                           np.flatnonzero(~same_mod & same_class),
+                           np.flatnonzero(same_mod & ~same_class), indexing="ij")
+        parts.append(np.stack([g.ravel() for g in grid]))
+    ii, jj, kk = np.concatenate(parts, axis=1)
+    return ii, jj, kk
+
+
+def margin_oracle(cos: np.ndarray, tags, alpha: float) -> tuple[float, int, np.ndarray]:
+    """The margin hinge by enumeration over a cosine matrix: its mean over
+    every triplet, the triplet count, and the gradient of the mean at
+    ``cos``, built from integer counts of active hinges."""
+    ii, jj, kk = margin_triplets(tags)
+    if not ii.size:
+        return 0.0, 0, np.zeros_like(cos)
+    hinge = (alpha - cos[ii, jj]) + cos[ii, kk]
+    active = (hinge > 0).astype(np.float64)
+    counts = np.zeros_like(cos)
+    np.add.at(counts, (ii, jj), -active)
+    np.add.at(counts, (ii, kk), active)
+    return float(np.mean(np.maximum(hinge, 0.0))), int(ii.size), counts * (1.0 / ii.size)
 
 
 def probe_multiclass_accuracy(feats: np.ndarray, classes: np.ndarray,

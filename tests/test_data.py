@@ -202,6 +202,27 @@ def test_load_missing_file_names_sample(tmp_path):
     assert samples[1].id in str(exc.value)
 
 
+@pytest.mark.parametrize("case,tag", [("short_row", "A"), ("empty_path", "V"),
+                                      ("directory_path", "L")])
+def test_load_bad_manifest_path_names_sample_and_modality(tmp_path, case, tag):
+    cfg = small_config()
+    samples = generate(2, seed=17, config=cfg)
+    manifest = save_dataset(samples, tmp_path)
+    header, first, second = manifest.read_text().splitlines()
+    fields = second.split(",")
+    if case == "short_row":
+        del fields[4:]
+    elif case == "empty_path":
+        fields[3] = ""
+    else:
+        fields[2] = "features"
+    manifest.write_text("\n".join([header, first, ",".join(fields)]) + "\n")
+    with pytest.raises(DataError) as exc:
+        load_features(manifest, dims=cfg.raw_dims)
+    msg = str(exc.value)
+    assert samples[1].id in msg and f" {tag} feature" in msg
+
+
 def test_load_wrong_column_count_names_sample_and_dim(tmp_path):
     cfg = small_config()
     samples = generate(1, seed=15, config=cfg)

@@ -16,12 +16,17 @@ from modal_distill.decouple import (
     loss_margin,
     loss_ort,
     loss_rec,
-    margin_triplets,
 )
 from modal_distill.errors import ConfigError
-from modal_distill.tensor import Tensor, concat, reshape
+from modal_distill.tensor import Tensor, concat, margin_hinge, reshape
 
-from conftest import check_grads, set_averaging_decoder, set_identity_two_layer
+from conftest import (
+    check_grads,
+    margin_oracle,
+    margin_triplets,
+    set_averaging_decoder,
+    set_identity_two_layer,
+)
 
 L, V, A = Modality.LANGUAGE, Modality.VISION, Modality.AUDIO
 
@@ -235,6 +240,37 @@ def test_margin_triplet_enumeration_structure():
     for i, j, k in triplets:
         assert tags[j][0] != tags[i][0] and tags[j][1] == tags[i][1]
         assert tags[k][0] == tags[i][0] and tags[k][1] != tags[i][1]
+
+
+@given(b=st.integers(1, 12), levels=st.sampled_from([1, 2, 4, 8]),
+       alpha=st.sampled_from([0.25, 0.5, 1.0, 1.5, 0.3]), seed=st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_margin_hinge_matches_enumeration_at_ties(b, levels, alpha, seed):
+    # cosines on a coarse grid make (alpha - c_ij) + c_ik hit exactly 0 often;
+    # the hinge must treat every tie as the enumeration does
+    rng = np.random.default_rng(seed)
+    n = 3 * b
+    cos = np.round(rng.uniform(-1.0, 1.0, (n, n)) * levels) / levels
+    mods = rng.integers(0, 3, n) if seed % 2 else np.tile(np.arange(3), b)
+    classes = rng.integers(-3, 4, n) if seed % 3 else np.repeat(rng.integers(-1, 2, b), 3)
+    tags = [(MODALITIES[m], int(c)) for m, c in zip(mods, classes)]
+    want, want_count, want_grad = margin_oracle(cos, tags, alpha)
+    leaf = Tensor(cos.copy(), requires_grad=True)
+    loss, count = margin_hinge(leaf, mods, classes, alpha)
+    assert count == want_count
+    assert abs(loss.item() - want) <= 1e-12
+    if count:
+        loss.backward()
+        np.testing.assert_array_equal(leaf.grad, want_grad)
+
+
+def test_margin_non_finite_row_gives_nan():
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((4, 3))
+    x[2, 0] = np.nan
+    tags = [(L, 1), (V, 1), (L, 2), (A, 1)]
+    loss, count = loss_margin(Tensor(x), tags, alpha=0.2)
+    assert count == 2 and np.isnan(loss.item())
 
 
 # ---- orthogonality and combined loss ----

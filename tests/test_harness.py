@@ -344,6 +344,46 @@ def test_checkpoint_with_mistyped_config_value_exits_two(tmp_path, capsys, key, 
     assert f"config key '{key}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [("alpha", 5.0), ("d", 0), ("mode", "sideways")])
+def test_checkpoint_with_out_of_range_config_value_exits_two(tmp_path, capsys, key, value):
+    path = tmp_path / "range.npz"
+    _eval_checkpoint(path, {key: value})
+    with pytest.raises(DataError, match=key):
+        load_checkpoint(path)
+    assert main(["eval", "--checkpoint", str(path), "--synthetic", "4"]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw_dims", [
+    {"L": 6, "V": 5, "X": 4}, {"L": 6, "V": 5}, {"L": 6, "V": 5, "A": "4"},
+    {"L": 6, "V": 5.5, "A": 4}, {"L": 6, "V": 0, "A": 4}, {"L": True, "V": 5, "A": 4},
+    [6, 5, 4], None,
+])
+def test_checkpoint_with_bad_raw_dims_exits_two(tmp_path, capsys, raw_dims):
+    path = tmp_path / "dims.npz"
+    cfg = tiny_config()
+    save_checkpoint(path, Model(cfg).parameters(), cfg, {"raw_dims": raw_dims})
+    with pytest.raises(DataError, match="raw feature dims"):
+        model_from_checkpoint(path)
+    assert main(["eval", "--checkpoint", str(path), "--synthetic", "4"]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+def test_nan_weight_fails_at_step_zero(monkeypatch):
+    import modal_distill.train as train_mod
+
+    class PoisonedModel(Model):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            self.parameters()["private_encoder.L.first.weight"].data[0, 0] = np.nan
+
+    monkeypatch.setattr(train_mod, "Model", PoisonedModel)
+    samples = generate(8, seed=2, config=small_world())
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericError, match="at step 0 "):
+            train(tiny_config(max_steps=3), samples, split=False)
+
+
 def test_checkpoint_accepts_int_for_float_field(tmp_path):
     path = tmp_path / "int_lr.npz"
     _eval_checkpoint(path, {"lr": 1})

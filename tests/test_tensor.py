@@ -17,6 +17,7 @@ from modal_distill.tensor import (
     conv1d,
     cosine,
     frobenius_sq,
+    margin_hinge,
     matmul,
     mean_pool_time,
     relu,
@@ -25,7 +26,6 @@ from modal_distill.tensor import (
     softmax,
     sqrt,
     stop_gradient,
-    take_rc,
     tmean,
     transpose,
     tsum,
@@ -190,27 +190,38 @@ def test_mean_pool_time_batch_and_errors():
         mean_pool_time(Tensor(x), np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
 
 
-def test_take_rc_gathers_and_scatters():
-    a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    out = take_rc(a, [0, 1, 0], [2, 1, 2])  # repeated index exercises scatter-add
-    np.testing.assert_array_equal(out.data, [2.0, 4.0, 2.0])
+def test_margin_hinge_rejects_bad_alpha_and_shapes():
+    cos = Tensor(np.zeros((2, 2)))
+    mods, classes = np.array([0, 1]), np.array([0, 0])
+    for alpha in (0.0, 2.0, -0.1, float("nan")):
+        with pytest.raises(ConfigError, match="alpha"):
+            margin_hinge(cos, mods, classes, alpha)
+    with pytest.raises(ShapeError):
+        margin_hinge(Tensor(np.zeros((3, 3))), mods, classes, 0.2)
+    with pytest.raises(ShapeError):
+        margin_hinge(cos, mods, np.array([0, 0, 1]), 0.2)
+
+
+def test_margin_hinge_non_finite_cosine_gives_nan():
+    # anchors 0 (L, 0) and 2 (L, 1); 1 (V, 0) is 0's positive, 2 its negative
+    cos = np.full((3, 3), 0.5)
+    mods, classes = np.array([0, 1, 0]), np.array([0, 0, 1])
+    for bad in (np.nan, np.inf, -np.inf):
+        c = Tensor(cos.copy(), requires_grad=True)
+        c.data[0, 2] = bad
+        loss, count = margin_hinge(c, mods, classes, 0.2)
+        assert count == 1 and np.isnan(loss.item())
+        loss.backward()
+        assert np.isnan(c.grad).all()
+
+
+def test_relu_keeps_nan():
+    a = Tensor(np.array([np.nan, -1.0, -0.0, 2.0]), requires_grad=True)
+    out = relu(a)
+    np.testing.assert_array_equal(out.data, [np.nan, 0.0, 0.0, 2.0])
+    assert not np.signbit(out.data[2])
     tsum(out).backward()
-    np.testing.assert_array_equal(a.grad, [[0, 0, 2], [0, 1, 0]])
-
-
-@given(rows=st.integers(1, 6), cols=st.integers(1, 6), n=st.integers(0, 60),
-       seed=st.integers(0, 2**16))
-@settings(max_examples=40, deadline=None)
-def test_take_rc_backward_matches_add_at(rows, cols, n, seed):
-    rng = np.random.default_rng(seed)
-    a = Tensor(rng.standard_normal((rows, cols)), requires_grad=True)
-    ri = rng.integers(0, rows, size=n)  # n > rows * cols forces repeats
-    ci = rng.integers(0, cols, size=n)
-    w = rng.standard_normal(n)
-    tsum(take_rc(a, ri, ci) * w).backward()
-    want = np.zeros((rows, cols))
-    np.add.at(want, (ri, ci), w)
-    np.testing.assert_array_equal(a.grad, want)
+    np.testing.assert_array_equal(a.grad, [0.0, 0.0, 0.0, 1.0])
 
 
 def test_affine_matches_matmul_plus_bias():
@@ -272,6 +283,8 @@ def test_gradients_match_finite_differences(seed):
     mix_w = Tensor(rng.standard_normal((2, 3, 4)))
     key_bias = np.zeros((2, 5))
     key_bias[1, 3:] = -1e30  # the second sequence has two padded keys
+    cos = make(rng, 6, 6)
+    mods, classes = np.tile(np.arange(3), 2), np.repeat([0, 1], 3)
 
     cases = {
         "add": (lambda: tsum(a + b), {"a": a, "b": b}),
@@ -313,6 +326,7 @@ def test_gradients_match_finite_differences(seed):
                            {"batch": batch, "c": c, "bias": bias}),
         "attention": (lambda: tsum(attention(batch, keys, values, 2, key_bias)[0] * mix_w),
                       {"batch": batch, "keys": keys, "values": values}),
+        "margin_hinge": (lambda: margin_hinge(cos, mods, classes, 0.5)[0] * 3.0, {"cos": cos}),
     }
 
     def mul_ab():
