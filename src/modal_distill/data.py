@@ -349,8 +349,9 @@ def load_features(manifest_path: str | Path,
                   dims: dict[Modality, int] | None = None) -> list[Sample]:
     """Read a manifest and its per-sample feature CSVs into Samples.
 
-    Features are taken as already extracted; this only validates shapes,
-    label range, and finiteness.
+    Features are taken as already extracted; this only validates the
+    manifest's columns and ids, shapes, label range, and finiteness.  Spaces
+    around header names are ignored.
     """
     dims = dims or RAW_DIMS
     manifest = Path(manifest_path)
@@ -360,12 +361,21 @@ def load_features(manifest_path: str | Path,
     samples: list[Sample] = []
     with open(manifest, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != MANIFEST_COLUMNS:
+        header = reader.fieldnames
+        if header is None or [c.strip() for c in header] != MANIFEST_COLUMNS:
             raise DataError(
                 f"manifest {manifest} must have columns {','.join(MANIFEST_COLUMNS)}, "
-                f"got {reader.fieldnames}")
+                f"got {header}")
+        reader.fieldnames = MANIFEST_COLUMNS
+        seen: set[str] = set()
         for row in reader:
             sid = row["id"]
+            if None in row:  # DictReader files fields past the header under None
+                raise DataError(f"sample {sid}: {len(row[None])} field(s) beyond the "
+                                f"{len(MANIFEST_COLUMNS)} columns of manifest {manifest}")
+            if sid in seen:
+                raise DataError(f"sample id {sid!r} appears twice in manifest {manifest}")
+            seen.add(sid)
             try:
                 label = float(row["label"])
             except (TypeError, ValueError):

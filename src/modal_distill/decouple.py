@@ -18,17 +18,14 @@ from .errors import ConfigError, ShapeError
 from .layers import Linear, TwoLayer, xavier_uniform
 from .tensor import (
     Tensor,
-    clamp_min,
     concat,
     conv1d,
     cosine,
-    div,
-    frobenius_sq,
+    l2_normalize,
     margin_hinge,
+    masked_sq_distance,
     matmul,
     mean_pool_time,
-    mul,
-    sqrt,
     tsum,
 )
 
@@ -121,23 +118,17 @@ class Decoupler:
 # ---- losses ----
 
 
-def _masked_frobenius_sq(a: Tensor, b: Tensor, mask: np.ndarray, name: str) -> Tensor:
-    if a.shape != b.shape or np.shape(mask) != a.shape[:-1]:
-        raise ShapeError(f"{name}: shapes {a.shape} vs {b.shape}, mask {np.shape(mask)}")
-    return frobenius_sq(mul(a - b, Tensor(mask[..., None])))
-
-
 def loss_rec(x_tilde: Tensor, recon: Tensor, mask: np.ndarray) -> Tensor:
     """Squared Frobenius distance between input and its reconstruction over
     the valid rows, summed over the batch."""
-    return _masked_frobenius_sq(x_tilde, recon, mask, "loss_rec")
+    return masked_sq_distance(x_tilde, recon, mask)
 
 
 def loss_cyc(hetero: Tensor, reencoded: Tensor, mask: np.ndarray) -> Tensor:
     """Squared Frobenius distance between private features and their
     re-encoding from the reconstruction over the valid rows, summed over the
     batch."""
-    return _masked_frobenius_sq(hetero, reencoded, mask, "loss_cyc")
+    return masked_sq_distance(hetero, reencoded, mask)
 
 
 def loss_margin(x: Tensor, tags: list[tuple[Modality, int]], alpha: float) -> tuple[Tensor, int]:
@@ -151,8 +142,7 @@ def loss_margin(x: Tensor, tags: list[tuple[Modality, int]], alpha: float) -> tu
     """
     if x.ndim != 2 or x.shape[0] != len(tags):
         raise ShapeError(f"loss_margin: {len(tags)} tags for rows of {x.shape}")
-    norms = sqrt(clamp_min(tsum(mul(x, x), axis=1, keepdims=True), 1e-24))
-    xn = div(x, norms)
+    xn = l2_normalize(x, 1e-24)
     mods = np.array([MODALITIES.index(m) for m, _ in tags], dtype=np.intp)
     classes = np.array([c for _, c in tags], dtype=np.int64)
     loss, count = margin_hinge(matmul(xn, xn.T), mods, classes, alpha)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, affine, relu
+from .tensor import Tensor, affine, two_layer
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
@@ -47,14 +47,16 @@ class Linear:
 
 
 class TwoLayer:
-    """Linear -> ReLU -> Linear, the default shape for every small head."""
+    """Linear -> ReLU -> Linear, the default shape for every small head, run
+    as one autodiff node."""
 
     def __init__(self, rng: np.random.Generator, d_in: int, d_hidden: int, d_out: int):
         self.first = Linear(rng, d_in, d_hidden)
         self.second = Linear(rng, d_hidden, d_out)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.second(relu(self.first(x)))
+        return two_layer(x, self.first.weight, self.first.bias,
+                         self.second.weight, self.second.bias)
 
     def parameters(self, prefix: str) -> dict[str, Tensor]:
         out = self.first.parameters(f"{prefix}.first")

@@ -261,7 +261,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     d_in, d_out = w.shape
     out_data = x.data @ w.data
     if b is not None:
-        out_data = out_data + b.data
+        out_data += b.data
 
     def backward(g):
         g_rows = g.reshape(-1, d_out)
@@ -273,6 +273,47 @@ def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
             x._accum(g @ w.data.T)
 
     return Tensor._result(out_data, (x, w) if b is None else (x, w, b), backward)
+
+
+def two_layer(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``relu(x @ w1 + b1) @ w2 + b2`` as one node: ``x`` is ``[..., d_in]``,
+    ``w1`` ``[d_in, d_hidden]`` and ``w2`` ``[d_hidden, d_out]``.
+
+    Backward reads ``x`` and the post-relu hidden activations, whose
+    positive entries are exactly where the pre-activation is positive, so
+    the pre-activation is not kept.  The relu is ``np.maximum``, which keeps
+    NaN.
+    """
+    if (x.ndim < 1 or w1.ndim != 2 or w2.ndim != 2 or x.shape[-1] != w1.shape[0]
+            or w1.shape[1] != w2.shape[0] or b1.shape != w1.shape[1:]
+            or b2.shape != w2.shape[1:]):
+        raise ShapeError(f"two_layer: incompatible shapes x {x.shape}, w1 {w1.shape}, "
+                         f"b1 {b1.shape}, w2 {w2.shape}, b2 {b2.shape}")
+    d_in, d_hidden = w1.shape
+    d_out = w2.shape[1]
+    h = x.data @ w1.data
+    h += b1.data
+    np.maximum(h, 0.0, out=h)
+    out_data = h @ w2.data
+    out_data += b2.data
+
+    def backward(g):
+        g_rows = g.reshape(-1, d_out)
+        if w2.requires_grad:
+            w2._accum(h.reshape(-1, d_hidden).T @ g_rows)
+        if b2.requires_grad:
+            b2._accum(g_rows.sum(axis=0))
+        g_pre = g @ w2.data.T
+        g_pre *= h > 0.0
+        g_pre_rows = g_pre.reshape(-1, d_hidden)
+        if w1.requires_grad:
+            w1._accum(x.data.reshape(-1, d_in).T @ g_pre_rows)
+        if b1.requires_grad:
+            b1._accum(g_pre_rows.sum(axis=0))
+        if x.requires_grad:
+            x._accum(g_pre @ w1.data.T)
+
+    return Tensor._result(out_data, (x, w1, b1, w2, b2), backward)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -299,16 +340,6 @@ def reshape(a: Tensor, shape) -> Tensor:
 # ---- unary elementwise ----
 
 
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0.0
-
-    def backward(g):
-        a._accum(g * mask)
-
-    # np.maximum keeps NaN, which a select on ``mask`` would turn into 0
-    return Tensor._result(np.maximum(a.data, 0.0), (a,), backward)
-
-
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
     out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
@@ -320,15 +351,6 @@ def sigmoid(a: Tensor) -> Tensor:
     return Tensor._result(out_data, (a,), backward)
 
 
-def sqrt(a: Tensor) -> Tensor:
-    out_data = np.sqrt(a.data)
-
-    def backward(g):
-        a._accum(g * 0.5 / out_data)
-
-    return Tensor._result(out_data, (a,), backward)
-
-
 def absolute(a: Tensor) -> Tensor:
     sign = np.sign(a.data)  # subgradient 0 at exactly 0
 
@@ -336,15 +358,6 @@ def absolute(a: Tensor) -> Tensor:
         a._accum(g * sign)
 
     return Tensor._result(np.abs(a.data), (a,), backward)
-
-
-def clamp_min(a: Tensor, floor: float) -> Tensor:
-    open_mask = a.data > floor
-
-    def backward(g):
-        a._accum(g * open_mask)
-
-    return Tensor._result(np.maximum(a.data, floor), (a,), backward)
 
 
 def stop_gradient(a: Tensor) -> Tensor:
@@ -439,14 +452,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         """[B, heads, T, head_dim] -> [B, T, d]"""
         return x.transpose(0, 2, 1, 3).reshape(b, -1, d)
 
-    q_h = by_step(q.data, t_tgt)
-    k_h = by_feature(k.data, t_src)
-    v_h = by_feature(v.data, t_src)
-    maps = _softmax((q_h @ k_h) * scale + key_bias[:, None, None, :], -1)
-    mixed = v_h @ np.ascontiguousarray(np.swapaxes(maps, -1, -2))  # [B, heads, head_dim, T_tgt]
+    scores = by_step(q.data, t_tgt) @ by_feature(k.data, t_src)
+    maps = _softmax(scores * scale + key_bias[:, None, None, :], -1)
+    # [B, heads, head_dim, T_tgt]
+    mixed = by_feature(v.data, t_src) @ np.ascontiguousarray(np.swapaxes(maps, -1, -2))
     out_data = np.ascontiguousarray(np.swapaxes(mixed.reshape(b, d, t_tgt), -1, -2))
 
     def backward(g):
+        # the head layouts are rebuilt from the inputs rather than kept
+        q_h = by_step(q.data, t_tgt)
+        k_h = by_feature(k.data, t_src)
+        v_h = by_feature(v.data, t_src)
         g_h = g.reshape(b, t_tgt, heads, hd).transpose(0, 2, 1, 3)  # [B, heads, T_tgt, head_dim]
         if v.requires_grad:
             v._accum(merge(np.swapaxes(maps, -1, -2) @ g_h))
@@ -554,6 +570,18 @@ def margin_hinge(cos: Tensor, mods: Array, classes: Array,
 # ---- temporal convolution ----
 
 
+def _taps(t: int, w: int):
+    """For each tap k of a width-``w`` window centred on each of ``t``
+    steps with zero same-padding: ``(k, lo, hi, src)``, where output rows
+    ``lo..hi-1`` read input rows ``src..src+hi-lo-1`` and every other
+    output row reads padding."""
+    pad = w // 2
+    for k in range(w):
+        lo, hi = max(0, pad - k), min(t, t + pad - k)
+        if lo < hi:
+            yield k, lo, hi, lo + k - pad
+
+
 def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     """1-D temporal convolution with zero same-padding.
 
@@ -562,6 +590,11 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     the output keeps the input temporal length.  Zero rows after a shorter
     sequence's end act exactly like its padding, so a zero-padded batch
     gives every sequence's valid rows as if it were convolved alone.
+
+    Forward is one product of the im2col matrix (row t holds the window
+    centred on step t) with the flattened kernel.  That matrix is w times
+    the size of ``x``, so it is dropped: backward forms the kernel gradient
+    tap by tap from shifted slices of ``x``.
     """
     if x.ndim < 2 or kernel.ndim != 3:
         raise ShapeError(f"conv1d: expected [..., T, d_in] and [w, d_in, d_out], got {x.shape} and {kernel.shape}")
@@ -570,57 +603,110 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ConfigError(f"conv1d kernel width must be odd, got {w}")
     if x.shape[-1] != d_in:
         raise ShapeError(f"conv1d: input feature dim {x.shape[-1]} != kernel d_in {d_in}")
-    lead, t_in = x.shape[:-2], x.shape[-2]
-    pad = w // 2
-    xp = np.zeros(lead + (t_in + 2 * pad, d_in))
-    xp[..., pad:pad + t_in, :] = x.data
-    # im2col: row t holds the width-w window centered on input step t
-    col = np.empty(lead + (t_in, w * d_in))
-    for k in range(w):
-        col[..., k * d_in:(k + 1) * d_in] = xp[..., k:k + t_in, :]
+    t_in = x.shape[-2]
+    col = np.zeros(x.shape[:-1] + (w * d_in,))
+    for k, lo, hi, src in _taps(t_in, w):
+        col[..., lo:hi, k * d_in:(k + 1) * d_in] = x.data[..., src:src + hi - lo, :]
     k_flat = kernel.data.reshape(w * d_in, d_out)
     out_data = col @ k_flat
     if bias is not None:
-        out_data = out_data + bias.data
+        out_data += bias.data
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
 
     def backward(g):
-        kernel._accum((col.reshape(-1, w * d_in).T @ g.reshape(-1, d_out)).reshape(w, d_in, d_out))
-        if bias is not None:
-            bias._accum(g.reshape(-1, d_out).sum(axis=0))
+        g_rows = g.reshape(-1, d_out)
+        if kernel.requires_grad:
+            g_kernel = np.zeros((w, d_in, d_out))
+            for k, lo, hi, src in _taps(t_in, w):
+                g_kernel[k] = (x.data[..., src:src + hi - lo, :].reshape(-1, d_in).T
+                               @ g[..., lo:hi, :].reshape(-1, d_out))
+            kernel._accum(g_kernel)
+        if bias is not None and bias.requires_grad:
+            bias._accum(g_rows.sum(axis=0))
         if not x.requires_grad:
             return
         g_col = g @ k_flat.T
-        g_xp = np.zeros(lead + (t_in + 2 * pad, d_in))
-        for k in range(w):
-            g_xp[..., k:k + t_in, :] += g_col[..., k * d_in:(k + 1) * d_in]
-        x._accum(g_xp[..., pad:pad + t_in, :])
+        g_x = np.zeros(x.shape)
+        for k, lo, hi, src in _taps(t_in, w):
+            g_x[..., src:src + hi - lo, :] += g_col[..., lo:hi, k * d_in:(k + 1) * d_in]
+        x._accum(g_x)
 
     return Tensor._result(out_data, parents, backward)
 
 
-# ---- composite helpers used throughout the model ----
+# ---- fused losses and poolings used throughout the model ----
 
 
 def cosine(u: Tensor, v: Tensor, eps: float = 1e-12) -> Tensor:
     """Cosine similarity along the last axis, in [-1, 1]; ``[..., d]``
-    inputs give ``[...]``.
+    inputs give ``[...]``.  One node; backward reads only the inputs and
+    per-row scalars.
 
-    The denominator is clamped at ``eps`` so an all-zero vector yields 0
-    instead of dividing by zero (and keeps the backward pass finite).
+    Each squared norm is clamped at ``eps**2`` and the norms' product at
+    ``eps``, so an all-zero vector yields 0 instead of dividing by zero
+    (and keeps the backward pass finite).
     """
     if u.ndim < 1 or u.shape != v.shape:
         raise ShapeError(f"cosine expects equal-shape vectors, got {u.shape} and {v.shape}")
-    num = tsum(mul(u, v), axis=-1)
-    nu = sqrt(clamp_min(tsum(mul(u, u), axis=-1), eps * eps))
-    nv = sqrt(clamp_min(tsum(mul(v, v), axis=-1), eps * eps))
-    return div(num, clamp_min(mul(nu, nv), eps))
+    num = (u.data * v.data).sum(axis=-1)
+    su = (u.data * u.data).sum(axis=-1)
+    sv = (v.data * v.data).sum(axis=-1)
+    nu = np.sqrt(np.maximum(su, eps * eps))
+    nv = np.sqrt(np.maximum(sv, eps * eps))
+    prod = nu * nv
+    den = np.maximum(prod, eps)
+    out_data = num / den
+
+    def backward(g):
+        g_num = (g / den)[..., None]
+        g_prod = (-g * num / (den * den)) * (prod > eps)
+        if u.requires_grad:
+            g_su = g_prod * nv * 0.5 / nu * (su > eps * eps)
+            u._accum(g_num * v.data + (2.0 * g_su)[..., None] * u.data)
+        if v.requires_grad:
+            g_sv = g_prod * nu * 0.5 / nv * (sv > eps * eps)
+            v._accum(g_num * u.data + (2.0 * g_sv)[..., None] * v.data)
+
+    return Tensor._result(out_data, (u, v), backward)
 
 
-def frobenius_sq(a: Tensor) -> Tensor:
-    """Squared Frobenius norm: sum of squared entries."""
-    return tsum(mul(a, a))
+def l2_normalize(x: Tensor, sq_floor: float) -> Tensor:
+    """Each row of ``[..., d]`` divided by its L2 norm, the squared norm
+    clamped at ``sq_floor``, as one node."""
+    if x.ndim < 1:
+        raise ShapeError(f"l2_normalize needs at least 1 axis, got shape {x.shape}")
+    sq = (x.data * x.data).sum(axis=-1, keepdims=True)
+    norms = np.sqrt(np.maximum(sq, sq_floor))
+
+    def backward(g):
+        g_norms = (-g * x.data / (norms * norms)).sum(axis=-1, keepdims=True)
+        g_sq = g_norms * 0.5 / norms * (sq > sq_floor)
+        x._accum(g / norms + (2.0 * g_sq) * x.data)
+
+    return Tensor._result(x.data / norms, (x,), backward)
+
+
+def masked_sq_distance(a: Tensor, b: Tensor, mask: Array) -> Tensor:
+    """Squared Frobenius norm of ``(a - b)`` with each row of ``[..., T, d]``
+    weighted by the constant ``mask`` ``[..., T]``, as one node that keeps
+    only the masked difference."""
+    if a.shape != b.shape or a.ndim < 1 or np.shape(mask) != a.shape[:-1]:
+        raise ShapeError(f"masked_sq_distance: shapes {a.shape} vs {b.shape}, "
+                         f"mask {np.shape(mask)}")
+    weights = mask[..., None]
+    diff = a.data - b.data
+    diff *= weights
+
+    def backward(g):
+        g_diff = (2.0 * g) * diff
+        g_diff *= weights
+        if a.requires_grad:
+            a._accum(g_diff)
+        if b.requires_grad:
+            b._accum(-g_diff)
+
+    return Tensor._result((diff * diff).sum(), (a, b), backward)
 
 
 def mean_pool_time(x: Tensor, mask: Array) -> Tensor:
@@ -628,14 +714,19 @@ def mean_pool_time(x: Tensor, mask: Array) -> Tensor:
     sequence, giving ``[..., d]``.
 
     ``mask`` is a constant 0/1 array shaped ``[..., T]``; the pool is one
-    matmul with weights ``mask / length``, so padded rows contribute exactly
-    zero and the divisor is the true length, never the padded one.
+    node around one matmul with weights ``mask / length``, so padded rows
+    contribute exactly zero and the divisor is the true length, never the
+    padded one.
     """
     if x.ndim < 2 or np.shape(mask) != x.shape[:-1]:
         raise ShapeError(f"mean_pool_time: got x {x.shape}, mask {np.shape(mask)}")
     lengths = mask.sum(axis=-1, keepdims=True)
     if np.any(lengths == 0):
         raise ShapeError("mean_pool_time: a sequence has no valid step")
-    weights = mask / lengths
-    pooled = matmul(Tensor(weights[..., None, :]), x)
-    return reshape(pooled, x.shape[:-2] + x.shape[-1:])
+    weights = (mask / lengths)[..., None, :]  # [..., 1, T]
+    pooled_shape = x.shape[:-2] + x.shape[-1:]
+
+    def backward(g):
+        x._accum(np.swapaxes(weights, -1, -2) @ g.reshape(weights.shape[:-1] + g.shape[-1:]))
+
+    return Tensor._result((weights @ x.data).reshape(pooled_shape), (x,), backward)

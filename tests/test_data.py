@@ -256,6 +256,44 @@ def test_load_empty_manifest_warns(tmp_path, caplog):
     assert out == [] and any("no samples" in r.message for r in caplog.records)
 
 
+def test_load_rejects_extra_fields_naming_sample(tmp_path):
+    cfg = small_config()
+    samples = generate(2, seed=18, config=cfg)
+    manifest = save_dataset(samples, tmp_path)
+    header, first, second = manifest.read_text().splitlines()
+    manifest.write_text("\n".join([header, first + ",junk,more", second]) + "\n")
+    with pytest.raises(DataError, match="beyond") as exc:
+        load_features(manifest, dims=cfg.raw_dims)
+    assert samples[0].id in str(exc.value)
+
+
+def test_load_rejects_duplicate_sample_id(tmp_path):
+    cfg = small_config()
+    samples = generate(3, seed=19, config=cfg)
+    manifest = save_dataset(samples, tmp_path)
+    lines = manifest.read_text().splitlines()
+    manifest.write_text("\n".join(lines + [lines[1]]) + "\n")
+    with pytest.raises(DataError, match="twice") as exc:
+        load_features(manifest, dims=cfg.raw_dims)
+    assert samples[0].id in str(exc.value)
+
+
+def test_load_header_with_spaces_round_trips(tmp_path):
+    cfg = small_config()
+    samples = generate(2, seed=20, config=cfg)
+    manifest = save_dataset(samples, tmp_path)
+    header, *rows = manifest.read_text().splitlines()
+    spaced = ", ".join(" " + name for name in header.split(","))
+    manifest.write_text("\n".join([spaced] + rows) + "\n")
+    loaded = load_features(manifest, dims=cfg.raw_dims)
+    assert [s.id for s in loaded] == [s.id for s in samples]
+    for orig, back in zip(samples, loaded):
+        assert back.label == orig.label
+        for m in MODALITIES:
+            np.testing.assert_array_equal(back.sequences[m].features,
+                                          orig.sequences[m].features)
+
+
 def test_load_rejects_wrong_header(tmp_path):
     manifest = tmp_path / "manifest.csv"
     manifest.write_text("id,score,path_L,path_V,path_A\n")

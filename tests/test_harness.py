@@ -15,7 +15,7 @@ import pytest
 from modal_distill.checkpoint import load_checkpoint, save_checkpoint
 from modal_distill.cli import _build_config, build_parser, main
 from modal_distill.config import TrainConfig, apply_overrides, load_config
-from modal_distill.data import Modality, SyntheticConfig, generate
+from modal_distill.data import Modality, SyntheticConfig, generate, save_dataset
 from modal_distill.errors import ConfigError, DataError, NumericError
 from modal_distill.model import Model
 from modal_distill.tensor import Tensor
@@ -569,6 +569,14 @@ def test_cli_usage_errors_exit_one(tmp_path):
 def test_cli_data_errors_exit_two(tmp_path):
     assert main(["eval", "--checkpoint", str(tmp_path / "absent.npz"),
                  "--synthetic", "4"]) == 2
+
+
+def test_cli_manifest_with_duplicate_id_exits_two(tmp_path):
+    manifest = save_dataset(generate(3, 0), tmp_path / "data")
+    lines = manifest.read_text().splitlines()
+    manifest.write_text("\n".join(lines + [lines[2]]) + "\n")
+    assert main(["train", "--data", str(manifest), "--epochs", "1",
+                 "--out", str(tmp_path / "run")]) == 2
 
 
 def test_cli_numeric_failures_exit_three():

@@ -145,6 +145,15 @@ def test_graph_size_does_not_grow_with_batch():
     assert nodes[0] == nodes[1]
 
 
+def test_default_step_node_ceiling():
+    """A default B=16 training forward stays within 300 autodiff nodes, and
+    with all four stages off within 69."""
+    batch = make_batch(generate(16, 3))
+    assert count_nodes(Model(TrainConfig(seed=3)).forward_batch(batch).total) <= 300
+    ablated = TrainConfig(seed=3, fd=False, homogd=False, ca=False, heterogd=False)
+    assert count_nodes(Model(ablated).forward_batch(batch).total) <= 69
+
+
 # ---- ablation toggles ----
 
 TOGGLE_ROWS = [

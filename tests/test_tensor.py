@@ -12,23 +12,22 @@ from modal_distill.tensor import (
     absolute,
     affine,
     attention,
-    clamp_min,
     concat,
     conv1d,
     cosine,
-    frobenius_sq,
+    l2_normalize,
     margin_hinge,
+    masked_sq_distance,
     matmul,
     mean_pool_time,
-    relu,
     reshape,
     sigmoid,
     softmax,
-    sqrt,
     stop_gradient,
     tmean,
     transpose,
     tsum,
+    two_layer,
 )
 
 from conftest import check_grads, numeric_grad, rel_err
@@ -215,13 +214,55 @@ def test_margin_hinge_non_finite_cosine_gives_nan():
         assert np.isnan(c.grad).all()
 
 
-def test_relu_keeps_nan():
-    a = Tensor(np.array([np.nan, -1.0, -0.0, 2.0]), requires_grad=True)
-    out = relu(a)
-    np.testing.assert_array_equal(out.data, [np.nan, 0.0, 0.0, 2.0])
-    assert not np.signbit(out.data[2])
+def test_two_layer_keeps_nan():
+    # identity weights, so the output is the hidden relu of the input
+    x = Tensor(np.array([[np.nan], [-1.0], [-0.0], [2.0]]), requires_grad=True)
+    one, zero = Tensor(np.eye(1), requires_grad=True), Tensor(np.zeros(1), requires_grad=True)
+    out = two_layer(x, one, zero, one, zero)
+    np.testing.assert_array_equal(out.data[:, 0], [np.nan, 0.0, 0.0, 2.0])
+    assert not np.signbit(out.data[2, 0])
     tsum(out).backward()
-    np.testing.assert_array_equal(a.grad, [0.0, 0.0, 0.0, 1.0])
+    np.testing.assert_array_equal(x.grad[:, 0], [0.0, 0.0, 0.0, 1.0])
+    assert np.isnan(one.grad).all()  # the NaN reaches the weights' gradient
+
+
+def test_fused_ops_match_their_numpy_chains():
+    # each fused node runs the numpy operations of the node chain it
+    # replaced, in the same order, so its forward values are bit-identical
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((2, 5, 4))
+    y = rng.standard_normal((2, 5, 4))
+    w1, b1 = rng.standard_normal((4, 6)), rng.standard_normal(6)
+    w2, b2 = rng.standard_normal((6, 3)), rng.standard_normal(3)
+    mask = np.array([[1.0, 1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0, 1.0]])
+    fused = two_layer(Tensor(x), Tensor(w1), Tensor(b1), Tensor(w2), Tensor(b2)).data
+    np.testing.assert_array_equal(fused, np.maximum(x @ w1 + b1, 0.0) @ w2 + b2)
+    masked = (x - y) * mask[..., None]
+    np.testing.assert_array_equal(masked_sq_distance(Tensor(x), Tensor(y), mask).data,
+                                  (masked * masked).sum())
+    eps = 1e-12
+    nx = np.sqrt(np.maximum((x * x).sum(axis=-1), eps * eps))
+    ny = np.sqrt(np.maximum((y * y).sum(axis=-1), eps * eps))
+    np.testing.assert_array_equal(cosine(Tensor(x), Tensor(y)).data,
+                                  (x * y).sum(axis=-1) / np.maximum(nx * ny, eps))
+    norms = np.sqrt(np.maximum((x * x).sum(axis=-1, keepdims=True), 1e-24))
+    np.testing.assert_array_equal(l2_normalize(Tensor(x), 1e-24).data, x / norms)
+    weights = mask / mask.sum(axis=-1, keepdims=True)
+    np.testing.assert_array_equal(mean_pool_time(Tensor(x), mask).data,
+                                  (weights[:, None, :] @ x)[:, 0])
+
+
+def test_fused_op_shape_errors():
+    x = Tensor(np.zeros((2, 3, 4)))
+    with pytest.raises(ShapeError):
+        two_layer(x, Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)),
+                  Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))
+    with pytest.raises(ShapeError):
+        masked_sq_distance(x, Tensor(np.zeros((2, 3, 5))), np.ones((2, 3)))
+    with pytest.raises(ShapeError):
+        masked_sq_distance(x, x, np.ones((2, 4)))
+    with pytest.raises(ShapeError):
+        l2_normalize(Tensor(3.0), 1e-24)
 
 
 def test_affine_matches_matmul_plus_bias():
@@ -284,6 +325,14 @@ def test_gradients_match_finite_differences(seed):
     key_bias = np.zeros((2, 5))
     key_bias[1, 3:] = -1e30  # the second sequence has two padded keys
     cos = make(rng, 6, 6)
+    batch_c = make(rng, 2, 3, 4)
+    pad_mask = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])  # the second sequence is padded
+    conv_wide = make(rng, 5, 4, 2)  # wider than the 3 steps, so some taps read only padding
+    hidden_w = make(rng, 2, 3)
+    hidden_b = make(rng, 3)
+    out_3 = Tensor(rng.standard_normal((2, 3, 3)))
+    zero_row = Tensor(np.vstack([np.zeros(4), rng.standard_normal((2, 4))]))
+    w_rows = Tensor(rng.standard_normal(3))
     mods, classes = np.tile(np.arange(3), 2), np.repeat([0, 1], 3)
 
     cases = {
@@ -296,11 +345,8 @@ def test_gradients_match_finite_differences(seed):
         "matmul": (lambda: tsum(matmul(a, c)), {"a": a, "c": c}),
         "transpose": (lambda: tsum(matmul(transpose(a), a)), {"a": a}),
         "reshape": (lambda: tsum(reshape(a, (4, 3)) * 2.0), {"a": a}),
-        "relu": (lambda: tsum(relu(a)), {"a": a}),
         "sigmoid": (lambda: tsum(sigmoid(a)), {"a": a}),
-        "sqrt": (lambda: tsum(sqrt(a * a + 1.0)), {"a": a}),
         "abs_shifted": (lambda: tsum(absolute(a + 0.5)), {"a": a}),
-        "clamp": (lambda: tsum(clamp_min(a, 0.1)), {"a": a}),
         "sum_axis": (lambda: tsum(tsum(a, axis=0) * tsum(a, axis=0)), {"a": a}),
         "mean": (lambda: tmean(a * a), {"a": a}),
         "mean_axis": (lambda: tsum(tmean(a, axis=1) * 3.0), {"a": a}),
@@ -312,12 +358,22 @@ def test_gradients_match_finite_differences(seed):
                              {"a": a, "batch_b": batch_b}),
         "transpose_3d": (lambda: tsum(matmul(transpose(batch), batch)), {"batch": batch}),
         "cosine": (lambda: cosine(v, w), {"v": v, "w": w}),
-        "frobenius": (lambda: frobenius_sq(a - b), {"a": a, "b": b}),
+        "cosine_zero_row": (lambda: tsum(cosine(zero_row, b) * w_rows), {"b": b}),
+        "l2_normalize": (lambda: tsum(l2_normalize(a, 1e-24) * b), {"a": a, "b": b}),
+        "masked_sq_distance": (lambda: masked_sq_distance(batch, batch_c, pad_mask) * 0.5,
+                               {"batch": batch, "batch_c": batch_c}),
+        "two_layer": (lambda: tsum(two_layer(a, c, bias, hidden_w, hidden_b) * out_3),
+                      {"a": a, "c": c, "bias": bias, "hidden_w": hidden_w, "hidden_b": hidden_b}),
+        "two_layer_3d": (lambda: tsum(two_layer(batch, c, bias, hidden_w, hidden_b) * out_3),
+                         {"batch": batch, "c": c, "bias": bias, "hidden_w": hidden_w,
+                          "hidden_b": hidden_b}),
         "mean_pool": (lambda: tsum(mean_pool_time(a, np.ones(3)) * tsum(b, axis=0)),
                       {"a": a, "b": b}),
         "cosine_rows": (lambda: tsum(cosine(a, b)), {"a": a, "b": b}),
         "conv1d_batch": (lambda: tsum(conv1d(batch, conv_k) * 0.5),
                          {"batch": batch, "conv_k": conv_k}),
+        "conv1d_wide_bias": (lambda: tsum(conv1d(batch, conv_wide, bias) * out_w),
+                             {"batch": batch, "conv_wide": conv_wide, "bias": bias}),
         "affine": (lambda: tsum(affine(a, c) * out_w.data[0]), {"a": a, "c": c}),
         "affine_bias": (lambda: tsum(affine(a, c, bias) * out_w.data[1]),
                         {"a": a, "c": c, "bias": bias}),
@@ -434,5 +490,7 @@ def test_no_tape_recorded_without_requires_grad():
 def test_forward_values_stay_finite():
     rng = np.random.default_rng(11)
     x = Tensor(rng.standard_normal((4, 4)) * 20.0)
-    for op in (relu, sigmoid, lambda t: softmax(t, axis=1)):
+    eye, zero = Tensor(np.eye(4)), Tensor(np.zeros(4))
+    for op in (lambda t: two_layer(t, eye, zero, eye, zero), sigmoid,
+               lambda t: softmax(t, axis=1)):
         assert np.all(np.isfinite(op(x).data))
