@@ -331,7 +331,10 @@ def _read_feature_csv(path: Path, sample_id: str, modality: Modality,
     if not path.is_file():
         raise DataError(f"sample {sample_id}: missing {modality.tag} feature file {path}")
     try:
-        mat = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
+        # an open handle skips numpy's per-call path and URL resolution; a
+        # plain open() decodes with the locale encoding, as numpy would
+        with open(path) as fh:
+            mat = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=np.float64)
     except ValueError as exc:
         raise DataError(f"sample {sample_id}: unparseable {modality.tag} feature file {path}: {exc}") from exc
     if mat.size == 0:

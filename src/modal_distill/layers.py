@@ -1,7 +1,10 @@
 """Small parametric building blocks shared by all model components.
 
 Parameters live in plain dicts of name -> Tensor so the optimizer and the
-checkpoint writer can treat every component uniformly.  Initialization draws
+checkpoint writer can treat every component uniformly.  ``Adam`` rebinds
+each parameter's ``data`` as a view of one flat arena and updates it in
+place between steps: a snapshot that must outlive a step is a copy
+(checkpoints write the arrays out at once).  Initialization draws
 from a caller-supplied Generator; nothing in this module touches global RNG
 state.
 """

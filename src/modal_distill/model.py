@@ -110,7 +110,10 @@ class Model:
                 raise DataError(
                     f"parameter {name}: checkpoint shape {arrays[name].shape} "
                     f"!= model shape {tensor.data.shape}")
-            tensor.data = arrays[name].astype(np.float64, copy=True)
+        # copy into the existing buffers, so parameters bound into an
+        # optimizer's arena stay bound
+        for name, tensor in params.items():
+            tensor.data[...] = arrays[name]
 
     # ---- forward ----
 

@@ -8,7 +8,9 @@ are no retained-graph semantics and no global state, which also makes
 independent graphs safe to build on different threads.
 
 Tensors are treated as immutable once created inside a forward pass.  The
-optimizer mutates parameter ``data`` buffers only between steps.
+optimizer binds every parameter's ``data`` as a view of one flat arena and
+updates it in place between steps, so code that needs a parameter's value
+across a step must copy it.
 """
 
 from __future__ import annotations

@@ -27,10 +27,22 @@ log = logging.getLogger(__name__)
 
 
 class Adam:
-    """Adam with bias correction.  Parameters with no gradient this step are
-    treated as having a zero gradient, so the update schedule (and therefore
-    any bitwise reproduction of a run) never depends on which loss terms
-    happened to touch which parameters."""
+    """Adam with bias correction, run as one pass over a flat parameter arena.
+
+    The constructor copies every parameter, in ``params`` order, into one
+    contiguous float64 ``arena`` and rebinds each ``.data`` to a view of it;
+    ``m`` and ``v`` are arena-sized too.  ``step`` gathers the gradients
+    into one arena-sized array and updates ``arena``, ``m`` and ``v`` in
+    place with whole-arena ufuncs.  Adam is elementwise and the ufuncs run
+    the per-tensor expressions in the same order, so every parameter is
+    bit-identical to updating each tensor on its own.
+
+    Parameters with no gradient this step are treated as having a zero
+    gradient, so the update schedule (and therefore any bitwise
+    reproduction of a run) never depends on which loss terms happened to
+    touch which parameters.  A non-finite gradient raises ``NumericError``
+    before anything is updated; a non-finite updated parameter raises it
+    after the update."""
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -42,22 +54,56 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        # arena offset of each parameter, plus the total size at the end
+        self.bounds = np.cumsum([0] + [p.data.size for p in self.params.values()]).tolist()
+        self.arena = np.empty(self.bounds[-1])
+        for p, lo, hi in zip(self.params.values(), self.bounds, self.bounds[1:]):
+            view = self.arena[lo:hi].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
+        self.m = np.zeros_like(self.arena)
+        self.v = np.zeros_like(self.arena)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None
 
+    def _check_finite(self, values: np.ndarray, what: str, t: int) -> None:
+        if np.isfinite(values).all():
+            return
+        first = int(np.argmin(np.isfinite(values)))
+        name = list(self.params)[int(np.searchsorted(self.bounds, first, side="right")) - 1]
+        raise NumericError(f"non-finite {what} of parameter {name} at optimizer step {t}")
+
     def step(self) -> None:
-        self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
-        for key, p in self.params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m = self.m[key] = self.beta1 * self.m[key] + (1.0 - self.beta1) * g
-            v = self.v[key] = self.beta2 * self.v[key] + (1.0 - self.beta2) * (g * g)
-            p.data = p.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        t = self.t + 1
+        g = np.empty_like(self.arena)
+        for p, lo, hi in zip(self.params.values(), self.bounds, self.bounds[1:]):
+            g[lo:hi] = 0.0 if p.grad is None else p.grad.reshape(-1)
+        self._check_finite(g, "gradient", t)
+        self.t = t
+        b1, b2 = self.beta1, self.beta2
+        bc1 = 1.0 - b1 ** t
+        bc2 = 1.0 - b2 ** t
+        m, v = self.m, self.v
+        # m = b1 * m + (1 - b1) * g
+        m *= b1
+        tmp = np.multiply(g, 1.0 - b1)
+        m += tmp
+        # v = b2 * v + (1 - b2) * (g * g)
+        v *= b2
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - b2
+        v += tmp
+        # arena = arena - lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        np.divide(m, bc1, out=g)
+        g *= self.lr
+        g /= tmp
+        self.arena -= g
+        self._check_finite(self.arena, "updated value", t)
 
 
 # ---- metrics ----

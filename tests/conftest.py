@@ -108,6 +108,32 @@ def margin_oracle(cos: np.ndarray, tags, alpha: float) -> tuple[float, int, np.n
     return float(np.mean(np.maximum(hinge, 0.0))), int(ii.size), counts * (1.0 / ii.size)
 
 
+class ReferenceAdam:
+    """Adam updating each parameter tensor on its own, with fresh arrays per
+    step: the oracle the arena ``Adam`` must match bit for bit."""
+
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        self.params = dict(params)
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+
+    def step(self) -> None:
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for key, p in self.params.items():
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            m = self.m[key] = self.beta1 * self.m[key] + (1.0 - self.beta1) * g
+            v = self.v[key] = self.beta2 * self.v[key] + (1.0 - self.beta2) * (g * g)
+            p.data = p.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+
 def probe_multiclass_accuracy(feats: np.ndarray, classes: np.ndarray,
                               seed: int = 0, reg: float = 1e-2) -> float:
     """Accuracy of a one-vs-rest ridge probe on held-out rows."""

@@ -5,6 +5,7 @@ import gc
 import importlib
 import json
 import math
+import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -15,7 +16,7 @@ import pytest
 from modal_distill.checkpoint import load_checkpoint, save_checkpoint
 from modal_distill.cli import _build_config, build_parser, main
 from modal_distill.config import TrainConfig, apply_overrides, load_config
-from modal_distill.data import Modality, SyntheticConfig, generate, save_dataset
+from modal_distill.data import Modality, SyntheticConfig, generate, make_batch, save_dataset
 from modal_distill.errors import ConfigError, DataError, NumericError
 from modal_distill.model import Model
 from modal_distill.tensor import Tensor
@@ -33,7 +34,7 @@ from modal_distill.train import (
     train,
 )
 
-from conftest import probe_multiclass_accuracy
+from conftest import ReferenceAdam, probe_multiclass_accuracy
 
 SMALL_RAW = {Modality.LANGUAGE: 6, Modality.VISION: 5, Modality.AUDIO: 4}
 
@@ -185,6 +186,70 @@ def test_adam_leaves_gradless_params_untouched():
 def test_adam_rejects_bad_lr():
     with pytest.raises(ConfigError):
         Adam({}, lr=0.0)
+
+
+ALL_STAGES_OFF = dict(fd=False, homogd=False, ca=False, heterogd=False)
+
+
+@pytest.mark.parametrize("stages, n_gradless", [({}, 0), (ALL_STAGES_OFF, 66)],
+                         ids=["all_on", "all_off"])
+def test_adam_matches_per_tensor_reference(stages, n_gradless):
+    """Twenty steps with real gradients and a new lr before each, as
+    ``train`` runs them: every parameter and every moment slice of the arena
+    Adam equals the per-tensor oracle's bit for bit."""
+    cfg = TrainConfig(**stages)
+    model = Model(cfg)
+    params, twin = model.parameters(), Model(cfg).parameters()
+    opt = Adam(params, lr=cfg.lr)
+    ref = ReferenceAdam(twin, lr=cfg.lr)
+    samples = generate(16, seed=3)
+    n_steps = 20
+    for step in range(n_steps):
+        batch = make_batch(samples[4 * (step % 4):4 * (step % 4) + 4], mode=cfg.mode)
+        opt.zero_grad()
+        model.forward_batch(batch).total.backward()
+        assert sum(p.grad is None for p in params.values()) == n_gradless
+        for name, p in params.items():
+            twin[name].grad = p.grad
+        opt.lr = ref.lr = cfg.lr * 0.5 * (1.0 + math.cos(math.pi * step / n_steps))
+        opt.step()
+        ref.step()
+    for name, lo, hi in zip(params, opt.bounds, opt.bounds[1:]):
+        assert np.array_equal(params[name].data, twin[name].data), name
+        assert np.array_equal(opt.m[lo:hi], ref.m[name].ravel()), name
+        assert np.array_equal(opt.v[lo:hi], ref.v[name].ravel()), name
+        assert np.shares_memory(params[name].data, opt.arena), name
+
+
+def test_adam_non_finite_gradient_changes_nothing():
+    params = Model(tiny_config(), dict(SMALL_RAW)).parameters()
+    opt = Adam(params, lr=0.1)
+    for p in params.values():
+        p.grad = np.ones_like(p.data)
+    opt.step()
+    before = opt.arena.copy(), opt.m.copy(), opt.v.copy()
+    names = list(params)
+    first, later = names[len(names) // 2], names[-1]
+    for p in params.values():
+        p.grad = np.full_like(p.data, 0.5)
+    params[later].grad.flat[0] = np.inf
+    params[first].grad.flat[-1] = np.nan
+    with pytest.raises(NumericError, match=re.escape(
+            f"non-finite gradient of parameter {first} at optimizer step 2")):
+        opt.step()
+    assert opt.t == 1
+    for kept, now in zip(before, (opt.arena, opt.m, opt.v)):
+        assert np.array_equal(kept, now)
+
+
+def test_adam_non_finite_update_names_parameter():
+    params = Model(tiny_config(), dict(SMALL_RAW)).parameters()
+    opt = Adam(params, lr=0.1)
+    name = list(params)[3]
+    params[name].data.flat[0] = np.inf
+    with pytest.raises(NumericError, match=re.escape(
+            f"non-finite updated value of parameter {name} at optimizer step 1")):
+        opt.step()
 
 
 # ---- training loop ----
@@ -581,6 +646,37 @@ def test_cli_manifest_with_duplicate_id_exits_two(tmp_path):
 
 def test_cli_numeric_failures_exit_three():
     assert main(["gradcheck", "--probes", "2", "--tol", "-1"]) == 3
+
+
+def test_cli_non_finite_gradient_exits_three_keeping_best_checkpoint(tmp_path, monkeypatch, capsys):
+    """A non-finite gradient in the second epoch stops training with exit
+    code 3 before any update, and the first epoch's best checkpoint stays
+    as it was written."""
+    import modal_distill.train as train_mod
+
+    ckpt = tmp_path / "run" / "checkpoint.npz"
+    models, saved = [], []
+
+    class CapturedModel(Model):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            models.append(self)
+
+    backward = Tensor.backward
+
+    def poisoning_backward(self):
+        backward(self)
+        if ckpt.exists():  # written by the first epoch's validation
+            saved.append(ckpt.read_bytes())
+            models[0].parameters()["fusion.head.first.weight"].grad[0, 0] = np.nan
+
+    monkeypatch.setattr(train_mod, "Model", CapturedModel)
+    monkeypatch.setattr(Tensor, "backward", poisoning_backward)
+    rc = main(["train", "--synthetic", "12", "--d", "4", "--heads", "2", "--epochs", "3",
+               "--batch-size", "4", "--out", str(tmp_path / "run")])
+    assert rc == 3
+    assert "non-finite gradient of parameter fusion.head.first.weight" in capsys.readouterr().err
+    assert len(saved) == 1 and ckpt.read_bytes() == saved[0]
 
 
 def test_cli_gradcheck_passes():

@@ -18,6 +18,9 @@ from modal_distill.data import (
 from modal_distill.errors import ConfigError, DataError
 from modal_distill.model import COMPONENT_NAMES, Model
 from modal_distill.tensor import Tensor, mean_pool_time
+from modal_distill.train import Adam
+
+from conftest import ReferenceAdam
 
 SMALL_RAW = {Modality.LANGUAGE: 6, Modality.VISION: 5, Modality.AUDIO: 4}
 
@@ -268,6 +271,26 @@ def test_load_parameters_round_trip():
     model_b.load_parameters(arrays)
     for k, t in model_b.parameters().items():
         assert np.array_equal(t.data, arrays[k])
+
+
+def test_load_parameters_keeps_optimizer_arena_binding():
+    """Loading copies into the existing buffers: parameters stay views of
+    the optimizer's arena, and the next step starts from the loaded values."""
+    model = Model(small_config(seed=1), dict(SMALL_RAW))
+    opt = Adam(model.parameters(), lr=0.01)
+    donor = Model(small_config(seed=2), dict(SMALL_RAW))
+    loaded = {k: t.data.copy() for k, t in donor.parameters().items()}
+    model.load_parameters(loaded)
+    twin = {k: Tensor(a.copy()) for k, a in loaded.items()}
+    ref = ReferenceAdam(twin, lr=0.01)
+    rng = np.random.default_rng(0)
+    for k, p in model.parameters().items():
+        p.grad = twin[k].grad = rng.standard_normal(p.data.shape)
+    opt.step()
+    ref.step()
+    for k, p in model.parameters().items():
+        assert np.shares_memory(p.data, opt.arena), k
+        assert np.array_equal(p.data, twin[k].data), k
 
 
 def test_load_parameters_rejects_mismatch():
