@@ -18,7 +18,8 @@ FORMAT_VERSION = 1
 _META_KEY = "__meta__"
 _PARAM_PREFIX = "param/"
 # config keys of options that no longer exist; older checkpoints carry them
-RETIRED_CONFIG_KEYS = ("detach_teacher", "data_manifest")
+RETIRED_CONFIG_KEYS = ("detach_teacher", "data_manifest", "lr_schedule", "ca_layers",
+                       "conv_width")
 
 
 def save_checkpoint(path: str | Path, params: dict[str, Tensor],

@@ -28,8 +28,6 @@ from .train import (
     train,
 )
 
-log = logging.getLogger(__name__)
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems via ConfigError (exit code 1)."""

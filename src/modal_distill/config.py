@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -21,45 +22,43 @@ class TrainConfig:
     batch_size: int = 16
     epochs: int = 30
     max_steps: int = 0            # 0 = run all epochs; otherwise stop after N steps
-    lr: float = 2e-3
-    lr_schedule: str = "cosine"   # cosine decay to zero, or "constant"
+    lr: float = 2e-3              # peak rate, decayed to zero on a cosine over the run
     seed: int = 0
     fd: bool = True               # feature decoupling
     homogd: bool = True           # distillation over the shared space
     ca: bool = True               # crossmodal attention reinforcement
     heterogd: bool = True         # distillation over reinforced private features
     mode: str = "unaligned"
-    heads: int = 4
-    ca_layers: int = 1
-    conv_width: int = 3
+    heads: int = 4                # attention heads per directed pair (one layer each)
     edge_mode: str = "squared"
     out_dir: str = ""             # empty = keep everything in memory, write no artifacts
 
     def validate(self) -> None:
         if self.d < 1:
             raise ConfigError(f"d must be >= 1, got {self.d}")
+        for name in ("lambda1", "lambda2", "gamma", "lr"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lambda1 < 0 or self.lambda2 < 0 or self.gamma < 0:
             raise ConfigError("lambda1, lambda2, gamma must all be >= 0")
         if not (0 < self.alpha < 2):
             raise ConfigError(f"alpha must lie in (0, 2), got {self.alpha}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.max_steps < 0:
+            raise ConfigError(f"max_steps must be >= 0, got {self.max_steps}")
         if self.epochs < 1 and self.max_steps < 1:
             raise ConfigError("need epochs >= 1 or a positive max_steps")
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.lr_schedule not in ("cosine", "constant"):
-            raise ConfigError(f"lr_schedule must be 'cosine' or 'constant', got {self.lr_schedule!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.heads < 1:
+            raise ConfigError(f"heads must be >= 1, got {self.heads}")
         if self.d % self.heads != 0:
             raise ConfigError(f"d={self.d} must be divisible by heads={self.heads}")
         if self.edge_mode not in EDGE_MODES:
             raise ConfigError(f"edge_mode must be one of {EDGE_MODES}, got {self.edge_mode!r}")
-        if self.conv_width % 2 == 0 or self.conv_width < 1:
-            raise ConfigError(f"conv_width must be odd and positive, got {self.conv_width}")
-        if self.ca_layers < 1:
-            raise ConfigError(f"ca_layers must be >= 1, got {self.ca_layers}")
         # downstream stages consume decoupled features, so they imply fd;
         # mirrors the ablation grid, which never enables them without it
         for name in ("homogd", "ca", "heterogd"):

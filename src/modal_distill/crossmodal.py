@@ -76,22 +76,15 @@ def incoming_sources(target: Modality) -> tuple[Modality, ...]:
 
 
 class CrossmodalReinforcer:
-    """The six directed attention stacks plus the concatenating combiner."""
+    """The six directed attention layers plus the concatenating combiner."""
 
-    def __init__(self, rng: np.random.Generator, d: int, heads: int = 4, layers: int = 1):
-        if layers < 1:
-            raise ConfigError(f"attention depth must be >= 1, got {layers}")
-        self.dim = d
-        self.stacks = {
-            pair: [CrossmodalPair(rng, d, heads) for _ in range(layers)]
-            for pair in DIRECTED_PAIRS
-        }
+    def __init__(self, rng: np.random.Generator, d: int, heads: int = 4):
+        self.layers = {pair: CrossmodalPair(rng, d, heads) for pair in DIRECTED_PAIRS}
 
     def parameters(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
-        for (src, tgt), stack in self.stacks.items():
-            for depth, layer in enumerate(stack):
-                out.update(layer.parameters(f"ca.{src.tag}_to_{tgt.tag}.{depth}"))
+        for (src, tgt), layer in self.layers.items():
+            out.update(layer.parameters(f"ca.{src.tag}_to_{tgt.tag}.0"))
         return out
 
     def reinforce(self, hetero: dict[Modality, Tensor],
@@ -100,12 +93,8 @@ class CrossmodalReinforcer:
         each source's padded steps masked out as keys."""
         out = {}
         for tgt in MODALITIES:
-            streams = []
-            for src in incoming_sources(tgt):
-                stream = hetero[tgt]
-                for layer in self.stacks[(src, tgt)]:
-                    stream = layer(hetero[src], stream, masks[src])
-                streams.append(stream)
+            streams = [self.layers[(src, tgt)](hetero[src], hetero[tgt], masks[src])
+                       for src in incoming_sources(tgt)]
             out[tgt] = concat(streams, axis=-1)
         return out
 

@@ -70,23 +70,30 @@ class Sample:
     latents: Latents | None = None
 
 
-def _gain_dict(l: float, v: float, a: float) -> dict[Modality, float]:
+def _by_modality(l, v, a) -> dict:
     return {Modality.LANGUAGE: l, Modality.VISION: v, Modality.AUDIO: a}
 
 
-def _range_dict(l, v, a) -> dict[Modality, tuple]:
-    return {Modality.LANGUAGE: l, Modality.VISION: v, Modality.AUDIO: a}
+# the world's fixed constants: the half-width of the within-bin label jitter
+# (below 0.5, so the 7-class bin of a label is always its drawn class index),
+# the std of the within-class wobble in the label-free subspace, and the seed
+# of the fixed emission maps
+LABEL_JITTER = 0.15
+WITHIN_CLASS_SPREAD = 0.35
+MAP_SEED = 7
 
 
 @dataclass
 class SyntheticConfig:
-    """Knobs for the synthetic world.
+    """The settable part of the synthetic world: dims, lengths, gains and noise.
 
     The label lives on a single coordinate of the shared latent (class index
-    plus a small within-bin jitter), and each class also owns a fixed offset
-    in the label-free subspace.  Every modality observes the label coordinate
-    through its own per-sample noise, language with the most, so an accurate
-    regressor has to average the class estimate across the modalities.
+    plus a within-bin jitter of half-width ``LABEL_JITTER``), and each class
+    also owns a fixed unit-scale offset in the label-free subspace, around
+    which samples spread with std ``WITHIN_CLASS_SPREAD``.  Every modality
+    observes the label coordinate through its own per-sample noise, language
+    with the most, so an accurate regressor has to average the class
+    estimate across the modalities.
     Vision's and audio's shared content additionally enters each time step
     through a randomly chosen multiplier from ``shared_phase`` (a zero-mean,
     magnitude-asymmetric set), so temporal averaging reduces it to a noisy
@@ -98,43 +105,29 @@ class SyntheticConfig:
     z_shared_dim: int = 8
     z_private_dim: int = 8
     length_ranges: dict[Modality, tuple[int, int]] = field(
-        default_factory=lambda: _range_dict((8, 16), (6, 12), (10, 20)))
-    shared_gain: dict[Modality, float] = field(
-        default_factory=lambda: _gain_dict(1.0, 1.0, 1.0))
+        default_factory=lambda: _by_modality((8, 16), (6, 12), (10, 20)))
     # per-modality gain on the label coordinate of z_c inside the emission;
     # 0 hides the label from that modality entirely.  Vision and audio get a
     # stronger coordinate so the phase-scrambled signal stays learnable
     label_gain: dict[Modality, float] = field(
-        default_factory=lambda: _gain_dict(1.0, 2.0, 2.0))
+        default_factory=lambda: _by_modality(1.0, 2.0, 2.0))
     # std of the per-sample noise each modality adds to its view of the label
     # coordinate; independent across modalities, so every modality's view
     # keeps positive marginal value for the regression
     class_view_noise: dict[Modality, float] = field(
-        default_factory=lambda: _gain_dict(0.30, 0.20, 0.20))
+        default_factory=lambda: _by_modality(0.30, 0.20, 0.20))
     # per-step multipliers on the shared component, one drawn uniformly per
     # time step; a zero-mean set with unequal magnitudes such as
     # (2, -1, -1) makes the temporal mean of the shared content a coin flip
     # (its sign is unrecoverable by averaging) while per-step magnitudes stay
     # strong and sign-asymmetric, so rectifying encoders can still read it
     shared_phase: dict[Modality, tuple[float, ...]] = field(
-        default_factory=lambda: _range_dict(
+        default_factory=lambda: _by_modality(
             (1.0,), (2.0, -1.0, -1.0), (2.0, -1.0, -1.0)))
     private_gain: dict[Modality, float] = field(
-        default_factory=lambda: _gain_dict(0.6, 1.0, 1.0))
-    # norm of a fixed per-modality bias added to every time step, standing in
-    # for the different operating points of real feature extractors; off by
-    # default because it slows shared-content learning
-    modality_mean: dict[Modality, float] = field(
-        default_factory=lambda: _gain_dict(0.0, 0.0, 0.0))
+        default_factory=lambda: _by_modality(0.6, 1.0, 1.0))
     noise: dict[Modality, float] = field(
-        default_factory=lambda: _gain_dict(0.05, 0.15, 0.10))
-    label_scale: float = 1.0
-    # half-width of the within-bin label jitter; must stay below 0.5 so the
-    # 7-class bin of the label is always the drawn class index
-    label_jitter: float = 0.15
-    class_offset_scale: float = 1.0
-    within_class_spread: float = 0.35
-    map_seed: int = 7
+        default_factory=lambda: _by_modality(0.05, 0.15, 0.10))
 
     def validate(self) -> None:
         for m in MODALITIES:
@@ -151,10 +144,6 @@ class SyntheticConfig:
                 raise ConfigError(f"class_view_noise for {m.tag} must be >= 0")
         if self.z_shared_dim < 2 or self.z_private_dim < 1:
             raise ConfigError("latent dims too small: need z_shared_dim >= 2, z_private_dim >= 1")
-        if self.label_scale <= 0:
-            raise ConfigError("label_scale must be positive")
-        if not (0 <= self.label_jitter < 0.5):
-            raise ConfigError("label_jitter must be in [0, 0.5) to keep labels inside their bin")
 
 
 @dataclass
@@ -170,7 +159,6 @@ class WorldMaps:
     class_offsets: np.ndarray                        # [7, z_shared_dim], each ⟂ label direction
     shared_map: dict[Modality, np.ndarray]           # [d_m, z_shared_dim]
     private_map: dict[Modality, np.ndarray]          # [d_m, z_private_dim]
-    mean_vec: dict[Modality, np.ndarray]             # [d_m], per-step bias
     config: SyntheticConfig
 
     @property
@@ -180,27 +168,27 @@ class WorldMaps:
 
 def build_maps(config: SyntheticConfig) -> WorldMaps:
     config.validate()
-    rng = np.random.default_rng(config.map_seed)
+    rng = np.random.default_rng(MAP_SEED)
     zc, zp = config.z_shared_dim, config.z_private_dim
     q, _ = np.linalg.qr(rng.standard_normal((zc, zc)))
     perp = q[:, 1:]
-    offsets = (perp @ rng.standard_normal((zc - 1, 7))).T * config.class_offset_scale
+    offsets = (perp @ rng.standard_normal((zc - 1, 7))).T
     shared = {}
     private = {}
-    means = {}
     for m in MODALITIES:
         d = config.raw_dims[m]
         shared[m] = rng.standard_normal((d, zc)) / np.sqrt(zc)
         private[m] = rng.standard_normal((d, zp)) / np.sqrt(zp)
-        direction = rng.standard_normal(d)
-        means[m] = config.modality_mean[m] * direction / np.linalg.norm(direction)
+        # a discarded draw: without it every map drawn after it, and so
+        # every generated dataset, would change
+        rng.standard_normal(d)
     return WorldMaps(basis=q, class_offsets=offsets, shared_map=shared,
-                     private_map=private, mean_vec=means, config=config)
+                     private_map=private, config=config)
 
 
 def label_from_latent(maps: WorldMaps, z_shared: np.ndarray) -> float:
     """The label is exactly the z_c coordinate along the label direction."""
-    return float(z_shared @ maps.label_direction / maps.config.label_scale)
+    return float(z_shared @ maps.label_direction)
 
 
 def shared_component(maps: WorldMaps, modality: Modality, z_shared: np.ndarray,
@@ -215,9 +203,9 @@ def shared_component(maps: WorldMaps, modality: Modality, z_shared: np.ndarray,
     cfg = maps.config
     direction = maps.label_direction
     coord = float(z_shared @ direction)
-    seen = cfg.label_gain[modality] * (coord + class_jitter * cfg.label_scale)
+    seen = cfg.label_gain[modality] * (coord + class_jitter)
     z_seen = z_shared + (seen - coord) * direction
-    return cfg.shared_gain[modality] * (maps.shared_map[modality] @ z_seen)
+    return maps.shared_map[modality] @ z_seen
 
 
 def _draw_shared_latent(maps: WorldMaps, rng: np.random.Generator) -> np.ndarray:
@@ -225,13 +213,12 @@ def _draw_shared_latent(maps: WorldMaps, rng: np.random.Generator) -> np.ndarray
     k = int(rng.integers(-3, 4))
     # jitter stays inside the class bin; one-sided at the extremes so the
     # label never leaves [-3, 3]
-    lo = 0.0 if k == -3 else -cfg.label_jitter
-    hi = 0.0 if k == 3 else cfg.label_jitter
+    lo = 0.0 if k == -3 else -LABEL_JITTER
+    hi = 0.0 if k == 3 else LABEL_JITTER
     u = rng.uniform(lo, hi)
     perp = maps.basis[:, 1:]
-    wobble = perp @ (rng.standard_normal(cfg.z_shared_dim - 1) * cfg.within_class_spread)
-    return ((cfg.label_scale * (k + u)) * maps.label_direction
-            + maps.class_offsets[k + 3] + wobble)
+    wobble = perp @ (rng.standard_normal(cfg.z_shared_dim - 1) * WITHIN_CLASS_SPREAD)
+    return (k + u) * maps.label_direction + maps.class_offsets[k + 3] + wobble
 
 
 def generate(n: int, seed: int, config: SyntheticConfig | None = None,
@@ -273,8 +260,7 @@ def generate(n: int, seed: int, config: SyntheticConfig | None = None,
             shared = phase[:, None] * shared_component(maps, m, z_c, class_jitter=eta)[None, :]
             private = config.private_gain[m] * (maps.private_map[m] @ z_m)
             noise = rng.standard_normal((t_m, config.raw_dims[m])) * config.noise[m]
-            base = maps.mean_vec[m][None, :] + private[None, :]
-            sequences[m] = ModalitySequence(m, shared + base + noise)
+            sequences[m] = ModalitySequence(m, shared + private[None, :] + noise)
         samples.append(Sample(
             id=f"syn{i:05d}",
             sequences=sequences,
@@ -491,17 +477,14 @@ def batches(samples: list[Sample], batch_size: int, mode: str = "unaligned",
         yield make_batch(chunk, mode=mode)
 
 
-def split_dataset(samples: list[Sample], seed: int = 0,
-                  fractions: tuple[float, float, float] = (0.7, 0.15, 0.15)
+def split_dataset(samples: list[Sample], seed: int = 0
                   ) -> tuple[list[Sample], list[Sample], list[Sample]]:
-    """Deterministic train/val/test split."""
-    if abs(sum(fractions) - 1.0) > 1e-9 or any(f < 0 for f in fractions):
-        raise ConfigError(f"split fractions must be non-negative and sum to 1, got {fractions}")
+    """Deterministic 70/15/15 train/val/test split."""
     order = np.arange(len(samples))
     np.random.default_rng(seed).shuffle(order)
     n = len(samples)
-    n_train = int(round(fractions[0] * n))
-    n_val = int(round(fractions[1] * n))
+    n_train = int(round(0.7 * n))
+    n_val = int(round(0.15 * n))
     train = [samples[i] for i in order[:n_train]]
     val = [samples[i] for i in order[n_train:n_train + n_val]]
     test = [samples[i] for i in order[n_train + n_val:]]

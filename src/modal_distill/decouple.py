@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .data import MODALITIES, Modality
 from .errors import ConfigError, ShapeError
-from .layers import Linear, TwoLayer, xavier_uniform
+from .layers import TwoLayer, xavier_uniform
 from .tensor import (
     Tensor,
     concat,
@@ -30,6 +30,9 @@ from .tensor import (
 )
 
 log = logging.getLogger(__name__)
+
+# time steps each shallow conv window covers, centred on its own step
+CONV_WIDTH = 3
 
 
 @dataclass
@@ -53,21 +56,18 @@ class Decoupler:
     else mixes time steps.
     """
 
-    def __init__(self, rng: np.random.Generator, raw_dims: dict[Modality, int],
-                 d: int, conv_width: int = 3):
+    def __init__(self, rng: np.random.Generator, raw_dims: dict[Modality, int], d: int):
         if d < 1:
             raise ConfigError(f"common feature dim must be >= 1, got {d}")
-        if conv_width % 2 == 0:
-            raise ConfigError(f"shallow conv width must be odd, got {conv_width}")
         self.common_dim = d
         self.raw_dims = dict(raw_dims)
         self.shallow_kernel = {}
         self.shallow_bias = {}
         for m in MODALITIES:
             d_raw = raw_dims[m]
-            k = xavier_uniform(rng, conv_width * d_raw, d, shape=(conv_width, d_raw, d))
+            k = xavier_uniform(rng, CONV_WIDTH * d_raw, d, shape=(CONV_WIDTH, d_raw, d))
             self.shallow_kernel[m] = Tensor(k, requires_grad=True)
-            b = rng.uniform(-1.0, 1.0, size=d) / np.sqrt(conv_width * d_raw)
+            b = rng.uniform(-1.0, 1.0, size=d) / np.sqrt(CONV_WIDTH * d_raw)
             self.shallow_bias[m] = Tensor(b, requires_grad=True)
         self.shared_encoder = TwoLayer(rng, d, 2 * d, d)
         self.private_encoders = {m: TwoLayer(rng, d, 2 * d, d) for m in MODALITIES}

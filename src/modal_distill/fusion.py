@@ -120,6 +120,7 @@ def _class2_name(flag: bool) -> str:
 
 def write_predictions(path: str | Path, ids: list[str], scores: list[float],
                       labels: list[float]) -> None:
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(PREDICTION_COLUMNS)

@@ -84,10 +84,10 @@ class Model:
         self.config = config
         self.raw_dims = dict(raw_dims) if raw_dims is not None else dict(RAW_DIMS)
         rng = np.random.default_rng(config.seed)
-        self.decoupler = Decoupler(rng, self.raw_dims, config.d, config.conv_width)
+        self.decoupler = Decoupler(rng, self.raw_dims, config.d)
         self.homo_gd = GDUnit(rng, config.d, config.edge_mode)
         self.hetero_gd = GDUnit(rng, 2 * config.d, config.edge_mode)
-        self.reinforcer = CrossmodalReinforcer(rng, config.d, config.heads, config.ca_layers)
+        self.reinforcer = CrossmodalReinforcer(rng, config.d, config.heads)
         self.fusion = FusionHead(rng, config.d)
 
     def parameters(self) -> dict[str, Tensor]:

@@ -119,37 +119,11 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, _lift(other))
 
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
-
     def __mul__(self, other):
         return mul(self, _lift(other))
 
     def __rmul__(self, other):
         return mul(_lift(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _lift(other))
-
-    def __rtruediv__(self, other):
-        return div(_lift(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _lift(other))
-
-    # ---- method forms of common ops ----
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape) -> "Tensor":
-        return reshape(self, shape)
 
     @property
     def T(self) -> "Tensor":
@@ -209,25 +183,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             b._accum(_unbroadcast(g * a.data, b.shape))
 
     return Tensor._result(out_data, (a, b), backward)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data / b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return Tensor._result(out_data, (a, b), backward)
-
-
-def neg(a: Tensor) -> Tensor:
-    def backward(g):
-        a._accum(-g)
-
-    return Tensor._result(-a.data, (a,), backward)
 
 
 # ---- matrix ops ----

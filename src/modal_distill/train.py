@@ -44,15 +44,13 @@ class Adam:
     before anything is updated; a non-finite updated parameter raises it
     after the update."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, Tensor], lr: float):
         if lr <= 0:
             raise ConfigError(f"lr must be positive, got {lr}")
         self.params = dict(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         # arena offset of each parameter, plus the total size at the end
         self.bounds = np.cumsum([0] + [p.data.size for p in self.params.values()]).tolist()
@@ -174,11 +172,11 @@ def predict_scores(model: Model, samples: list[Sample],
     return ids, np.array(scores), np.array(labels)
 
 
-def evaluate(model: Model, samples: list[Sample], batch_size: int | None = None
+def evaluate(model: Model, samples: list[Sample]
              ) -> tuple[MetricsReport, tuple[list[str], np.ndarray, np.ndarray]]:
     """Metrics over ``samples``, and the ``(ids, scores, labels)`` they were
     computed from, from one scoring pass."""
-    scored = predict_scores(model, samples, batch_size)
+    scored = predict_scores(model, samples)
     return compute_metrics(scored[1], scored[2]), scored
 
 
@@ -208,9 +206,7 @@ def _step_record(step: int, epoch: int, out: StepOutput) -> dict:
             "hetero": out.hetero.record() if out.hetero else None}
 
 
-def train(config: TrainConfig, samples: list[Sample],
-          raw_dims: dict[Modality, int] | None = None,
-          split: bool = True) -> TrainResult:
+def train(config: TrainConfig, samples: list[Sample], split: bool = True) -> TrainResult:
     """Run the optimization loop and return the final model plus history.
 
     With ``split`` the dataset is partitioned 70/15/15 and the checkpoint
@@ -221,8 +217,7 @@ def train(config: TrainConfig, samples: list[Sample],
     config.validate()
     if not samples:
         raise DataError("training needs at least one sample")
-    if raw_dims is None:
-        raw_dims = _infer_raw_dims(samples)
+    raw_dims = _infer_raw_dims(samples)
     if split:
         train_s, val_s, test_s = split_dataset(samples, seed=config.seed)
     else:
@@ -254,8 +249,6 @@ def train(config: TrainConfig, samples: list[Sample],
         total_steps = n_epochs * steps_per_epoch
 
     def lr_at(step: int) -> float:
-        if config.lr_schedule == "constant":
-            return config.lr
         return config.lr * 0.5 * (1.0 + math.cos(math.pi * step / max(1, total_steps)))
 
     history: list[dict] = []
@@ -403,8 +396,7 @@ def _gradcheck_batch(data_config: SyntheticConfig, seed: int, n: int = 3) -> Bat
 
 
 def gradcheck(config: TrainConfig | None = None, n_probes: int = 20,
-              seed: int = 0, h: float = 1e-5, tol: float = 1e-4,
-              data_config: SyntheticConfig | None = None) -> GradcheckReport:
+              seed: int = 0, tol: float = 1e-4) -> GradcheckReport:
     """Compare backprop gradients of every loss component against central
     finite differences at ``n_probes`` random parameter coordinates.
 
@@ -415,8 +407,8 @@ def gradcheck(config: TrainConfig | None = None, n_probes: int = 20,
     if config is None:
         config = gradcheck_model_config(seed)
     config.validate()
-    if data_config is None:
-        data_config = gradcheck_data_config()
+    h = 1e-5  # central-difference step
+    data_config = gradcheck_data_config()
     batch = _gradcheck_batch(data_config, seed)
     model = Model(config, dict(data_config.raw_dims))
     params = model.parameters()
@@ -560,11 +552,12 @@ def probe_scores(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.hstack([x, np.ones((x.shape[0], 1))]) @ w
 
 
-def probe_split(n: int, seed: int, train_frac: float = 0.7) -> tuple[np.ndarray, np.ndarray]:
+def probe_split(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """A seeded 70/30 fit/eval split of ``n`` rows, each side non-empty."""
     if n < 2:
         raise DataError(f"probing needs at least 2 samples, got {n}")
     perm = np.random.default_rng(seed).permutation(n)
-    cut = max(1, min(n - 1, int(round(train_frac * n))))
+    cut = max(1, min(n - 1, int(round(0.7 * n))))
     return perm[:cut], perm[cut:]
 
 
@@ -599,13 +592,12 @@ class FeatureBundle:
     labels: np.ndarray    # [N]
 
 
-def collect_features(model: Model, samples: list[Sample],
-                     batch_size: int | None = None) -> FeatureBundle:
+def collect_features(model: Model, samples: list[Sample]) -> FeatureBundle:
     if not samples:
         raise DataError("no samples to extract features from")
-    bs = batch_size or model.config.batch_size
     homo, hetero, labels = [], [], []
-    for batch in batches(samples, bs, mode=model.config.mode, shuffle=False):
+    for batch in batches(samples, model.config.batch_size, mode=model.config.mode,
+                         shuffle=False):
         enc = model.encode(batch)
         homo.append(np.stack([enc.homo[m].data for m in MODALITIES], axis=1))
         hetero.append(np.stack([enc.hetero[m].data for m in MODALITIES], axis=1))
@@ -615,8 +607,7 @@ def collect_features(model: Model, samples: list[Sample],
                          labels=np.concatenate(labels))
 
 
-def probe_unimodal(model: Model, samples: list[Sample], seed: int = 0,
-                   reg: float = 1e-2) -> ProbeReport:
+def probe_unimodal(model: Model, samples: list[Sample], seed: int = 0) -> ProbeReport:
     """Fit a binary (non-negative vs negative) ridge probe per modality on
     the pooled shared-space features and report held-out ACC2/F1."""
     bundle = collect_features(model, samples)
@@ -628,7 +619,7 @@ def probe_unimodal(model: Model, samples: list[Sample], seed: int = 0,
         feats = bundle.homo[:, k, :]
         target = np.where(true_pos, 1.0, -1.0)
         fit_x, eval_x = standardize(feats[tr], feats[ev])
-        w = fit_linear_probe(fit_x, target[tr], reg)
+        w = fit_linear_probe(fit_x, target[tr])
         pred_pos = probe_scores(eval_x, w) >= 0
         acc = float(np.mean(pred_pos == true_pos[ev]))
         per_modality[m.tag] = ModalityProbe(

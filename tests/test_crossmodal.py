@@ -192,13 +192,3 @@ def test_passthrough_duplicates_target():
         assert out[m].shape == (1, 4, 16)
         np.testing.assert_array_equal(out[m].data[..., :8], hetero[m].data)
         np.testing.assert_array_equal(out[m].data[..., 8:], hetero[m].data)
-
-
-def test_stacked_layers_supported():
-    reinf = CrossmodalReinforcer(np.random.default_rng(30), 8, heads=2, layers=2)
-    hetero = {m: rand((3, 8), i + 5) for i, m in enumerate(MODALITIES)}
-    out = reinf.reinforce(hetero, {m: valid(hetero[m]) for m in MODALITIES})
-    assert out[L].shape == (1, 3, 16)
-    assert len(reinf.stacks[(V, L)]) == 2
-    with pytest.raises(ConfigError):
-        CrossmodalReinforcer(np.random.default_rng(0), 8, layers=0)

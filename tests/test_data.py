@@ -1,6 +1,8 @@
 """Dataset tests: generator determinism and latent structure, CSV round
 trips, ingestion error reporting, batching and masking."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,40 @@ def test_generate_deterministic():
             np.testing.assert_array_equal(sa.sequences[m].features,
                                           sb.sequences[m].features)
         np.testing.assert_array_equal(sa.latents.z_shared, sb.latents.z_shared)
+
+
+def small_world():
+    """The small world the model and harness tests train on."""
+    return SyntheticConfig(
+        raw_dims={Modality.LANGUAGE: 6, Modality.VISION: 5, Modality.AUDIO: 4},
+        z_shared_dim=4, z_private_dim=3,
+        length_ranges={Modality.LANGUAGE: (3, 9), Modality.VISION: (2, 6),
+                       Modality.AUDIO: (4, 10)},
+    )
+
+
+def _fingerprint(samples) -> str:
+    h = hashlib.sha256()
+    for s in samples:
+        h.update(s.id.encode())
+        h.update(np.float64(s.label).tobytes())
+        for m in MODALITIES:
+            features = s.sequences[m].features
+            h.update(repr(features.shape).encode())
+            h.update(np.ascontiguousarray(features).tobytes())
+        h.update(s.latents.z_shared.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("n,seed,world,digest", [
+    (160, 1, SyntheticConfig, "0fe8c348b128cce98174eadbc253385070d93465aad4fca81e32c080dc892fd4"),
+    (50, 7, small_world, "0a0e823a77a7435b9d284541cafc1e7952552af538bcb49863e01b1d6f4b19a1"),
+], ids=["default", "small"])
+def test_synthetic_world_fingerprint(n, seed, world, digest):
+    """The generator is pinned bit for bit: ids, labels, every feature array
+    and every shared latent.  Any change to a world constant, a map draw or
+    the order of the draws changes the digest."""
+    assert _fingerprint(generate(n, seed, world())) == digest
 
 
 def test_generate_labels_in_range():
@@ -101,7 +137,6 @@ def test_phase_multiplies_shared_component():
     cfg.noise = {m: 0.0 for m in MODALITIES}
     cfg.private_gain = {m: 0.0 for m in MODALITIES}
     cfg.class_view_noise = {m: 0.0 for m in MODALITIES}
-    cfg.modality_mean = {m: 0.0 for m in MODALITIES}
     cfg.shared_phase = {m: (2.0,) for m in MODALITIES}
     maps = build_maps(cfg)
     s = generate(1, seed=3, config=cfg)[0]
@@ -118,7 +153,6 @@ def test_phase_set_rows_are_scaled_copies():
     cfg.noise = {m: 0.0 for m in MODALITIES}
     cfg.private_gain = {m: 0.0 for m in MODALITIES}
     cfg.class_view_noise = {m: 0.0 for m in MODALITIES}
-    cfg.modality_mean = {m: 0.0 for m in MODALITIES}
     cfg.shared_phase = {m: (2.0, -1.0, -1.0) for m in MODALITIES}
     maps = build_maps(cfg)
     s = generate(1, seed=12, config=cfg)[0]
@@ -137,8 +171,8 @@ def test_label_gain_zero_hides_label_coordinate():
     cfg.label_gain[Modality.LANGUAGE] = 0.0
     maps = build_maps(cfg)
     base = 0.3 * maps.basis[:, 1]
-    z_lo = base + 1.1 * cfg.label_scale * maps.label_direction
-    z_hi = base + 1.4 * cfg.label_scale * maps.label_direction
+    z_lo = base + 1.1 * maps.label_direction
+    z_hi = base + 1.4 * maps.label_direction
     assert label_from_latent(maps, z_lo) != label_from_latent(maps, z_hi)
     np.testing.assert_allclose(shared_component(maps, Modality.LANGUAGE, z_lo),
                                shared_component(maps, Modality.LANGUAGE, z_hi),
@@ -153,10 +187,10 @@ def test_class_jitter_shifts_view_along_label_direction():
     # coordinate by that amount
     cfg = small_config()
     maps = build_maps(cfg)
-    z = 0.8 * cfg.label_scale * maps.label_direction + 0.4 * maps.basis[:, 2]
+    z = 0.8 * maps.label_direction + 0.4 * maps.basis[:, 2]
     for m in MODALITIES:
         jittered = shared_component(maps, m, z, class_jitter=0.3)
-        shifted = shared_component(maps, m, z + 0.3 * cfg.label_scale * maps.label_direction)
+        shifted = shared_component(maps, m, z + 0.3 * maps.label_direction)
         np.testing.assert_allclose(jittered, shifted, rtol=0, atol=1e-12)
 
 

@@ -72,8 +72,9 @@ def test_defaults_match_pinned_hyperparameters():
     ("lambda1", -0.1), ("lambda2", -1.0), ("gamma", -0.5),
     ("alpha", 0.0), ("alpha", 2.0), ("batch_size", 0), ("lr", 0.0),
     ("mode", "interleaved"), ("heads", 5), ("edge_mode", "cubed"),
-    ("conv_width", 2), ("ca_layers", 0), ("lr_schedule", "step"),
-    ("d", 0),
+    ("d", 0), ("heads", 0), ("heads", -4), ("lr", math.nan), ("lr", math.inf),
+    ("lambda1", math.nan), ("lambda2", math.inf), ("gamma", math.nan),
+    ("max_steps", -3),
 ])
 def test_validate_rejects_bad_values(field, value):
     cfg = TrainConfig()
@@ -116,9 +117,10 @@ def test_config_file_errors(tmp_path):
     bad.write_text("just words\n")
     with pytest.raises(ConfigError, match="key=value"):
         load_config(bad)
-    bad.write_text("unknown_knob = 3\n")
-    with pytest.raises(ConfigError, match="unknown config key"):
-        load_config(bad)
+    for line in ("unknown_knob = 3\n", "ca_layers = 1\n"):  # the second is retired
+        bad.write_text(line)
+        with pytest.raises(ConfigError, match="unknown config key"):
+            load_config(bad)
     bad.write_text("d = tiny\n")
     with pytest.raises(ConfigError, match="expected int"):
         load_config(bad)
@@ -309,7 +311,7 @@ def test_max_steps_stops_early():
 
 def test_train_raises_numeric_error_on_divergence():
     samples = generate(8, seed=2, config=small_world())
-    cfg = tiny_config(lr=1e80, lr_schedule="constant", max_steps=30)
+    cfg = tiny_config(lr=1e80, max_steps=30)
     with np.errstate(all="ignore"):
         with pytest.raises(NumericError, match="step"):
             train(cfg, samples, split=False)
@@ -384,7 +386,8 @@ def _eval_checkpoint(path, config_extra=None):
 
 def test_checkpoint_with_retired_config_key_loads(tmp_path):
     path = tmp_path / "old.npz"
-    cfg = _eval_checkpoint(path, {"detach_teacher": True, "data_manifest": ""})
+    cfg = _eval_checkpoint(path, {"detach_teacher": True, "data_manifest": "",
+                                  "lr_schedule": "cosine", "ca_layers": 1, "conv_width": 3})
     assert load_checkpoint(path)[1] == cfg
     assert main(["eval", "--checkpoint", str(path), "--synthetic", "4"]) == 0
 
@@ -624,11 +627,27 @@ def test_eval_with_predictions_scores_each_batch_once(tmp_path, monkeypatch):
     assert [float(r.split(",")[1]) for r in rows] == scores.tolist()
 
 
+def test_eval_predictions_creates_parent_directory(tmp_path):
+    path = tmp_path / "ck.npz"
+    _eval_checkpoint(path)
+    preds = tmp_path / "out" / "new" / "p.csv"
+    assert main(["eval", "--checkpoint", str(path), "--synthetic", "4",
+                 "--predictions", str(preds)]) == 0
+    assert len(preds.read_text().splitlines()) == 5
+
+
 def test_cli_usage_errors_exit_one(tmp_path):
     assert main([]) == 1
     assert main(["train", "--not-a-flag"]) == 1
     assert main(["train", "--d", "4", "--heads", "2"]) == 1  # no data source
     assert main(["train", "--synthetic", "4", "--no-fd"]) == 1  # homogd needs fd
+
+
+def test_cli_zero_heads_exits_one_without_traceback(capsys):
+    assert main(["train", "--synthetic", "4", "--heads", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "heads must be >= 1" in err
+    assert "Traceback" not in err
 
 
 def test_cli_data_errors_exit_two(tmp_path):

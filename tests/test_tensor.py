@@ -340,8 +340,6 @@ def test_gradients_match_finite_differences(seed):
         "add_broadcast": (lambda: tsum(a + row), {"a": a, "row": row}),
         "sub": (lambda: tsum(a - b), {"a": a, "b": b}),
         "mul": (lambda: tsum(mul_ab()), {"a": a, "b": b}),
-        "div": (lambda: tsum(a / (b * b + 1.0)), {"a": a, "b": b}),
-        "neg": (lambda: tsum(-(a * a)), {"a": a}),
         "matmul": (lambda: tsum(matmul(a, c)), {"a": a, "c": c}),
         "transpose": (lambda: tsum(matmul(transpose(a), a)), {"a": a}),
         "reshape": (lambda: tsum(reshape(a, (4, 3)) * 2.0), {"a": a}),
