@@ -1,7 +1,12 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 usage or configuration problem, 2 data problem,
-3 numerical failure (divergence or a failed gradient check).
+Exit codes, each failure printed as one line on stderr:
+
+    0  success
+    1  usage or configuration problem
+    2  data problem (manifest, feature files, checkpoint contents)
+    3  numerical failure (divergence, a non-finite score, a failed gradient check)
+    4  I/O failure (a path that cannot be read or written)
 """
 
 from __future__ import annotations
@@ -9,12 +14,12 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import fields
 
-from .config import MODES, TrainConfig, apply_overrides, load_config
+from .config import TrainConfig, apply_overrides, load_config
 from .data import generate, load_features, save_dataset
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .fusion import write_predictions
-from .graph_distill import EDGE_MODES
 from .train import (
     dump_edges,
     evaluate,
@@ -36,49 +41,32 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+def _config_fields():
+    """Every TrainConfig field with a flag; ``out_dir`` is train's ``--out``."""
+    return [f for f in fields(TrainConfig) if f.name != "out_dir"]
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="FILE", help="key=value config file")
-    p.add_argument("--lambda1", type=float, help="decoupling loss weight")
-    p.add_argument("--lambda2", type=float, help="distillation loss weight")
-    p.add_argument("--gamma", type=float, help="margin+orthogonality weight")
-    p.add_argument("--alpha", type=float, help="cosine margin")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--d", type=int, help="common feature dim")
-    p.add_argument("--heads", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--max-steps", type=int, dest="max_steps")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--mode", choices=MODES)
-    p.add_argument("--edge-mode", choices=EDGE_MODES, dest="edge_mode")
-    p.add_argument("--no-fd", action="store_true", help="disable feature decoupling")
-    p.add_argument("--no-homogd", action="store_true", help="disable shared-space distillation")
-    p.add_argument("--no-ca", action="store_true", help="disable crossmodal attention")
-    p.add_argument("--no-heterogd", action="store_true", help="disable private-space distillation")
-
-
-_FLAG_FIELDS = ("lambda1", "lambda2", "gamma", "alpha", "lr", "d", "heads",
-                "batch_size", "epochs", "max_steps", "seed", "mode", "edge_mode")
+    for f in _config_fields():
+        help_text, kind = f.metadata["help"], type(f.default)
+        if kind is bool:
+            p.add_argument(f"--no-{f.name}", dest=f.name, action="store_const",
+                           const=False, help=f"disable {help_text}")
+        else:
+            p.add_argument(f"--{f.name.replace('_', '-')}", type=kind,
+                           choices=f.metadata["choices"], help=help_text)
 
 
 def _build_config(args, base: TrainConfig | None = None) -> TrainConfig:
-    if getattr(args, "config", None):
+    if args.config:
         config = load_config(args.config)
     elif base is not None:
         config = base
     else:
         config = TrainConfig()
-    overrides = {name: getattr(args, name) for name in _FLAG_FIELDS
-                 if getattr(args, name, None) is not None}
-    apply_overrides(config, {k: str(v) for k, v in overrides.items()})
-    if args.no_fd:
-        config.fd = False
-    if args.no_homogd:
-        config.homogd = False
-    if args.no_ca:
-        config.ca = False
-    if args.no_heterogd:
-        config.heterogd = False
+    apply_overrides(config, {f.name: getattr(args, f.name) for f in _config_fields()
+                             if getattr(args, f.name) is not None})
     config.validate()
     return config
 
@@ -91,11 +79,17 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _load_samples(args, dims=None):
-    if getattr(args, "data", None):
+    if args.data:
         return load_features(args.data, dims=dims)
-    if getattr(args, "synthetic", None):
+    if args.synthetic is not None:
         return generate(args.synthetic, args.data_seed)
     raise ConfigError("need a data source: --data MANIFEST or --synthetic N")
+
+
+def _load_checkpoint_and_samples(args):
+    """The checkpoint's model, then the samples, read at its raw feature dims."""
+    model, _, _ = model_from_checkpoint(args.checkpoint)
+    return model, _load_samples(args, dims=model.raw_dims)
 
 
 def _cmd_gen_data(args) -> int:
@@ -124,12 +118,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    model, _, _ = model_from_checkpoint(args.checkpoint)
-    samples = _load_samples(args, dims=model.raw_dims)
+    model, samples = _load_checkpoint_and_samples(args)
     report, (ids, scores, labels) = evaluate(model, samples)
     print(f"eval: {report.to_dict()}")
     if args.predictions:
-        write_predictions(args.predictions, ids, list(scores), list(labels))
+        write_predictions(args.predictions, ids, scores, labels)
         print(f"predictions: {args.predictions}")
     return 0
 
@@ -144,16 +137,14 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_dump_edges(args) -> int:
-    model, _, _ = model_from_checkpoint(args.checkpoint)
-    samples = _load_samples(args, dims=model.raw_dims)
+    model, samples = _load_checkpoint_and_samples(args)
     records = dump_edges(model, samples, out_path=args.out)
     print(f"wrote {len(records)} edge records to {args.out}")
     return 0
 
 
 def _cmd_probe_unimodal(args) -> int:
-    model, _, _ = model_from_checkpoint(args.checkpoint)
-    samples = _load_samples(args, dims=model.raw_dims)
+    model, samples = _load_checkpoint_and_samples(args)
     report = probe_unimodal(model, samples, seed=args.seed or 0)
     for line in report.lines():
         print(line)
@@ -227,6 +218,9 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericError, ShapeError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # the message names the path
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return 4
 
 
 def entry() -> None:

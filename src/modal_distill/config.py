@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -12,26 +12,35 @@ from .graph_distill import EDGE_MODES
 MODES = ("aligned", "unaligned")
 
 
+def _option(default, help: str, choices: tuple[str, ...] | None = None):
+    """A config field with the help text (and choices) of its CLI flag."""
+    return field(default=default, metadata={"help": help, "choices": choices})
+
+
 @dataclass
 class TrainConfig:
-    d: int = 32                   # common feature dim after shallow encoding
-    lambda1: float = 0.1          # decoupling loss weight
-    lambda2: float = 0.05         # distillation loss weight
-    gamma: float = 0.1            # margin+orthogonality weight inside decoupling
-    alpha: float = 0.2            # cosine margin
-    batch_size: int = 16
-    epochs: int = 30
-    max_steps: int = 0            # 0 = run all epochs; otherwise stop after N steps
-    lr: float = 2e-3              # peak rate, decayed to zero on a cosine over the run
-    seed: int = 0
-    fd: bool = True               # feature decoupling
-    homogd: bool = True           # distillation over the shared space
-    ca: bool = True               # crossmodal attention reinforcement
-    heterogd: bool = True         # distillation over reinforced private features
-    mode: str = "unaligned"
-    heads: int = 4                # attention heads per directed pair (one layer each)
-    edge_mode: str = "squared"
-    out_dir: str = ""             # empty = keep everything in memory, write no artifacts
+    """Every setting of a run.  The CLI derives one flag per field from this
+    class (``--batch-size`` for ``batch_size``, ``--no-fd`` for the bool
+    ``fd``), except ``out_dir``, which ``train --out`` sets."""
+
+    d: int = _option(32, "common feature dim after shallow encoding")
+    lambda1: float = _option(0.1, "decoupling loss weight")
+    lambda2: float = _option(0.05, "distillation loss weight")
+    gamma: float = _option(0.1, "margin+orthogonality weight inside decoupling")
+    alpha: float = _option(0.2, "cosine margin")
+    batch_size: int = _option(16, "samples per minibatch")
+    epochs: int = _option(30, "passes over the training split")
+    max_steps: int = _option(0, "stop after N optimizer steps (0: run all epochs)")
+    lr: float = _option(2e-3, "peak learning rate, decayed to zero on a cosine over the run")
+    seed: int = _option(0, "parameter initialisation and shuffling seed (>= 0)")
+    fd: bool = _option(True, "feature decoupling")
+    homogd: bool = _option(True, "distillation over the shared space")
+    ca: bool = _option(True, "crossmodal attention reinforcement")
+    heterogd: bool = _option(True, "distillation over reinforced private features")
+    mode: str = _option("unaligned", "sequence alignment of a batch", MODES)
+    heads: int = _option(4, "attention heads per directed pair (one layer each)")
+    edge_mode: str = _option("squared", "distillation edge discrepancy", EDGE_MODES)
+    out_dir: str = _option("", "artifact directory; empty keeps everything in memory")
 
     def validate(self) -> None:
         if self.d < 1:
@@ -45,6 +54,8 @@ class TrainConfig:
             raise ConfigError(f"alpha must lie in (0, 2), got {self.alpha}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.max_steps < 0:
             raise ConfigError(f"max_steps must be >= 0, got {self.max_steps}")
         if self.epochs < 1 and self.max_steps < 1:

@@ -41,20 +41,6 @@ RAW_DIMS = {Modality.LANGUAGE: 300, Modality.VISION: 35, Modality.AUDIO: 74}
 
 
 @dataclass
-class ModalitySequence:
-    modality: Modality
-    features: np.ndarray  # time-major [T, d]
-
-    @property
-    def length(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
-
-
-@dataclass
 class Latents:
     """Generator-side record of the true factors behind one sample."""
 
@@ -64,8 +50,13 @@ class Latents:
 
 @dataclass
 class Sample:
+    """One sample: a time-major ``[T_m, d_m]`` feature array per modality
+    (lengths may differ across modalities), its label, and, for generated
+    samples, the latents they were drawn from.  The latents stay in memory
+    for probes and tests; ``save_dataset`` does not write them."""
+
     id: str
-    sequences: dict[Modality, ModalitySequence]
+    features: dict[Modality, np.ndarray]
     label: float
     latents: Latents | None = None
 
@@ -231,6 +222,8 @@ def generate(n: int, seed: int, config: SyntheticConfig | None = None,
     """
     if n < 1:
         raise ConfigError(f"sample count must be >= 1, got {n}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     config = config or SyntheticConfig()
     maps = build_maps(config)
     if z_shared_override is not None and z_shared_override.shape != (n, config.z_shared_dim):
@@ -248,7 +241,7 @@ def generate(n: int, seed: int, config: SyntheticConfig | None = None,
         if not (LABEL_MIN - 1e-9 <= label <= LABEL_MAX + 1e-9):
             raise ConfigError(f"override latent yields label {label:.3f} outside [-3, 3]")
         z_private = {}
-        sequences = {}
+        features = {}
         for m in MODALITIES:
             z_m = rng.standard_normal(config.z_private_dim)
             z_private[m] = z_m
@@ -260,10 +253,10 @@ def generate(n: int, seed: int, config: SyntheticConfig | None = None,
             shared = phase[:, None] * shared_component(maps, m, z_c, class_jitter=eta)[None, :]
             private = config.private_gain[m] * (maps.private_map[m] @ z_m)
             noise = rng.standard_normal((t_m, config.raw_dims[m])) * config.noise[m]
-            sequences[m] = ModalitySequence(m, shared + private[None, :] + noise)
+            features[m] = shared + private[None, :] + noise
         samples.append(Sample(
             id=f"syn{i:05d}",
-            sequences=sequences,
+            features=features,
             label=float(np.clip(label, LABEL_MIN, LABEL_MAX)),
             latents=Latents(z_shared=z_c, z_private=z_private),
         ))
@@ -276,7 +269,8 @@ MANIFEST_COLUMNS = ["id", "label", "path_L", "path_V", "path_A"]
 
 
 def save_dataset(samples: list[Sample], out_dir: str | Path) -> Path:
-    """Write manifest.csv, per-modality feature CSVs, and latents if present.
+    """Write ``manifest.csv`` and one CSV per sample and modality under
+    ``features/``; nothing else (latents are not saved).
 
     Feature files are headerless, one time step per row, full float64
     precision so a round trip is bit-exact.
@@ -292,23 +286,9 @@ def save_dataset(samples: list[Sample], out_dir: str | Path) -> Path:
             rel_paths = []
             for m in MODALITIES:
                 rel = f"features/{s.id}_{m.tag}.csv"
-                np.savetxt(out / rel, s.sequences[m].features, delimiter=",", fmt="%.17g")
+                np.savetxt(out / rel, s.features[m], delimiter=",", fmt="%.17g")
                 rel_paths.append(rel)
             writer.writerow([s.id, f"{s.label:.17g}", *rel_paths])
-    if all(s.latents is not None for s in samples) and samples:
-        zc_dim = samples[0].latents.z_shared.size
-        zp_dim = samples[0].latents.z_private[Modality.LANGUAGE].size
-        with open(out / "latents.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = ["id"] + [f"zc{i}" for i in range(zc_dim)]
-            for m in MODALITIES:
-                header += [f"z{m.tag}{i}" for i in range(zp_dim)]
-            writer.writerow(header)
-            for s in samples:
-                row = [s.id] + [f"{v:.17g}" for v in s.latents.z_shared]
-                for m in MODALITIES:
-                    row += [f"{v:.17g}" for v in s.latents.z_private[m]]
-                writer.writerow(row)
     return manifest_path
 
 
@@ -371,14 +351,13 @@ def load_features(manifest_path: str | Path,
                 raise DataError(f"sample {sid}: label {row['label']!r} is not a number")
             if not (LABEL_MIN <= label <= LABEL_MAX):
                 raise DataError(f"sample {sid}: label {label} outside [{LABEL_MIN}, {LABEL_MAX}]")
-            sequences = {}
+            features = {}
             for m in MODALITIES:
                 rel = row[f"path_{m.tag}"]  # None on a short row
                 if not rel:
                     raise DataError(f"sample {sid}: no {m.tag} feature path in manifest {manifest}")
-                mat = _read_feature_csv(base / rel, sid, m, dims[m])
-                sequences[m] = ModalitySequence(m, mat)
-            samples.append(Sample(id=sid, sequences=sequences, label=label))
+                features[m] = _read_feature_csv(base / rel, sid, m, dims[m])
+            samples.append(Sample(id=sid, features=features, label=label))
     if not samples:
         log.warning("manifest %s lists no samples", manifest)
     return samples
@@ -417,13 +396,9 @@ def resample_to_length(features: np.ndarray, target: int) -> np.ndarray:
 
 def align_sample(sample: Sample) -> Sample:
     """Resample all three modalities of one sample to their median length."""
-    lengths = sorted(s.length for s in sample.sequences.values())
-    target = lengths[1]
-    sequences = {
-        m: ModalitySequence(m, resample_to_length(seq.features, target))
-        for m, seq in sample.sequences.items()
-    }
-    return Sample(id=sample.id, sequences=sequences, label=sample.label,
+    target = sorted(f.shape[0] for f in sample.features.values())[1]
+    features = {m: resample_to_length(f, target) for m, f in sample.features.items()}
+    return Sample(id=sample.id, features=features, label=sample.label,
                   latents=sample.latents)
 
 
@@ -447,13 +422,13 @@ def make_batch(samples: list[Sample], mode: str = "unaligned") -> Batch:
         raise DataError("a batch needs at least one sample")
     for s in samples:
         for m in MODALITIES:
-            if s.sequences[m].length < 1:
+            if s.features[m].shape[0] < 1:
                 raise DataError(f"sample {s.id}: empty {m.tag} sequence")
     if mode == "aligned":
         samples = [align_sample(s) for s in samples]
     features, masks, lengths = {}, {}, {}
     for m in MODALITIES:
-        f, k, n = _pad_stack([s.sequences[m].features for s in samples])
+        f, k, n = _pad_stack([s.features[m] for s in samples])
         features[m], masks[m], lengths[m] = f, k, n
     return Batch(
         ids=[s.id for s in samples],

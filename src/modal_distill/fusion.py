@@ -3,43 +3,33 @@
 Each stream (three shared-space, three reinforced private) is scaled by its
 own scalar sigmoid gate, everything is concatenated, and a small two-layer
 head regresses the sentiment score.  Class views of a score are derived, not
-predicted: a 7-bin rounding and a negative / non-negative split.
+predicted: a 7-bin rounding (``bin7``) and a negative / non-negative split
+(``score >= 0``).
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .data import LABEL_MAX, LABEL_MIN, MODALITIES, Modality
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, NumericError, ShapeError
 from .layers import Linear, TwoLayer
 from .tensor import Tensor, absolute, concat, mul, reshape, sigmoid, tmean
 
 
-def bin7(score: float) -> int:
-    """Nearest sentiment bin: round half away from zero, clamped to [-3, 3]."""
-    rounded = np.sign(score) * np.floor(abs(score) + 0.5)
-    return int(np.clip(rounded, -3, 3))
+def bin7(score):
+    """Nearest sentiment bin: round half away from zero, clamped to [-3, 3].
 
-
-def non_negative(score: float) -> bool:
-    return score >= 0.0
-
-
-@dataclass(frozen=True)
-class Prediction:
-    score: float
-    class7: int
-    positive_class: bool
-
-    @classmethod
-    def from_score(cls, score: float) -> "Prediction":
-        return cls(score=float(score), class7=bin7(score),
-                   positive_class=non_negative(score))
+    Takes a score (giving an ``int``) or an array of scores (giving an int
+    array of the same shape).  A NaN score has no bin: ``NumericError``."""
+    s = np.asarray(score, dtype=np.float64)
+    if np.isnan(s).any():
+        raise NumericError("cannot bin a NaN score")
+    bins = np.clip(np.sign(s) * np.floor(np.abs(s) + 0.5), -3, 3).astype(np.int64)
+    return int(bins) if bins.ndim == 0 else bins
 
 
 class FusionHead:
@@ -112,21 +102,20 @@ def total_loss(task: Tensor | float, dec: Tensor | float, dtl_homo: Tensor | flo
 # ---- prediction dump ----
 
 PREDICTION_COLUMNS = ["sample_id", "score", "class7", "class2", "label", "label7", "label2"]
+CLASS2_NAMES = ("negative", "non-negative")  # indexed by score >= 0
 
 
-def _class2_name(flag: bool) -> str:
-    return "non-negative" if flag else "negative"
-
-
-def write_predictions(path: str | Path, ids: list[str], scores: list[float],
-                      labels: list[float]) -> None:
+def write_predictions(path: str | Path, ids: list[str], scores: np.ndarray,
+                      labels: np.ndarray) -> None:
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(PREDICTION_COLUMNS)
-        for sid, score, label in zip(ids, scores, labels):
-            pred = Prediction.from_score(score)
+        for sid, score, s7, label, l7 in zip(ids, scores.tolist(), bin7(scores).tolist(),
+                                             labels.tolist(), bin7(labels).tolist()):
             writer.writerow([
-                sid, f"{score:.17g}", pred.class7, _class2_name(pred.positive_class),
-                f"{label:.17g}", bin7(label), _class2_name(non_negative(label)),
+                sid, f"{score:.17g}", s7, CLASS2_NAMES[score >= 0],
+                f"{label:.17g}", l7, CLASS2_NAMES[label >= 0],
             ])

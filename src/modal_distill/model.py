@@ -171,7 +171,7 @@ class Model:
             # rows sample-major, modalities (L, V, A) within a sample
             stacked = reshape(concat([enc.homo[m] for m in MODALITIES], axis=-1),
                               (3 * b, cfg.d))
-            classes = np.repeat(list(map(bin7, batch.labels)), 3)
+            classes = np.repeat(bin7(batch.labels), 3)
             tags = list(zip(MODALITIES * b, classes))
             margin, n_triplets = loss_margin(stacked, tags, cfg.alpha)
             dec = loss_dec(rec, cyc, margin, ort, cfg.gamma)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +15,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import TrainConfig
 from .data import MODALITIES, Batch, Modality, Sample, SyntheticConfig, batches, generate, make_batch, split_dataset
 from .errors import ConfigError, DataError, NumericError
-from .fusion import bin7, non_negative
+from .fusion import bin7
 from .graph_distill import EDGE_SOURCES
 from .model import COMPONENT_NAMES, Model, StepOutput
 from .tensor import Tensor, mul, tsum
@@ -135,16 +135,20 @@ def binary_f1(pred_pos: np.ndarray, true_pos: np.ndarray) -> float:
 
 
 def compute_metrics(scores: np.ndarray, labels: np.ndarray) -> MetricsReport:
+    """ACC7 over ``bin7`` classes, ACC2 and F1 over the ``>= 0`` split, and
+    MAE.  A non-finite score raises ``NumericError``."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if scores.shape != labels.shape or scores.ndim != 1 or scores.size == 0:
         raise DataError(f"metrics need matching non-empty 1-d arrays, got {scores.shape} vs {labels.shape}")
-    pred7 = np.array([bin7(s) for s in scores])
-    true7 = np.array([bin7(y) for y in labels])
-    pred_pos = np.array([non_negative(s) for s in scores])
-    true_pos = np.array([non_negative(y) for y in labels])
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise NumericError(f"{bad.size} of {scores.size} scores are non-finite "
+                           f"(first: {scores[bad[0]]} at row {bad[0]})")
+    pred_pos = scores >= 0
+    true_pos = labels >= 0
     return MetricsReport(
-        acc7=float(np.mean(pred7 == true7)),
+        acc7=float(np.mean(bin7(scores) == bin7(labels))),
         acc2=float(np.mean(pred_pos == true_pos)),
         f1=binary_f1(pred_pos, true_pos),
         mae=float(np.mean(np.abs(scores - labels))),
@@ -196,7 +200,7 @@ class TrainResult:
 
 
 def _infer_raw_dims(samples: list[Sample]) -> dict[Modality, int]:
-    return {m: samples[0].sequences[m].dim for m in MODALITIES}
+    return {m: samples[0].features[m].shape[1] for m in MODALITIES}
 
 
 def _step_record(step: int, epoch: int, out: StepOutput) -> dict:
@@ -339,11 +343,9 @@ class ComponentCheck:
 @dataclass
 class GradcheckReport:
     checks: list[ComponentCheck]
-    tol: float
     teacher_path_grad: float
     gd_params_zero_when_lambda2_zero: bool
     passed: bool
-    notes: list[str] = field(default_factory=list)
 
     def lines(self) -> list[str]:
         out = []
@@ -355,7 +357,6 @@ class GradcheckReport:
                    + f" teacher path gradient = {self.teacher_path_grad:.3e}")
         out.append(("ok  " if self.gd_params_zero_when_lambda2_zero else "FAIL")
                    + " distillation parameters get exactly zero gradient at lambda2=0")
-        out.extend(self.notes)
         out.append("PASS" if self.passed else "FAIL")
         return out
 
@@ -385,8 +386,7 @@ def _gradcheck_batch(data_config: SyntheticConfig, seed: int, n: int = 3) -> Bat
     pool = generate(4 * n, seed, data_config)
     chosen: list[Sample] = []
     seen_bins: set[int] = set()
-    for s in pool:
-        b = bin7(s.label)
+    for s, b in zip(pool, bin7([s.label for s in pool]).tolist()):
         if b not in seen_bins or len(seen_bins) > 1:
             chosen.append(s)
             seen_bins.add(b)
@@ -404,6 +404,10 @@ def gradcheck(config: TrainConfig | None = None, n_probes: int = 20,
     teacher logits frozen at their base values, which is exactly the
     function backprop differentiates (both are constants on the live pass).
     """
+    if n_probes < 1:
+        raise ConfigError(f"gradcheck needs n_probes >= 1, got {n_probes}")
+    if not tol > 0:
+        raise ConfigError(f"gradcheck needs tol > 0, got {tol}")
     if config is None:
         config = gradcheck_model_config(seed)
     config.validate()
@@ -468,10 +472,8 @@ def gradcheck(config: TrainConfig | None = None, n_probes: int = 20,
     gd_zero = _gd_params_zero_at_lambda2_zero(config, batch)
 
     passed = all(c.passed for c in checks) and gd_zero and teacher_grad == 0.0
-    return GradcheckReport(checks=checks, tol=tol,
-                           teacher_path_grad=teacher_grad,
-                           gd_params_zero_when_lambda2_zero=gd_zero,
-                           passed=passed)
+    return GradcheckReport(checks=checks, teacher_path_grad=teacher_grad,
+                           gd_params_zero_when_lambda2_zero=gd_zero, passed=passed)
 
 
 def _teacher_path_grad(model: Model, seed: int) -> float:
@@ -556,6 +558,8 @@ def probe_split(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """A seeded 70/30 fit/eval split of ``n`` rows, each side non-empty."""
     if n < 2:
         raise DataError(f"probing needs at least 2 samples, got {n}")
+    if seed < 0:
+        raise ConfigError(f"probe seed must be >= 0, got {seed}")
     perm = np.random.default_rng(seed).permutation(n)
     cut = max(1, min(n - 1, int(round(0.7 * n))))
     return perm[:cut], perm[cut:]

@@ -43,8 +43,8 @@ def test_generate_deterministic():
     for sa, sb in zip(a, b):
         assert sa.id == sb.id and sa.label == sb.label
         for m in MODALITIES:
-            np.testing.assert_array_equal(sa.sequences[m].features,
-                                          sb.sequences[m].features)
+            np.testing.assert_array_equal(sa.features[m],
+                                          sb.features[m])
         np.testing.assert_array_equal(sa.latents.z_shared, sb.latents.z_shared)
 
 
@@ -64,7 +64,7 @@ def _fingerprint(samples) -> str:
         h.update(s.id.encode())
         h.update(np.float64(s.label).tobytes())
         for m in MODALITIES:
-            features = s.sequences[m].features
+            features = s.features[m]
             h.update(repr(features.shape).encode())
             h.update(np.ascontiguousarray(features).tobytes())
         h.update(s.latents.z_shared.tobytes())
@@ -142,7 +142,7 @@ def test_phase_multiplies_shared_component():
     s = generate(1, seed=3, config=cfg)[0]
     for m in MODALITIES:
         expected = 2.0 * shared_component(maps, m, s.latents.z_shared)
-        for row in s.sequences[m].features:
+        for row in s.features[m]:
             np.testing.assert_allclose(row, expected, rtol=0, atol=1e-15)
 
 
@@ -159,7 +159,7 @@ def test_phase_set_rows_are_scaled_copies():
     for m in MODALITIES:
         base = shared_component(maps, m, s.latents.z_shared)
         anchor = np.abs(base).argmax()
-        for row in s.sequences[m].features:
+        for row in s.features[m]:
             mult = row[anchor] / base[anchor]
             assert any(abs(mult - p) < 1e-9 for p in (2.0, -1.0))
             np.testing.assert_allclose(row, mult * base, rtol=0, atol=1e-12)
@@ -198,10 +198,10 @@ def test_sequence_dims_match_config():
     cfg = small_config()
     for s in generate(10, seed=2, config=cfg):
         for m in MODALITIES:
-            seq = s.sequences[m]
+            t, dim = s.features[m].shape
             lo, hi = cfg.length_ranges[m]
-            assert lo <= seq.length <= hi
-            assert seq.dim == cfg.raw_dims[m]
+            assert lo <= t <= hi
+            assert dim == cfg.raw_dims[m]
 
 
 def test_default_dims_mirror_standard_extractors():
@@ -222,8 +222,16 @@ def test_save_load_round_trip(tmp_path):
     for orig, back in zip(samples, loaded):
         assert back.label == orig.label
         for m in MODALITIES:
-            np.testing.assert_array_equal(back.sequences[m].features,
-                                          orig.sequences[m].features)
+            np.testing.assert_array_equal(back.features[m],
+                                          orig.features[m])
+
+
+def test_save_dataset_writes_manifest_and_features_only(tmp_path):
+    samples = generate(3, seed=13, config=small_config())
+    assert save_dataset(samples, tmp_path) == tmp_path / "manifest.csv"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["features", "manifest.csv"]
+    assert sorted(p.name for p in (tmp_path / "features").iterdir()) == sorted(
+        f"{s.id}_{m.tag}.csv" for s in samples for m in MODALITIES)
 
 
 def test_load_missing_file_names_sample(tmp_path):
@@ -324,8 +332,8 @@ def test_load_header_with_spaces_round_trips(tmp_path):
     for orig, back in zip(samples, loaded):
         assert back.label == orig.label
         for m in MODALITIES:
-            np.testing.assert_array_equal(back.sequences[m].features,
-                                          orig.sequences[m].features)
+            np.testing.assert_array_equal(back.features[m],
+                                          orig.features[m])
 
 
 def test_load_rejects_wrong_header(tmp_path):
@@ -349,13 +357,13 @@ def test_unaligned_padding_and_masks():
     samples = generate(6, seed=8, config=cfg)
     batch = make_batch(samples, mode="unaligned")
     for m in MODALITIES:
-        t_pad = max(s.sequences[m].length for s in samples)
+        t_pad = max(s.features[m].shape[0] for s in samples)
         assert batch.features[m].shape == (6, t_pad, cfg.raw_dims[m])
         for i, s in enumerate(samples):
-            t = s.sequences[m].length
+            t = s.features[m].shape[0]
             assert batch.masks[m][i].sum() == t
             assert batch.lengths[m][i] == t
-            np.testing.assert_array_equal(batch.features[m][i, :t], s.sequences[m].features)
+            np.testing.assert_array_equal(batch.features[m][i, :t], s.features[m])
             assert np.all(batch.features[m][i, t:] == 0.0)
 
 
@@ -372,7 +380,7 @@ def test_aligned_mode_resamples_to_median():
     samples = generate(3, seed=6, config=small_config())
     batch = make_batch(samples, mode="aligned")
     for i, s in enumerate(samples):
-        target = sorted(seq.length for seq in s.sequences.values())[1]
+        target = sorted(f.shape[0] for f in s.features.values())[1]
         for m in MODALITIES:
             assert batch.lengths[m][i] == target
 
@@ -391,7 +399,7 @@ def test_align_sample_keeps_label_and_latents():
     s = generate(1, seed=30, config=small_config())[0]
     aligned = align_sample(s)
     assert aligned.label == s.label and aligned.latents is s.latents
-    assert len({seq.length for seq in aligned.sequences.values()}) == 1
+    assert len({f.shape[0] for f in aligned.features.values()}) == 1
 
 
 def test_split_dataset_fractions_and_determinism():

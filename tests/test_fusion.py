@@ -2,17 +2,16 @@
 task and total objectives, and the prediction dump format."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
 
 from modal_distill.data import MODALITIES, Modality
-from modal_distill.errors import ConfigError, DataError
+from modal_distill.errors import ConfigError, DataError, NumericError
 from modal_distill.fusion import (
     FusionHead,
-    Prediction,
     bin7,
-    non_negative,
     task_loss,
     total_loss,
     write_predictions,
@@ -130,23 +129,43 @@ def test_total_loss_gradient_reaches_all_components():
 # ---- binning ----
 
 
-@pytest.mark.parametrize("score,expected", [
+BIN7_CASES = [
     (-0.5, -1), (0.0, 0), (0.49, 0), (2.51, 3),
-    (0.5, 1), (-0.49, 0), (5.7, 3), (-9.0, -3), (1.5, 2),
-])
+    (0.5, 1), (-0.49, 0), (5.7, 3), (-9.0, -3), (1.5, 2), (-1.72, -2),
+]
+
+
+@pytest.mark.parametrize("score,expected", BIN7_CASES)
 def test_bin7_boundaries(score, expected):
-    assert bin7(score) == expected
+    got = bin7(score)
+    assert got == expected and type(got) is int
 
 
-def test_class2_split():
-    assert non_negative(0.0) is True
-    assert non_negative(0.6) is True
-    assert non_negative(-0.2) is False
+def test_bin7_array_matches_per_element():
+    scores = np.array([score for score, _ in BIN7_CASES])
+    got = bin7(scores)
+    assert got.shape == scores.shape and got.dtype.kind == "i"
+    assert got.tolist() == [bin7(float(s)) for s in scores]
+    assert bin7(scores.reshape(2, -1)).tolist() == got.reshape(2, -1).tolist()
 
 
-def test_prediction_from_score():
-    p = Prediction.from_score(-1.72)
-    assert p.class7 == -2 and p.positive_class is False and p.score == -1.72
+@pytest.mark.parametrize("scores", [math.nan, [0.3, math.nan], np.array([[math.nan]])])
+def test_bin7_rejects_nan(scores):
+    with pytest.raises(NumericError, match="NaN"):
+        bin7(scores)
+
+
+def test_class2_split(tmp_path):
+    """The class2 view of a score is ``score >= 0``: zero is non-negative."""
+    path = tmp_path / "preds.csv"
+    scores = [0.0, 0.6, -0.2, -1.72]
+    write_predictions(path, ["a", "b", "c", "d"], scores, scores)
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["class2"] for r in rows] == ["non-negative", "non-negative", "negative", "negative"]
+    assert [r["label2"] for r in rows] == [r["class2"] for r in rows]
+    assert [r["class7"] for r in rows] == ["0", "1", "0", "-2"]
+    assert [float(r["score"]) for r in rows] == scores
 
 
 def test_prediction_dump_format(tmp_path):

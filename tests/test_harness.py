@@ -1,12 +1,14 @@
 """Harness tests: config parsing, metrics fixtures, the optimizer, training
 loop behavior, checkpoints, probes, and the CLI."""
 
+import argparse
 import gc
 import importlib
 import json
 import math
 import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -74,7 +76,7 @@ def test_defaults_match_pinned_hyperparameters():
     ("mode", "interleaved"), ("heads", 5), ("edge_mode", "cubed"),
     ("d", 0), ("heads", 0), ("heads", -4), ("lr", math.nan), ("lr", math.inf),
     ("lambda1", math.nan), ("lambda2", math.inf), ("gamma", math.nan),
-    ("max_steps", -3),
+    ("max_steps", -3), ("seed", -1),
 ])
 def test_validate_rejects_bad_values(field, value):
     cfg = TrainConfig()
@@ -664,7 +666,59 @@ def test_cli_manifest_with_duplicate_id_exits_two(tmp_path):
 
 
 def test_cli_numeric_failures_exit_three():
-    assert main(["gradcheck", "--probes", "2", "--tol", "-1"]) == 3
+    # a positive tolerance no finite difference can meet
+    assert main(["gradcheck", "--probes", "2", "--tol", "1e-300"]) == 3
+
+
+def test_eval_of_checkpoint_with_nan_parameter_exits_three(tmp_path, capsys):
+    path = tmp_path / "nan.npz"
+    cfg = tiny_config()
+    model = Model(cfg)
+    model.parameters()["fusion.head.first.weight"].data[0, 0] = np.nan
+    save_checkpoint(path, model.parameters(), cfg,
+                    {"raw_dims": {m.tag: d for m, d in model.raw_dims.items()}})
+    with np.errstate(all="ignore"):
+        rc = main(["eval", "--checkpoint", str(path), "--synthetic", "4"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("numeric error: 4 of 4 scores are non-finite")
+    assert len(err.splitlines()) == 1
+
+
+# each row once ended in a traceback, a wrong exit code or a misleading
+# message.  {dir} is an existing directory, {file} an existing file, {ck} a
+# loadable checkpoint
+BAD_INVOCATIONS = [
+    ("gradcheck --probes 0", 1, "n_probes >= 1"),
+    ("gradcheck --probes -1", 1, "n_probes >= 1"),
+    ("gradcheck --probes 2 --tol 0", 1, "tol > 0"),
+    ("gradcheck --probes 2 --tol -1", 1, "tol > 0"),
+    ("train --synthetic 0", 1, "sample count must be >= 1, got 0"),
+    ("train --synthetic 4 --seed -1", 1, "seed must be >= 0, got -1"),
+    ("train --synthetic 4 --data-seed -5", 1, "seed must be >= 0, got -5"),
+    ("gen-data --n 2 --seed -1 --out {dir}/new", 1, "seed must be >= 0, got -1"),
+    ("probe-unimodal --checkpoint {ck} --synthetic 4 --seed -1", 1, "seed must be >= 0"),
+    ("eval --checkpoint {ck} --synthetic 3 --predictions {dir}", 4, "{dir}"),
+    ("train --synthetic 4 --d 4 --heads 2 --epochs 1 --out {file}", 4, "{file}"),
+    ("train --data {dir} --epochs 1", 4, "{dir}"),
+    ("dump-edges --checkpoint {ck} --synthetic 3 --out {dir}", 4, "{dir}"),
+    ("gen-data --n 2 --out {file}", 4, "{file}"),
+]
+
+
+@pytest.mark.parametrize("argv,code,needle", BAD_INVOCATIONS,
+                         ids=[row[0].split(" {")[0] for row in BAD_INVOCATIONS])
+def test_cli_bad_invocation_is_one_error_line(tmp_path, capsys, argv, code, needle):
+    paths = {"dir": tmp_path / "d", "file": tmp_path / "f.txt", "ck": tmp_path / "ck.npz"}
+    paths["dir"].mkdir()
+    paths["file"].write_text("x\n")
+    _eval_checkpoint(paths["ck"])
+    rc = main(argv.format(**paths).split())
+    err = capsys.readouterr().err
+    assert rc == code, err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert re.match(r"(error|data error|numeric error|I/O error): ", err)
+    assert needle.format(**paths) in err
 
 
 def test_cli_non_finite_gradient_exits_three_keeping_best_checkpoint(tmp_path, monkeypatch, capsys):
@@ -723,6 +777,45 @@ def test_cli_toggle_flags():
     cfg = _build_config(args)
     assert not (cfg.fd or cfg.homogd or cfg.ca or cfg.heterogd)
     assert cfg.seed == 7 and cfg.mode == "aligned"
+
+
+# the config flags as scripts spell them: dest, type, choices; each
+# defaults to None, so an absent flag leaves the config value alone
+VALUE_FLAGS = {
+    "--lambda1": ("lambda1", float, None), "--lambda2": ("lambda2", float, None),
+    "--gamma": ("gamma", float, None), "--alpha": ("alpha", float, None),
+    "--lr": ("lr", float, None), "--d": ("d", int, None), "--heads": ("heads", int, None),
+    "--batch-size": ("batch_size", int, None), "--epochs": ("epochs", int, None),
+    "--max-steps": ("max_steps", int, None), "--seed": ("seed", int, None),
+    "--mode": ("mode", str, ("aligned", "unaligned")),
+    "--edge-mode": ("edge_mode", str, ("squared", "abs")),
+}
+STAGE_FLAGS = {"--no-fd": "fd", "--no-homogd": "homogd", "--no-ca": "ca",
+               "--no-heterogd": "heterogd"}
+COMMAND_FLAGS = {"train": {"--data", "--synthetic", "--data-seed", "--out"},
+                 "gradcheck": {"--probes", "--tol"}}
+
+
+@pytest.mark.parametrize("command", ["train", "gradcheck"])
+def test_config_flags_are_one_per_field(command):
+    """``train`` and ``gradcheck`` expose ``--config`` and one flag per
+    TrainConfig field except ``out_dir``, spelled and typed as before."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.option_strings[0]: a for a in sub.choices[command]._actions
+               if a.option_strings and a.option_strings[0] not in ("-h", *COMMAND_FLAGS[command])}
+    assert set(actions) == {"--config", *VALUE_FLAGS, *STAGE_FLAGS}
+    dests = sorted(a.dest for flag, a in actions.items() if flag != "--config")
+    assert dests == sorted(f.name for f in fields(TrainConfig) if f.name != "out_dir")
+    for flag, (dest, kind, choices) in VALUE_FLAGS.items():
+        a = actions[flag]
+        assert (a.dest, a.type or str, a.default) == (dest, kind, None), flag
+        assert (tuple(a.choices) if a.choices else None) == choices, flag
+    for flag, dest in STAGE_FLAGS.items():
+        a = actions[flag]
+        assert (a.dest, a.nargs, a.const, a.default) == (dest, 0, False, None), flag
+    extra = ["--synthetic", "4"] if command == "train" else []
+    args = build_parser().parse_args([command, *extra, "--no-ca"])
+    assert args.ca is False and args.fd is None and args.lr is None
 
 
 def _bench_module(name: str):

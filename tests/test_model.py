@@ -10,7 +10,6 @@ from modal_distill.config import TrainConfig
 from modal_distill.data import (
     MODALITIES,
     Modality,
-    ModalitySequence,
     SyntheticConfig,
     generate,
     make_batch,
@@ -73,8 +72,7 @@ def test_forward_deterministic_given_seed():
 
 def test_empty_sequence_rejected():
     samples = generate(2, 0, small_world())
-    samples[1].sequences[Modality.VISION] = ModalitySequence(
-        Modality.VISION, np.zeros((0, SMALL_RAW[Modality.VISION])))
+    samples[1].features[Modality.VISION] = np.zeros((0, SMALL_RAW[Modality.VISION]))
     for mode in ("aligned", "unaligned"):
         with pytest.raises(DataError, match=f"sample {samples[1].id}: empty V sequence"):
             make_batch(samples, mode=mode)
