@@ -4,7 +4,8 @@ Exit codes, each failure printed as one line on stderr:
 
     0  success
     1  usage or configuration problem
-    2  data problem (manifest, feature files, checkpoint contents)
+    2  data problem (manifest, feature files, checkpoint contents, a text
+       input that is not UTF-8)
     3  numerical failure (divergence, a non-finite score, a failed gradient check)
     4  I/O failure (a path that cannot be read or written)
 """
@@ -15,6 +16,7 @@ import argparse
 import logging
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 from .config import TrainConfig, apply_overrides, load_config
 from .data import generate, load_features, save_dataset
@@ -92,6 +94,15 @@ def _load_checkpoint_and_samples(args):
     return model, _load_samples(args, dims=model.raw_dims)
 
 
+def _check_output(path: str) -> None:
+    """Fail before any work when ``path`` cannot be written as a file: it
+    is an existing directory, or it lies under a file.  Creates its parent
+    directories, as the writer would."""
+    if Path(path).is_dir():
+        raise IsADirectoryError(f"output path {path} is a directory")
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+
+
 def _cmd_gen_data(args) -> int:
     samples = generate(args.n, args.seed)
     manifest = save_dataset(samples, args.out)
@@ -118,6 +129,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.predictions:
+        _check_output(args.predictions)
     model, samples = _load_checkpoint_and_samples(args)
     report, (ids, scores, labels) = evaluate(model, samples)
     print(f"eval: {report.to_dict()}")
@@ -137,6 +150,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_dump_edges(args) -> int:
+    _check_output(args.out)
     model, samples = _load_checkpoint_and_samples(args)
     records = dump_edges(model, samples, out_path=args.out)
     print(f"wrote {len(records)} edge records to {args.out}")
@@ -214,6 +228,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:  # a config file or manifest holding binary
+        print(f"data error: an input file is not UTF-8 text: {exc}", file=sys.stderr)
         return 2
     except (NumericError, ShapeError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

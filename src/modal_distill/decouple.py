@@ -8,8 +8,6 @@ a private encoder/decoder pair for the modality-exclusive remainder.
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 from dataclasses import dataclass
 
@@ -21,15 +19,13 @@ from .tensor import (
     concat,
     conv1d,
     cosine,
+    gram,
     l2_normalize,
     margin_hinge,
     masked_sq_distance,
-    matmul,
     mean_pool_time,
     tsum,
 )
-
-log = logging.getLogger(__name__)
 
 # time steps each shallow conv window covers, centred on its own step
 CONV_WIDTH = 3
@@ -131,24 +127,18 @@ def loss_cyc(hetero: Tensor, reencoded: Tensor, mask: np.ndarray) -> Tensor:
     return masked_sq_distance(hetero, reencoded, mask)
 
 
-def loss_margin(x: Tensor, tags: list[tuple[Modality, int]], alpha: float) -> tuple[Tensor, int]:
-    """Hinge over all valid triplets of the rows of ``x`` ``[N, d]``, tagged
-    (modality, class) by ``tags``: mean of max(0, α − cos(i,j) + cos(i,k)),
-    where j shares the anchor i's class from another modality and k shares
-    its modality with another class.
+def loss_margin(x: Tensor, mods: np.ndarray, classes: np.ndarray,
+                alpha: float) -> tuple[Tensor, int]:
+    """Hinge over all valid triplets of the rows of ``x`` ``[N, d]``, row i
+    tagged with modality index ``mods[i]`` (into ``MODALITIES``) and class
+    ``classes[i]``: mean of max(0, α − cos(i,j) + cos(i,k)), where j shares
+    the anchor i's class from another modality and k shares its modality
+    with another class.
 
-    Returns the loss and the triplet count; an empty triplet set yields 0
-    with a warning so a degenerate minibatch cannot crash training.
+    Returns the loss and the triplet count; an empty triplet set yields a
+    constant 0, so a degenerate minibatch cannot crash training.
     """
-    if x.ndim != 2 or x.shape[0] != len(tags):
-        raise ShapeError(f"loss_margin: {len(tags)} tags for rows of {x.shape}")
-    xn = l2_normalize(x, 1e-24)
-    mods = np.array([MODALITIES.index(m) for m, _ in tags], dtype=np.intp)
-    classes = np.array([c for _, c in tags], dtype=np.int64)
-    loss, count = margin_hinge(matmul(xn, xn.T), mods, classes, alpha)
-    if not count:
-        log.warning("margin loss: no valid triplets in batch of %d items", len(tags))
-    return loss, count
+    return margin_hinge(gram(l2_normalize(x, 1e-24)), mods, classes, alpha)
 
 
 def loss_ort(pairs: dict[Modality, DecoupledPair]) -> Tensor:

@@ -32,7 +32,6 @@ from .tensor import (
     mul,
     reshape,
     softmax,
-    stop_gradient,
     tsum,
 )
 
@@ -44,11 +43,12 @@ EDGE_SOURCES = np.array([[1, 2], [0, 2], [0, 1]])
 _EDGE_TARGETS = np.array([[0, 0], [1, 1], [2, 2]])
 
 
-def discrepancy(logit_src: Tensor, logit_tgt: Tensor, mode: str = "squared") -> Tensor:
-    """Penalty for src -> tgt edges; the teacher (src) side gets no gradient."""
+def discrepancy(teacher: np.ndarray, student: Tensor, mode: str = "squared") -> Tensor:
+    """Penalty for src -> tgt edges.  The teacher (src) logits are a
+    constant array, so they get no gradient."""
     if mode not in EDGE_MODES:
         raise ConfigError(f"edge discrepancy mode must be one of {EDGE_MODES}, got {mode!r}")
-    diff = stop_gradient(logit_src) - logit_tgt
+    diff = Tensor(teacher) - student
     return mul(diff, diff) if mode == "squared" else absolute(diff)
 
 
@@ -135,9 +135,8 @@ class GDUnit:
                 f"frozen graph holds {frozen.teacher_logits.shape[0]} samples, batch has {b}")
 
         gates = Tensor(frozen.gate_inputs.reshape(6 * b, -1))
-        weights = softmax(reshape(self.edge_scorer(gates), (b, 3, 2)), axis=-1)
-        eps = discrepancy(Tensor(frozen.teacher_logits), reshape(logits, (b, 3, 1)),
-                          self.edge_mode)
+        weights = softmax(reshape(self.edge_scorer(gates), (b, 3, 2)))
+        eps = discrepancy(frozen.teacher_logits, reshape(logits, (b, 3, 1)), self.edge_mode)
         edges = mul(weights, eps)
         return BatchDistill(loss=tsum(edges) * (1.0 / b), edges=edges, logits=logits,
                             weights=_by_source_target(weights.data),

@@ -171,9 +171,8 @@ class Model:
             # rows sample-major, modalities (L, V, A) within a sample
             stacked = reshape(concat([enc.homo[m] for m in MODALITIES], axis=-1),
                               (3 * b, cfg.d))
-            classes = np.repeat(bin7(batch.labels), 3)
-            tags = list(zip(MODALITIES * b, classes))
-            margin, n_triplets = loss_margin(stacked, tags, cfg.alpha)
+            margin, n_triplets = loss_margin(stacked, np.tile(np.arange(3), b),
+                                             np.repeat(bin7(batch.labels), 3), cfg.alpha)
             dec = loss_dec(rec, cyc, margin, ort, cfg.gamma)
         else:
             rec, cyc, ort, margin, dec = (Tensor(0.0) for _ in range(5))

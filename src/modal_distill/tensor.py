@@ -113,9 +113,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, _lift(other))
 
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
     def __sub__(self, other):
         return sub(self, _lift(other))
 
@@ -124,10 +121,6 @@ class Tensor:
 
     def __rmul__(self, other):
         return mul(_lift(other), self)
-
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
 
 
 def _lift(x) -> Tensor:
@@ -186,25 +179,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 # ---- matrix ops ----
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes; leading axes broadcast, as in
-    numpy ``@``."""
-    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    try:
-        out_data = a.data @ b.data
-    except ValueError:
-        raise ShapeError(f"matmul: leading axes of {a.shape} and {b.shape} do not broadcast")
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
-
-    return Tensor._result(out_data, (a, b), backward)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -273,25 +247,31 @@ def two_layer(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tens
     return Tensor._result(out_data, (x, w1, b1, w2, b2), backward)
 
 
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    if a.ndim < 2:
-        raise ShapeError(f"transpose needs at least 2 axes, got shape {a.shape}")
-
-    def backward(g):
-        a._accum(np.swapaxes(g, -1, -2))
-
-    return Tensor._result(np.swapaxes(a.data, -1, -2).copy(), (a,), backward)
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(int(s) for s in (shape if isinstance(shape, (tuple, list)) else (shape,)))
+def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     old_shape = a.shape
 
     def backward(g):
         a._accum(g.reshape(old_shape))
 
     return Tensor._result(a.data.reshape(shape), (a,), backward)
+
+
+def gram(x: Tensor) -> Tensor:
+    """``x @ x.T`` for the rows of ``x`` ``[N, d]``, giving ``[N, N]``.
+
+    The product reads a contiguous copy of ``x.T``: numpy's plain ``x @
+    x.T`` takes a symmetric BLAS path whose rounding differs.  Backward sums
+    the gradients of both operands, the left one first."""
+    if x.ndim != 2:
+        raise ShapeError(f"gram needs [N, d] rows, got shape {x.shape}")
+    xt = x.data.T.copy()
+
+    def backward(g):
+        g_x = g @ xt.T
+        g_x += (x.data.T @ g).T
+        x._accum(g_x)
+
+    return Tensor._result(x.data @ xt, (x,), backward)
 
 
 # ---- unary elementwise ----
@@ -317,55 +297,49 @@ def absolute(a: Tensor) -> Tensor:
     return Tensor._result(np.abs(a.data), (a,), backward)
 
 
-def stop_gradient(a: Tensor) -> Tensor:
-    """Identity forward (bit-identical, shared buffer); blocks all gradient."""
-    return Tensor(a.data)
-
-
 # ---- reductions ----
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
+def tsum(a: Tensor) -> Tensor:
+    """Sum of every entry, a scalar."""
 
     def backward(g):
-        ge = g if axis is None or keepdims else np.expand_dims(g, axis)
-        a._accum(np.broadcast_to(ge, a.shape))
+        a._accum(np.broadcast_to(g, a.shape))
 
-    return Tensor._result(out_data, (a,), backward)
-
-
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    n = a.data.size if axis is None else a.shape[axis]
-    out_data = a.data.mean(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        ge = g if axis is None or keepdims else np.expand_dims(g, axis)
-        a._accum(np.broadcast_to(ge / n, a.shape))
-
-    return Tensor._result(out_data, (a,), backward)
+    return Tensor._result(a.data.sum(), (a,), backward)
 
 
-def _softmax(x: Array, axis: int) -> Array:
-    """Softmax of an array along ``axis``, stabilized by max subtraction."""
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def _softmax_grad(p: Array, g: Array, axis: int) -> Array:
-    """Gradient at the input of a softmax with output ``p``, given ``g`` at
-    its output."""
-    return p * (g - (g * p).sum(axis=axis, keepdims=True))
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Softmax along ``axis``, stabilized by max subtraction."""
-    if a.data.size == 0 or a.shape[axis] == 0:
-        raise ShapeError(f"softmax over an empty axis (shape {a.shape}, axis {axis})")
-    out_data = _softmax(a.data, axis)
+def tmean(a: Tensor) -> Tensor:
+    """Mean of every entry, a scalar."""
+    n = a.data.size
 
     def backward(g):
-        a._accum(_softmax_grad(out_data, g, axis))
+        a._accum(np.broadcast_to(g / n, a.shape))
+
+    return Tensor._result(a.data.mean(), (a,), backward)
+
+
+def _softmax(x: Array) -> Array:
+    """Softmax of an array along its last axis, stabilized by max
+    subtraction."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(p: Array, g: Array) -> Array:
+    """Gradient at the input of a last-axis softmax with output ``p``, given
+    ``g`` at its output."""
+    return p * (g - (g * p).sum(axis=-1, keepdims=True))
+
+
+def softmax(a: Tensor) -> Tensor:
+    """Softmax along the last axis, stabilized by max subtraction."""
+    if a.data.size == 0 or a.shape[-1] == 0:
+        raise ShapeError(f"softmax over an empty axis (shape {a.shape})")
+    out_data = _softmax(a.data)
+
+    def backward(g):
+        a._accum(_softmax_grad(out_data, g))
 
     return Tensor._result(out_data, (a,), backward)
 
@@ -393,9 +367,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         raise ShapeError(f"attention: key bias {np.shape(key_bias)} does not match k {k.shape}")
     hd = d // heads
     scale = 1.0 / np.sqrt(hd)
-    # BLAS rounding depends on operand layout: these contiguous orientations
-    # give the same forward values, bit for bit, as the same attention built
-    # from matmul, transpose and softmax nodes
+    # BLAS rounding depends on operand layout, so these contiguous
+    # orientations are part of the result: another layout changes the
+    # forward values in the last bits
 
     def by_feature(x: Array, t: int) -> Array:
         """[B, T, d] -> [B, heads, head_dim, T]"""
@@ -410,7 +384,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         return x.transpose(0, 2, 1, 3).reshape(b, -1, d)
 
     scores = by_step(q.data, t_tgt) @ by_feature(k.data, t_src)
-    maps = _softmax(scores * scale + key_bias[:, None, None, :], -1)
+    maps = _softmax(scores * scale + key_bias[:, None, None, :])
     # [B, heads, head_dim, T_tgt]
     mixed = by_feature(v.data, t_src) @ np.ascontiguousarray(np.swapaxes(maps, -1, -2))
     out_data = np.ascontiguousarray(np.swapaxes(mixed.reshape(b, d, t_tgt), -1, -2))
@@ -423,7 +397,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         g_h = g.reshape(b, t_tgt, heads, hd).transpose(0, 2, 1, 3)  # [B, heads, T_tgt, head_dim]
         if v.requires_grad:
             v._accum(merge(np.swapaxes(maps, -1, -2) @ g_h))
-        g_scores = _softmax_grad(maps, g_h @ v_h, -1) * scale
+        g_scores = _softmax_grad(maps, g_h @ v_h) * scale
         if q.requires_grad:
             q._accum(merge(g_scores @ np.swapaxes(k_h, -1, -2)))
         if k.requires_grad:
@@ -539,7 +513,7 @@ def _taps(t: int, w: int):
             yield k, lo, hi, lo + k - pad
 
 
-def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
+def conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """1-D temporal convolution with zero same-padding.
 
     ``x`` is time-major ``[..., T, d_in]`` (leading axes are independent
@@ -566,10 +540,7 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
         col[..., lo:hi, k * d_in:(k + 1) * d_in] = x.data[..., src:src + hi - lo, :]
     k_flat = kernel.data.reshape(w * d_in, d_out)
     out_data = col @ k_flat
-    if bias is not None:
-        out_data += bias.data
-
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    out_data += bias.data
 
     def backward(g):
         g_rows = g.reshape(-1, d_out)
@@ -579,7 +550,7 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
                 g_kernel[k] = (x.data[..., src:src + hi - lo, :].reshape(-1, d_in).T
                                @ g[..., lo:hi, :].reshape(-1, d_out))
             kernel._accum(g_kernel)
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias._accum(g_rows.sum(axis=0))
         if not x.requires_grad:
             return
@@ -589,7 +560,7 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
             g_x[..., src:src + hi - lo, :] += g_col[..., lo:hi, k * d_in:(k + 1) * d_in]
         x._accum(g_x)
 
-    return Tensor._result(out_data, parents, backward)
+    return Tensor._result(out_data, (x, kernel, bias), backward)
 
 
 # ---- fused losses and poolings used throughout the model ----

@@ -159,21 +159,21 @@ def compute_metrics(scores: np.ndarray, labels: np.ndarray) -> MetricsReport:
 # ---- evaluation ----
 
 
+def _walk(model: Model, samples: list[Sample], batch_size: int | None, read) -> list:
+    """``read(batch)`` for each batch of ``samples`` in order (batches of
+    ``batch_size``, by default the model's).  ``read`` returns plain arrays,
+    so each batch's graph is freed before the next batch's forward."""
+    if not samples:
+        raise DataError("no samples to score")
+    return [read(batch) for batch in batches(samples, batch_size or model.config.batch_size,
+                                             mode=model.config.mode, shuffle=False)]
+
+
 def predict_scores(model: Model, samples: list[Sample],
                    batch_size: int | None = None) -> tuple[list[str], np.ndarray, np.ndarray]:
-    if not samples:
-        raise DataError("no samples to evaluate")
-    bs = batch_size or model.config.batch_size
-    ids: list[str] = []
-    scores: list[float] = []
-    labels: list[float] = []
-    for batch in batches(samples, bs, mode=model.config.mode, shuffle=False):
-        # keep no reference to the graph, so it is freed before the next
-        # batch's forward builds another
-        scores.extend(model.forward_batch(batch).scores())
-        ids.extend(batch.ids)
-        labels.extend(batch.labels.tolist())
-    return ids, np.array(scores), np.array(labels)
+    ids, scores, labels = zip(*_walk(model, samples, batch_size, lambda batch: (
+        batch.ids, model.forward_batch(batch).preds, batch.labels)))
+    return [i for part in ids for i in part], np.concatenate(scores), np.concatenate(labels)
 
 
 def evaluate(model: Model, samples: list[Sample]
@@ -511,16 +511,11 @@ def dump_edges(model: Model, samples: list[Sample],
                batch_size: int | None = None) -> list[dict]:
     """Record per-batch distillation graphs (weights, discrepancies, logits)
     as JSONL-ready dicts, one record per active space per batch."""
-    if not samples:
-        raise DataError("no samples to dump edges for")
-    bs = batch_size or model.config.batch_size
-    records: list[dict] = []
-    for step, batch in enumerate(batches(samples, bs, mode=model.config.mode,
-                                         shuffle=False)):
-        for space, unit in zip(("homo", "hetero"), model.distill(model.encode(batch))):
-            if unit is not None:
-                records.append({"step": step, "space": space, **unit.record()})
-        del unit  # frees this batch's graph before the next batch's forward
+    per_batch = _walk(model, samples, batch_size, lambda batch: [
+        None if unit is None else unit.record() for unit in model.distill(model.encode(batch))])
+    records = [{"step": step, "space": space, **record}
+               for step, units in enumerate(per_batch)
+               for space, record in zip(("homo", "hetero"), units) if record is not None]
     if not records:
         log.warning("dump_edges: both distillation paths disabled, nothing to write")
     if out_path is not None:
@@ -597,16 +592,12 @@ class FeatureBundle:
 
 
 def collect_features(model: Model, samples: list[Sample]) -> FeatureBundle:
-    if not samples:
-        raise DataError("no samples to extract features from")
-    homo, hetero, labels = [], [], []
-    for batch in batches(samples, model.config.batch_size, mode=model.config.mode,
-                         shuffle=False):
+    def read(batch: Batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         enc = model.encode(batch)
-        homo.append(np.stack([enc.homo[m].data for m in MODALITIES], axis=1))
-        hetero.append(np.stack([enc.hetero[m].data for m in MODALITIES], axis=1))
-        labels.append(batch.labels)
-        del enc  # frees this batch's graph before the next batch's forward
+        return (np.stack([enc.homo[m].data for m in MODALITIES], axis=1),
+                np.stack([enc.hetero[m].data for m in MODALITIES], axis=1), batch.labels)
+
+    homo, hetero, labels = zip(*_walk(model, samples, None, read))
     return FeatureBundle(homo=np.concatenate(homo), hetero=np.concatenate(hetero),
                          labels=np.concatenate(labels))
 
@@ -614,8 +605,8 @@ def collect_features(model: Model, samples: list[Sample]) -> FeatureBundle:
 def probe_unimodal(model: Model, samples: list[Sample], seed: int = 0) -> ProbeReport:
     """Fit a binary (non-negative vs negative) ridge probe per modality on
     the pooled shared-space features and report held-out ACC2/F1."""
+    tr, ev = probe_split(len(samples), seed)
     bundle = collect_features(model, samples)
-    tr, ev = probe_split(bundle.homo.shape[0], seed)
     true_pos = bundle.labels >= 0
     per_modality: dict[str, ModalityProbe] = {}
     accs = []

@@ -71,6 +71,14 @@ def gd_loss(weights: np.ndarray, discrepancies: np.ndarray) -> float:
     return float(np.sum(weights * discrepancies))
 
 
+def tag_arrays(tags) -> tuple[np.ndarray, np.ndarray]:
+    """``(modality, class)`` tags as the modality-index and class arrays
+    the margin loss takes."""
+    mods = np.array([MODALITIES.index(m) for m, _ in tags], dtype=np.intp)
+    classes = np.array([c for _, c in tags], dtype=np.int64)
+    return mods, classes
+
+
 def margin_triplets(tags) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index arrays (anchors i, cross-modal positives j, same-modal
     negatives k) of every valid triplet of ``(modality, class)`` tags: j
@@ -80,8 +88,7 @@ def margin_triplets(tags) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Anchors sharing a (modality, class) tag share their positive and
     negative sets, so each such group contributes one index grid.
     """
-    mods = np.array([MODALITIES.index(m) for m, _ in tags], dtype=np.intp)
-    classes = np.array([c for _, c in tags], dtype=np.int64)
+    mods, classes = tag_arrays(tags)
     parts = [np.empty((3, 0), dtype=np.intp)]
     for m, c in sorted(set(zip(mods.tolist(), classes.tolist()))):
         same_mod, same_class = mods == m, classes == c

@@ -12,7 +12,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from conftest import probe_multiclass_accuracy, set_averaging_decoder, set_identity_two_layer
+from conftest import (
+    probe_multiclass_accuracy,
+    set_averaging_decoder,
+    set_identity_two_layer,
+    tag_arrays,
+)
 from modal_distill.config import TrainConfig
 from modal_distill.data import (
     MODALITIES,
@@ -107,7 +112,7 @@ def test_criterion_3_margin_oracle():
         tags = [(MODALITIES[int(rng.integers(3))], int(rng.integers(-3, 4)))
                 for _ in range(n)]
         alpha = float(rng.uniform(0.05, 1.0))
-        loss, count = loss_margin(Tensor(np.stack(vecs)), tags, alpha)
+        loss, count = loss_margin(Tensor(np.stack(vecs)), *tag_arrays(tags), alpha)
         hinges = []
         for i, (m_i, c_i) in enumerate(tags):
             for j, (m_j, c_j) in enumerate(tags):

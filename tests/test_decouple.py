@@ -26,6 +26,7 @@ from conftest import (
     margin_triplets,
     set_averaging_decoder,
     set_identity_two_layer,
+    tag_arrays,
 )
 
 L, V, A = Modality.LANGUAGE, Modality.VISION, Modality.AUDIO
@@ -176,8 +177,8 @@ def oracle_margin(vectors, tags, alpha):
 
 
 def items_from(vectors, tags):
-    """The (rows, tags) arguments of ``loss_margin``."""
-    return Tensor(np.stack(vectors)), tags
+    """The (rows, modality indices, classes) arguments of ``loss_margin``."""
+    return (Tensor(np.stack(vectors)), *tag_arrays(tags))
 
 
 def test_margin_zero_when_separated():
@@ -200,13 +201,11 @@ def test_margin_single_triplet_forced_value():
     assert loss.item() == pytest.approx(0.2, abs=1e-12)
 
 
-def test_margin_empty_set_warns(caplog):
+def test_margin_empty_set_is_zero():
     vectors = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
     tags = [(L, 1), (L, 1)]  # same modality: no cross-modal positive exists
-    with caplog.at_level("WARNING"):
-        loss, count = loss_margin(*items_from(vectors, tags), alpha=0.2)
-    assert count == 0 and loss.item() == 0.0
-    assert any("no valid triplets" in r.message for r in caplog.records)
+    loss, count = loss_margin(*items_from(vectors, tags), alpha=0.2)
+    assert count == 0 and loss.item() == 0.0 and not loss.requires_grad
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -269,7 +268,7 @@ def test_margin_non_finite_row_gives_nan():
     x = rng.standard_normal((4, 3))
     x[2, 0] = np.nan
     tags = [(L, 1), (V, 1), (L, 2), (A, 1)]
-    loss, count = loss_margin(Tensor(x), tags, alpha=0.2)
+    loss, count = loss_margin(Tensor(x), *tag_arrays(tags), alpha=0.2)
     assert count == 2 and np.isnan(loss.item())
 
 
@@ -328,7 +327,7 @@ def test_decoupling_losses_gradcheck(seed):
             total_rec = total_rec + loss_rec(x, recon, mask)
             total_cyc = total_cyc + loss_cyc(pair.hetero, dec.reencode_private(recon, m), mask)
         rows = reshape(concat([pairs[m].homo_pooled for m in MODALITIES], axis=-1), (6, 3))
-        mar, count = loss_margin(rows, tags, alpha=0.2)
+        mar, count = loss_margin(rows, *tag_arrays(tags), alpha=0.2)
         assert count > 0
         return loss_dec(total_rec, total_cyc, mar, loss_ort(pairs), gamma=0.1)
 
@@ -341,7 +340,7 @@ def test_margin_gradcheck():
     tags = [(L, 1), (V, 1), (L, 2), (A, 1)]
 
     def build():
-        loss, _ = loss_margin(leaves["x"], tags, alpha=0.5)
+        loss, _ = loss_margin(leaves["x"], *tag_arrays(tags), alpha=0.5)
         return loss
 
     check_grads(build, leaves, tol=1e-5)

@@ -78,16 +78,16 @@ def test_logit_gradcheck():
 
 
 def test_discrepancy_fixtures():
-    assert discrepancy(Tensor(2.0), Tensor(2.0)).item() == 0.0
-    assert discrepancy(Tensor(3.0), Tensor(1.0)).item() == pytest.approx(4.0, abs=1e-15)
-    assert discrepancy(Tensor(3.0), Tensor(1.0), mode="abs").item() == pytest.approx(2.0, abs=1e-15)
+    assert discrepancy(np.array(2.0), Tensor(2.0)).item() == 0.0
+    assert discrepancy(np.array(3.0), Tensor(1.0)).item() == pytest.approx(4.0, abs=1e-15)
+    assert discrepancy(np.array(3.0), Tensor(1.0), mode="abs").item() == pytest.approx(2.0, abs=1e-15)
 
 
 def test_discrepancy_source_gradient_blocked():
     src = Tensor(3.0, requires_grad=True)
     tgt = Tensor(1.0, requires_grad=True)
-    discrepancy(src, tgt).backward()
-    assert src.grad is None  # no path was ever recorded
+    discrepancy(src.data, tgt).backward()
+    assert src.grad is None  # the teacher enters as a constant array
     assert tgt.grad == pytest.approx(-4.0)
     # finite differences on the unfrozen function see the teacher slope,
     # which is exactly what the stop must remove
@@ -97,7 +97,7 @@ def test_discrepancy_source_gradient_blocked():
 
 def test_discrepancy_rejects_unknown_mode():
     with pytest.raises(ConfigError):
-        discrepancy(Tensor(1.0), Tensor(0.0), mode="cubed")
+        discrepancy(np.array(1.0), Tensor(0.0), mode="cubed")
 
 
 # ---- reference loss form ----

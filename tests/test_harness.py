@@ -5,6 +5,7 @@ import argparse
 import gc
 import importlib
 import json
+import logging
 import math
 import re
 import sys
@@ -394,6 +395,16 @@ def test_checkpoint_with_retired_config_key_loads(tmp_path):
     assert main(["eval", "--checkpoint", str(path), "--synthetic", "4"]) == 0
 
 
+def test_eval_of_single_class_batches_logs_no_warning(tmp_path, caplog):
+    """Batches of one sample hold one class, so the margin loss has no
+    triplet; eval trains nothing and must not warn about it."""
+    path = tmp_path / "ck.npz"
+    _eval_checkpoint(path, {"batch_size": 1})
+    with caplog.at_level("WARNING"):
+        assert main(["eval", "--checkpoint", str(path), "--synthetic", "3"]) == 0
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
+
+
 def test_checkpoint_with_unknown_config_key_exits_two(tmp_path, capsys):
     path = tmp_path / "bogus.npz"
     _eval_checkpoint(path, {"bogus_knob": 1})
@@ -703,22 +714,41 @@ BAD_INVOCATIONS = [
     ("train --data {dir} --epochs 1", 4, "{dir}"),
     ("dump-edges --checkpoint {ck} --synthetic 3 --out {dir}", 4, "{dir}"),
     ("gen-data --n 2 --out {file}", 4, "{file}"),
+    ("eval --predictions {file}/x.csv --checkpoint {ck} --synthetic 3", 4, "{file}"),
+    ("dump-edges --out {file}/x.jsonl --checkpoint {ck} --synthetic 3", 4, "{file}"),
 ]
 
 
 @pytest.mark.parametrize("argv,code,needle", BAD_INVOCATIONS,
                          ids=[row[0].split(" {")[0] for row in BAD_INVOCATIONS])
-def test_cli_bad_invocation_is_one_error_line(tmp_path, capsys, argv, code, needle):
+def test_cli_bad_invocation_is_one_error_line(tmp_path, capsys, monkeypatch, argv, code,
+                                              needle):
+    """Each bad invocation fails with one error line before any forward
+    pass, and prints nothing to stdout."""
     paths = {"dir": tmp_path / "d", "file": tmp_path / "f.txt", "ck": tmp_path / "ck.npz"}
     paths["dir"].mkdir()
     paths["file"].write_text("x\n")
     _eval_checkpoint(paths["ck"])
+    forwards = []
+
+    def counted(name):
+        method = getattr(Model, name)
+
+        def wrapper(self, *args, **kwargs):
+            forwards.append(name)
+            return method(self, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("forward_batch", "encode"):
+        monkeypatch.setattr(Model, name, counted(name))
     rc = main(argv.format(**paths).split())
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert rc == code, err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert re.match(r"(error|data error|numeric error|I/O error): ", err)
     assert needle.format(**paths) in err
+    assert out == "" and forwards == []
 
 
 def test_cli_non_finite_gradient_exits_three_keeping_best_checkpoint(tmp_path, monkeypatch, capsys):

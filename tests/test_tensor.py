@@ -15,17 +15,15 @@ from modal_distill.tensor import (
     concat,
     conv1d,
     cosine,
+    gram,
     l2_normalize,
     margin_hinge,
     masked_sq_distance,
-    matmul,
     mean_pool_time,
     reshape,
     sigmoid,
     softmax,
-    stop_gradient,
     tmean,
-    transpose,
     tsum,
     two_layer,
 )
@@ -38,23 +36,29 @@ def make(rng, *shape):
 
 
 # ---- forward fixtures ----
+# The engine's matrix products are ``affine`` (``x @ w``, plus a bias when
+# given) and ``gram`` (``x @ x.T``).
 
 
 def test_matmul_identity():
     eye = Tensor(np.eye(2))
     m = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(matmul(eye, m).data, m.data)
+    np.testing.assert_array_equal(affine(eye, m).data, m.data)
+    np.testing.assert_array_equal(gram(eye).data, np.eye(2))
 
 
 def test_matmul_forced_zero():
     a = Tensor([[1.0, 0.0]])
     b = Tensor([[0.0], [5.0]])
-    np.testing.assert_array_equal(matmul(a, b).data, [[0.0]])
+    np.testing.assert_array_equal(affine(a, b).data, [[0.0]])
+    # orthogonal rows: the off-diagonal entries are exactly zero
+    np.testing.assert_array_equal(gram(Tensor([[1.0, 0.0], [0.0, 5.0]])).data,
+                                  [[1.0, 0.0], [0.0, 25.0]])
 
 
 def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(ShapeError) as exc:
-        matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
+        affine(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
     assert "(2, 3)" in str(exc.value) and "(4, 5)" in str(exc.value)
 
 
@@ -62,16 +66,18 @@ def test_matmul_batched_matches_numpy():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((3, 2, 4))
     b = rng.standard_normal((4, 5))
-    np.testing.assert_array_equal(matmul(Tensor(a), Tensor(b)).data, a @ b)
-    np.testing.assert_array_equal(transpose(Tensor(a)).data, np.swapaxes(a, 1, 2))
+    np.testing.assert_array_equal(affine(Tensor(a), Tensor(b)).data, a @ b)
+    # gram multiplies by a contiguous copy of x.T, not numpy's symmetric path
+    x = rng.standard_normal((6, 4))
+    np.testing.assert_array_equal(gram(Tensor(x)).data, x @ x.T.copy())
 
 
 def test_matmul_batched_shape_errors():
     with pytest.raises(ShapeError) as exc:
-        matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 5, 3))))
+        affine(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 5, 3))))
     assert "(2, 3, 4)" in str(exc.value) and "(2, 5, 3)" in str(exc.value)
-    with pytest.raises(ShapeError):
-        matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
+    with pytest.raises(ShapeError, match=r"\(2, 3, 4\)"):
+        gram(Tensor(np.zeros((2, 3, 4))))
 
 
 def test_softmax_symmetry():
@@ -87,7 +93,7 @@ def test_softmax_large_inputs_stable():
 
 def test_softmax_empty_axis_errors():
     with pytest.raises(ShapeError):
-        softmax(Tensor(np.zeros((3, 0))), axis=-1)
+        softmax(Tensor(np.zeros((3, 0))))
 
 
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8))
@@ -102,19 +108,19 @@ def test_conv1d_width_one_identity():
     rng = np.random.default_rng(0)
     x = Tensor(rng.standard_normal((6, 3)))
     kernel = Tensor(np.eye(3).reshape(1, 3, 3))
-    np.testing.assert_allclose(conv1d(x, kernel).data, x.data, atol=1e-15)
+    np.testing.assert_allclose(conv1d(x, kernel, Tensor(np.zeros(3))).data, x.data, atol=1e-15)
 
 
 def test_conv1d_preserves_temporal_length():
     rng = np.random.default_rng(1)
     x = Tensor(rng.standard_normal((5, 2)))
     kernel = Tensor(rng.standard_normal((3, 2, 4)))
-    assert conv1d(x, kernel).shape == (5, 4)
+    assert conv1d(x, kernel, Tensor(np.zeros(4))).shape == (5, 4)
 
 
 def test_conv1d_even_width_rejected():
     with pytest.raises(ConfigError):
-        conv1d(Tensor(np.zeros((4, 2))), Tensor(np.zeros((2, 2, 3))))
+        conv1d(Tensor(np.zeros((4, 2))), Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros(3)))
 
 
 def test_conv1d_matches_direct_convolution():
@@ -315,7 +321,6 @@ def test_gradients_match_finite_differences(seed):
     w = make(rng, 5)
     row = make(rng, 1, 4)
     batch = make(rng, 2, 3, 4)
-    batch_b = make(rng, 2, 4, 2)
     out_w = Tensor(rng.standard_normal((2, 3, 2)))
     conv_k = make(rng, 3, 4, 2)
     bias = make(rng, 2)
@@ -334,27 +339,23 @@ def test_gradients_match_finite_differences(seed):
     zero_row = Tensor(np.vstack([np.zeros(4), rng.standard_normal((2, 4))]))
     w_rows = Tensor(rng.standard_normal(3))
     mods, classes = np.tile(np.arange(3), 2), np.repeat([0, 1], 3)
+    rows = make(rng, 6, 4)
 
     cases = {
         "add": (lambda: tsum(a + b), {"a": a, "b": b}),
         "add_broadcast": (lambda: tsum(a + row), {"a": a, "row": row}),
         "sub": (lambda: tsum(a - b), {"a": a, "b": b}),
         "mul": (lambda: tsum(mul_ab()), {"a": a, "b": b}),
-        "matmul": (lambda: tsum(matmul(a, c)), {"a": a, "c": c}),
-        "transpose": (lambda: tsum(matmul(transpose(a), a)), {"a": a}),
         "reshape": (lambda: tsum(reshape(a, (4, 3)) * 2.0), {"a": a}),
         "sigmoid": (lambda: tsum(sigmoid(a)), {"a": a}),
         "abs_shifted": (lambda: tsum(absolute(a + 0.5)), {"a": a}),
-        "sum_axis": (lambda: tsum(tsum(a, axis=0) * tsum(a, axis=0)), {"a": a}),
         "mean": (lambda: tmean(a * a), {"a": a}),
-        "mean_axis": (lambda: tsum(tmean(a, axis=1) * 3.0), {"a": a}),
-        "softmax": (lambda: tsum(softmax(a, axis=1) * b), {"a": a, "b": b}),
+        "softmax": (lambda: tsum(softmax(a) * b), {"a": a, "b": b}),
         "concat": (lambda: tsum(mul_concat()), {"a": a, "b": b}),
-        "matmul_3d": (lambda: tsum(matmul(batch, batch_b) * out_w),
-                      {"batch": batch, "batch_b": batch_b}),
-        "matmul_broadcast": (lambda: tsum(matmul(a, batch_b) * out_w),
-                             {"a": a, "batch_b": batch_b}),
-        "transpose_3d": (lambda: tsum(matmul(transpose(batch), batch)), {"batch": batch}),
+        "gram": (lambda: tsum(gram(a) * out_3.data[0]), {"a": a}),
+        "gram_wide": (lambda: tsum(gram(c) * cos.data[:4, :4]), {"c": c}),
+        "gram_margin": (lambda: margin_hinge(gram(l2_normalize(rows, 1e-24)), mods, classes,
+                                             0.5)[0], {"rows": rows}),
         "cosine": (lambda: cosine(v, w), {"v": v, "w": w}),
         "cosine_zero_row": (lambda: tsum(cosine(zero_row, b) * w_rows), {"b": b}),
         "l2_normalize": (lambda: tsum(l2_normalize(a, 1e-24) * b), {"a": a, "b": b}),
@@ -365,11 +366,10 @@ def test_gradients_match_finite_differences(seed):
         "two_layer_3d": (lambda: tsum(two_layer(batch, c, bias, hidden_w, hidden_b) * out_3),
                          {"batch": batch, "c": c, "bias": bias, "hidden_w": hidden_w,
                           "hidden_b": hidden_b}),
-        "mean_pool": (lambda: tsum(mean_pool_time(a, np.ones(3)) * tsum(b, axis=0)),
-                      {"a": a, "b": b}),
+        "mean_pool": (lambda: tsum(mean_pool_time(a, np.ones(3)) * row), {"a": a, "row": row}),
         "cosine_rows": (lambda: tsum(cosine(a, b)), {"a": a, "b": b}),
-        "conv1d_batch": (lambda: tsum(conv1d(batch, conv_k) * 0.5),
-                         {"batch": batch, "conv_k": conv_k}),
+        "conv1d_batch": (lambda: tsum(conv1d(batch, conv_k, bias) * 0.5),
+                         {"batch": batch, "conv_k": conv_k, "bias": bias}),
         "conv1d_wide_bias": (lambda: tsum(conv1d(batch, conv_wide, bias) * out_w),
                              {"batch": batch, "conv_wide": conv_wide, "bias": bias}),
         "affine": (lambda: tsum(affine(a, c) * out_w.data[0]), {"a": a, "c": c}),
@@ -398,7 +398,9 @@ def test_matmul_gradient_tight(seed):
     rng = np.random.default_rng(100 + seed)
     a = make(rng, 3, 4)
     b = make(rng, 4, 2)
-    check_grads(lambda: tsum(matmul(a, b)), {"a": a, "b": b}, tol=1e-6)
+    w = Tensor(rng.standard_normal((3, 3)))
+    check_grads(lambda: tsum(affine(a, b)), {"a": a, "b": b}, tol=1e-6)
+    check_grads(lambda: tsum(gram(a) * w), {"a": a}, tol=1e-6)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -427,16 +429,6 @@ def test_masked_pool_gradient():
 
 
 # ---- graph semantics ----
-
-
-def test_stop_gradient_identity_and_blocking():
-    x = Tensor([1.0, 2.0], requires_grad=True)
-    frozen = stop_gradient(x)
-    assert np.shares_memory(frozen.data, x.data)
-    out = tsum(frozen * x)
-    out.backward()
-    # with d(frozen)/dx forced to zero: d/dx sum(c*x) = c, not 2x
-    np.testing.assert_array_equal(x.grad, [1.0, 2.0])
 
 
 def test_shared_subexpression_accumulates():
@@ -489,6 +481,5 @@ def test_forward_values_stay_finite():
     rng = np.random.default_rng(11)
     x = Tensor(rng.standard_normal((4, 4)) * 20.0)
     eye, zero = Tensor(np.eye(4)), Tensor(np.zeros(4))
-    for op in (lambda t: two_layer(t, eye, zero, eye, zero), sigmoid,
-               lambda t: softmax(t, axis=1)):
+    for op in (lambda t: two_layer(t, eye, zero, eye, zero), sigmoid, softmax):
         assert np.all(np.isfinite(op(x).data))
