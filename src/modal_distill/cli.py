@@ -3,7 +3,7 @@
 Exit codes, each failure printed as one line on stderr:
 
     0  success
-    1  usage or configuration problem
+    1  usage or configuration problem (an empty path included)
     2  data problem (manifest, feature files, checkpoint contents, a text
        input that is not UTF-8)
     3  numerical failure (divergence, a non-finite score, a failed gradient check)
@@ -19,7 +19,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .config import TrainConfig, apply_overrides, load_config
-from .data import generate, load_features, save_dataset
+from .data import MODALITIES, RAW_DIMS, generate, load_features, save_dataset
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .fusion import write_predictions
 from .train import (
@@ -43,13 +43,21 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+def _path(value: str) -> str:
+    """The argparse type of every path flag: an empty path is an error,
+    not the working directory and not an absent flag."""
+    if not value:
+        raise argparse.ArgumentTypeError("empty path")
+    return value
+
+
 def _config_fields():
     """Every TrainConfig field with a flag; ``out_dir`` is train's ``--out``."""
     return [f for f in fields(TrainConfig) if f.name != "out_dir"]
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", metavar="FILE", help="key=value config file")
+    p.add_argument("--config", type=_path, metavar="FILE", help="key=value config file")
     for f in _config_fields():
         help_text, kind = f.metadata["help"], type(f.default)
         if kind is bool:
@@ -74,7 +82,7 @@ def _build_config(args, base: TrainConfig | None = None) -> TrainConfig:
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--data", metavar="MANIFEST", help="dataset manifest csv")
+    p.add_argument("--data", type=_path, metavar="MANIFEST", help="dataset manifest csv")
     p.add_argument("--synthetic", type=int, metavar="N",
                    help="generate N synthetic samples instead of loading")
     p.add_argument("--data-seed", type=int, default=0, dest="data_seed")
@@ -84,8 +92,15 @@ def _load_samples(args, dims=None):
     if args.data:
         return load_features(args.data, dims=dims)
     if args.synthetic is not None:
+        if dims is not None and dims != RAW_DIMS:
+            raise ConfigError(f"--synthetic draws raw feature dims {_tags(RAW_DIMS)}, "
+                              f"the checkpoint expects {_tags(dims)}")
         return generate(args.synthetic, args.data_seed)
     raise ConfigError("need a data source: --data MANIFEST or --synthetic N")
+
+
+def _tags(dims) -> dict[str, int]:
+    return {m.tag: dims[m] for m in MODALITIES}
 
 
 def _load_checkpoint_and_samples(args):
@@ -159,7 +174,7 @@ def _cmd_dump_edges(args) -> int:
 
 def _cmd_probe_unimodal(args) -> int:
     model, samples = _load_checkpoint_and_samples(args)
-    report = probe_unimodal(model, samples, seed=args.seed or 0)
+    report = probe_unimodal(model, samples, seed=args.seed)
     for line in report.lines():
         print(line)
     return 0
@@ -172,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="write a synthetic dataset")
-    p.add_argument("--out", required=True, metavar="DIR")
+    p.add_argument("--out", type=_path, required=True, metavar="DIR")
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_gen_data)
@@ -180,12 +195,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model")
     _add_config_flags(p)
     _add_data_flags(p)
-    p.add_argument("--out", metavar="DIR", help="artifact directory")
+    p.add_argument("--out", type=_path, metavar="DIR", help="artifact directory")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--predictions", metavar="CSV", help="write per-sample predictions")
+    p.add_argument("--checkpoint", type=_path, required=True)
+    p.add_argument("--predictions", type=_path, metavar="CSV",
+                   help="write per-sample predictions")
     _add_data_flags(p)
     p.set_defaults(func=_cmd_eval)
 
@@ -196,13 +212,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("dump-edges", help="record distillation graphs as JSONL")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out", required=True, metavar="JSONL")
+    p.add_argument("--checkpoint", type=_path, required=True)
+    p.add_argument("--out", type=_path, required=True, metavar="JSONL")
     _add_data_flags(p)
     p.set_defaults(func=_cmd_dump_edges)
 
     p = sub.add_parser("probe-unimodal", help="linear probes on shared-space features")
-    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--checkpoint", type=_path, required=True)
     p.add_argument("--seed", type=int, default=0)
     _add_data_flags(p)
     p.set_defaults(func=_cmd_probe_unimodal)

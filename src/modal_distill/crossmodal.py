@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from .data import MODALITIES, Modality
-from .errors import ConfigError, ShapeError
 from .layers import Linear
 from .tensor import Tensor, attention, concat
 
@@ -30,11 +29,7 @@ class CrossmodalPair:
     """One src -> tgt multi-head attention layer."""
 
     def __init__(self, rng: np.random.Generator, d: int, heads: int):
-        if d % heads != 0:
-            raise ConfigError(f"feature dim {d} not divisible by head count {heads}")
-        self.dim = d
         self.heads = heads
-        self.head_dim = d // heads
         self.proj_q = Linear(rng, d, d, bias=False)
         self.proj_k = Linear(rng, d, d, bias=False)
         self.proj_v = Linear(rng, d, d, bias=False)
@@ -52,15 +47,6 @@ class CrossmodalPair:
         """Attend tgt ``[B, T_tgt, d]`` over src ``[B, T_src, d]`` whose valid
         steps ``src_mask`` ``[B, T_src]`` marks; returns the output and the
         attention maps, shaped [B, heads, T_tgt, T_src]."""
-        if (src.ndim != 3 or tgt.ndim != 3 or src.shape[0] != tgt.shape[0]
-                or src.shape[2] != self.dim or tgt.shape[2] != self.dim):
-            raise ShapeError(
-                f"crossmodal attention expects [B, T, {self.dim}] inputs, got "
-                f"src {src.shape}, tgt {tgt.shape}")
-        if np.shape(src_mask) != src.shape[:2]:
-            raise ShapeError(f"source mask {np.shape(src_mask)} does not match src {src.shape}")
-        if not np.all(np.any(src_mask, axis=1)):
-            raise ShapeError("crossmodal attention: source sequence is empty")
         key_bias = np.where(src_mask > 0, 0.0, MASKED_SCORE)
         out, maps = attention(self.proj_q(tgt), self.proj_k(src), self.proj_v(src),
                               self.heads, key_bias)

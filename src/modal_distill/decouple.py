@@ -12,7 +12,6 @@ import numpy as np
 from dataclasses import dataclass
 
 from .data import MODALITIES, Modality
-from .errors import ConfigError, ShapeError
 from .layers import TwoLayer, xavier_uniform
 from .tensor import (
     Tensor,
@@ -53,10 +52,6 @@ class Decoupler:
     """
 
     def __init__(self, rng: np.random.Generator, raw_dims: dict[Modality, int], d: int):
-        if d < 1:
-            raise ConfigError(f"common feature dim must be >= 1, got {d}")
-        self.common_dim = d
-        self.raw_dims = dict(raw_dims)
         self.shallow_kernel = {}
         self.shallow_bias = {}
         for m in MODALITIES:
@@ -82,18 +77,9 @@ class Decoupler:
     def shallow_encode(self, features: Tensor, modality: Modality) -> Tensor:
         """Project raw [B, T, d_raw] sequences into the common dim via temporal
         conv; the zero padding of shorter sequences is their conv padding."""
-        expected = self.raw_dims[modality]
-        if features.ndim != 3 or features.shape[2] != expected:
-            raise ConfigError(
-                f"shallow_encode({modality.tag}): expected [B, T, {expected}], got {features.shape}")
         return conv1d(features, self.shallow_kernel[modality], self.shallow_bias[modality])
 
     def decouple(self, x_tilde: Tensor, modality: Modality, mask: np.ndarray) -> DecoupledPair:
-        if modality not in self.private_encoders:
-            raise ConfigError(f"unknown modality {modality!r}")
-        if x_tilde.ndim != 3 or x_tilde.shape[2] != self.common_dim:
-            raise ShapeError(
-                f"decouple({modality.tag}): expected [B, T, {self.common_dim}], got {x_tilde.shape}")
         homo = self.shared_encoder(x_tilde)
         hetero = self.private_encoders[modality](x_tilde)
         return DecoupledPair(
@@ -150,10 +136,6 @@ def loss_ort(pairs: dict[Modality, DecoupledPair]) -> Tensor:
     return total
 
 
-def loss_dec(rec: Tensor | float, cyc: Tensor | float, margin: Tensor | float,
-             ort: Tensor | float, gamma: float) -> Tensor:
+def loss_dec(rec: Tensor, cyc: Tensor, margin: Tensor, ort: Tensor, gamma: float) -> Tensor:
     """Combined decoupling objective: rec + cyc + γ(margin + ort)."""
-    if gamma < 0:
-        raise ConfigError(f"gamma must be >= 0, got {gamma}")
-    rec = rec if isinstance(rec, Tensor) else Tensor(rec)
     return rec + cyc + gamma * (margin + ort)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import LABEL_MAX, LABEL_MIN, MODALITIES, Modality
-from .errors import ConfigError, DataError, NumericError, ShapeError
+from .errors import DataError, NumericError, ShapeError
 from .layers import Linear, TwoLayer
 from .tensor import Tensor, absolute, concat, mul, reshape, sigmoid, tmean
 
@@ -90,12 +90,9 @@ def task_loss(preds: Tensor, labels: np.ndarray) -> Tensor:
     return tmean(absolute(preds - labels))
 
 
-def total_loss(task: Tensor | float, dec: Tensor | float, dtl_homo: Tensor | float,
-               dtl_hetero: Tensor | float, lambda1: float, lambda2: float) -> Tensor:
+def total_loss(task: Tensor, dec: Tensor, dtl_homo: Tensor, dtl_hetero: Tensor,
+               lambda1: float, lambda2: float) -> Tensor:
     """Full objective: task + λ1·decoupling + λ2·(both distillation terms)."""
-    if lambda1 < 0 or lambda2 < 0:
-        raise ConfigError(f"loss weights must be >= 0, got λ1={lambda1}, λ2={lambda2}")
-    task = task if isinstance(task, Tensor) else Tensor(task)
     return task + lambda1 * dec + lambda2 * (dtl_homo + dtl_hetero)
 
 

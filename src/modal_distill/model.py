@@ -36,7 +36,7 @@ from .config import TrainConfig
 from .crossmodal import CrossmodalReinforcer, passthrough
 from .data import MODALITIES, RAW_DIMS, Batch, Modality
 from .decouple import DecoupledPair, Decoupler, loss_cyc, loss_dec, loss_margin, loss_ort, loss_rec
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .fusion import FusionHead, bin7, task_loss, total_loss
 from .graph_distill import BatchDistill, FrozenGraph, GDUnit
 from .tensor import Tensor, concat, mean_pool_time, reshape
@@ -142,10 +142,6 @@ class Model:
         """Run each active GD unit on the pooled streams; ``frozen_*`` replay
         an earlier pass's constants."""
         cfg = self.config
-        if frozen_homo is not None and not cfg.homogd:
-            raise ConfigError("frozen_homo given but homogd is off")
-        if frozen_hetero is not None and not cfg.heterogd:
-            raise ConfigError("frozen_hetero given but heterogd is off")
         homo = self.homo_gd.distill_batch(enc.homo, frozen_homo) if cfg.homogd else None
         hetero = (self.hetero_gd.distill_batch(enc.hetero, frozen_hetero)
                   if cfg.heterogd else None)

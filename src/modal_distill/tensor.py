@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 
 Array = np.ndarray
 
@@ -361,8 +361,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
                          f"k {k.shape}, v {v.shape}")
     b, t_tgt, d = q.shape
     t_src = k.shape[1]
-    if heads < 1 or d % heads != 0:
-        raise ShapeError(f"attention: feature dim {d} not divisible by head count {heads}")
     if np.shape(key_bias) != (b, t_src):
         raise ShapeError(f"attention: key bias {np.shape(key_bias)} does not match k {k.shape}")
     hd = d // heads
@@ -444,8 +442,6 @@ def margin_hinge(cos: Tensor, mods: Array, classes: Array,
     as they would term by term.  With no triplet the loss is a constant 0;
     a non-finite cosine makes it NaN.
     """
-    if not 0.0 < alpha < 2.0:
-        raise ConfigError(f"margin_hinge: alpha must lie in (0, 2), got {alpha}")
     n = len(mods)
     if cos.shape != (n, n) or len(classes) != n:
         raise ShapeError(f"margin_hinge: cosines {cos.shape} for {n} modality and "
@@ -530,8 +526,6 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     if x.ndim < 2 or kernel.ndim != 3:
         raise ShapeError(f"conv1d: expected [..., T, d_in] and [w, d_in, d_out], got {x.shape} and {kernel.shape}")
     w, d_in, d_out = kernel.shape
-    if w % 2 == 0:
-        raise ConfigError(f"conv1d kernel width must be odd, got {w}")
     if x.shape[-1] != d_in:
         raise ShapeError(f"conv1d: input feature dim {x.shape[-1]} != kernel d_in {d_in}")
     t_in = x.shape[-2]

@@ -47,8 +47,6 @@ class Adam:
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, params: dict[str, Tensor], lr: float):
-        if lr <= 0:
-            raise ConfigError(f"lr must be positive, got {lr}")
         self.params = dict(params)
         self.lr = lr
         self.t = 0
@@ -410,7 +408,6 @@ def gradcheck(config: TrainConfig | None = None, n_probes: int = 20,
         raise ConfigError(f"gradcheck needs tol > 0, got {tol}")
     if config is None:
         config = gradcheck_model_config(seed)
-    config.validate()
     h = 1e-5  # central-difference step
     data_config = gradcheck_data_config()
     batch = _gradcheck_batch(data_config, seed)

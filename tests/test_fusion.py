@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from modal_distill.data import MODALITIES, Modality
-from modal_distill.errors import ConfigError, DataError, NumericError
+from modal_distill.errors import DataError, NumericError
 from modal_distill.fusion import (
     FusionHead,
     bin7,
@@ -112,8 +112,6 @@ def test_total_loss_fixtures():
     assert only_task.item() == pytest.approx(1.7, abs=1e-15)
     combined = total_loss(Tensor(1.0), Tensor(2.0), Tensor(1.0), Tensor(1.0), 0.1, 0.05)
     assert combined.item() == pytest.approx(1.3, abs=1e-12)
-    with pytest.raises(ConfigError):
-        total_loss(Tensor(1.0), Tensor(1.0), Tensor(1.0), Tensor(1.0), -0.1, 0.05)
 
 
 def test_total_loss_gradient_reaches_all_components():

@@ -84,6 +84,9 @@ def test_validate_rejects_bad_values(field, value):
     setattr(cfg, field, value)
     with pytest.raises(ConfigError):
         cfg.validate()
+    # validate is the only owner of config rules: the components trust it
+    with pytest.raises(ConfigError):
+        Model(cfg)
 
 
 @pytest.mark.parametrize("toggle", ["homogd", "ca", "heterogd"])
@@ -186,11 +189,6 @@ def test_adam_leaves_gradless_params_untouched():
     opt.zero_grad()
     opt.step()
     assert np.array_equal(x.data, [2.0])
-
-
-def test_adam_rejects_bad_lr():
-    with pytest.raises(ConfigError):
-        Adam({}, lr=0.0)
 
 
 ALL_STAGES_OFF = dict(fd=False, homogd=False, ca=False, heterogd=False)
@@ -696,9 +694,23 @@ def test_eval_of_checkpoint_with_nan_parameter_exits_three(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_eval_synthetic_rejects_checkpoint_of_other_raw_dims(tmp_path, capsys):
+    """--synthetic draws the default raw dims; a checkpoint of other dims is
+    a usage error at the CLI, before the model sees a batch."""
+    path = tmp_path / "small.npz"
+    cfg = tiny_config()
+    model = Model(cfg, SMALL_RAW)
+    save_checkpoint(path, model.parameters(), cfg,
+                    {"raw_dims": {m.tag: d for m, d in SMALL_RAW.items()}})
+    assert main(["eval", "--checkpoint", str(path), "--synthetic", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --synthetic draws raw feature dims")
+    assert len(err.splitlines()) == 1
+
+
 # each row once ended in a traceback, a wrong exit code or a misleading
 # message.  {dir} is an existing directory, {file} an existing file, {ck} a
-# loadable checkpoint
+# loadable checkpoint, {empty} an empty argument
 BAD_INVOCATIONS = [
     ("gradcheck --probes 0", 1, "n_probes >= 1"),
     ("gradcheck --probes -1", 1, "n_probes >= 1"),
@@ -716,6 +728,14 @@ BAD_INVOCATIONS = [
     ("gen-data --n 2 --out {file}", 4, "{file}"),
     ("eval --predictions {file}/x.csv --checkpoint {ck} --synthetic 3", 4, "{file}"),
     ("dump-edges --out {file}/x.jsonl --checkpoint {ck} --synthetic 3", 4, "{file}"),
+    ("gen-data --out {empty} --n 2", 1, "--out: empty path"),
+    ("train --synthetic 4 --data {empty} --d 4 --heads 2 --epochs 1", 1, "--data: empty path"),
+    ("train --synthetic 4 --config {empty} --d 4 --heads 2 --epochs 1", 1,
+     "--config: empty path"),
+    ("train --synthetic 4 --out {empty} --d 4 --heads 2 --epochs 1", 1, "--out: empty path"),
+    ("eval --synthetic 3 --predictions {empty} --checkpoint {ck}", 1,
+     "--predictions: empty path"),
+    ("eval --synthetic 3 --checkpoint {empty}", 1, "--checkpoint: empty path"),
 ]
 
 
@@ -725,7 +745,9 @@ def test_cli_bad_invocation_is_one_error_line(tmp_path, capsys, monkeypatch, arg
                                               needle):
     """Each bad invocation fails with one error line before any forward
     pass, and prints nothing to stdout."""
-    paths = {"dir": tmp_path / "d", "file": tmp_path / "f.txt", "ck": tmp_path / "ck.npz"}
+    paths = {"dir": tmp_path / "d", "file": tmp_path / "f.txt", "ck": tmp_path / "ck.npz",
+             "empty": ""}
+    monkeypatch.chdir(tmp_path)  # an empty path must not reach the working directory
     paths["dir"].mkdir()
     paths["file"].write_text("x\n")
     _eval_checkpoint(paths["ck"])
@@ -742,7 +764,7 @@ def test_cli_bad_invocation_is_one_error_line(tmp_path, capsys, monkeypatch, arg
 
     for name in ("forward_batch", "encode"):
         monkeypatch.setattr(Model, name, counted(name))
-    rc = main(argv.format(**paths).split())
+    rc = main([arg.format(**paths) for arg in argv.split()])
     out, err = capsys.readouterr()
     assert rc == code, err
     assert len(err.splitlines()) == 1 and "Traceback" not in err

@@ -1,6 +1,7 @@
 """Static checks: every module of the package uses every name it imports,
-and every public module-level function and class is referred to somewhere
-in the package or the benchmark outside its own definition."""
+every public module-level function and class is referred to somewhere
+in the package or the benchmark outside its own definition, and every
+attribute the package sets on ``self`` is read somewhere by name."""
 
 import ast
 from collections import Counter
@@ -96,3 +97,31 @@ def test_every_public_definition_is_referenced():
     assert found - UNREFERENCED == set()
     # an exception that something now refers to is stale
     assert UNREFERENCED <= found
+
+
+def unread_attributes(modules: dict[str, str], bench: list[str]) -> set[tuple[str, str]]:
+    """(module, attribute) of each ``self.<attribute>`` assigned in
+    ``modules`` (module name -> source) whose name no attribute read in
+    ``modules``, and no name in a ``bench`` source, refers to."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    read = {n.attr for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    read |= set().union(*(_names(ast.parse(source), strings=True) for source in bench))
+    return {(module, n.attr) for module, tree in trees.items() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+            and isinstance(n.value, ast.Name) and n.value.id == "self"
+            and n.attr not in read}
+
+
+def test_unread_attribute_is_found():
+    modules = {
+        "a": "class A:\n    def __init__(self):\n        self.kept = 1\n"
+             "        self.dead = 2\n        self.patched = 3\n        self.dead += 1\n",
+        "b": "def f(a):\n    return a.kept\n",
+    }
+    assert unread_attributes(modules, ["wrap(a, 'patched')\n"]) == {("a", "dead")}
+
+
+def test_every_assigned_attribute_is_read():
+    modules = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unread_attributes(modules, [p.read_text() for p in sorted(BENCH.glob("*.py"))]) == set()

@@ -14,7 +14,7 @@ from modal_distill.data import (
     generate,
     make_batch,
 )
-from modal_distill.errors import ConfigError, DataError
+from modal_distill.errors import DataError
 from modal_distill.model import COMPONENT_NAMES, Model
 from modal_distill.tensor import Tensor, mean_pool_time
 from modal_distill.train import Adam
@@ -229,8 +229,6 @@ def test_frozen_records_match_toggles():
     model, batch, _ = build(heterogd=False)
     out = model.forward_batch(batch)
     assert out.homo is not None and out.hetero is None
-    with pytest.raises(ConfigError, match="frozen_hetero"):
-        model.forward_batch(batch, frozen_hetero=[])
 
 
 def test_frozen_replay_reproduces_batch_loss():

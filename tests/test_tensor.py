@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modal_distill.errors import ConfigError, ShapeError
+from modal_distill.errors import ShapeError
 from modal_distill.tensor import (
     Tensor,
     absolute,
@@ -118,11 +118,6 @@ def test_conv1d_preserves_temporal_length():
     assert conv1d(x, kernel, Tensor(np.zeros(4))).shape == (5, 4)
 
 
-def test_conv1d_even_width_rejected():
-    with pytest.raises(ConfigError):
-        conv1d(Tensor(np.zeros((4, 2))), Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros(3)))
-
-
 def test_conv1d_matches_direct_convolution():
     # oracle: explicit loop over output steps and taps with zero padding
     rng = np.random.default_rng(2)
@@ -195,12 +190,9 @@ def test_mean_pool_time_batch_and_errors():
         mean_pool_time(Tensor(x), np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
 
 
-def test_margin_hinge_rejects_bad_alpha_and_shapes():
+def test_margin_hinge_rejects_bad_shapes():
     cos = Tensor(np.zeros((2, 2)))
     mods, classes = np.array([0, 1]), np.array([0, 0])
-    for alpha in (0.0, 2.0, -0.1, float("nan")):
-        with pytest.raises(ConfigError, match="alpha"):
-            margin_hinge(cos, mods, classes, alpha)
     with pytest.raises(ShapeError):
         margin_hinge(Tensor(np.zeros((3, 3))), mods, classes, 0.2)
     with pytest.raises(ShapeError):
@@ -286,8 +278,6 @@ def test_affine_matches_matmul_plus_bias():
 
 def test_attention_shape_errors():
     q, kv = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 5, 4)))
-    with pytest.raises(ShapeError):
-        attention(q, kv, kv, 3, np.zeros((2, 5)))  # 4 features over 3 heads
     with pytest.raises(ShapeError):
         attention(q, kv, kv, 2, np.zeros((2, 4)))  # bias misses a key
     with pytest.raises(ShapeError):
