@@ -136,7 +136,10 @@ def _cmd_train(args) -> int:
     if result.best_val_mae is not None:
         print(f"best val mae: {result.best_val_mae:.6f}")
     if result.splits[2]:
-        print(f"test: {evaluate(result.model, result.splits[2])[0].to_dict()}")
+        which, step = (("final", result.steps) if result.best_params is None
+                       else ("best-val", result.best_step))
+        print(f"test: {evaluate(result.kept_model(), result.splits[2])[0].to_dict()}")
+        print(f"test scored with {which} parameters (step {step})")
     if result.checkpoint_path is not None:
         print(f"checkpoint: {result.checkpoint_path}")
         print(f"log: {result.log_path}")

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import csv
 import logging
+import os
+import signal
+import tempfile
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -320,14 +323,16 @@ def load_features(manifest_path: str | Path,
 
     Features are taken as already extracted; this only validates the
     manifest's columns and ids, shapes, label range, and finiteness.  Spaces
-    around header names are ignored.
+    around header names are ignored.  The whole manifest is checked before
+    any feature file is parsed; ``_read_all`` then parses the files.
     """
     dims = dims or RAW_DIMS
     manifest = Path(manifest_path)
     if not manifest.exists():
         raise DataError(f"manifest not found: {manifest}")
     base = manifest.parent
-    samples: list[Sample] = []
+    rows: list[tuple[str, float]] = []
+    jobs: list[tuple[Path, str, Modality, int]] = []
     with open(manifest, newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames
@@ -351,16 +356,107 @@ def load_features(manifest_path: str | Path,
                 raise DataError(f"sample {sid}: label {row['label']!r} is not a number")
             if not (LABEL_MIN <= label <= LABEL_MAX):
                 raise DataError(f"sample {sid}: label {label} outside [{LABEL_MIN}, {LABEL_MAX}]")
-            features = {}
             for m in MODALITIES:
                 rel = row[f"path_{m.tag}"]  # None on a short row
                 if not rel:
                     raise DataError(f"sample {sid}: no {m.tag} feature path in manifest {manifest}")
-                features[m] = _read_feature_csv(base / rel, sid, m, dims[m])
-            samples.append(Sample(id=sid, features=features, label=label))
-    if not samples:
+                jobs.append((base / rel, sid, m, dims[m]))
+            rows.append((sid, label))
+    if not rows:
         log.warning("manifest %s lists no samples", manifest)
-    return samples
+    mats = iter(_read_all(jobs))
+    return [Sample(id=sid, features={m: next(mats) for m in MODALITIES}, label=label)
+            for sid, label in rows]
+
+
+# below this many feature files per process, a fork costs more than it saves
+_FILES_PER_PROCESS = 64
+
+
+def _read_all(jobs: list[tuple[Path, str, Modality, int]]) -> list[np.ndarray]:
+    """``_read_feature_csv(*job)`` for each job, in order, over up to one
+    process per usable core.
+
+    The parent parses the first contiguous share of the jobs and a forked
+    helper each later one (``_fork_helper``).  Wherever a helper's spool
+    ends early (it met a bad file or died, or no spool or helper could be
+    made), the parent parses the rest of that share itself.  So the arrays
+    are bit-equal to a one-process parse, and a bad file raises that
+    parse's ``DataError``, from the parent, for the first bad file in
+    ``jobs`` order.
+    """
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    k = min(cores, len(jobs) // _FILES_PER_PROCESS)
+    if k < 2 or not hasattr(os, "fork"):
+        return [_read_feature_csv(*job) for job in jobs]
+    cuts = [len(jobs) * i // k for i in range(k + 1)]
+    helpers = []  # (pid, spool) per later share; None for what it lacks
+    try:
+        for lo, hi in zip(cuts[1:], cuts[2:]):
+            helpers.append(_fork_helper(jobs[lo:hi]))
+        mats = [_read_feature_csv(*job) for job in jobs[:cuts[1]]]
+        for i, (lo, hi) in enumerate(zip(cuts[1:], cuts[2:])):
+            pid, spool = helpers[i]
+            if pid is not None:
+                os.waitpid(pid, 0)
+                helpers[i] = None, spool
+                mats += _read_spool(spool, hi - lo)
+            mats += [_read_feature_csv(*job) for job in jobs[len(mats):hi]]
+        return mats
+    finally:
+        for pid, spool in helpers:
+            if pid is not None:  # the parent raised before waiting for it
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            if spool is not None:
+                spool.close()
+
+
+def _fork_helper(share: list[tuple[Path, str, Modality, int]]):
+    """Fork a helper that parses ``share``; returns ``(pid, spool)``, with
+    None for the process or spool file that could not be made.
+
+    The spool is an unlinked temporary file.  For each job the helper
+    writes the array's shape as two int64, then its raw float64 bytes.  It
+    stops at the first job that raises and leaves through ``os._exit``, so
+    it never runs the caller's code.  It runs only the CSV parser and file
+    writes, never BLAS, whose threads a fork does not copy.
+    """
+    try:
+        spool = tempfile.TemporaryFile()
+    except OSError:
+        return None, None
+    try:
+        pid = os.fork()
+    except OSError:
+        return None, spool
+    if pid == 0:
+        try:
+            for job in share:
+                mat = _read_feature_csv(*job)
+                spool.write(np.array(mat.shape, dtype=np.int64).tobytes())
+                spool.write(mat.data)
+            spool.flush()
+        finally:
+            os._exit(0)
+    return pid, spool
+
+
+def _read_spool(spool, count: int) -> list[np.ndarray]:
+    """Up to ``count`` arrays from the start of ``spool``, stopping at the
+    first record that ends early."""
+    spool.seek(0)
+    mats: list[np.ndarray] = []
+    shape = np.empty(2, dtype=np.int64)
+    while len(mats) < count and spool.readinto(shape) == shape.nbytes:
+        mat = np.empty(shape.tolist())
+        if spool.readinto(mat) != mat.nbytes:
+            break
+        mats.append(mat)
+    return mats
 
 
 # ---- batching ----

@@ -191,10 +191,23 @@ class TrainResult:
     history: list[dict]
     steps: int
     best_val_mae: float | None
+    # a copy of the parameters at the best val MAE, and the step they are
+    # from; None without a validation split
+    best_params: dict[str, np.ndarray] | None
+    best_step: int | None
     final_train: MetricsReport
     checkpoint_path: Path | None
     log_path: Path | None
     splits: tuple[list[Sample], list[Sample], list[Sample]]
+
+    def kept_model(self) -> Model:
+        """The model the checkpoint holds: the best-validation parameters
+        where there was a validation split, else the final ones."""
+        if self.best_params is None:
+            return self.model
+        model = Model(self.model.config, self.model.raw_dims)
+        model.load_parameters(self.best_params)
+        return model
 
 
 def _infer_raw_dims(samples: list[Sample]) -> dict[Modality, int]:
@@ -209,17 +222,18 @@ def _step_record(step: int, epoch: int, out: StepOutput) -> dict:
 
 
 def train(config: TrainConfig, samples: list[Sample], split: bool = True) -> TrainResult:
-    """Run the optimization loop and return the final model plus history.
+    """Run the optimization loop and return the final model plus history,
+    and a copy of the parameters at the best validation MAE.
 
     With ``split`` the dataset is partitioned 70/15/15 and the checkpoint
     tracks best validation MAE; without it all samples train and the final
     parameters are checkpointed.  Artifacts (train_log.jsonl, checkpoint.npz)
     are written only when ``config.out_dir`` is set.
     """
-    config.validate()
     if not samples:
         raise DataError("training needs at least one sample")
     raw_dims = _infer_raw_dims(samples)
+    model = Model(config, raw_dims)  # validates the config
     if split:
         train_s, val_s, test_s = split_dataset(samples, seed=config.seed)
     else:
@@ -227,7 +241,6 @@ def train(config: TrainConfig, samples: list[Sample], split: bool = True) -> Tra
     if not train_s:
         raise DataError("empty training split")
 
-    model = Model(config, raw_dims)
     opt = Adam(model.parameters(), lr=config.lr)
 
     out_dir = Path(config.out_dir) if config.out_dir else None
@@ -255,6 +268,8 @@ def train(config: TrainConfig, samples: list[Sample], split: bool = True) -> Tra
 
     history: list[dict] = []
     best_val_mae: float | None = None
+    best_params: dict[str, np.ndarray] | None = None
+    best_step: int | None = None
     last_finite: dict[str, float] = {}
     step = 0
 
@@ -296,7 +311,8 @@ def train(config: TrainConfig, samples: list[Sample], split: bool = True) -> Tra
                 emit({"event": "val", "epoch": epoch, "step": step,
                       **report.to_dict()})
                 if best_val_mae is None or report.mae < best_val_mae:
-                    best_val_mae = report.mae
+                    best_val_mae, best_step = report.mae, step
+                    best_params = {k: p.data.copy() for k, p in model.parameters().items()}
                     save("best_val")
             if done:
                 break
@@ -308,7 +324,8 @@ def train(config: TrainConfig, samples: list[Sample], split: bool = True) -> Tra
 
     final_train, _ = evaluate(model, train_s)
     return TrainResult(model=model, history=history, steps=step,
-                       best_val_mae=best_val_mae, final_train=final_train,
+                       best_val_mae=best_val_mae, best_params=best_params,
+                       best_step=best_step, final_train=final_train,
                        checkpoint_path=checkpoint_path, log_path=log_path,
                        splits=(train_s, val_s, test_s))
 

@@ -7,6 +7,8 @@ re-running the forward function with perturbed leaf values.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from modal_distill.data import MODALITIES
@@ -179,3 +181,17 @@ def set_averaging_decoder(net: TwoLayer) -> None:
     net.first.bias.data[:] = 0.0
     net.second.weight.data[:] = np.eye(d)
     net.second.bias.data[:] = 0.0
+
+
+def count_forks(monkeypatch) -> list:
+    """Wrap ``os.fork`` for the test; the returned list gains one entry per
+    call made in this process."""
+    forks = []
+    real = os.fork
+
+    def counted():
+        forks.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks

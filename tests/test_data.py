@@ -2,15 +2,19 @@
 trips, ingestion error reporting, batching and masking."""
 
 import hashlib
+import os
+import tempfile
 
 import numpy as np
 import pytest
 
+from modal_distill import data
 from modal_distill.data import (
     MODALITIES,
     RAW_DIMS,
     Modality,
     SyntheticConfig,
+    _read_feature_csv,
     align_sample,
     batches,
     build_maps,
@@ -24,6 +28,8 @@ from modal_distill.data import (
     split_dataset,
 )
 from modal_distill.errors import ConfigError, DataError
+
+from conftest import count_forks
 
 
 def small_config():
@@ -341,6 +347,174 @@ def test_load_rejects_wrong_header(tmp_path):
     manifest.write_text("id,score,path_L,path_V,path_A\n")
     with pytest.raises(DataError):
         load_features(manifest)
+
+
+# ---- loading over several processes ----
+
+# 48 samples are 144 feature files: two shares of 72, so syn00040 lies in
+# the forked helper's share and syn00005 in the parent's
+HELPER_SAMPLE, PARENT_SAMPLE = "syn00040", "syn00005"
+
+
+@pytest.fixture(scope="module")
+def samples48():
+    return generate(48, 2)
+
+
+def _use_cores(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _assert_all_reaped(fds):
+    """No helper is left running or unreaped, and no spool left open."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds
+
+
+def _assert_bit_equal_to_direct_reads(loaded, samples, root):
+    assert [(s.id, s.label) for s in loaded] == [(s.id, s.label) for s in samples]
+    for s in loaded:
+        for m in MODALITIES:
+            direct = _read_feature_csv(root / "features" / f"{s.id}_{m.tag}.csv",
+                                       s.id, m, RAW_DIMS[m])
+            got = s.features[m]
+            assert got.dtype == direct.dtype and got.shape == direct.shape
+            assert got.tobytes() == direct.tobytes()
+
+
+def _corrupt(path, case):
+    if case == "missing":
+        path.unlink()
+        return
+    rows = path.read_text().splitlines()
+    fields = rows[1].split(",")
+    if case == "nan":
+        fields[3] = "nan"
+    elif case == "word":
+        fields[3] = "spam"
+    else:  # a short row
+        del fields[-1]
+    rows[1] = ",".join(fields)
+    path.write_text("\n".join(rows) + "\n")
+
+
+def test_two_process_load_is_bit_equal_to_direct_reads(tmp_path, monkeypatch, samples48):
+    manifest = save_dataset(samples48, tmp_path)
+    _use_cores(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    fds = _open_fds()
+    loaded = load_features(manifest)
+    assert len(forks) == 1
+    _assert_all_reaped(fds)
+    _assert_bit_equal_to_direct_reads(loaded, samples48, tmp_path)
+
+
+@pytest.mark.parametrize("case,tag", [("nan", "V"), ("word", "L"), ("missing", "A"),
+                                      ("short_row", "V")])
+def test_bad_file_in_helper_share_raises_the_one_core_error(tmp_path, monkeypatch,
+                                                            samples48, case, tag):
+    manifest = save_dataset(samples48, tmp_path)
+    _corrupt(tmp_path / "features" / f"{HELPER_SAMPLE}_{tag}.csv", case)
+    _use_cores(monkeypatch, 1)
+    with pytest.raises(DataError) as serial:
+        load_features(manifest)
+    assert HELPER_SAMPLE in str(serial.value)
+    _use_cores(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    fds = _open_fds()
+    with pytest.raises(DataError) as parallel:
+        load_features(manifest)
+    assert len(forks) == 1
+    _assert_all_reaped(fds)
+    assert str(parallel.value) == str(serial.value)
+
+
+def test_first_bad_file_in_manifest_order_is_reported(tmp_path, monkeypatch, samples48):
+    """A bad file in the parent's share wins over one in the helper's; the
+    helper, still parsing, is stopped and reaped."""
+    manifest = save_dataset(samples48, tmp_path)
+    _corrupt(tmp_path / "features" / f"{HELPER_SAMPLE}_L.csv", "word")
+    _corrupt(tmp_path / "features" / f"{PARENT_SAMPLE}_A.csv", "nan")
+    _use_cores(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    fds = _open_fds()
+    with pytest.raises(DataError, match=f"sample {PARENT_SAMPLE}: non-finite"):
+        load_features(manifest)
+    assert len(forks) == 1
+    _assert_all_reaped(fds)
+
+
+def test_helper_dying_mid_share_still_loads_bit_equal(tmp_path, monkeypatch, samples48):
+    manifest = save_dataset(samples48, tmp_path)
+    parent = os.getpid()
+
+    def dies_in_helper(path, sid, modality, dim):
+        if os.getpid() != parent and sid == HELPER_SAMPLE:
+            os._exit(1)
+        return _read_feature_csv(path, sid, modality, dim)
+
+    monkeypatch.setattr(data, "_read_feature_csv", dies_in_helper)
+    _use_cores(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    fds = _open_fds()
+    loaded = load_features(manifest)
+    assert len(forks) == 1
+    _assert_all_reaped(fds)
+    _assert_bit_equal_to_direct_reads(loaded, samples48, tmp_path)
+
+
+def _no_spool(*args, **kwargs):
+    raise OSError("no space left for a spool")
+
+
+def _no_fork():
+    raise OSError("no process left to fork")
+
+
+@pytest.mark.parametrize("owner,name,fails", [(tempfile, "TemporaryFile", _no_spool),
+                                              (os, "fork", _no_fork)])
+def test_no_spool_or_no_helper_falls_back_to_parsing_in_the_parent(
+        tmp_path, monkeypatch, samples48, owner, name, fails):
+    manifest = save_dataset(samples48, tmp_path)
+    _use_cores(monkeypatch, 2)
+    monkeypatch.setattr(owner, name, fails)
+    fds = _open_fds()
+    loaded = load_features(manifest)
+    _assert_all_reaped(fds)
+    _assert_bit_equal_to_direct_reads(loaded, samples48, tmp_path)
+
+
+def _fork_forbidden():
+    raise AssertionError("os.fork called")
+
+
+@pytest.mark.parametrize("n,cores", [(48, 1), (5, 2)])
+def test_one_core_or_few_files_never_forks(tmp_path, monkeypatch, samples48, n, cores):
+    samples = samples48[:n]
+    manifest = save_dataset(samples, tmp_path)
+    _use_cores(monkeypatch, cores)
+    monkeypatch.setattr(os, "fork", _fork_forbidden)
+    _assert_bit_equal_to_direct_reads(load_features(manifest), samples, tmp_path)
+
+
+def test_manifest_is_checked_in_full_before_any_file_is_parsed(tmp_path):
+    """A bad label on the last row is reported before a corrupt file on the
+    first row."""
+    cfg = small_config()
+    samples = generate(3, seed=21, config=cfg)
+    manifest = save_dataset(samples, tmp_path)
+    _corrupt(tmp_path / "features" / f"{samples[0].id}_L.csv", "word")
+    header, *rows = manifest.read_text().splitlines()
+    last = rows[-1].split(",")
+    last[1] = "high"
+    manifest.write_text("\n".join([header, *rows[:-1], ",".join(last)]) + "\n")
+    with pytest.raises(DataError, match=f"sample {samples[-1].id}: label 'high'"):
+        load_features(manifest, dims=cfg.raw_dims)
 
 
 # ---- batching ----

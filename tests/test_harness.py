@@ -2,11 +2,13 @@
 loop behavior, checkpoints, probes, and the CLI."""
 
 import argparse
+import ast
 import gc
 import importlib
 import json
 import logging
 import math
+import os
 import re
 import sys
 from dataclasses import fields
@@ -19,7 +21,14 @@ import pytest
 from modal_distill.checkpoint import load_checkpoint, save_checkpoint
 from modal_distill.cli import _build_config, build_parser, main
 from modal_distill.config import TrainConfig, apply_overrides, load_config
-from modal_distill.data import Modality, SyntheticConfig, generate, make_batch, save_dataset
+from modal_distill.data import (
+    Modality,
+    SyntheticConfig,
+    generate,
+    make_batch,
+    save_dataset,
+    split_dataset,
+)
 from modal_distill.errors import ConfigError, DataError, NumericError
 from modal_distill.model import Model
 from modal_distill.tensor import Tensor
@@ -37,7 +46,7 @@ from modal_distill.train import (
     train,
 )
 
-from conftest import ReferenceAdam, probe_multiclass_accuracy
+from conftest import ReferenceAdam, count_forks, probe_multiclass_accuracy
 
 SMALL_RAW = {Modality.LANGUAGE: 6, Modality.VISION: 5, Modality.AUDIO: 4}
 
@@ -321,6 +330,15 @@ def test_train_raises_numeric_error_on_divergence():
 def test_train_rejects_empty_dataset():
     with pytest.raises(DataError):
         train(tiny_config(), [])
+
+
+def test_train_checks_samples_then_config_before_splitting():
+    """The config is validated once, by ``Model``, after the empty-data
+    check and before ``split_dataset`` could fail on it."""
+    with pytest.raises(DataError, match="at least one sample"):
+        train(TrainConfig(d=0), [])
+    with pytest.raises(ConfigError, match="seed"):
+        train(TrainConfig(seed=-1), generate(4, seed=1, config=small_world()))
 
 
 def test_evaluate_rejects_empty():
@@ -613,6 +631,42 @@ def test_cli_gen_data_and_train_eval_cycle(tmp_path):
 
     assert main(["probe-unimodal", "--checkpoint", str(ckpt),
                  "--data", str(manifest)]) == 0
+
+
+def test_cli_train_scores_test_split_with_the_checkpointed_parameters(tmp_path, capsys):
+    """The printed test metrics are those of the best-validation parameters
+    the checkpoint keeps, not of the final ones."""
+    out = tmp_path / "run"
+    assert main(["train", "--synthetic", "160", "--data-seed", "1", "--epochs", "4",
+                 "--seed", "3", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    test_line = re.search(r"^test: (\{.*\})$", printed, re.M)
+    model, _, extra = model_from_checkpoint(out / "checkpoint.npz")
+    assert extra["tag"] == "best_val" and extra["step"] < 28
+    assert f"test scored with best-val parameters (step {extra['step']})" in printed
+    test_split = split_dataset(generate(160, 1), seed=3)[2]
+    report, _ = evaluate(model, test_split)
+    assert test_line and ast.literal_eval(test_line[1]) == report.to_dict()
+
+
+def test_cli_outputs_do_not_depend_on_the_process_count(tmp_path, monkeypatch, capsys):
+    """``train`` and ``eval --predictions`` on a manifest big enough to be
+    parsed by two processes write the same bytes as with one."""
+    manifest = save_dataset(generate(48, 2), tmp_path / "data")
+    out, preds = tmp_path / "run", tmp_path / "preds.csv"
+    forks = count_forks(monkeypatch)
+    runs = []
+    for cores in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cores: set(range(n)))
+        assert main(["train", "--data", str(manifest), "--epochs", "1", "--seed", "3",
+                     "--out", str(out)]) == 0
+        trained = capsys.readouterr().out
+        log = (out / "train_log.jsonl").read_bytes()
+        assert main(["eval", "--checkpoint", str(out / "checkpoint.npz"), "--data",
+                     str(manifest), "--predictions", str(preds)]) == 0
+        runs.append((trained, log, capsys.readouterr().out, preds.read_bytes()))
+    assert len(forks) == 2  # one per load with two cores
+    assert runs[0] == runs[1]
 
 
 def test_eval_with_predictions_scores_each_batch_once(tmp_path, monkeypatch):
