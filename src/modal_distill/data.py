@@ -369,8 +369,11 @@ def load_features(manifest_path: str | Path,
             for sid, label in rows]
 
 
-# below this many feature files per process, a fork costs more than it saves
-_FILES_PER_PROCESS = 64
+# Below this many feature files per process the parse stays in fewer
+# processes.  On a 2-core machine (medians of 15-31 alternated loads) two
+# processes were 1.1-1.25x slower than one at 48 files and fewer, and
+# 1.3-1.75x faster from 72 files on; the crossover fell between 48 and 72.
+_FILES_PER_PROCESS = 32
 
 
 def _read_all(jobs: list[tuple[Path, str, Modality, int]]) -> list[np.ndarray]:
@@ -389,9 +392,7 @@ def _read_all(jobs: list[tuple[Path, str, Modality, int]]) -> list[np.ndarray]:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cores = os.cpu_count() or 1
-    k = min(cores, len(jobs) // _FILES_PER_PROCESS)
-    if k < 2 or not hasattr(os, "fork"):
-        return [_read_feature_csv(*job) for job in jobs]
+    k = max(1, min(cores, len(jobs) // _FILES_PER_PROCESS)) if hasattr(os, "fork") else 1
     cuts = [len(jobs) * i // k for i in range(k + 1)]
     helpers = []  # (pid, spool) per later share; None for what it lacks
     try:
@@ -400,17 +401,23 @@ def _read_all(jobs: list[tuple[Path, str, Modality, int]]) -> list[np.ndarray]:
         mats = [_read_feature_csv(*job) for job in jobs[:cuts[1]]]
         for i, (lo, hi) in enumerate(zip(cuts[1:], cuts[2:])):
             pid, spool = helpers[i]
+            helpers[i] = None, spool
             if pid is not None:
-                os.waitpid(pid, 0)
-                helpers[i] = None, spool
+                try:
+                    os.waitpid(pid, 0)
+                except ChildProcessError:  # reaped elsewhere; its spool still counts
+                    pass
                 mats += _read_spool(spool, hi - lo)
             mats += [_read_feature_csv(*job) for job in jobs[len(mats):hi]]
         return mats
     finally:
         for pid, spool in helpers:
             if pid is not None:  # the parent raised before waiting for it
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                except OSError:  # already gone
+                    pass
             if spool is not None:
                 spool.close()
 

@@ -3,6 +3,7 @@ trips, ingestion error reporting, batching and masking."""
 
 import hashlib
 import os
+import signal
 import tempfile
 
 import numpy as np
@@ -466,6 +467,33 @@ def test_helper_dying_mid_share_still_loads_bit_equal(tmp_path, monkeypatch, sam
     assert len(forks) == 1
     _assert_all_reaped(fds)
     _assert_bit_equal_to_direct_reads(loaded, samples48, tmp_path)
+
+
+@pytest.mark.parametrize("bad", [None, PARENT_SAMPLE])
+def test_helpers_reaped_elsewhere_still_load_and_close_their_spools(tmp_path, monkeypatch,
+                                                                    samples48, bad):
+    """With SIGCHLD ignored the kernel reaps each helper itself, so the
+    parent's ``waitpid`` and ``kill`` find no child; the spool is still read
+    or closed."""
+    manifest = save_dataset(samples48, tmp_path)
+    if bad:
+        _corrupt(tmp_path / "features" / f"{bad}_A.csv", "nan")
+    _use_cores(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    fds = _open_fds()
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        if bad:
+            with pytest.raises(DataError, match=f"sample {bad}: non-finite"):
+                load_features(manifest)
+        else:
+            loaded = load_features(manifest)
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert len(forks) == 1
+    _assert_all_reaped(fds)
+    if not bad:
+        _assert_bit_equal_to_direct_reads(loaded, samples48, tmp_path)
 
 
 def _no_spool(*args, **kwargs):
