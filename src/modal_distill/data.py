@@ -276,23 +276,30 @@ def save_dataset(samples: list[Sample], out_dir: str | Path) -> Path:
     ``features/``; nothing else (latents are not saved).
 
     Feature files are headerless, one time step per row, full float64
-    precision so a round trip is bit-exact.
+    precision so a round trip is bit-exact.  They are written over the
+    usable cores (``_map_over_cores``), with the bytes of a one-process
+    write; ``manifest.csv`` is written last, so a failed write leaves none.
     """
     out = Path(out_dir)
     feat_dir = out / "features"
     feat_dir.mkdir(parents=True, exist_ok=True)
+    rows, jobs = [], []
+    for s in samples:
+        rels = [f"features/{s.id}_{m.tag}.csv" for m in MODALITIES]
+        jobs += [(out / rel, s.features[m]) for m, rel in zip(MODALITIES, rels)]
+        rows.append([s.id, f"{s.label:.17g}", *rels])
+    _map_over_cores(_write_feature_csv, jobs)
     manifest_path = out / "manifest.csv"
     with open(manifest_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_COLUMNS)
-        for s in samples:
-            rel_paths = []
-            for m in MODALITIES:
-                rel = f"features/{s.id}_{m.tag}.csv"
-                np.savetxt(out / rel, s.features[m], delimiter=",", fmt="%.17g")
-                rel_paths.append(rel)
-            writer.writerow([s.id, f"{s.label:.17g}", *rel_paths])
+        writer.writerows(rows)
     return manifest_path
+
+
+def _write_feature_csv(path: Path, mat: np.ndarray) -> np.ndarray:
+    np.savetxt(path, mat, delimiter=",", fmt="%.17g")
+    return np.empty((0, 0))  # an empty spool record: this file is written
 
 
 def _read_feature_csv(path: Path, sample_id: str, modality: Modality,
@@ -324,7 +331,7 @@ def load_features(manifest_path: str | Path,
     Features are taken as already extracted; this only validates the
     manifest's columns and ids, shapes, label range, and finiteness.  Spaces
     around header names are ignored.  The whole manifest is checked before
-    any feature file is parsed; ``_read_all`` then parses the files.
+    any feature file is parsed; ``_map_over_cores`` then parses the files.
     """
     dims = dims or RAW_DIMS
     manifest = Path(manifest_path)
@@ -364,29 +371,29 @@ def load_features(manifest_path: str | Path,
             rows.append((sid, label))
     if not rows:
         log.warning("manifest %s lists no samples", manifest)
-    mats = iter(_read_all(jobs))
+    mats = iter(_map_over_cores(_read_feature_csv, jobs))
     return [Sample(id=sid, features={m: next(mats) for m in MODALITIES}, label=label)
             for sid, label in rows]
 
 
-# Below this many feature files per process the parse stays in fewer
-# processes.  On a 2-core machine (medians of 15-31 alternated loads) two
-# processes were 1.1-1.25x slower than one at 48 files and fewer, and
-# 1.3-1.75x faster from 72 files on; the crossover fell between 48 and 72.
+# Below this many feature files per process a load or write stays in fewer
+# processes.  On a 2-core machine (medians of 15-31 alternated runs) two
+# processes parsed 1.1-1.25x slower than one at 48 files and fewer, and
+# 1.3-1.75x faster from 72 files on.  Writing crosses over by 6 files
+# (1.2-1.8x faster from 6 to 96 files), so the parse sets the gate.
 _FILES_PER_PROCESS = 32
 
 
-def _read_all(jobs: list[tuple[Path, str, Modality, int]]) -> list[np.ndarray]:
-    """``_read_feature_csv(*job)`` for each job, in order, over up to one
-    process per usable core.
+def _map_over_cores(fn, jobs: list[tuple]) -> list[np.ndarray]:
+    """``fn(*job)`` for each job, in order, over up to one process per
+    usable core; ``fn`` returns a 2-d float64 array.
 
-    The parent parses the first contiguous share of the jobs and a forked
+    The parent runs the first contiguous share of the jobs and a forked
     helper each later one (``_fork_helper``).  Wherever a helper's spool
-    ends early (it met a bad file or died, or no spool or helper could be
-    made), the parent parses the rest of that share itself.  So the arrays
-    are bit-equal to a one-process parse, and a bad file raises that
-    parse's ``DataError``, from the parent, for the first bad file in
-    ``jobs`` order.
+    ends early (its job raised or it died, or no spool or helper could be
+    made), the parent runs the rest of that share itself.  So the results
+    are bit-equal to a one-process run, and an error is raised by the
+    parent, as that run raises it, for the first failing job in order.
     """
     try:
         cores = len(os.sched_getaffinity(0))
@@ -397,8 +404,8 @@ def _read_all(jobs: list[tuple[Path, str, Modality, int]]) -> list[np.ndarray]:
     helpers = []  # (pid, spool) per later share; None for what it lacks
     try:
         for lo, hi in zip(cuts[1:], cuts[2:]):
-            helpers.append(_fork_helper(jobs[lo:hi]))
-        mats = [_read_feature_csv(*job) for job in jobs[:cuts[1]]]
+            helpers.append(_fork_helper(fn, jobs[lo:hi]))
+        mats = [fn(*job) for job in jobs[:cuts[1]]]
         for i, (lo, hi) in enumerate(zip(cuts[1:], cuts[2:])):
             pid, spool = helpers[i]
             helpers[i] = None, spool
@@ -408,7 +415,7 @@ def _read_all(jobs: list[tuple[Path, str, Modality, int]]) -> list[np.ndarray]:
                 except ChildProcessError:  # reaped elsewhere; its spool still counts
                     pass
                 mats += _read_spool(spool, hi - lo)
-            mats += [_read_feature_csv(*job) for job in jobs[len(mats):hi]]
+            mats += [fn(*job) for job in jobs[len(mats):hi]]
         return mats
     finally:
         for pid, spool in helpers:
@@ -422,15 +429,16 @@ def _read_all(jobs: list[tuple[Path, str, Modality, int]]) -> list[np.ndarray]:
                 spool.close()
 
 
-def _fork_helper(share: list[tuple[Path, str, Modality, int]]):
-    """Fork a helper that parses ``share``; returns ``(pid, spool)``, with
-    None for the process or spool file that could not be made.
+def _fork_helper(fn, share: list[tuple]):
+    """Fork a helper that runs ``fn`` over ``share``; returns ``(pid,
+    spool)``, with None for the process or spool file that could not be made.
 
     The spool is an unlinked temporary file.  For each job the helper
-    writes the array's shape as two int64, then its raw float64 bytes.  It
+    writes the result's shape as two int64, then its raw float64 bytes.  It
     stops at the first job that raises and leaves through ``os._exit``, so
-    it never runs the caller's code.  It runs only the CSV parser and file
-    writes, never BLAS, whose threads a fork does not copy.
+    it never runs the caller's code.  It runs only CSV parsing, CSV
+    formatting and file writes, never BLAS, whose threads a fork does not
+    copy.
     """
     try:
         spool = tempfile.TemporaryFile()
@@ -443,7 +451,7 @@ def _fork_helper(share: list[tuple[Path, str, Modality, int]]):
     if pid == 0:
         try:
             for job in share:
-                mat = _read_feature_csv(*job)
+                mat = fn(*job)
                 spool.write(np.array(mat.shape, dtype=np.int64).tobytes())
                 spool.write(mat.data)
             spool.flush()

@@ -530,6 +530,107 @@ def test_one_core_or_few_files_never_forks(tmp_path, monkeypatch, samples48, n, 
     _assert_bit_equal_to_direct_reads(load_features(manifest), samples, tmp_path)
 
 
+# ---- writing over several processes ----
+
+
+def _tree(root):
+    """Every file under ``root``, by relative path, with its bytes."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.fixture(scope="module")
+def tree48(samples48, tmp_path_factory):
+    """The files of a one-process write of ``samples48``."""
+    root = tmp_path_factory.mktemp("one_core")
+    with pytest.MonkeyPatch.context() as mp:
+        _use_cores(mp, 1)
+        mp.setattr(os, "fork", _fork_forbidden)
+        save_dataset(samples48, root)
+    return _tree(root)
+
+
+def test_two_process_write_is_byte_equal_to_one_process_write(tmp_path, monkeypatch,
+                                                              samples48, tree48):
+    _use_cores(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    fds = _open_fds()
+    assert save_dataset(samples48, tmp_path) == tmp_path / "manifest.csv"
+    assert len(forks) == 1
+    _assert_all_reaped(fds)
+    assert _tree(tmp_path) == tree48
+
+
+def test_write_helper_dying_mid_share_still_writes_byte_equal(tmp_path, monkeypatch,
+                                                              samples48, tree48):
+    parent = os.getpid()
+    write = data._write_feature_csv
+
+    def dies_in_helper(path, mat):
+        if os.getpid() != parent and path.name.startswith(HELPER_SAMPLE):
+            os._exit(1)
+        return write(path, mat)
+
+    monkeypatch.setattr(data, "_write_feature_csv", dies_in_helper)
+    _use_cores(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    fds = _open_fds()
+    save_dataset(samples48, tmp_path)
+    assert len(forks) == 1
+    _assert_all_reaped(fds)
+    assert _tree(tmp_path) == tree48
+
+
+@pytest.mark.parametrize("blocked", [[HELPER_SAMPLE], [PARENT_SAMPLE],
+                                     [HELPER_SAMPLE, PARENT_SAMPLE]])
+def test_failed_write_raises_the_one_core_error_and_writes_no_manifest(
+        tmp_path, monkeypatch, samples48, blocked):
+    """A feature path that is a directory fails the write with the one-core
+    ``OSError``, for the first such path in write order, and no
+    ``manifest.csv`` is left in the fresh output directory."""
+    for sid in blocked:
+        (tmp_path / "features" / f"{sid}_V.csv").mkdir(parents=True)
+    _use_cores(monkeypatch, 1)
+    with pytest.raises(OSError) as serial:
+        save_dataset(samples48, tmp_path)
+    assert f"{min(blocked)}_V.csv" in str(serial.value)
+    assert not (tmp_path / "manifest.csv").exists()
+    _use_cores(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    fds = _open_fds()
+    with pytest.raises(OSError) as parallel:
+        save_dataset(samples48, tmp_path)
+    assert len(forks) == 1
+    _assert_all_reaped(fds)
+    assert str(parallel.value) == str(serial.value)
+    assert type(parallel.value) is type(serial.value)
+    assert not (tmp_path / "manifest.csv").exists()
+
+
+@pytest.mark.parametrize("owner,name,fails", [(tempfile, "TemporaryFile", _no_spool),
+                                              (os, "fork", _no_fork)])
+def test_no_spool_or_no_helper_falls_back_to_writing_in_the_parent(
+        tmp_path, monkeypatch, samples48, tree48, owner, name, fails):
+    _use_cores(monkeypatch, 2)
+    monkeypatch.setattr(owner, name, fails)
+    fds = _open_fds()
+    save_dataset(samples48, tmp_path)
+    _assert_all_reaped(fds)
+    assert _tree(tmp_path) == tree48
+
+
+@pytest.mark.parametrize("n,cores", [(48, 1), (5, 2)])
+def test_one_core_or_few_files_never_forks_to_write(tmp_path, monkeypatch, samples48,
+                                                    tree48, n, cores):
+    _use_cores(monkeypatch, cores)
+    monkeypatch.setattr(os, "fork", _fork_forbidden)
+    save_dataset(samples48[:n], tmp_path)
+    written = _tree(tmp_path)
+    manifest = written.pop("manifest.csv")
+    assert manifest.splitlines() == tree48["manifest.csv"].splitlines()[:n + 1]
+    assert len(written) == 3 * n and written == {k: tree48[k] for k in written}
+
+
 def test_manifest_is_checked_in_full_before_any_file_is_parsed(tmp_path):
     """A bad label on the last row is reported before a corrupt file on the
     first row."""

@@ -650,23 +650,26 @@ def test_cli_train_scores_test_split_with_the_checkpointed_parameters(tmp_path, 
 
 
 def test_cli_outputs_do_not_depend_on_the_process_count(tmp_path, monkeypatch, capsys):
-    """``train`` and ``eval --predictions`` on a manifest big enough to be
-    parsed by two processes write the same bytes as with one."""
-    manifest = save_dataset(generate(48, 2), tmp_path / "data")
-    out, preds = tmp_path / "run", tmp_path / "preds.csv"
+    """``gen-data``, and ``train`` and ``eval --predictions`` on its output,
+    with a dataset big enough to be written and parsed by two processes,
+    write the same bytes as with one."""
+    data, out, preds = tmp_path / "data", tmp_path / "run", tmp_path / "preds.csv"
+    manifest = data / "manifest.csv"
     forks = count_forks(monkeypatch)
     runs = []
     for cores in (1, 2):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cores: set(range(n)))
+        assert main(["gen-data", "--n", "48", "--seed", "2", "--out", str(data)]) == 0
+        tree = [(p.relative_to(data), p.read_bytes())
+                for p in sorted(data.rglob("*")) if p.is_file()]
         assert main(["train", "--data", str(manifest), "--epochs", "1", "--seed", "3",
                      "--out", str(out)]) == 0
-        trained = capsys.readouterr().out
         log = (out / "train_log.jsonl").read_bytes()
         assert main(["eval", "--checkpoint", str(out / "checkpoint.npz"), "--data",
                      str(manifest), "--predictions", str(preds)]) == 0
-        runs.append((trained, log, capsys.readouterr().out, preds.read_bytes()))
-    assert len(forks) == 2  # one per load with two cores
-    assert runs[0] == runs[1]
+        runs.append((tree, capsys.readouterr().out, log, preds.read_bytes()))
+    assert len(forks) == 3  # one per write and per load with two cores
+    assert len(runs[0][0]) == 1 + 3 * 48 and runs[0] == runs[1]
 
 
 def test_eval_with_predictions_scores_each_batch_once(tmp_path, monkeypatch):
@@ -764,7 +767,8 @@ def test_eval_synthetic_rejects_checkpoint_of_other_raw_dims(tmp_path, capsys):
 
 # each row once ended in a traceback, a wrong exit code or a misleading
 # message.  {dir} is an existing directory, {file} an existing file, {ck} a
-# loadable checkpoint, {empty} an empty argument
+# loadable checkpoint, {empty} an empty argument, {blocked} a directory in
+# which a feature file's path (in a forked writer's share) is a directory
 BAD_INVOCATIONS = [
     ("gradcheck --probes 0", 1, "n_probes >= 1"),
     ("gradcheck --probes -1", 1, "n_probes >= 1"),
@@ -780,6 +784,7 @@ BAD_INVOCATIONS = [
     ("train --data {dir} --epochs 1", 4, "{dir}"),
     ("dump-edges --checkpoint {ck} --synthetic 3 --out {dir}", 4, "{dir}"),
     ("gen-data --n 2 --out {file}", 4, "{file}"),
+    ("gen-data --n 48 --out {blocked}", 4, "{blocked}/features/syn00040_V.csv"),
     ("eval --predictions {file}/x.csv --checkpoint {ck} --synthetic 3", 4, "{file}"),
     ("dump-edges --out {file}/x.jsonl --checkpoint {ck} --synthetic 3", 4, "{file}"),
     ("gen-data --out {empty} --n 2", 1, "--out: empty path"),
@@ -800,9 +805,10 @@ def test_cli_bad_invocation_is_one_error_line(tmp_path, capsys, monkeypatch, arg
     """Each bad invocation fails with one error line before any forward
     pass, and prints nothing to stdout."""
     paths = {"dir": tmp_path / "d", "file": tmp_path / "f.txt", "ck": tmp_path / "ck.npz",
-             "empty": ""}
+             "empty": "", "blocked": tmp_path / "b"}
     monkeypatch.chdir(tmp_path)  # an empty path must not reach the working directory
     paths["dir"].mkdir()
+    (paths["blocked"] / "features" / "syn00040_V.csv").mkdir(parents=True)
     paths["file"].write_text("x\n")
     _eval_checkpoint(paths["ck"])
     forwards = []
