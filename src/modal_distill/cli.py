@@ -13,7 +13,6 @@ Exit codes, each failure printed as one line on stderr:
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -186,7 +185,6 @@ def _cmd_probe_unimodal(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="modal-distill",
                      description="Decoupled multimodal sentiment regression")
-    parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="write a synthetic dataset")
@@ -238,8 +236,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
-                        format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -10,7 +10,6 @@ structure.
 from __future__ import annotations
 
 import csv
-import logging
 import os
 import signal
 import tempfile
@@ -21,8 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
-
-log = logging.getLogger(__name__)
 
 LABEL_MIN = -3.0
 LABEL_MAX = 3.0
@@ -215,34 +212,19 @@ def _draw_shared_latent(maps: WorldMaps, rng: np.random.Generator) -> np.ndarray
     return (k + u) * maps.label_direction + maps.class_offsets[k + 3] + wobble
 
 
-def generate(n: int, seed: int, config: SyntheticConfig | None = None,
-             z_shared_override: np.ndarray | None = None) -> list[Sample]:
-    """Draw ``n`` synthetic samples, deterministically under ``seed``.
-
-    ``z_shared_override`` (shape [n, z_shared_dim]) pins the shared latents,
-    which lets oracle tests construct sample pairs that agree on shared
-    content while differing privately.
-    """
+def generate(n: int, seed: int, config: SyntheticConfig | None = None) -> list[Sample]:
+    """Draw ``n`` synthetic samples, deterministically under ``seed``."""
     if n < 1:
         raise ConfigError(f"sample count must be >= 1, got {n}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     config = config or SyntheticConfig()
     maps = build_maps(config)
-    if z_shared_override is not None and z_shared_override.shape != (n, config.z_shared_dim):
-        raise ConfigError(
-            f"z_shared_override must have shape ({n}, {config.z_shared_dim}), "
-            f"got {z_shared_override.shape}")
     rng = np.random.default_rng(seed)
     samples = []
     for i in range(n):
-        if z_shared_override is not None:
-            z_c = z_shared_override[i].astype(np.float64)
-        else:
-            z_c = _draw_shared_latent(maps, rng)
+        z_c = _draw_shared_latent(maps, rng)
         label = label_from_latent(maps, z_c)
-        if not (LABEL_MIN - 1e-9 <= label <= LABEL_MAX + 1e-9):
-            raise ConfigError(f"override latent yields label {label:.3f} outside [-3, 3]")
         z_private = {}
         features = {}
         for m in MODALITIES:
@@ -260,6 +242,7 @@ def generate(n: int, seed: int, config: SyntheticConfig | None = None,
         samples.append(Sample(
             id=f"syn{i:05d}",
             features=features,
+            # rounding in the projection can put an end label just past +-3
             label=float(np.clip(label, LABEL_MIN, LABEL_MAX)),
             latents=Latents(z_shared=z_c, z_private=z_private),
         ))
@@ -329,7 +312,8 @@ def load_features(manifest_path: str | Path,
     """Read a manifest and its per-sample feature CSVs into Samples.
 
     Features are taken as already extracted; this only validates the
-    manifest's columns and ids, shapes, label range, and finiteness.  Spaces
+    manifest's columns and ids, shapes, label range, and finiteness, and
+    that it lists at least one sample.  Spaces
     around header names are ignored.  The whole manifest is checked before
     any feature file is parsed; ``_map_over_cores`` then parses the files.
     """
@@ -370,7 +354,7 @@ def load_features(manifest_path: str | Path,
                 jobs.append((base / rel, sid, m, dims[m]))
             rows.append((sid, label))
     if not rows:
-        log.warning("manifest %s lists no samples", manifest)
+        raise DataError(f"manifest {manifest} lists no samples")
     mats = iter(_map_over_cores(_read_feature_csv, jobs))
     return [Sample(id=sid, features={m: next(mats) for m in MODALITIES}, label=label)
             for sid, label in rows]

@@ -124,7 +124,7 @@ def loss_margin(x: Tensor, mods: np.ndarray, classes: np.ndarray,
     Returns the loss and the triplet count; an empty triplet set yields a
     constant 0, so a degenerate minibatch cannot crash training.
     """
-    return margin_hinge(gram(l2_normalize(x, 1e-24)), mods, classes, alpha)
+    return margin_hinge(gram(l2_normalize(x)), mods, classes, alpha)
 
 
 def loss_ort(pairs: dict[Modality, DecoupledPair]) -> Tensor:

@@ -36,7 +36,6 @@ class FusionHead:
     """Six gated streams -> concatenation -> two-layer regression head."""
 
     def __init__(self, rng: np.random.Generator, d: int):
-        self.dim = d
         self.homo_gates = {m: Linear(rng, d, 1) for m in MODALITIES}
         self.hetero_gates = {m: Linear(rng, 2 * d, 1) for m in MODALITIES}
         self.head = TwoLayer(rng, 9 * d, d, 1)
@@ -54,26 +53,18 @@ class FusionHead:
 
     def fuse(self, homo: dict[Modality, Tensor],
              hetero: dict[Modality, Tensor]) -> Tensor:
-        """Concatenate gated ``[B, ·]`` streams in (homo L,V,A, hetero L,V,A)
-        order, giving ``[B, 9d]``."""
-        parts = []
-        for m in MODALITIES:
-            if homo[m].ndim != 2 or homo[m].shape[1] != self.dim:
-                raise ShapeError(f"fuse: homo {m.tag} stream must be [B, {self.dim}], got {homo[m].shape}")
-            parts.append(self._gated(homo[m], self.homo_gates[m]))
-        for m in MODALITIES:
-            if hetero[m].ndim != 2 or hetero[m].shape[1] != 2 * self.dim:
-                raise ShapeError(f"fuse: hetero {m.tag} stream must be [B, {2 * self.dim}], got {hetero[m].shape}")
-            parts.append(self._gated(hetero[m], self.hetero_gates[m]))
+        """Concatenate gated ``[B, d]`` and ``[B, 2d]`` streams in (homo
+        L,V,A, hetero L,V,A) order, giving ``[B, 9d]``.  A stream of the
+        wrong width fails in its gate's ``affine`` with ``ShapeError``."""
+        parts = [self._gated(homo[m], self.homo_gates[m]) for m in MODALITIES]
+        parts += [self._gated(hetero[m], self.hetero_gates[m]) for m in MODALITIES]
         return concat(parts, axis=-1)
-
-    def predict(self, fused: Tensor) -> Tensor:
-        """One score per row of ``[B, 9d]``, shaped ``[B]``."""
-        return reshape(self.head(fused), fused.shape[:1])
 
     def __call__(self, homo: dict[Modality, Tensor],
                  hetero: dict[Modality, Tensor]) -> Tensor:
-        return self.predict(self.fuse(homo, hetero))
+        """One score per sample, shaped ``[B]``."""
+        fused = self.fuse(homo, hetero)
+        return reshape(self.head(fused), fused.shape[:1])
 
 
 # ---- objectives ----

@@ -61,9 +61,6 @@ class StepOutput:
     def scalars(self) -> dict[str, float]:
         return {name: float(t.data) for name, t in self.components.items()}
 
-    def scores(self) -> list[float]:
-        return self.preds.tolist()
-
 
 @dataclass
 class Encoded:

@@ -559,14 +559,17 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
 
 # ---- fused losses and poolings used throughout the model ----
 
+_EPS = 1e-12  # a smaller norm counts as zero
+_SQ_FLOOR = _EPS * _EPS  # the same floor on a squared norm
 
-def cosine(u: Tensor, v: Tensor, eps: float = 1e-12) -> Tensor:
+
+def cosine(u: Tensor, v: Tensor) -> Tensor:
     """Cosine similarity along the last axis, in [-1, 1]; ``[..., d]``
     inputs give ``[...]``.  One node; backward reads only the inputs and
     per-row scalars.
 
-    Each squared norm is clamped at ``eps**2`` and the norms' product at
-    ``eps``, so an all-zero vector yields 0 instead of dividing by zero
+    Each squared norm is clamped at ``_SQ_FLOOR`` and the norms' product at
+    ``_EPS``, so an all-zero vector yields 0 instead of dividing by zero
     (and keeps the backward pass finite).
     """
     if u.ndim < 1 or u.shape != v.shape:
@@ -574,36 +577,36 @@ def cosine(u: Tensor, v: Tensor, eps: float = 1e-12) -> Tensor:
     num = (u.data * v.data).sum(axis=-1)
     su = (u.data * u.data).sum(axis=-1)
     sv = (v.data * v.data).sum(axis=-1)
-    nu = np.sqrt(np.maximum(su, eps * eps))
-    nv = np.sqrt(np.maximum(sv, eps * eps))
+    nu = np.sqrt(np.maximum(su, _SQ_FLOOR))
+    nv = np.sqrt(np.maximum(sv, _SQ_FLOOR))
     prod = nu * nv
-    den = np.maximum(prod, eps)
+    den = np.maximum(prod, _EPS)
     out_data = num / den
 
     def backward(g):
         g_num = (g / den)[..., None]
-        g_prod = (-g * num / (den * den)) * (prod > eps)
+        g_prod = (-g * num / (den * den)) * (prod > _EPS)
         if u.requires_grad:
-            g_su = g_prod * nv * 0.5 / nu * (su > eps * eps)
+            g_su = g_prod * nv * 0.5 / nu * (su > _SQ_FLOOR)
             u._accum(g_num * v.data + (2.0 * g_su)[..., None] * u.data)
         if v.requires_grad:
-            g_sv = g_prod * nu * 0.5 / nv * (sv > eps * eps)
+            g_sv = g_prod * nu * 0.5 / nv * (sv > _SQ_FLOOR)
             v._accum(g_num * u.data + (2.0 * g_sv)[..., None] * v.data)
 
     return Tensor._result(out_data, (u, v), backward)
 
 
-def l2_normalize(x: Tensor, sq_floor: float) -> Tensor:
+def l2_normalize(x: Tensor) -> Tensor:
     """Each row of ``[..., d]`` divided by its L2 norm, the squared norm
-    clamped at ``sq_floor``, as one node."""
+    clamped at ``_SQ_FLOOR``, as one node."""
     if x.ndim < 1:
         raise ShapeError(f"l2_normalize needs at least 1 axis, got shape {x.shape}")
     sq = (x.data * x.data).sum(axis=-1, keepdims=True)
-    norms = np.sqrt(np.maximum(sq, sq_floor))
+    norms = np.sqrt(np.maximum(sq, _SQ_FLOOR))
 
     def backward(g):
         g_norms = (-g * x.data / (norms * norms)).sum(axis=-1, keepdims=True)
-        g_sq = g_norms * 0.5 / norms * (sq > sq_floor)
+        g_sq = g_norms * 0.5 / norms * (sq > _SQ_FLOOR)
         x._accum(g / norms + (2.0 * g_sq) * x.data)
 
     return Tensor._result(x.data / norms, (x,), backward)

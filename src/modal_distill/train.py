@@ -4,7 +4,6 @@ edge-weight dumps, and linear probes over pooled features."""
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -19,8 +18,6 @@ from .fusion import bin7
 from .graph_distill import EDGE_SOURCES
 from .model import COMPONENT_NAMES, Model, StepOutput
 from .tensor import Tensor, mul, tsum
-
-log = logging.getLogger(__name__)
 
 
 # ---- optimizer ----
@@ -376,8 +373,8 @@ class GradcheckReport:
         return out
 
 
-def _rel_err(analytic: float, numeric: float, floor: float = 1e-4) -> float:
-    return abs(analytic - numeric) / max(abs(analytic), abs(numeric), floor)
+def _rel_err(analytic: float, numeric: float) -> float:
+    return abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-4)
 
 
 def gradcheck_data_config() -> SyntheticConfig:
@@ -395,17 +392,17 @@ def gradcheck_model_config(seed: int = 0) -> TrainConfig:
     return TrainConfig(d=4, heads=2, seed=seed)
 
 
-def _gradcheck_batch(data_config: SyntheticConfig, seed: int, n: int = 3) -> Batch:
-    # draw extra samples and keep a class-diverse subset so the margin term
-    # always has triplets to differentiate
-    pool = generate(4 * n, seed, data_config)
+def _gradcheck_batch(data_config: SyntheticConfig, seed: int) -> Batch:
+    # draw 12 samples and keep a class-diverse subset of 3 so the margin
+    # term always has triplets to differentiate
+    pool = generate(12, seed, data_config)
     chosen: list[Sample] = []
     seen_bins: set[int] = set()
     for s, b in zip(pool, bin7([s.label for s in pool]).tolist()):
         if b not in seen_bins or len(seen_bins) > 1:
             chosen.append(s)
             seen_bins.add(b)
-        if len(chosen) == n:
+        if len(chosen) == 3:
             break
     return make_batch(chosen, mode="unaligned")
 
@@ -439,17 +436,11 @@ def gradcheck(config: TrainConfig | None = None, n_probes: int = 20,
         return model.forward_batch(batch, frozen_homo=frozen_h,
                                    frozen_hetero=frozen_het)
 
-    names = sorted(params)
-    sizes = np.array([params[k].data.size for k in names])
-    cum = np.cumsum(sizes)
+    # sorted names keep the probes independent of parameter registration order
+    coords = [(k, i) for k in sorted(params) for i in range(params[k].data.size)]
     rng = np.random.default_rng(seed)
-    flat_total = int(cum[-1])
-    picks = rng.choice(flat_total, size=min(n_probes, flat_total), replace=False)
-    probes = []
-    for flat in sorted(int(p) for p in picks):
-        which = int(np.searchsorted(cum, flat, side="right"))
-        offset = flat - (0 if which == 0 else int(cum[which - 1]))
-        probes.append((names[which], offset))
+    picks = rng.choice(len(coords), size=min(n_probes, len(coords)), replace=False)
+    probes = [coords[int(p)] for p in np.sort(picks)]
 
     plus_vals: list[dict[str, float]] = []
     minus_vals: list[dict[str, float]] = []
@@ -521,17 +512,14 @@ def _gd_params_zero_at_lambda2_zero(config: TrainConfig, batch: Batch) -> bool:
 
 
 def dump_edges(model: Model, samples: list[Sample],
-               out_path: str | Path | None = None,
-               batch_size: int | None = None) -> list[dict]:
+               out_path: str | Path | None = None) -> list[dict]:
     """Record per-batch distillation graphs (weights, discrepancies, logits)
     as JSONL-ready dicts, one record per active space per batch."""
-    per_batch = _walk(model, samples, batch_size, lambda batch: [
+    per_batch = _walk(model, samples, None, lambda batch: [
         None if unit is None else unit.record() for unit in model.distill(model.encode(batch))])
     records = [{"step": step, "space": space, **record}
                for step, units in enumerate(per_batch)
                for space, record in zip(("homo", "hetero"), units) if record is not None]
-    if not records:
-        log.warning("dump_edges: both distillation paths disabled, nothing to write")
     if out_path is not None:
         path = Path(out_path)
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -10,7 +10,6 @@ appended, so the appended value overrides the base's."""
 import argparse
 import contextlib
 import io
-import logging
 import os
 import shutil
 import tempfile
@@ -80,13 +79,8 @@ def fixture_files(tmp_path_factory):
 
 def run_cli(argv: list[str], cwd: Path) -> tuple[int, str, str]:
     """``main(argv)``'s return code, stdout and stderr, run from ``cwd``
-    (relative paths such as ``--out 0`` land there), with the package's
-    warnings on stderr as outside a test."""
+    (relative paths such as ``--out 0`` land there)."""
     out, err = io.StringIO(), io.StringIO()
-    handler = logging.StreamHandler(err)
-    handler.setLevel(logging.WARNING)
-    logger = logging.getLogger("modal_distill")
-    logger.addHandler(handler)
     before = os.getcwd()
     os.chdir(cwd)
     try:
@@ -94,7 +88,6 @@ def run_cli(argv: list[str], cwd: Path) -> tuple[int, str, str]:
             rc = main(argv)
     finally:
         os.chdir(before)
-        logger.removeHandler(handler)
     return rc, out.getvalue(), err.getvalue()
 
 

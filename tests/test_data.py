@@ -126,19 +126,6 @@ def test_generate_rejects_bad_args():
         generate(2, seed=1, config=bad)
 
 
-def test_equal_shared_latent_gives_identical_shared_component():
-    cfg = small_config()
-    maps = build_maps(cfg)
-    z_c = np.linspace(-0.5, 0.5, cfg.z_shared_dim)
-    override = np.stack([z_c, z_c])
-    a, b = generate(2, seed=9, config=cfg, z_shared_override=override)
-    np.testing.assert_array_equal(a.latents.z_shared, b.latents.z_shared)
-    for m in MODALITIES:
-        assert not np.array_equal(a.latents.z_private[m], b.latents.z_private[m])
-        np.testing.assert_array_equal(shared_component(maps, m, a.latents.z_shared),
-                                      shared_component(maps, m, b.latents.z_shared))
-
-
 def test_phase_multiplies_shared_component():
     cfg = small_config()
     cfg.noise = {m: 0.0 for m in MODALITIES}
@@ -297,12 +284,11 @@ def test_load_label_out_of_range(tmp_path):
     assert samples[0].id in str(exc.value)
 
 
-def test_load_empty_manifest_warns(tmp_path, caplog):
+def test_load_empty_manifest_is_a_data_error(tmp_path):
     manifest = tmp_path / "manifest.csv"
     manifest.write_text("id,label,path_L,path_V,path_A\n")
-    with caplog.at_level("WARNING"):
-        out = load_features(manifest)
-    assert out == [] and any("no samples" in r.message for r in caplog.records)
+    with pytest.raises(DataError, match="lists no samples"):
+        load_features(manifest)
 
 
 def test_load_rejects_extra_fields_naming_sample(tmp_path):

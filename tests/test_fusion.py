@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from modal_distill.data import MODALITIES, Modality
-from modal_distill.errors import DataError, NumericError
+from modal_distill.errors import DataError, NumericError, ShapeError
 from modal_distill.fusion import (
     FusionHead,
     bin7,
@@ -62,7 +62,7 @@ def test_fuse_rejects_wrong_stream_width():
     head = make_head()
     homo, hetero = streams(4)
     hetero[V] = Tensor(np.zeros((1, D)))  # should be 2d wide
-    with pytest.raises(Exception):
+    with pytest.raises(ShapeError):
         head.fuse(homo, hetero)
 
 

@@ -65,7 +65,7 @@ def model_case(mode: str) -> dict:
     out.total.backward()
     return {
         "components": out.scalars(),
-        "scores": out.scores(),
+        "scores": out.preds.tolist(),
         "n_triplets": out.n_triplets,
         "homo": out.homo.record(),
         "hetero": out.hetero.record(),

@@ -6,7 +6,6 @@ import ast
 import gc
 import importlib
 import json
-import logging
 import math
 import os
 import re
@@ -411,14 +410,13 @@ def test_checkpoint_with_retired_config_key_loads(tmp_path):
     assert main(["eval", "--checkpoint", str(path), "--synthetic", "4"]) == 0
 
 
-def test_eval_of_single_class_batches_logs_no_warning(tmp_path, caplog):
+def test_eval_of_single_class_batches_logs_no_warning(tmp_path, capsys):
     """Batches of one sample hold one class, so the margin loss has no
     triplet; eval trains nothing and must not warn about it."""
     path = tmp_path / "ck.npz"
     _eval_checkpoint(path, {"batch_size": 1})
-    with caplog.at_level("WARNING"):
-        assert main(["eval", "--checkpoint", str(path), "--synthetic", "3"]) == 0
-    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
+    assert main(["eval", "--checkpoint", str(path), "--synthetic", "3"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_checkpoint_with_unknown_config_key_exits_two(tmp_path, capsys):
@@ -567,7 +565,7 @@ def test_probe_multiclass_separable_oracle():
 def test_dump_edges_records(tmp_path):
     result, samples = _trained_tiny()
     out = tmp_path / "edges.jsonl"
-    records = dump_edges(result.model, samples, out_path=out, batch_size=8)
+    records = dump_edges(result.model, samples, out_path=out)
     assert out.exists()
     spaces = {r["space"] for r in records}
     assert spaces == {"homo", "hetero"}
@@ -768,7 +766,8 @@ def test_eval_synthetic_rejects_checkpoint_of_other_raw_dims(tmp_path, capsys):
 # each row once ended in a traceback, a wrong exit code or a misleading
 # message.  {dir} is an existing directory, {file} an existing file, {ck} a
 # loadable checkpoint, {empty} an empty argument, {blocked} a directory in
-# which a feature file's path (in a forked writer's share) is a directory
+# which a feature file's path (in a forked writer's share) is a directory,
+# {nosamples} a manifest with a header and no rows
 BAD_INVOCATIONS = [
     ("gradcheck --probes 0", 1, "n_probes >= 1"),
     ("gradcheck --probes -1", 1, "n_probes >= 1"),
@@ -795,6 +794,8 @@ BAD_INVOCATIONS = [
     ("eval --synthetic 3 --predictions {empty} --checkpoint {ck}", 1,
      "--predictions: empty path"),
     ("eval --synthetic 3 --checkpoint {empty}", 1, "--checkpoint: empty path"),
+    ("train --epochs 1 --data {nosamples}", 2, "lists no samples"),
+    ("eval --data {nosamples} --checkpoint {ck}", 2, "lists no samples"),
 ]
 
 
@@ -805,9 +806,11 @@ def test_cli_bad_invocation_is_one_error_line(tmp_path, capsys, monkeypatch, arg
     """Each bad invocation fails with one error line before any forward
     pass, and prints nothing to stdout."""
     paths = {"dir": tmp_path / "d", "file": tmp_path / "f.txt", "ck": tmp_path / "ck.npz",
-             "empty": "", "blocked": tmp_path / "b"}
+             "empty": "", "blocked": tmp_path / "b", "nosamples": tmp_path / "e" / "manifest.csv"}
     monkeypatch.chdir(tmp_path)  # an empty path must not reach the working directory
     paths["dir"].mkdir()
+    paths["nosamples"].parent.mkdir()
+    paths["nosamples"].write_text("id,label,path_L,path_V,path_A\n")
     (paths["blocked"] / "features" / "syn00040_V.csv").mkdir(parents=True)
     paths["file"].write_text("x\n")
     _eval_checkpoint(paths["ck"])

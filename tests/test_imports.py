@@ -1,7 +1,8 @@
 """Static checks: every module of the package uses every name it imports,
 every public module-level function and class is referred to somewhere
-in the package or the benchmark outside its own definition, and every
-attribute the package sets on ``self`` is read somewhere by name."""
+in the package or the benchmark outside its own definition, every
+attribute the package sets on ``self`` is read somewhere by name, and
+only the command line writes to stderr."""
 
 import ast
 from collections import Counter
@@ -125,3 +126,18 @@ def test_unread_attribute_is_found():
 def test_every_assigned_attribute_is_read():
     modules = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unread_attributes(modules, [p.read_text() for p in sorted(BENCH.glob("*.py"))]) == set()
+
+
+def test_only_cli_writes_to_stderr():
+    """``cli.main``'s one error line is all the package writes to stderr:
+    no module imports ``logging``, and only ``cli.py`` names ``stderr``."""
+    writers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {alias.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+                    for alias in n.names}
+        imported |= {n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+        assert "logging" not in {m.split(".")[0] for m in imported}, path.name
+        if "stderr" in _names(tree):
+            writers.add(path.name)
+    assert writers == {"cli.py"}

@@ -67,7 +67,7 @@ def test_forward_deterministic_given_seed():
     out_a = model_a.forward_batch(batch_a)
     out_b = model_b.forward_batch(batch_b)
     assert out_a.scalars() == out_b.scalars()
-    assert out_a.scores() == out_b.scores()
+    assert out_a.preds.tolist() == out_b.preds.tolist()
 
 
 def test_empty_sequence_rejected():
@@ -86,10 +86,10 @@ def test_padding_invariance_per_sample():
     or alone, because masks keep its padded rows out of every sum; only the
     grouping of float terms in those sums differs."""
     model, batch, samples = build(n=4, seed=1)
-    batch_scores = model.forward_batch(batch).scores()
+    batch_scores = model.forward_batch(batch).preds.tolist()
     for i, sample in enumerate(samples):
         single = make_batch([sample], mode="unaligned")
-        single_scores = model.forward_batch(single).scores()
+        single_scores = model.forward_batch(single).preds.tolist()
         assert single_scores[0] == pytest.approx(batch_scores[i], rel=0, abs=1e-12)
 
 
@@ -204,8 +204,8 @@ def test_ca_changes_predictions_even_without_heterogd():
     _, batch, _ = build(seed=4)
     with_ca = Model(small_config(heterogd=False, ca=True), dict(SMALL_RAW))
     without = Model(small_config(heterogd=False, ca=False), dict(SMALL_RAW))
-    scores_ca = with_ca.forward_batch(batch).scores()
-    scores_off = without.forward_batch(batch).scores()
+    scores_ca = with_ca.forward_batch(batch).preds.tolist()
+    scores_off = without.forward_batch(batch).preds.tolist()
     assert scores_ca != scores_off
 
 
@@ -222,7 +222,7 @@ def test_hetero_pathway_alive_iff_ca_or_heterogd():
         shallow = fd_only.decoupler.shallow_encode(Tensor(batch.features[m]), m)
         homo[m] = fd_only.decoupler.decouple(shallow, m, batch.masks[m]).homo_pooled
     pred = fd_only.fusion(homo, {m: zero for m in MODALITIES})
-    assert pred.data.tolist() == out.scores()
+    assert pred.data.tolist() == out.preds.tolist()
 
 
 def test_frozen_records_match_toggles():

@@ -244,7 +244,7 @@ def test_fused_ops_match_their_numpy_chains():
     np.testing.assert_array_equal(cosine(Tensor(x), Tensor(y)).data,
                                   (x * y).sum(axis=-1) / np.maximum(nx * ny, eps))
     norms = np.sqrt(np.maximum((x * x).sum(axis=-1, keepdims=True), 1e-24))
-    np.testing.assert_array_equal(l2_normalize(Tensor(x), 1e-24).data, x / norms)
+    np.testing.assert_array_equal(l2_normalize(Tensor(x)).data, x / norms)
     weights = mask / mask.sum(axis=-1, keepdims=True)
     np.testing.assert_array_equal(mean_pool_time(Tensor(x), mask).data,
                                   (weights[:, None, :] @ x)[:, 0])
@@ -260,7 +260,7 @@ def test_fused_op_shape_errors():
     with pytest.raises(ShapeError):
         masked_sq_distance(x, x, np.ones((2, 4)))
     with pytest.raises(ShapeError):
-        l2_normalize(Tensor(3.0), 1e-24)
+        l2_normalize(Tensor(3.0))
 
 
 def test_affine_matches_matmul_plus_bias():
@@ -344,11 +344,11 @@ def test_gradients_match_finite_differences(seed):
         "concat": (lambda: tsum(mul_concat()), {"a": a, "b": b}),
         "gram": (lambda: tsum(gram(a) * out_3.data[0]), {"a": a}),
         "gram_wide": (lambda: tsum(gram(c) * cos.data[:4, :4]), {"c": c}),
-        "gram_margin": (lambda: margin_hinge(gram(l2_normalize(rows, 1e-24)), mods, classes,
+        "gram_margin": (lambda: margin_hinge(gram(l2_normalize(rows)), mods, classes,
                                              0.5)[0], {"rows": rows}),
         "cosine": (lambda: cosine(v, w), {"v": v, "w": w}),
         "cosine_zero_row": (lambda: tsum(cosine(zero_row, b) * w_rows), {"b": b}),
-        "l2_normalize": (lambda: tsum(l2_normalize(a, 1e-24) * b), {"a": a, "b": b}),
+        "l2_normalize": (lambda: tsum(l2_normalize(a) * b), {"a": a, "b": b}),
         "masked_sq_distance": (lambda: masked_sq_distance(batch, batch_c, pad_mask) * 0.5,
                                {"batch": batch, "batch_c": batch_c}),
         "two_layer": (lambda: tsum(two_layer(a, c, bias, hidden_w, hidden_b) * out_3),
