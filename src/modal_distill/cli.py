@@ -131,7 +131,6 @@ def _cmd_train(args) -> int:
     samples = _load_samples(args)
     result = train(config, samples)
     print(f"trained {result.steps} steps on {len(result.splits[0])} samples")
-    print(f"train: {result.final_train.to_dict()}")
     if result.best_val_mae is not None:
         print(f"best val mae: {result.best_val_mae:.6f}")
     if result.splits[2]:

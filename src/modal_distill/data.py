@@ -42,18 +42,17 @@ RAW_DIMS = {Modality.LANGUAGE: 300, Modality.VISION: 35, Modality.AUDIO: 74}
 
 @dataclass
 class Latents:
-    """Generator-side record of the true factors behind one sample."""
+    """Generator-side record of the shared latent behind one sample's label."""
 
     z_shared: np.ndarray
-    z_private: dict[Modality, np.ndarray]
 
 
 @dataclass
 class Sample:
     """One sample: a time-major ``[T_m, d_m]`` feature array per modality
     (lengths may differ across modalities), its label, and, for generated
-    samples, the latents they were drawn from.  The latents stay in memory
-    for probes and tests; ``save_dataset`` does not write them."""
+    samples, the shared latent they were drawn from.  It stays in memory
+    for tests; ``save_dataset`` does not write it."""
 
     id: str
     features: dict[Modality, np.ndarray]
@@ -225,11 +224,9 @@ def generate(n: int, seed: int, config: SyntheticConfig | None = None) -> list[S
     for i in range(n):
         z_c = _draw_shared_latent(maps, rng)
         label = label_from_latent(maps, z_c)
-        z_private = {}
         features = {}
         for m in MODALITIES:
             z_m = rng.standard_normal(config.z_private_dim)
-            z_private[m] = z_m
             lo, hi = config.length_ranges[m]
             t_m = int(rng.integers(lo, hi + 1))
             eta = float(rng.normal(0.0, config.class_view_noise[m]))
@@ -244,7 +241,7 @@ def generate(n: int, seed: int, config: SyntheticConfig | None = None) -> list[S
             features=features,
             # rounding in the projection can put an end label just past +-3
             label=float(np.clip(label, LABEL_MIN, LABEL_MAX)),
-            latents=Latents(z_shared=z_c, z_private=z_private),
+            latents=Latents(z_shared=z_c),
         ))
     return samples
 

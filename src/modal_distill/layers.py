@@ -1,18 +1,15 @@
 """Small parametric building blocks shared by all model components.
 
-Parameters live in plain dicts of name -> Tensor so the optimizer and the
-checkpoint writer can treat every component uniformly.  ``Adam`` rebinds
-each parameter's ``data`` as a view of one flat arena and updates it in
-place between steps: a snapshot that must outlive a step is a copy
-(checkpoints write the arrays out at once).  Initialization draws
-from a caller-supplied Generator; nothing in this module touches global RNG
-state.
+Each component lists its parameters as a dict of name -> Tensor, and a
+``ParamTable`` holds a whole model's.  Initialization draws from a
+caller-supplied Generator; nothing in this module touches global RNG state.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import DataError
 from .tensor import Tensor, affine, two_layer
 
 
@@ -65,3 +62,45 @@ class TwoLayer:
         out = self.first.parameters(f"{prefix}.first")
         out.update(self.second.parameters(f"{prefix}.second"))
         return out
+
+
+class ParamTable:
+    """A model's parameters over two flat float64 arrays, ``flat`` and
+    ``grad``, in ``tensors`` order; ``bounds`` holds each parameter's offset,
+    plus the total size at the end.
+
+    Every parameter's ``data`` and ``grad`` are views of its slices from
+    construction on, so backward accumulates into ``grad`` and the optimizer,
+    loading and snapshots work on whole arrays.  Nothing may rebind them:
+    write into them, and copy a value that must outlive a step."""
+
+    def __init__(self, tensors: dict[str, Tensor]):
+        self.tensors = dict(tensors)
+        self.bounds = np.cumsum([0] + [t.data.size for t in self.tensors.values()]).tolist()
+        self.flat = np.concatenate([t.data.reshape(-1) for t in self.tensors.values()])
+        # np.zeros, not zeros_like: the pages stay unmapped until a backward
+        # writes them, so scoring never makes the gradient resident
+        self.grad = np.zeros(self.flat.size)
+        for t, lo, hi in zip(self.tensors.values(), self.bounds, self.bounds[1:]):
+            t.grad = self.grad[lo:hi].reshape(t.data.shape)
+            t.data = self.flat[lo:hi].reshape(t.data.shape)
+
+    def name_at(self, index: int) -> str:
+        """The parameter whose slice holds flat position ``index``."""
+        return next(name for name, hi in zip(self.tensors, self.bounds[1:]) if index < hi)
+
+    def load(self, arrays: dict[str, np.ndarray]) -> None:
+        """Copy ``arrays`` (name -> array) in; on a name or shape mismatch
+        raise ``DataError`` and change nothing."""
+        missing = sorted(set(self.tensors) - set(arrays))
+        surplus = sorted(set(arrays) - set(self.tensors))
+        if missing or surplus:
+            raise DataError(
+                f"parameter set mismatch: missing {missing[:3]}, unexpected {surplus[:3]}")
+        for name, t in self.tensors.items():
+            if t.data.shape != arrays[name].shape:
+                raise DataError(
+                    f"parameter {name}: checkpoint shape {arrays[name].shape} "
+                    f"!= model shape {t.data.shape}")
+        for name, t in self.tensors.items():
+            t.data[...] = arrays[name]

@@ -36,9 +36,9 @@ from .config import TrainConfig
 from .crossmodal import CrossmodalReinforcer, passthrough
 from .data import MODALITIES, RAW_DIMS, Batch, Modality
 from .decouple import DecoupledPair, Decoupler, loss_cyc, loss_dec, loss_margin, loss_ort, loss_rec
-from .errors import DataError
 from .fusion import FusionHead, bin7, task_loss, total_loss
 from .graph_distill import BatchDistill, FrozenGraph, GDUnit
+from .layers import ParamTable
 from .tensor import Tensor, concat, mean_pool_time, reshape
 
 COMPONENT_NAMES = ("task", "rec", "cyc", "margin", "ort", "dec",
@@ -74,7 +74,7 @@ class Encoded:
 
 
 class Model:
-    """The complete network.  Parameters are keyed by stable dotted paths."""
+    """The complete network; ``table`` holds its parameters by stable dotted path."""
 
     def __init__(self, config: TrainConfig, raw_dims: dict[Modality, int] | None = None):
         config.validate()
@@ -86,31 +86,13 @@ class Model:
         self.hetero_gd = GDUnit(rng, 2 * config.d, config.edge_mode)
         self.reinforcer = CrossmodalReinforcer(rng, config.d, config.heads)
         self.fusion = FusionHead(rng, config.d)
+        self.table = ParamTable({
+            **self.decoupler.parameters(), **self.homo_gd.parameters("gd_homo"),
+            **self.hetero_gd.parameters("gd_hetero"), **self.reinforcer.parameters(),
+            **self.fusion.parameters()})
 
     def parameters(self) -> dict[str, Tensor]:
-        params = self.decoupler.parameters()
-        params.update(self.homo_gd.parameters("gd_homo"))
-        params.update(self.hetero_gd.parameters("gd_hetero"))
-        params.update(self.reinforcer.parameters())
-        params.update(self.fusion.parameters())
-        return params
-
-    def load_parameters(self, arrays: dict[str, np.ndarray]) -> None:
-        params = self.parameters()
-        missing = sorted(set(params) - set(arrays))
-        surplus = sorted(set(arrays) - set(params))
-        if missing or surplus:
-            raise DataError(
-                f"parameter set mismatch: missing {missing[:3]}, unexpected {surplus[:3]}")
-        for name, tensor in params.items():
-            if tensor.data.shape != arrays[name].shape:
-                raise DataError(
-                    f"parameter {name}: checkpoint shape {arrays[name].shape} "
-                    f"!= model shape {tensor.data.shape}")
-        # copy into the existing buffers, so parameters bound into an
-        # optimizer's arena stay bound
-        for name, tensor in params.items():
-            tensor.data[...] = arrays[name]
+        return self.table.tensors
 
     # ---- forward ----
 

@@ -7,10 +7,7 @@ rebuilt on every forward pass, so a tensor graph is a throwaway value: there
 are no retained-graph semantics and no global state, which also makes
 independent graphs safe to build on different threads.
 
-Tensors are treated as immutable once created inside a forward pass.  The
-optimizer binds every parameter's ``data`` as a view of one flat arena and
-updates it in place between steps, so code that needs a parameter's value
-across a step must copy it.
+Tensors are treated as immutable once created inside a forward pass.
 """
 
 from __future__ import annotations

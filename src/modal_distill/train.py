@@ -16,6 +16,7 @@ from .data import MODALITIES, Batch, Modality, Sample, SyntheticConfig, batches,
 from .errors import ConfigError, DataError, NumericError
 from .fusion import bin7
 from .graph_distill import EDGE_SOURCES
+from .layers import ParamTable
 from .model import COMPONENT_NAMES, Model, StepOutput
 from .tensor import Tensor, mul, tsum
 
@@ -24,55 +25,39 @@ from .tensor import Tensor, mul, tsum
 
 
 class Adam:
-    """Adam with bias correction, run as one pass over a flat parameter arena.
+    """Adam with bias correction, run as one pass over a ``ParamTable``.
 
-    The constructor copies every parameter, in ``params`` order, into one
-    contiguous float64 ``arena`` and rebinds each ``.data`` to a view of it;
-    ``m`` and ``v`` are arena-sized too.  ``step`` gathers the gradients
-    into one arena-sized array and updates ``arena``, ``m`` and ``v`` in
-    place with whole-arena ufuncs.  Adam is elementwise and the ufuncs run
-    the per-tensor expressions in the same order, so every parameter is
-    bit-identical to updating each tensor on its own.
+    ``m`` and ``v`` are shaped like ``table.flat``, and ``step`` updates
+    ``table.flat``, ``m`` and ``v`` in place with whole-array ufuncs.  Adam
+    is elementwise and the ufuncs run the per-tensor expressions in the same
+    order, so every parameter is bit-identical to updating each tensor on
+    its own.  A parameter no loss term touched has a zero gradient, so the
+    update schedule never depends on which terms ran.
 
-    Parameters with no gradient this step are treated as having a zero
-    gradient, so the update schedule (and therefore any bitwise
-    reproduction of a run) never depends on which loss terms happened to
-    touch which parameters.  A non-finite gradient raises ``NumericError``
-    before anything is updated; a non-finite updated parameter raises it
-    after the update."""
+    A non-finite gradient raises ``NumericError`` before anything is
+    updated; a non-finite updated parameter raises it after the update."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: dict[str, Tensor], lr: float):
-        self.params = dict(params)
+    def __init__(self, table: ParamTable, lr: float):
+        self.table = table
         self.lr = lr
         self.t = 0
-        # arena offset of each parameter, plus the total size at the end
-        self.bounds = np.cumsum([0] + [p.data.size for p in self.params.values()]).tolist()
-        self.arena = np.empty(self.bounds[-1])
-        for p, lo, hi in zip(self.params.values(), self.bounds, self.bounds[1:]):
-            view = self.arena[lo:hi].reshape(p.data.shape)
-            view[...] = p.data
-            p.data = view
-        self.m = np.zeros_like(self.arena)
-        self.v = np.zeros_like(self.arena)
+        self.m = np.zeros_like(table.flat)
+        self.v = np.zeros_like(table.flat)
 
     def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
+        self.table.grad[...] = 0.0
 
     def _check_finite(self, values: np.ndarray, what: str, t: int) -> None:
         if np.isfinite(values).all():
             return
-        first = int(np.argmin(np.isfinite(values)))
-        name = list(self.params)[int(np.searchsorted(self.bounds, first, side="right")) - 1]
+        name = self.table.name_at(int(np.argmin(np.isfinite(values))))
         raise NumericError(f"non-finite {what} of parameter {name} at optimizer step {t}")
 
     def step(self) -> None:
         t = self.t + 1
-        g = np.empty_like(self.arena)
-        for p, lo, hi in zip(self.params.values(), self.bounds, self.bounds[1:]):
-            g[lo:hi] = 0.0 if p.grad is None else p.grad.reshape(-1)
+        g = self.table.grad
         self._check_finite(g, "gradient", t)
         self.t = t
         b1, b2 = self.beta1, self.beta2
@@ -88,15 +73,15 @@ class Adam:
         np.multiply(g, g, out=tmp)
         tmp *= 1.0 - b2
         v += tmp
-        # arena = arena - lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        # flat = flat - lr * (m / bc1) / (sqrt(v / bc2) + eps)
         np.divide(v, bc2, out=tmp)
         np.sqrt(tmp, out=tmp)
         tmp += self.eps
-        np.divide(m, bc1, out=g)
-        g *= self.lr
-        g /= tmp
-        self.arena -= g
-        self._check_finite(self.arena, "updated value", t)
+        update = np.divide(m, bc1)
+        update *= self.lr
+        update /= tmp
+        self.table.flat -= update
+        self._check_finite(self.table.flat, "updated value", t)
 
 
 # ---- metrics ----
@@ -188,11 +173,10 @@ class TrainResult:
     history: list[dict]
     steps: int
     best_val_mae: float | None
-    # a copy of the parameters at the best val MAE, and the step they are
+    # a copy of ``model.table.flat`` at the best val MAE, and the step it is
     # from; None without a validation split
-    best_params: dict[str, np.ndarray] | None
+    best_params: np.ndarray | None
     best_step: int | None
-    final_train: MetricsReport
     checkpoint_path: Path | None
     log_path: Path | None
     splits: tuple[list[Sample], list[Sample], list[Sample]]
@@ -203,7 +187,7 @@ class TrainResult:
         if self.best_params is None:
             return self.model
         model = Model(self.model.config, self.model.raw_dims)
-        model.load_parameters(self.best_params)
+        model.table.flat[...] = self.best_params
         return model
 
 
@@ -238,7 +222,7 @@ def train(config: TrainConfig, samples: list[Sample], split: bool = True) -> Tra
     if not train_s:
         raise DataError("empty training split")
 
-    opt = Adam(model.parameters(), lr=config.lr)
+    opt = Adam(model.table, lr=config.lr)
 
     out_dir = Path(config.out_dir) if config.out_dir else None
     log_fh = None
@@ -265,7 +249,7 @@ def train(config: TrainConfig, samples: list[Sample], split: bool = True) -> Tra
 
     history: list[dict] = []
     best_val_mae: float | None = None
-    best_params: dict[str, np.ndarray] | None = None
+    best_params: np.ndarray | None = None
     best_step: int | None = None
     last_finite: dict[str, float] = {}
     step = 0
@@ -309,7 +293,7 @@ def train(config: TrainConfig, samples: list[Sample], split: bool = True) -> Tra
                       **report.to_dict()})
                 if best_val_mae is None or report.mae < best_val_mae:
                     best_val_mae, best_step = report.mae, step
-                    best_params = {k: p.data.copy() for k, p in model.parameters().items()}
+                    best_params = model.table.flat.copy()
                     save("best_val")
             if done:
                 break
@@ -319,12 +303,10 @@ def train(config: TrainConfig, samples: list[Sample], split: bool = True) -> Tra
         if log_fh is not None:
             log_fh.close()
 
-    final_train, _ = evaluate(model, train_s)
     return TrainResult(model=model, history=history, steps=step,
                        best_val_mae=best_val_mae, best_params=best_params,
-                       best_step=best_step, final_train=final_train,
-                       checkpoint_path=checkpoint_path, log_path=log_path,
-                       splits=(train_s, val_s, test_s))
+                       best_step=best_step, checkpoint_path=checkpoint_path,
+                       log_path=log_path, splits=(train_s, val_s, test_s))
 
 
 def model_from_checkpoint(path: str | Path) -> tuple[Model, TrainConfig, dict]:
@@ -337,7 +319,7 @@ def model_from_checkpoint(path: str | Path) -> tuple[Model, TrainConfig, dict]:
                         f"to positive integers, got {dims_meta!r}")
     raw_dims = {Modality(tag): d for tag, d in dims_meta.items()}
     model = Model(config, raw_dims)
-    model.load_parameters(params)
+    model.table.load(params)
     return model, config, extra
 
 
@@ -455,16 +437,14 @@ def gradcheck(config: TrainConfig | None = None, n_probes: int = 20,
 
     checks: list[ComponentCheck] = []
     for cname in COMPONENT_NAMES:
-        for p in params.values():
-            p.grad = None
+        model.table.grad[...] = 0.0
         out = frozen_forward()
         comp = out.components[cname]
         if comp.requires_grad:
             comp.backward()
         worst_err, worst_param = 0.0, "-"
         for k, (pname, offset) in enumerate(probes):
-            grad = params[pname].grad
-            analytic = 0.0 if grad is None else float(grad.flat[offset])
+            analytic = float(params[pname].grad.flat[offset])
             numeric = (plus_vals[k][cname] - minus_vals[k][cname]) / (2.0 * h)
             err = _rel_err(analytic, numeric)
             if err > worst_err:
@@ -501,11 +481,8 @@ def _gd_params_zero_at_lambda2_zero(config: TrainConfig, batch: Batch) -> bool:
     model = Model(cfg, raw_dims)
     out = model.forward_batch(batch)
     out.total.backward()
-    for name, p in model.parameters().items():
-        if name.startswith(("gd_homo", "gd_hetero")):
-            if p.grad is not None and np.any(p.grad != 0.0):
-                return False
-    return True
+    return not any(np.any(p.grad != 0.0) for name, p in model.parameters().items()
+                   if name.startswith(("gd_homo", "gd_hetero")))
 
 
 # ---- edge dumping ----
@@ -573,8 +550,6 @@ class ProbeReport:
     per_modality: dict[str, ModalityProbe]
     mean_acc2: float
     std_acc2: float
-    n_fit: int
-    n_eval: int
 
     def lines(self) -> list[str]:
         out = [f"{tag}: acc2 {p.acc2:.4f}  f1 {p.f1:.4f}"
@@ -624,5 +599,4 @@ def probe_unimodal(model: Model, samples: list[Sample], seed: int = 0) -> ProbeR
         accs.append(acc)
     return ProbeReport(per_modality=per_modality,
                        mean_acc2=float(np.mean(accs)),
-                       std_acc2=float(np.std(accs)),
-                       n_fit=len(tr), n_eval=len(ev))
+                       std_acc2=float(np.std(accs)))

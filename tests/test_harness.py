@@ -29,6 +29,7 @@ from modal_distill.data import (
     split_dataset,
 )
 from modal_distill.errors import ConfigError, DataError, NumericError
+from modal_distill.layers import ParamTable
 from modal_distill.model import Model
 from modal_distill.tensor import Tensor
 from modal_distill.train import (
@@ -41,6 +42,7 @@ from modal_distill.train import (
     gradcheck,
     model_from_checkpoint,
     predict_scores,
+    probe_split,
     probe_unimodal,
     train,
 )
@@ -182,7 +184,7 @@ def test_adam_minimizes_quadratic():
     from modal_distill.tensor import tsum
 
     x = Tensor(np.array([5.0, -3.0]), requires_grad=True)
-    opt = Adam({"x": x}, lr=0.1)
+    opt = Adam(ParamTable({"x": x}), lr=0.1)
     for _ in range(400):
         opt.zero_grad()
         loss = tsum((x - 1.0) * (x - 1.0))
@@ -193,7 +195,7 @@ def test_adam_minimizes_quadratic():
 
 def test_adam_leaves_gradless_params_untouched():
     x = Tensor(np.array([2.0]), requires_grad=True)
-    opt = Adam({"x": x}, lr=0.5)
+    opt = Adam(ParamTable({"x": x}), lr=0.5)
     opt.zero_grad()
     opt.step()
     assert np.array_equal(x.data, [2.0])
@@ -202,16 +204,16 @@ def test_adam_leaves_gradless_params_untouched():
 ALL_STAGES_OFF = dict(fd=False, homogd=False, ca=False, heterogd=False)
 
 
-@pytest.mark.parametrize("stages, n_gradless", [({}, 0), (ALL_STAGES_OFF, 66)],
-                         ids=["all_on", "all_off"])
-def test_adam_matches_per_tensor_reference(stages, n_gradless):
+@pytest.mark.parametrize("stages", [{}, ALL_STAGES_OFF], ids=["all_on", "all_off"])
+def test_adam_matches_per_tensor_reference(stages):
     """Twenty steps with real gradients and a new lr before each, as
-    ``train`` runs them: every parameter and every moment slice of the arena
-    Adam equals the per-tensor oracle's bit for bit."""
+    ``train`` runs them: every parameter and every moment slice of the
+    table's Adam equals the per-tensor oracle's bit for bit."""
     cfg = TrainConfig(**stages)
     model = Model(cfg)
-    params, twin = model.parameters(), Model(cfg).parameters()
-    opt = Adam(params, lr=cfg.lr)
+    table, params = model.table, model.parameters()
+    twin = {name: Tensor(p.data.copy()) for name, p in params.items()}
+    opt = Adam(table, lr=cfg.lr)
     ref = ReferenceAdam(twin, lr=cfg.lr)
     samples = generate(16, seed=3)
     n_steps = 20
@@ -219,45 +221,43 @@ def test_adam_matches_per_tensor_reference(stages, n_gradless):
         batch = make_batch(samples[4 * (step % 4):4 * (step % 4) + 4], mode=cfg.mode)
         opt.zero_grad()
         model.forward_batch(batch).total.backward()
-        assert sum(p.grad is None for p in params.values()) == n_gradless
         for name, p in params.items():
+            assert np.shares_memory(p.grad, table.grad), name
             twin[name].grad = p.grad
         opt.lr = ref.lr = cfg.lr * 0.5 * (1.0 + math.cos(math.pi * step / n_steps))
         opt.step()
         ref.step()
-    for name, lo, hi in zip(params, opt.bounds, opt.bounds[1:]):
+    for name, lo, hi in zip(params, table.bounds, table.bounds[1:]):
         assert np.array_equal(params[name].data, twin[name].data), name
         assert np.array_equal(opt.m[lo:hi], ref.m[name].ravel()), name
         assert np.array_equal(opt.v[lo:hi], ref.v[name].ravel()), name
-        assert np.shares_memory(params[name].data, opt.arena), name
+        assert np.shares_memory(params[name].data, table.flat), name
 
 
 def test_adam_non_finite_gradient_changes_nothing():
-    params = Model(tiny_config(), dict(SMALL_RAW)).parameters()
-    opt = Adam(params, lr=0.1)
-    for p in params.values():
-        p.grad = np.ones_like(p.data)
+    table = Model(tiny_config(), dict(SMALL_RAW)).table
+    opt = Adam(table, lr=0.1)
+    table.grad[...] = 1.0
     opt.step()
-    before = opt.arena.copy(), opt.m.copy(), opt.v.copy()
-    names = list(params)
+    before = table.flat.copy(), opt.m.copy(), opt.v.copy()
+    names = list(table.tensors)
     first, later = names[len(names) // 2], names[-1]
-    for p in params.values():
-        p.grad = np.full_like(p.data, 0.5)
-    params[later].grad.flat[0] = np.inf
-    params[first].grad.flat[-1] = np.nan
+    table.grad[...] = 0.5
+    table.tensors[later].grad.flat[0] = np.inf
+    table.tensors[first].grad.flat[-1] = np.nan
     with pytest.raises(NumericError, match=re.escape(
             f"non-finite gradient of parameter {first} at optimizer step 2")):
         opt.step()
     assert opt.t == 1
-    for kept, now in zip(before, (opt.arena, opt.m, opt.v)):
+    for kept, now in zip(before, (table.flat, opt.m, opt.v)):
         assert np.array_equal(kept, now)
 
 
 def test_adam_non_finite_update_names_parameter():
-    params = Model(tiny_config(), dict(SMALL_RAW)).parameters()
-    opt = Adam(params, lr=0.1)
-    name = list(params)[3]
-    params[name].data.flat[0] = np.inf
+    table = Model(tiny_config(), dict(SMALL_RAW)).table
+    opt = Adam(table, lr=0.1)
+    name = list(table.tensors)[3]
+    table.tensors[name].data.flat[0] = np.inf
     with pytest.raises(NumericError, match=re.escape(
             f"non-finite updated value of parameter {name} at optimizer step 1")):
         opt.step()
@@ -362,6 +362,35 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     _, s_orig, _ = _scores(result.model, samples)
     _, s_load, _ = _scores(model, samples)
     assert np.array_equal(s_orig, s_load)
+
+
+def _assert_bound(model):
+    for name, p in model.parameters().items():
+        assert np.shares_memory(p.data, model.table.flat), name
+        assert np.shares_memory(p.grad, model.table.grad), name
+
+
+def test_param_table_binding_survives_training_and_loading(tmp_path):
+    """After real steps, in the kept best-val model and in a model read back
+    from the checkpoint, every parameter is still a view of its table; a
+    load that fails on a name or a shape changes nothing."""
+    samples = generate(20, seed=5, config=small_world())
+    result = train(tiny_config(max_steps=3, batch_size=4, out_dir=str(tmp_path)), samples)
+    kept = result.kept_model()
+    loaded = model_from_checkpoint(result.checkpoint_path)[0]
+    assert result.best_params is not None
+    assert np.array_equal(kept.table.flat, loaded.table.flat)
+    for model in (result.model, kept, loaded):
+        _assert_bound(model)
+    before = loaded.table.flat.copy()
+    arrays = {k: p.data + 1.0 for k, p in loaded.parameters().items()}
+    last = list(arrays)[-1]
+    renamed = {(k + "_" if k == last else k): a for k, a in arrays.items()}
+    for bad in (renamed, {**arrays, last: np.zeros(999)}):
+        with pytest.raises(DataError):
+            loaded.table.load(bad)
+        assert np.array_equal(loaded.table.flat, before)
+    _assert_bound(loaded)
 
 
 def _scores(model, samples):
@@ -551,7 +580,15 @@ def test_probe_unimodal_reports_three_modalities():
         assert 0.0 <= probe.acc2 <= 1.0
         assert 0.0 <= probe.f1 <= 1.0
     assert report.std_acc2 >= 0.0
-    assert report.n_fit + report.n_eval == len(samples)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 33])
+def test_probe_split_partitions_rows(n):
+    for seed in range(4):
+        fit, held_out = probe_split(n, seed)
+        assert fit.size and held_out.size
+        assert np.intersect1d(fit, held_out).size == 0
+        assert np.array_equal(np.sort(np.concatenate([fit, held_out])), np.arange(n))
 
 
 def test_probe_multiclass_separable_oracle():

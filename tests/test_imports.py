@@ -1,8 +1,8 @@
 """Static checks: every module of the package uses every name it imports,
 every public module-level function and class is referred to somewhere
 in the package or the benchmark outside its own definition, every
-attribute the package sets on ``self`` is read somewhere by name, and
-only the command line writes to stderr."""
+attribute the package sets on ``self`` and every dataclass field is read
+somewhere by name, and only the command line writes to stderr."""
 
 import ast
 from collections import Counter
@@ -20,6 +20,11 @@ KEPT = {("cli", "predict_scores")}
 # (module, name) public definitions that nothing in src/ or bench/ refers to
 # on purpose; empty while every one of them has a caller
 UNREFERENCED = set()
+
+# (class, field) dataclass fields that only tests read: the world-fingerprint
+# and label tests read a sample's shared latent, and criterion 8 compares two
+# runs' histories bit for bit
+TEST_ONLY_FIELDS = {("Latents", "z_shared"), ("TrainResult", "history")}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -100,14 +105,20 @@ def test_every_public_definition_is_referenced():
     assert UNREFERENCED <= found
 
 
+def _reads(trees: list[ast.AST], bench: list[str]) -> set[str]:
+    """Every attribute name read in ``trees``, and every name in a ``bench``
+    source."""
+    read = {n.attr for tree in trees for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return read | set().union(*(_names(ast.parse(source), strings=True) for source in bench))
+
+
 def unread_attributes(modules: dict[str, str], bench: list[str]) -> set[tuple[str, str]]:
     """(module, attribute) of each ``self.<attribute>`` assigned in
     ``modules`` (module name -> source) whose name no attribute read in
     ``modules``, and no name in a ``bench`` source, refers to."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
-    read = {n.attr for tree in trees.values() for n in ast.walk(tree)
-            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
-    read |= set().union(*(_names(ast.parse(source), strings=True) for source in bench))
+    read = _reads(list(trees.values()), bench)
     return {(module, n.attr) for module, tree in trees.items() for n in ast.walk(tree)
             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
             and isinstance(n.value, ast.Name) and n.value.id == "self"
@@ -126,6 +137,38 @@ def test_unread_attribute_is_found():
 def test_every_assigned_attribute_is_read():
     modules = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unread_attributes(modules, [p.read_text() for p in sorted(BENCH.glob("*.py"))]) == set()
+
+
+def unread_fields(modules: dict[str, str], bench: list[str]) -> set[tuple[str, str]]:
+    """(class, field) of each annotated field of a ``@dataclass`` class in
+    ``modules`` (module name -> source) whose name no attribute read in
+    ``modules``, and no name in a ``bench`` source, refers to."""
+    trees = [ast.parse(source) for source in modules.values()]
+    read = _reads(trees, bench)
+    return {(cls.name, stmt.target.id) for tree in trees for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            and any("dataclass" in _names(d) for d in cls.decorator_list)
+            for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            and stmt.target.id not in read}
+
+
+def test_unread_dataclass_field_is_found():
+    modules = {
+        "a": "from dataclasses import dataclass\n\n@dataclass\nclass A:\n    kept: int\n"
+             "    dead: int\n    patched: int = 0\n\n@dataclass(frozen=True)\nclass B:\n"
+             "    gone: int\n\nclass Plain:\n    note: int\n",
+        "b": "def f(a):\n    a.dead = 1\n    return a.kept\n",
+    }
+    assert unread_fields(modules, ["wrap(a, 'patched')\n"]) == {("A", "dead"), ("B", "gone")}
+
+
+def test_every_dataclass_field_is_read():
+    modules = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    found = unread_fields(modules, [p.read_text() for p in sorted(BENCH.glob("*.py"))])
+    assert found - TEST_ONLY_FIELDS == set()
+    # a field that something in src/ or bench/ now reads is a stale exception
+    assert TEST_ONLY_FIELDS <= found
 
 
 def test_only_cli_writes_to_stderr():

@@ -264,28 +264,29 @@ def test_load_parameters_round_trip():
     model_a = Model(small_config(seed=1), dict(SMALL_RAW))
     model_b = Model(small_config(seed=2), dict(SMALL_RAW))
     arrays = {k: t.data.copy() for k, t in model_a.parameters().items()}
-    model_b.load_parameters(arrays)
+    model_b.table.load(arrays)
     for k, t in model_b.parameters().items():
         assert np.array_equal(t.data, arrays[k])
 
 
 def test_load_parameters_keeps_optimizer_arena_binding():
     """Loading copies into the existing buffers: parameters stay views of
-    the optimizer's arena, and the next step starts from the loaded values."""
+    the table the optimizer updates, and the next step starts from the
+    loaded values."""
     model = Model(small_config(seed=1), dict(SMALL_RAW))
-    opt = Adam(model.parameters(), lr=0.01)
+    opt = Adam(model.table, lr=0.01)
     donor = Model(small_config(seed=2), dict(SMALL_RAW))
     loaded = {k: t.data.copy() for k, t in donor.parameters().items()}
-    model.load_parameters(loaded)
+    model.table.load(loaded)
     twin = {k: Tensor(a.copy()) for k, a in loaded.items()}
     ref = ReferenceAdam(twin, lr=0.01)
     rng = np.random.default_rng(0)
     for k, p in model.parameters().items():
-        p.grad = twin[k].grad = rng.standard_normal(p.data.shape)
+        p.grad[...] = twin[k].grad = rng.standard_normal(p.data.shape)
     opt.step()
     ref.step()
     for k, p in model.parameters().items():
-        assert np.shares_memory(p.data, opt.arena), k
+        assert np.shares_memory(p.data, model.table.flat), k
         assert np.array_equal(p.data, twin[k].data), k
 
 
@@ -294,11 +295,11 @@ def test_load_parameters_rejects_mismatch():
     arrays = {k: t.data.copy() for k, t in model.parameters().items()}
     arrays.pop("fusion.head.first.bias")
     with pytest.raises(DataError, match="mismatch"):
-        model.load_parameters(arrays)
+        model.table.load(arrays)
     arrays = {k: t.data.copy() for k, t in model.parameters().items()}
     arrays["fusion.head.first.bias"] = np.zeros(999)
     with pytest.raises(DataError, match="shape"):
-        model.load_parameters(arrays)
+        model.table.load(arrays)
 
 
 # ---- encode ----
