@@ -9,7 +9,10 @@ structure.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
+import io
 import os
 import signal
 import tempfile
@@ -277,22 +280,40 @@ def save_dataset(samples: list[Sample], out_dir: str | Path) -> Path:
     return manifest_path
 
 
-def _write_feature_csv(path: Path, mat: np.ndarray) -> np.ndarray:
+def _write_feature_csv(path: Path, mat: np.ndarray) -> tuple[bytes, np.ndarray]:
     np.savetxt(path, mat, delimiter=",", fmt="%.17g")
-    return np.empty((0, 0))  # an empty spool record: this file is written
+    return _NO_DIGEST, np.empty((0, 0))  # an empty spool record: this file is written
+
+
+def _digest(raw: bytes, encoding: str) -> bytes:
+    """SHA-256 of a feature file's bytes and of the encoding they decode with."""
+    h = hashlib.sha256(encoding.encode() + b"\0")
+    h.update(raw)
+    return h.digest()
 
 
 def _read_feature_csv(path: Path, sample_id: str, modality: Modality,
-                      expected_dim: int) -> np.ndarray:
+                      expected_dim: int) -> tuple[bytes, np.ndarray]:
+    """Parse one feature file and check it; returns the digest of the bytes
+    it parsed (``_digest``) and the array.  The file is read once, so the
+    digest always belongs to the array, even if the file is rewritten."""
     if not path.is_file():
         raise DataError(f"sample {sample_id}: missing {modality.tag} feature file {path}")
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    # the wrapper a plain open() builds, so the text, its newlines and any
+    # decoding error are those of open(path)
+    text = io.TextIOWrapper(io.BytesIO(raw))
     try:
-        # an open handle skips numpy's per-call path and URL resolution; a
-        # plain open() decodes with the locale encoding, as numpy would
-        with open(path) as fh:
-            mat = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=np.float64)
+        mat = np.loadtxt(text, delimiter=",", ndmin=2, dtype=np.float64)
     except ValueError as exc:
         raise DataError(f"sample {sample_id}: unparseable {modality.tag} feature file {path}: {exc}") from exc
+    return _digest(raw, text.encoding), _check_features(mat, path, sample_id, modality,
+                                                         expected_dim)
+
+
+def _check_features(mat: np.ndarray, path: Path, sample_id: str, modality: Modality,
+                    expected_dim: int) -> np.ndarray:
     if mat.size == 0:
         raise DataError(f"sample {sample_id}: empty {modality.tag} feature file {path}")
     if mat.shape[1] != expected_dim:
@@ -312,7 +333,14 @@ def load_features(manifest_path: str | Path,
     manifest's columns and ids, shapes, label range, and finiteness, and
     that it lists at least one sample.  Spaces
     around header names are ignored.  The whole manifest is checked before
-    any feature file is parsed; ``_map_over_cores`` then parses the files.
+    any feature file is read.
+
+    A successful parse leaves a cache beside the manifest,
+    ``.<manifest name>.parsed``: each file's digest and array.  A later
+    load reads and hashes every file; if all of them match the cache in
+    manifest order, it takes the arrays from there and reruns the per-file
+    checks.  Otherwise ``_map_over_cores`` parses the files, and the cache
+    is rewritten.  A cache that cannot be written is left out.
     """
     dims = dims or RAW_DIMS
     manifest = Path(manifest_path)
@@ -352,9 +380,66 @@ def load_features(manifest_path: str | Path,
             rows.append((sid, label))
     if not rows:
         raise DataError(f"manifest {manifest} lists no samples")
-    mats = iter(_map_over_cores(_read_feature_csv, jobs))
-    return [Sample(id=sid, features={m: next(mats) for m in MODALITIES}, label=label)
+    cache = manifest.with_name(f".{manifest.name}.parsed")
+    mats = _load_cached(cache, jobs)
+    if mats is None:
+        parsed = _map_over_cores(_read_feature_csv, jobs)
+        _write_cache(cache, parsed)
+        mats = [mat for _, mat in parsed]
+    it = iter(mats)
+    return [Sample(id=sid, features={m: next(it) for m in MODALITIES}, label=label)
             for sid, label in rows]
+
+
+# ---- parse cache ----
+
+# The cache is this magic (its last byte the format version), the number of
+# records as one int64, then one spool record (``_write_record``) per
+# feature file, in manifest order.
+_CACHE_MAGIC = b"MDPARSE\x01"
+
+
+def _load_cached(cache: Path, jobs: list[tuple]) -> list[np.ndarray] | None:
+    """The checked arrays of ``jobs`` from ``cache``, or None if any file
+    cannot be read or differs from its record, or the cache is not one
+    whole cache of ``len(jobs)`` records (which may be any bytes at all)."""
+    encoding = io.TextIOWrapper(io.BytesIO()).encoding  # what open() decodes with
+    try:
+        with open(cache, "rb") as fh:
+            end = os.fstat(fh.fileno()).st_size
+            if fh.read(16) != _CACHE_MAGIC + np.int64(len(jobs)).tobytes():
+                return None
+            mats = []
+            for path, sid, modality, dim in jobs:
+                if not path.is_file():  # a FIFO or device would block or never end
+                    return None
+                with open(path, "rb") as src:
+                    digest = _digest(src.read(), encoding)
+                record = _read_record(fh, end)
+                if record is None or record[0] != digest:
+                    return None
+                mats.append(_check_features(record[1], path, sid, modality, dim))
+            return mats if fh.tell() == end else None
+    except OSError:
+        return None
+
+
+def _write_cache(cache: Path, parsed: list[tuple[bytes, np.ndarray]]) -> None:
+    """Write ``parsed`` as ``save_checkpoint`` writes: to a temporary file
+    beside ``cache``, then renamed over it.  An ``OSError`` (a read-only
+    directory, a full disk) leaves no cache and no temporary file."""
+    tmp = cache.with_name(f"{cache.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_CACHE_MAGIC + np.int64(len(parsed)).tobytes())
+            for digest, mat in parsed:
+                _write_record(fh, digest, mat)
+        os.replace(tmp, cache)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        if not isinstance(exc, OSError):
+            raise
 
 
 # Below this many feature files per process a load or write stays in fewer
@@ -365,9 +450,11 @@ def load_features(manifest_path: str | Path,
 _FILES_PER_PROCESS = 32
 
 
-def _map_over_cores(fn, jobs: list[tuple]) -> list[np.ndarray]:
+def _map_over_cores(fn, jobs: list[tuple]) -> list[tuple[bytes, np.ndarray]]:
     """``fn(*job)`` for each job, in order, over up to one process per
-    usable core; ``fn`` returns a 2-d float64 array.
+    usable core; ``fn`` returns a spool record's ``(digest, array)``: a
+    32-byte digest (``_NO_DIGEST`` where there is none) and a 2-d float64
+    array.
 
     The parent runs the first contiguous share of the jobs and a forked
     helper each later one (``_fork_helper``).  Wherever a helper's spool
@@ -386,7 +473,7 @@ def _map_over_cores(fn, jobs: list[tuple]) -> list[np.ndarray]:
     try:
         for lo, hi in zip(cuts[1:], cuts[2:]):
             helpers.append(_fork_helper(fn, jobs[lo:hi]))
-        mats = [fn(*job) for job in jobs[:cuts[1]]]
+        results = [fn(*job) for job in jobs[:cuts[1]]]
         for i, (lo, hi) in enumerate(zip(cuts[1:], cuts[2:])):
             pid, spool = helpers[i]
             helpers[i] = None, spool
@@ -395,9 +482,9 @@ def _map_over_cores(fn, jobs: list[tuple]) -> list[np.ndarray]:
                     os.waitpid(pid, 0)
                 except ChildProcessError:  # reaped elsewhere; its spool still counts
                     pass
-                mats += _read_spool(spool, hi - lo)
-            mats += [fn(*job) for job in jobs[len(mats):hi]]
-        return mats
+                results += _read_spool(spool, hi - lo)
+            results += [fn(*job) for job in jobs[len(results):hi]]
+        return results
     finally:
         for pid, spool in helpers:
             if pid is not None:  # the parent raised before waiting for it
@@ -414,12 +501,11 @@ def _fork_helper(fn, share: list[tuple]):
     """Fork a helper that runs ``fn`` over ``share``; returns ``(pid,
     spool)``, with None for the process or spool file that could not be made.
 
-    The spool is an unlinked temporary file.  For each job the helper
-    writes the result's shape as two int64, then its raw float64 bytes.  It
-    stops at the first job that raises and leaves through ``os._exit``, so
-    it never runs the caller's code.  It runs only CSV parsing, CSV
-    formatting and file writes, never BLAS, whose threads a fork does not
-    copy.
+    The spool is an unlinked temporary file of one ``_write_record`` record
+    per job.  The helper stops at the first job that raises and leaves
+    through ``os._exit``, so it never runs the caller's code.  It runs only
+    CSV parsing, hashing, CSV formatting and file writes, never BLAS, whose
+    threads a fork does not copy.
     """
     try:
         spool = tempfile.TemporaryFile()
@@ -432,27 +518,49 @@ def _fork_helper(fn, share: list[tuple]):
     if pid == 0:
         try:
             for job in share:
-                mat = fn(*job)
-                spool.write(np.array(mat.shape, dtype=np.int64).tobytes())
-                spool.write(mat.data)
+                _write_record(spool, *fn(*job))
             spool.flush()
         finally:
             os._exit(0)
     return pid, spool
 
 
-def _read_spool(spool, count: int) -> list[np.ndarray]:
-    """Up to ``count`` arrays from the start of ``spool``, stopping at the
+# A record is the array's shape as two int64, a 32-byte digest, then the
+# array's raw float64 bytes.
+_NO_DIGEST = bytes(32)
+_RECORD_HEAD = 2 * 8 + len(_NO_DIGEST)
+
+
+def _write_record(fh, digest: bytes, mat: np.ndarray) -> None:
+    fh.write(np.array(mat.shape, dtype=np.int64).tobytes() + digest)
+    fh.write(mat.data)
+
+
+def _read_record(fh, end: int) -> tuple[bytes, np.ndarray] | None:
+    """The record at ``fh``'s position, or None where the bytes before
+    ``end`` hold no whole record.  The shape is checked against those bytes
+    before anything is allocated, since a cache file can hold any bytes."""
+    head = fh.read(_RECORD_HEAD)
+    if len(head) != _RECORD_HEAD:
+        return None
+    rows, cols = np.frombuffer(head, dtype=np.int64, count=2).tolist()
+    if rows < 0 or cols < 0 or 8 * rows * cols > end - fh.tell():
+        return None
+    mat = np.empty((rows, cols))
+    if fh.readinto(mat) != mat.nbytes:
+        return None
+    return head[16:], mat
+
+
+def _read_spool(spool, count: int) -> list[tuple[bytes, np.ndarray]]:
+    """Up to ``count`` records from the start of ``spool``, stopping at the
     first record that ends early."""
+    end = os.fstat(spool.fileno()).st_size
     spool.seek(0)
-    mats: list[np.ndarray] = []
-    shape = np.empty(2, dtype=np.int64)
-    while len(mats) < count and spool.readinto(shape) == shape.nbytes:
-        mat = np.empty(shape.tolist())
-        if spool.readinto(mat) != mat.nbytes:
-            break
-        mats.append(mat)
-    return mats
+    records = []
+    while len(records) < count and (record := _read_record(spool, end)) is not None:
+        records.append(record)
+    return records
 
 
 # ---- batching ----

@@ -3,6 +3,7 @@ trips, ingestion error reporting, batching and masking."""
 
 import hashlib
 import os
+import shutil
 import signal
 import tempfile
 
@@ -228,14 +229,34 @@ def test_save_dataset_writes_manifest_and_features_only(tmp_path):
         f"{s.id}_{m.tag}.csv" for s in samples for m in MODALITIES)
 
 
+def _error_cold_and_warm(samples, root, damage, dims, load_dims=None):
+    """The ``DataError`` text of ``load_features(dims=load_dims)`` after
+    ``damage(root)``, asserted to be the same on a tree never loaded before
+    (no parse cache) and on one loaded once, with ``dims``, before the
+    damage (a cache of every file)."""
+    texts = []
+    for warm in (False, True):
+        shutil.rmtree(root)
+        manifest = save_dataset(samples, root)
+        if warm:
+            load_features(manifest, dims=dims)
+            assert (root / ".manifest.csv.parsed").is_file()
+        damage(root)
+        with pytest.raises(DataError) as exc:
+            load_features(manifest, dims=load_dims or dims)
+        texts.append(str(exc.value))
+    assert texts[0] == texts[1]
+    return texts[0]
+
+
 def test_load_missing_file_names_sample(tmp_path):
     cfg = small_config()
     samples = generate(2, seed=14, config=cfg)
-    manifest = save_dataset(samples, tmp_path)
-    (tmp_path / "features" / f"{samples[1].id}_A.csv").unlink()
-    with pytest.raises(DataError) as exc:
-        load_features(manifest, dims=cfg.raw_dims)
-    assert samples[1].id in str(exc.value)
+    msg = _error_cold_and_warm(
+        samples, tmp_path,
+        lambda root: (root / "features" / f"{samples[1].id}_A.csv").unlink(),
+        cfg.raw_dims)
+    assert samples[1].id in msg
 
 
 @pytest.mark.parametrize("case,tag", [("short_row", "A"), ("empty_path", "V"),
@@ -262,13 +283,51 @@ def test_load_bad_manifest_path_names_sample_and_modality(tmp_path, case, tag):
 def test_load_wrong_column_count_names_sample_and_dim(tmp_path):
     cfg = small_config()
     samples = generate(1, seed=15, config=cfg)
-    manifest = save_dataset(samples, tmp_path)
     bad = np.zeros((4, cfg.raw_dims[Modality.VISION] + 2))
-    np.savetxt(tmp_path / "features" / f"{samples[0].id}_V.csv", bad, delimiter=",")
-    with pytest.raises(DataError) as exc:
-        load_features(manifest, dims=cfg.raw_dims)
-    msg = str(exc.value)
+    msg = _error_cold_and_warm(
+        samples, tmp_path,
+        lambda root: np.savetxt(root / "features" / f"{samples[0].id}_V.csv", bad,
+                                delimiter=","),
+        cfg.raw_dims)
     assert samples[0].id in msg and str(cfg.raw_dims[Modality.VISION]) in msg
+
+
+def _fifo_in_place_of(path):
+    path.unlink()
+    os.mkfifo(path)
+
+
+def test_load_fifo_in_place_of_a_file_is_reported_missing_warm_and_cold(tmp_path):
+    """A path that is not a regular file is never opened, so a FIFO cannot
+    block a load."""
+    cfg = small_config()
+    samples = generate(2, seed=14, config=cfg)
+    msg = _error_cold_and_warm(
+        samples, tmp_path,
+        lambda root: _fifo_in_place_of(root / "features" / f"{samples[1].id}_L.csv"),
+        cfg.raw_dims)
+    assert msg.startswith(f"sample {samples[1].id}: missing L feature file")
+
+
+def test_load_empty_file_is_the_same_error_warm_and_cold(tmp_path):
+    cfg = small_config()
+    samples = generate(3, seed=15, config=cfg)
+    msg = _error_cold_and_warm(
+        samples, tmp_path,
+        lambda root: (root / "features" / f"{samples[2].id}_L.csv").write_bytes(b""),
+        cfg.raw_dims)
+    assert msg.startswith(f"sample {samples[2].id}: empty L feature file")
+
+
+def test_load_with_other_dims_names_the_first_mismatching_file_warm_and_cold(tmp_path):
+    """A warm tree loaded with a different ``dims`` fails the column check on
+    its cached arrays, for the first file in manifest order that mismatches."""
+    cfg = small_config()
+    samples = generate(3, seed=15, config=cfg)
+    dims = {**cfg.raw_dims, Modality.AUDIO: cfg.raw_dims[Modality.AUDIO] + 1}
+    msg = _error_cold_and_warm(samples, tmp_path, lambda root: None, cfg.raw_dims, dims)
+    assert msg == (f"sample {samples[0].id}: A feature file has "
+                   f"{cfg.raw_dims[Modality.AUDIO]} columns, expected {dims[Modality.AUDIO]}")
 
 
 def test_load_label_out_of_range(tmp_path):
@@ -363,12 +422,17 @@ def _assert_all_reaped(fds):
     assert _open_fds() == fds
 
 
+def _direct_read(path):
+    """One feature file parsed as a plain ``np.loadtxt`` of ``open(path)``."""
+    with open(path) as fh:
+        return np.loadtxt(fh, delimiter=",", ndmin=2, dtype=np.float64)
+
+
 def _assert_bit_equal_to_direct_reads(loaded, samples, root):
     assert [(s.id, s.label) for s in loaded] == [(s.id, s.label) for s in samples]
     for s in loaded:
         for m in MODALITIES:
-            direct = _read_feature_csv(root / "features" / f"{s.id}_{m.tag}.csv",
-                                       s.id, m, RAW_DIMS[m])
+            direct = _direct_read(root / "features" / f"{s.id}_{m.tag}.csv")
             got = s.features[m]
             assert got.dtype == direct.dtype and got.shape == direct.shape
             assert got.tobytes() == direct.tobytes()
@@ -419,6 +483,12 @@ def test_bad_file_in_helper_share_raises_the_one_core_error(tmp_path, monkeypatc
     assert len(forks) == 1
     _assert_all_reaped(fds)
     assert str(parallel.value) == str(serial.value)
+    # the same damage after a load that left a parse cache
+    load_features(save_dataset(samples48, tmp_path))
+    _corrupt(tmp_path / "features" / f"{HELPER_SAMPLE}_{tag}.csv", case)
+    with pytest.raises(DataError) as warm:
+        load_features(manifest)
+    assert str(warm.value) == str(serial.value)
 
 
 def test_first_bad_file_in_manifest_order_is_reported(tmp_path, monkeypatch, samples48):
@@ -514,6 +584,126 @@ def test_one_core_or_few_files_never_forks(tmp_path, monkeypatch, samples48, n, 
     _use_cores(monkeypatch, cores)
     monkeypatch.setattr(os, "fork", _fork_forbidden)
     _assert_bit_equal_to_direct_reads(load_features(manifest), samples, tmp_path)
+
+
+# ---- the parse cache ----
+
+
+def _cache(root):
+    return root / ".manifest.csv.parsed"
+
+
+def _small_tree(root):
+    """A saved 3-sample dataset (9 files, parsed in one process) and its
+    samples and dims."""
+    cfg = small_config()
+    samples = generate(3, seed=22, config=cfg)
+    return save_dataset(samples, root), samples, cfg.raw_dims
+
+
+def _same_size_edit(raw: bytes) -> bytes:
+    """``raw`` with its first nonzero digit changed: the same size, another
+    value."""
+    i = next(i for i, b in enumerate(raw) if chr(b) in "123456789")
+    return raw[:i] + (b"2" if raw[i:i + 1] == b"1" else b"1") + raw[i + 1:]
+
+
+def test_warm_load_is_bit_equal_to_direct_reads_and_forks_nothing(tmp_path, monkeypatch,
+                                                                  samples48):
+    manifest = save_dataset(samples48, tmp_path)
+    _use_cores(monkeypatch, 2)
+    load_features(manifest)
+    forks = count_forks(monkeypatch)
+    fds = _open_fds()
+    loaded = load_features(manifest)
+    assert forks == []
+    assert _open_fds() == fds
+    _assert_bit_equal_to_direct_reads(loaded, samples48, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        ".manifest.csv.parsed", "features", "manifest.csv"]
+
+
+def test_same_size_edit_with_the_old_mtime_is_parsed_again(tmp_path):
+    manifest, samples, dims = _small_tree(tmp_path)
+    first = load_features(manifest, dims=dims)
+    path = tmp_path / "features" / f"{samples[1].id}_V.csv"
+    before = path.stat()
+    path.write_bytes(_same_size_edit(path.read_bytes()))
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert path.stat().st_size == before.st_size
+    loaded = load_features(manifest, dims=dims)
+    _assert_bit_equal_to_direct_reads(loaded, samples, tmp_path)
+    assert not np.array_equal(loaded[1].features[Modality.VISION],
+                              first[1].features[Modality.VISION])
+
+
+def _set_first_rows(cache, rows):
+    return cache[:16] + np.int64(rows).tobytes() + cache[24:]
+
+
+# every way a cache file can be wrong; each must be a miss, never an error
+BAD_CACHES = {
+    "truncated": lambda c: c[:len(c) // 2],
+    "foreign": lambda c: b"id,label,path_L,path_V,path_A\n" * 4,
+    "all_zero": lambda c: bytes(len(c)),
+    "empty": lambda c: b"",
+    "other_count": lambda c: c[:8] + np.int64(8).tobytes() + c[16:],
+    "negative_shape": lambda c: _set_first_rows(c, -1),
+    "shape_past_the_end": lambda c: _set_first_rows(c, 2 ** 40),
+    "trailing_bytes": lambda c: c + bytes(8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CACHES))
+def test_bad_cache_is_a_miss_that_loads_and_rewrites_it(tmp_path, case):
+    manifest, samples, dims = _small_tree(tmp_path)
+    load_features(manifest, dims=dims)
+    good = _cache(tmp_path).read_bytes()
+    _cache(tmp_path).write_bytes(BAD_CACHES[case](good))
+    loaded = load_features(manifest, dims=dims)
+    _assert_bit_equal_to_direct_reads(loaded, samples, tmp_path)
+    assert _cache(tmp_path).read_bytes() == good
+
+
+def _fails_for_temporary_files(real):
+    def fake(path, *args, **kwargs):
+        if str(path).endswith(".tmp"):
+            raise OSError("read-only file system")
+        return real(path, *args, **kwargs)
+    return fake
+
+
+@pytest.mark.parametrize("owner,name", [(data, "open"), (os, "replace")])
+def test_unwritable_cache_still_loads_and_leaves_no_file(tmp_path, monkeypatch, owner, name):
+    manifest, samples, dims = _small_tree(tmp_path)
+    monkeypatch.setattr(owner, name, _fails_for_temporary_files(getattr(owner, name, open)),
+                        raising=False)
+    for _ in range(2):
+        _assert_bit_equal_to_direct_reads(load_features(manifest, dims=dims), samples, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["features", "manifest.csv"]
+
+
+def test_file_rewritten_during_its_parse_is_never_cached_under_its_first_digest(
+        tmp_path, monkeypatch):
+    """A file that changes from A to B after its read and back to A after the
+    load loads as A next time: B's arrays are never stored under A's digest."""
+    manifest, samples, dims = _small_tree(tmp_path)
+    path = tmp_path / "features" / f"{samples[0].id}_L.csv"  # the first file parsed
+    a = path.read_bytes()
+    b = _same_size_edit(a)
+    real = np.loadtxt
+
+    def rewrite_then_parse(*args, **kwargs):
+        path.write_bytes(b)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", rewrite_then_parse)
+    load_features(manifest, dims=dims)
+    monkeypatch.setattr(np, "loadtxt", real)
+    path.write_bytes(a)
+    _assert_bit_equal_to_direct_reads(load_features(manifest, dims=dims), samples, tmp_path)
+    path.write_bytes(b)
+    _assert_bit_equal_to_direct_reads(load_features(manifest, dims=dims), samples, tmp_path)
 
 
 # ---- writing over several processes ----

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import re
+import shutil
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -687,24 +688,40 @@ def test_cli_train_scores_test_split_with_the_checkpointed_parameters(tmp_path, 
 def test_cli_outputs_do_not_depend_on_the_process_count(tmp_path, monkeypatch, capsys):
     """``gen-data``, and ``train`` and ``eval --predictions`` on its output,
     with a dataset big enough to be written and parsed by two processes,
-    write the same bytes as with one."""
+    write the same bytes as with one.  Each round writes a fresh directory
+    and parses it twice (the parse cache is deleted before ``eval``); a warm
+    repeat of both commands, served by the cache, writes the same bytes again
+    and forks nothing."""
     data, out, preds = tmp_path / "data", tmp_path / "run", tmp_path / "preds.csv"
     manifest = data / "manifest.csv"
     forks = count_forks(monkeypatch)
-    runs = []
-    for cores in (1, 2):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cores: set(range(n)))
-        assert main(["gen-data", "--n", "48", "--seed", "2", "--out", str(data)]) == 0
-        tree = [(p.relative_to(data), p.read_bytes())
-                for p in sorted(data.rglob("*")) if p.is_file()]
+
+    def train_and_eval():
         assert main(["train", "--data", str(manifest), "--epochs", "1", "--seed", "3",
                      "--out", str(out)]) == 0
         log = (out / "train_log.jsonl").read_bytes()
+        (data / ".manifest.csv.parsed").unlink()
         assert main(["eval", "--checkpoint", str(out / "checkpoint.npz"), "--data",
                      str(manifest), "--predictions", str(preds)]) == 0
-        runs.append((tree, capsys.readouterr().out, log, preds.read_bytes()))
+        return capsys.readouterr().out, log, preds.read_bytes()
+
+    runs = []
+    for cores in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cores: set(range(n)))
+        shutil.rmtree(data, ignore_errors=True)
+        assert main(["gen-data", "--n", "48", "--seed", "2", "--out", str(data)]) == 0
+        tree = [(p.relative_to(data), p.read_bytes())
+                for p in sorted(data.rglob("*")) if p.is_file()]
+        runs.append((tree, capsys.readouterr().out, train_and_eval()))
     assert len(forks) == 3  # one per write and per load with two cores
     assert len(runs[0][0]) == 1 + 3 * 48 and runs[0] == runs[1]
+
+    assert main(["train", "--data", str(manifest), "--epochs", "1", "--seed", "3",
+                 "--out", str(out)]) == 0
+    assert main(["eval", "--checkpoint", str(out / "checkpoint.npz"), "--data",
+                 str(manifest), "--predictions", str(preds)]) == 0
+    warm = capsys.readouterr().out, (out / "train_log.jsonl").read_bytes(), preds.read_bytes()
+    assert len(forks) == 3 and warm == runs[1][2]
 
 
 def test_eval_with_predictions_scores_each_batch_once(tmp_path, monkeypatch):
