@@ -16,6 +16,7 @@ import io
 import os
 import signal
 import tempfile
+import zlib
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -285,18 +286,24 @@ def _write_feature_csv(path: Path, mat: np.ndarray) -> tuple[bytes, np.ndarray]:
     return _NO_DIGEST, np.empty((0, 0))  # an empty spool record: this file is written
 
 
-def _digest(raw: bytes, encoding: str) -> bytes:
-    """SHA-256 of a feature file's bytes and of the encoding they decode with."""
+def _digest(raw: bytes, encoding: str, mat: np.ndarray) -> bytes:
+    """The key of a parsed file's record: SHA-256 of the encoding the file
+    decodes with, a NUL, the file's bytes, then the array's shape and the
+    CRC-32 of its float64 bytes (a fixed-size tail, so two different inputs
+    never hash the same bytes).  So a record matches only the bytes it was
+    parsed from and, as a zip member is checked, the array stored with it."""
     h = hashlib.sha256(encoding.encode() + b"\0")
     h.update(raw)
+    h.update(np.array([*mat.shape, zlib.crc32(mat.data)], dtype=np.int64).tobytes())
     return h.digest()
 
 
 def _read_feature_csv(path: Path, sample_id: str, modality: Modality,
                       expected_dim: int) -> tuple[bytes, np.ndarray]:
-    """Parse one feature file and check it; returns the digest of the bytes
-    it parsed (``_digest``) and the array.  The file is read once, so the
-    digest always belongs to the array, even if the file is rewritten."""
+    """Parse one feature file and check it; returns the key of the bytes it
+    parsed and the array they parsed to (``_digest``), and the array.  The
+    file is read once, so the key always belongs to the array, even if the
+    file is rewritten."""
     if not path.is_file():
         raise DataError(f"sample {sample_id}: missing {modality.tag} feature file {path}")
     with open(path, "rb") as fh:
@@ -308,8 +315,8 @@ def _read_feature_csv(path: Path, sample_id: str, modality: Modality,
         mat = np.loadtxt(text, delimiter=",", ndmin=2, dtype=np.float64)
     except ValueError as exc:
         raise DataError(f"sample {sample_id}: unparseable {modality.tag} feature file {path}: {exc}") from exc
-    return _digest(raw, text.encoding), _check_features(mat, path, sample_id, modality,
-                                                         expected_dim)
+    mat = _check_features(mat, path, sample_id, modality, expected_dim)
+    return _digest(raw, text.encoding, mat), mat
 
 
 def _check_features(mat: np.ndarray, path: Path, sample_id: str, modality: Modality,
@@ -336,11 +343,13 @@ def load_features(manifest_path: str | Path,
     any feature file is read.
 
     A successful parse leaves a cache beside the manifest,
-    ``.<manifest name>.parsed``: each file's digest and array.  A later
-    load reads and hashes every file; if all of them match the cache in
-    manifest order, it takes the arrays from there and reruns the per-file
-    checks.  Otherwise ``_map_over_cores`` parses the files, and the cache
-    is rewritten.  A cache that cannot be written is left out.
+    ``.<manifest name>.parsed``: each file's array and a digest of the
+    file's bytes and that array.  A later load reads every file; if every
+    record matches its file and holds the array it was stored with, in
+    manifest order, and the arrays pass the per-file checks, it takes them
+    from there.  Otherwise ``_map_over_cores`` parses the files, raising
+    any error, and the cache is rewritten.  A cache that cannot be written
+    is left out.
     """
     dims = dims or RAW_DIMS
     manifest = Path(manifest_path)
@@ -401,8 +410,10 @@ _CACHE_MAGIC = b"MDPARSE\x01"
 
 def _load_cached(cache: Path, jobs: list[tuple]) -> list[np.ndarray] | None:
     """The checked arrays of ``jobs`` from ``cache``, or None if any file
-    cannot be read or differs from its record, or the cache is not one
-    whole cache of ``len(jobs)`` records (which may be any bytes at all)."""
+    cannot be read or differs from its record, a record's array is not the
+    one stored, an array fails its checks (the parse then raises the error),
+    or the cache is not one whole cache of ``len(jobs)`` records (which may
+    be any bytes at all)."""
     encoding = io.TextIOWrapper(io.BytesIO()).encoding  # what open() decodes with
     try:
         with open(cache, "rb") as fh:
@@ -410,17 +421,19 @@ def _load_cached(cache: Path, jobs: list[tuple]) -> list[np.ndarray] | None:
             if fh.read(16) != _CACHE_MAGIC + np.int64(len(jobs)).tobytes():
                 return None
             mats = []
-            for path, sid, modality, dim in jobs:
+            for path, *_ in jobs:
                 if not path.is_file():  # a FIFO or device would block or never end
                     return None
                 with open(path, "rb") as src:
-                    digest = _digest(src.read(), encoding)
+                    raw = src.read()
                 record = _read_record(fh, end)
-                if record is None or record[0] != digest:
+                if record is None or record[0] != _digest(raw, encoding, record[1]):
                     return None
-                mats.append(_check_features(record[1], path, sid, modality, dim))
-            return mats if fh.tell() == end else None
-    except OSError:
+                mats.append(record[1])
+            if fh.tell() != end:
+                return None
+        return [_check_features(mat, *job) for mat, job in zip(mats, jobs)]
+    except (OSError, DataError):
         return None
 
 
@@ -453,8 +466,8 @@ _FILES_PER_PROCESS = 32
 def _map_over_cores(fn, jobs: list[tuple]) -> list[tuple[bytes, np.ndarray]]:
     """``fn(*job)`` for each job, in order, over up to one process per
     usable core; ``fn`` returns a spool record's ``(digest, array)``: a
-    32-byte digest (``_NO_DIGEST`` where there is none) and a 2-d float64
-    array.
+    32-byte digest (``_digest``, or ``_NO_DIGEST`` where there is none)
+    and a 2-d float64 array.
 
     The parent runs the first contiguous share of the jobs and a forked
     helper each later one (``_fork_helper``).  Wherever a helper's spool

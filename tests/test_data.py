@@ -321,7 +321,8 @@ def test_load_empty_file_is_the_same_error_warm_and_cold(tmp_path):
 
 def test_load_with_other_dims_names_the_first_mismatching_file_warm_and_cold(tmp_path):
     """A warm tree loaded with a different ``dims`` fails the column check on
-    its cached arrays, for the first file in manifest order that mismatches."""
+    its cached arrays, so it is parsed again, and the parse raises the error
+    for the first file in manifest order that mismatches."""
     cfg = small_config()
     samples = generate(3, seed=15, config=cfg)
     dims = {**cfg.raw_dims, Modality.AUDIO: cfg.raw_dims[Modality.AUDIO] + 1}
@@ -641,6 +642,18 @@ def _set_first_rows(cache, rows):
     return cache[:16] + np.int64(rows).tobytes() + cache[24:]
 
 
+def _transpose_first_shape(cache):
+    """The first record's shape reversed: the same byte count, its digest
+    kept."""
+    rows, cols = np.frombuffer(cache, dtype=np.int64, count=2, offset=16)
+    return cache[:16] + np.array([cols, rows], dtype=np.int64).tobytes() + cache[32:]
+
+
+def _flip_first_payload_byte(cache):
+    i = 16 + 2 * 8 + 32  # the first record's first float64 byte
+    return cache[:i] + bytes([cache[i] ^ 1]) + cache[i + 1:]
+
+
 # every way a cache file can be wrong; each must be a miss, never an error
 BAD_CACHES = {
     "truncated": lambda c: c[:len(c) // 2],
@@ -651,6 +664,9 @@ BAD_CACHES = {
     "negative_shape": lambda c: _set_first_rows(c, -1),
     "shape_past_the_end": lambda c: _set_first_rows(c, 2 ** 40),
     "trailing_bytes": lambda c: c + bytes(8),
+    "reshaped_record_digest_intact": _transpose_first_shape,
+    "zero_columns_digest_intact": lambda c: c[:24] + np.int64(0).tobytes() + c[32:],
+    "payload_byte_flipped": _flip_first_payload_byte,
 }
 
 
@@ -663,6 +679,32 @@ def test_bad_cache_is_a_miss_that_loads_and_rewrites_it(tmp_path, case):
     loaded = load_features(manifest, dims=dims)
     _assert_bit_equal_to_direct_reads(loaded, samples, tmp_path)
     assert _cache(tmp_path).read_bytes() == good
+
+
+def test_each_load_reads_each_file_once_and_only_a_cold_one_parses(tmp_path, monkeypatch):
+    manifest, samples, dims = _small_tree(tmp_path)
+    features = tmp_path / "features"
+    reads, parses = [], []
+    real_open, real_loadtxt = open, np.loadtxt
+
+    def counting_open(path, *args, **kwargs):
+        if os.path.dirname(path) == str(features):
+            reads.append(os.path.basename(path))
+        return real_open(path, *args, **kwargs)
+
+    def counting_loadtxt(*args, **kwargs):
+        parses.append(1)
+        return real_loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(data, "open", counting_open, raising=False)
+    monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+    names = sorted(p.name for p in features.iterdir())
+    for cold in (True, False):
+        reads.clear(), parses.clear()
+        loaded = load_features(manifest, dims=dims)
+        assert sorted(reads) == names
+        assert len(parses) == (len(names) if cold else 0)
+        _assert_bit_equal_to_direct_reads(loaded, samples, tmp_path)
 
 
 def _fails_for_temporary_files(real):
