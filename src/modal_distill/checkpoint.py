@@ -51,7 +51,9 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], TrainConfi
     if not path.exists():
         raise DataError(f"checkpoint not found: {path}")
     try:
-        with np.load(path, allow_pickle=False) as bundle:
+        # the file is opened here: np.load leaves a file it opened itself
+        # open when the zip directory does not parse
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as bundle:
             arrays = {key: bundle[key] for key in bundle.files}
         meta = json.loads(str(arrays[_META_KEY])) if _META_KEY in arrays else None
     except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:

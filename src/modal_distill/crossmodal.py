@@ -3,10 +3,12 @@ the other two modalities, queries from the target and keys/values from the
 source, then concatenated into a double-width stream per target.
 
 No positional encodings are used, so outputs are invariant to permutations
-of source time steps; temporal length always follows the target.  Inputs
-are padded batches ``[B, T, d]``: a constant key mask gives a source's
-padded steps exactly zero weight, and padded target rows are queries whose
-outputs nothing downstream reads (pooling masks them).
+of source time steps; temporal length always follows the target.  Streams
+are packed rows ``[N, d]`` with a ``RowLayout`` each, and every projection
+runs on real rows only.  Attention is the one step that mixes time steps:
+its node scatters each sample's steps into a padded layout, gives a
+source's steps past its end exactly zero weight, and gathers the target's
+real rows back.
 """
 
 from __future__ import annotations
@@ -15,11 +17,7 @@ import numpy as np
 
 from .data import MODALITIES, Modality
 from .layers import Linear
-from .tensor import Tensor, attention, concat
-
-# added to the scores of padded keys: finite, yet far enough below any real
-# score that exp() of it after max subtraction is exactly 0
-MASKED_SCORE = -1e30
+from .tensor import RowLayout, Tensor, attention, concat
 
 DIRECTED_PAIRS = tuple((src, tgt) for tgt in MODALITIES for src in MODALITIES
                        if src is not tgt)
@@ -42,18 +40,18 @@ class CrossmodalPair:
         out.update(self.proj_out.parameters(f"{prefix}.out"))
         return out
 
-    def forward(self, src: Tensor, tgt: Tensor,
-                src_mask: np.ndarray) -> tuple[Tensor, np.ndarray]:
-        """Attend tgt ``[B, T_tgt, d]`` over src ``[B, T_src, d]`` whose valid
-        steps ``src_mask`` ``[B, T_src]`` marks; returns the output and the
-        attention maps, shaped [B, heads, T_tgt, T_src]."""
-        key_bias = np.where(src_mask > 0, 0.0, MASKED_SCORE)
+    def forward(self, src: Tensor, tgt: Tensor, src_rows: RowLayout,
+                tgt_rows: RowLayout) -> tuple[Tensor, np.ndarray]:
+        """Attend packed tgt ``[N_tgt, d]`` over packed src ``[N_src, d]``;
+        returns the output, packed as tgt, and the attention maps, shaped
+        [B, heads, T_tgt, T_src] over the padded layouts."""
         out, maps = attention(self.proj_q(tgt), self.proj_k(src), self.proj_v(src),
-                              self.heads, key_bias)
+                              self.heads, tgt_rows, src_rows)
         return self.proj_out(out), maps
 
-    def __call__(self, src: Tensor, tgt: Tensor, src_mask: np.ndarray) -> Tensor:
-        return self.forward(src, tgt, src_mask)[0]
+    def __call__(self, src: Tensor, tgt: Tensor, src_rows: RowLayout,
+                 tgt_rows: RowLayout) -> Tensor:
+        return self.forward(src, tgt, src_rows, tgt_rows)[0]
 
 
 def incoming_sources(target: Modality) -> tuple[Modality, ...]:
@@ -74,12 +72,12 @@ class CrossmodalReinforcer:
         return out
 
     def reinforce(self, hetero: dict[Modality, Tensor],
-                  masks: dict[Modality, np.ndarray]) -> dict[Modality, Tensor]:
+                  rows: dict[Modality, RowLayout]) -> dict[Modality, Tensor]:
         """Per target: [CA(src1 -> tgt), CA(src2 -> tgt)] along features,
-        each source's padded steps masked out as keys."""
+        each stream packed as ``rows`` says."""
         out = {}
         for tgt in MODALITIES:
-            streams = [self.layers[(src, tgt)](hetero[src], hetero[tgt], masks[src])
+            streams = [self.layers[(src, tgt)](hetero[src], hetero[tgt], rows[src], rows[tgt])
                        for src in incoming_sources(tgt)]
             out[tgt] = concat(streams, axis=-1)
         return out

@@ -16,6 +16,7 @@ import io
 import os
 import signal
 import tempfile
+import warnings
 import zlib
 from dataclasses import dataclass, field
 from enum import Enum
@@ -24,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .tensor import RowLayout
 
 LABEL_MIN = -3.0
 LABEL_MAX = 3.0
@@ -312,7 +314,11 @@ def _read_feature_csv(path: Path, sample_id: str, modality: Modality,
     # decoding error are those of open(path)
     text = io.TextIOWrapper(io.BytesIO(raw))
     try:
-        mat = np.loadtxt(text, delimiter=",", ndmin=2, dtype=np.float64)
+        with warnings.catch_warnings():
+            # a file without data is reported once, as the DataError of
+            # _check_features, in the parent and in a forked helper alike
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            mat = np.loadtxt(text, delimiter=",", ndmin=2, dtype=np.float64)
     except ValueError as exc:
         raise DataError(f"sample {sample_id}: unparseable {modality.tag} feature file {path}: {exc}") from exc
     mat = _check_features(mat, path, sample_id, modality, expected_dim)
@@ -581,21 +587,27 @@ def _read_spool(spool, count: int) -> list[tuple[bytes, np.ndarray]]:
 
 @dataclass
 class Batch:
-    """Padded per-modality views over a list of samples.
+    """Per-modality packed rows over a list of samples.
 
-    Padded rows are zero and masked; every consumer divides by true lengths,
-    so padding never changes a result.
+    ``features[m]`` holds every sample's ``[T_m, d_m]`` array, sample after
+    sample, as ``[ΣT_m, d_m]``; there are no padded rows.  ``rows[m]`` is
+    where each sample's steps sit, built once per batch for every stage
+    that reads across steps.
     """
 
     ids: list[str]
     labels: np.ndarray                       # [B]
-    features: dict[Modality, np.ndarray]     # [B, T_pad, d_m]
-    masks: dict[Modality, np.ndarray]        # [B, T_pad] of 0/1
-    lengths: dict[Modality, np.ndarray]      # [B] ints
+    features: dict[Modality, np.ndarray]     # [ΣT_m, d_m]
+    rows: dict[Modality, RowLayout]
 
     @property
     def size(self) -> int:
         return len(self.ids)
+
+    @property
+    def lengths(self) -> dict[Modality, np.ndarray]:
+        """Each modality's ``[B]`` sequence lengths."""
+        return {m: r.lengths for m, r in self.rows.items()}
 
 
 def resample_to_length(features: np.ndarray, target: int) -> np.ndarray:
@@ -615,19 +627,6 @@ def align_sample(sample: Sample) -> Sample:
                   latents=sample.latents)
 
 
-def _pad_stack(mats: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    t_pad = max(m.shape[0] for m in mats)
-    d = mats[0].shape[1]
-    feats = np.zeros((len(mats), t_pad, d))
-    masks = np.zeros((len(mats), t_pad))
-    lengths = np.zeros(len(mats), dtype=np.int64)
-    for i, m in enumerate(mats):
-        feats[i, :m.shape[0]] = m
-        masks[i, :m.shape[0]] = 1.0
-        lengths[i] = m.shape[0]
-    return feats, masks, lengths
-
-
 def make_batch(samples: list[Sample], mode: str = "unaligned") -> Batch:
     if mode not in ("aligned", "unaligned"):
         raise ConfigError(f"batch mode must be 'aligned' or 'unaligned', got {mode!r}")
@@ -639,16 +638,11 @@ def make_batch(samples: list[Sample], mode: str = "unaligned") -> Batch:
                 raise DataError(f"sample {s.id}: empty {m.tag} sequence")
     if mode == "aligned":
         samples = [align_sample(s) for s in samples]
-    features, masks, lengths = {}, {}, {}
-    for m in MODALITIES:
-        f, k, n = _pad_stack([s.features[m] for s in samples])
-        features[m], masks[m], lengths[m] = f, k, n
     return Batch(
         ids=[s.id for s in samples],
         labels=np.array([s.label for s in samples]),
-        features=features,
-        masks=masks,
-        lengths=lengths,
+        features={m: np.concatenate([s.features[m] for s in samples]) for m in MODALITIES},
+        rows={m: RowLayout([s.features[m].shape[0] for s in samples]) for m in MODALITIES},
     )
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .data import MODALITIES, Modality
 from .layers import TwoLayer, xavier_uniform
 from .tensor import (
+    RowLayout,
     Tensor,
     concat,
     conv1d,
@@ -21,8 +22,8 @@ from .tensor import (
     gram,
     l2_normalize,
     margin_hinge,
-    masked_sq_distance,
     mean_pool_time,
+    sq_distance,
     tsum,
 )
 
@@ -32,11 +33,11 @@ CONV_WIDTH = 3
 
 @dataclass
 class DecoupledPair:
-    """Shared-space and private-space views of one modality's padded batch."""
+    """Shared-space and private-space views of one modality's packed rows."""
 
-    homo: Tensor            # [B, T, d]
-    hetero: Tensor          # [B, T, d]
-    homo_pooled: Tensor     # [B, d], mean over valid steps
+    homo: Tensor            # [N, d]
+    hetero: Tensor          # [N, d]
+    homo_pooled: Tensor     # [B, d], mean over each sample's steps
     hetero_pooled: Tensor   # [B, d]
 
 
@@ -46,9 +47,9 @@ class Decoupler:
     Encoders are position-wise two-layer nets with hidden width 2d, wide
     enough to represent the exact identity map (needed by the
     reconstruction sanity tests); decoders map the concatenated pair back
-    to the pre-decoupling space.  Every method takes a padded batch
-    ``[B, T, ·]``; only pooling reads the ``[B, T]`` mask, since nothing
-    else mixes time steps.
+    to the pre-decoupling space.  Every method takes a modality's packed
+    rows ``[N, ·]``, real time steps only; the shallow conv and pooling,
+    which read across steps, also take the batch's ``RowLayout``.
     """
 
     def __init__(self, rng: np.random.Generator, raw_dims: dict[Modality, int], d: int):
@@ -74,19 +75,19 @@ class Decoupler:
         params.update(self.shared_encoder.parameters("shared_encoder"))
         return params
 
-    def shallow_encode(self, features: Tensor, modality: Modality) -> Tensor:
-        """Project raw [B, T, d_raw] sequences into the common dim via temporal
-        conv; the zero padding of shorter sequences is their conv padding."""
-        return conv1d(features, self.shallow_kernel[modality], self.shallow_bias[modality])
+    def shallow_encode(self, features: Tensor, modality: Modality, rows: RowLayout) -> Tensor:
+        """Project packed raw [N, d_raw] sequences into the common dim via
+        temporal conv, each sequence zero-padded at its own ends."""
+        return conv1d(features, self.shallow_kernel[modality], self.shallow_bias[modality], rows)
 
-    def decouple(self, x_tilde: Tensor, modality: Modality, mask: np.ndarray) -> DecoupledPair:
+    def decouple(self, x_tilde: Tensor, modality: Modality, rows: RowLayout) -> DecoupledPair:
         homo = self.shared_encoder(x_tilde)
         hetero = self.private_encoders[modality](x_tilde)
         return DecoupledPair(
             homo=homo,
             hetero=hetero,
-            homo_pooled=mean_pool_time(homo, mask),
-            hetero_pooled=mean_pool_time(hetero, mask),
+            homo_pooled=mean_pool_time(homo, rows),
+            hetero_pooled=mean_pool_time(hetero, rows),
         )
 
     def reconstruct(self, pair: DecoupledPair, modality: Modality) -> Tensor:
@@ -100,17 +101,16 @@ class Decoupler:
 # ---- losses ----
 
 
-def loss_rec(x_tilde: Tensor, recon: Tensor, mask: np.ndarray) -> Tensor:
-    """Squared Frobenius distance between input and its reconstruction over
-    the valid rows, summed over the batch."""
-    return masked_sq_distance(x_tilde, recon, mask)
+def loss_rec(x_tilde: Tensor, recon: Tensor) -> Tensor:
+    """Squared Frobenius distance between input and its reconstruction,
+    summed over the batch's rows."""
+    return sq_distance(x_tilde, recon)
 
 
-def loss_cyc(hetero: Tensor, reencoded: Tensor, mask: np.ndarray) -> Tensor:
+def loss_cyc(hetero: Tensor, reencoded: Tensor) -> Tensor:
     """Squared Frobenius distance between private features and their
-    re-encoding from the reconstruction over the valid rows, summed over the
-    batch."""
-    return masked_sq_distance(hetero, reencoded, mask)
+    re-encoding from the reconstruction, summed over the batch's rows."""
+    return sq_distance(hetero, reencoded)
 
 
 def loss_margin(x: Tensor, mods: np.ndarray, classes: np.ndarray,

@@ -15,10 +15,14 @@ Ablation toggles change which pathway feeds each fusion slot:
 Every component is always constructed, whatever the toggles, so parameter
 names and checkpoint layout never depend on the ablation.
 
-The forward pass runs every stage once per batch on the padded ``[B, T, ·]``
-arrays of a ``Batch``, so the graph's size depends on the model's depth,
-not on ``B``.  Masks are read only where rows get mixed or summed: temporal
-pooling, the rec/cyc sums, and the attention keys.
+The forward pass runs every stage once per batch, so the graph's size
+depends on the model's depth, not on ``B``.  A ``Batch`` carries each
+modality as packed rows ``[ΣT, d]``, real time steps only, and every stage
+that works step by step (the shallow conv's product, the encoders, the
+decoders, the attention projections, the rec/cyc distances) runs on those
+rows.  The batch's ``RowLayout`` per modality is read only where steps get
+mixed or summed: the conv's neighbour rows, temporal pooling, and the
+attention node, the one place a padded per-sample layout exists.
 
 ``encode`` runs the front half (shallow conv, decoupling, attention) up to
 the pooled streams, and ``distill`` runs the two GD units on those streams.
@@ -67,7 +71,7 @@ class Encoded:
     """The front half of a forward pass, up to the pooled streams that both
     fusion and the distillation units read."""
 
-    shallow: dict[Modality, Tensor]              # [B, T, d]
+    shallow: dict[Modality, Tensor]              # [N, d] packed rows
     pairs: dict[Modality, DecoupledPair] | None  # None when fd is off
     homo: dict[Modality, Tensor]                 # [B, d]; pooled shallow when fd is off
     hetero: dict[Modality, Tensor]               # [B, 2d]; zero while the private pathway is off
@@ -98,19 +102,19 @@ class Model:
 
     def encode(self, batch: Batch) -> Encoded:
         cfg = self.config
-        masks = batch.masks
-        shallow = {m: self.decoupler.shallow_encode(Tensor(batch.features[m]), m)
+        rows = batch.rows
+        shallow = {m: self.decoupler.shallow_encode(Tensor(batch.features[m]), m, rows[m])
                    for m in MODALITIES}
         zero_2d = Tensor(np.zeros((batch.size, 2 * cfg.d)))
         hetero = {m: zero_2d for m in MODALITIES}
         if not cfg.fd:
-            homo = {m: mean_pool_time(shallow[m], masks[m]) for m in MODALITIES}
+            homo = {m: mean_pool_time(shallow[m], rows[m]) for m in MODALITIES}
             return Encoded(shallow=shallow, pairs=None, homo=homo, hetero=hetero)
-        pairs = {m: self.decoupler.decouple(shallow[m], m, masks[m]) for m in MODALITIES}
+        pairs = {m: self.decoupler.decouple(shallow[m], m, rows[m]) for m in MODALITIES}
         if cfg.ca or cfg.heterogd:
             private = {m: pairs[m].hetero for m in MODALITIES}
-            z = self.reinforcer.reinforce(private, masks) if cfg.ca else passthrough(private)
-            hetero = {m: mean_pool_time(z[m], masks[m]) for m in MODALITIES}
+            z = self.reinforcer.reinforce(private, rows) if cfg.ca else passthrough(private)
+            hetero = {m: mean_pool_time(z[m], rows[m]) for m in MODALITIES}
         return Encoded(shallow=shallow, pairs=pairs,
                        homo={m: pairs[m].homo_pooled for m in MODALITIES}, hetero=hetero)
 
@@ -131,14 +135,13 @@ class Model:
                       frozen_hetero: FrozenGraph | None = None) -> StepOutput:
         cfg = self.config
         enc = self.encode(batch)
-        b, masks, pairs = batch.size, batch.masks, enc.pairs
+        b, pairs = batch.size, enc.pairs
         if pairs is not None:
             rec_sum = cyc_sum = None
             for m in MODALITIES:
                 recon = self.decoupler.reconstruct(pairs[m], m)
-                rec_m = loss_rec(enc.shallow[m], recon, masks[m])
-                cyc_m = loss_cyc(pairs[m].hetero,
-                                 self.decoupler.reencode_private(recon, m), masks[m])
+                rec_m = loss_rec(enc.shallow[m], recon)
+                cyc_m = loss_cyc(pairs[m].hetero, self.decoupler.reencode_private(recon, m))
                 rec_sum = rec_m if rec_sum is None else rec_sum + rec_m
                 cyc_sum = cyc_m if cyc_sum is None else cyc_sum + cyc_m
             inv_b = 1.0 / b

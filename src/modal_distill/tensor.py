@@ -135,7 +135,7 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
 
 
 # ---- elementwise binary ops (numpy broadcasting rules) ----
-# A parent that needs no gradient (a mask, pooling weights, a constant) gets
+# A parent that needs no gradient (a constant such as a fixed weight) gets
 # none computed for it.
 
 
@@ -341,62 +341,73 @@ def softmax(a: Tensor) -> Tensor:
     return Tensor._result(out_data, (a,), backward)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
-              key_bias: Array) -> tuple[Tensor, Array]:
-    """Multi-head scaled dot-product attention as one node.
+# added to the scores of keys past a sequence's end: finite, yet far enough
+# below any real score that exp() of it after max subtraction is exactly 0
+MASKED_SCORE = -1e30
 
-    ``q`` is ``[B, T_tgt, d]`` and ``k``, ``v`` are ``[B, T_src, d]``; head
-    h owns feature columns h*d/heads .. (h+1)*d/heads of all three.
-    ``key_bias`` is a constant ``[B, T_src]`` added to every score of a key
-    (0 for a valid key, a large negative number for a masked one).  Returns
-    the heads' mixed values, concatenated back to ``[B, T_tgt, d]``, and the
-    attention maps ``[B, heads, T_tgt, T_src]``.
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+              q_rows: RowLayout, k_rows: RowLayout) -> tuple[Tensor, Array]:
+    """Multi-head scaled dot-product attention of packed sequences as one
+    node.
+
+    ``q`` is ``[N_q, d]``, packed as ``q_rows`` says, and ``k``, ``v`` are
+    ``[N_k, d]``, packed as ``k_rows`` says; both layouts hold the same B
+    samples, and each sample's queries attend over its own keys only.  Head
+    h owns feature columns h*d/heads .. (h+1)*d/heads of all three.  Inside
+    the node every input is scattered into a zero-padded per-sample head
+    layout, and each key past its sequence's end scores ``MASKED_SCORE``,
+    so its weight is exactly 0.  Returns the heads' mixed values, packed
+    ``[N_q, d]`` as the queries are, and the attention maps ``[B, heads,
+    T_q, T_k]`` over the padded layouts (a padded query's row is never
+    read).
     """
-    if (q.ndim != 3 or k.ndim != 3 or k.shape != v.shape or q.shape[0] != k.shape[0]
-            or q.shape[2] != k.shape[2]):
-        raise ShapeError(f"attention: expected [B, T, d] inputs, got q {q.shape}, "
-                         f"k {k.shape}, v {v.shape}")
-    b, t_tgt, d = q.shape
-    t_src = k.shape[1]
-    if np.shape(key_bias) != (b, t_src):
-        raise ShapeError(f"attention: key bias {np.shape(key_bias)} does not match k {k.shape}")
+    if (q.ndim != 2 or k.ndim != 2 or k.shape != v.shape or q.shape[1] != k.shape[1]
+            or q.shape[0] != q_rows.size or k.shape[0] != k_rows.size
+            or q_rows.lengths.size != k_rows.lengths.size):
+        raise ShapeError(f"attention: expected packed [N, d] inputs of one batch, got q "
+                         f"{q.shape}, k {k.shape}, v {v.shape} for {q_rows.size} query and "
+                         f"{k_rows.size} key rows")
+    b, d = q_rows.lengths.size, q.shape[1]
     hd = d // heads
     scale = 1.0 / np.sqrt(hd)
+    key_bias = np.where(np.arange(k_rows.t_pad) < k_rows.lengths[:, None], 0.0, MASKED_SCORE)
     # BLAS rounding depends on operand layout, so these contiguous
     # orientations are part of the result: another layout changes the
     # forward values in the last bits
 
-    def by_feature(x: Array, t: int) -> Array:
-        """[B, T, d] -> [B, heads, head_dim, T]"""
-        return np.ascontiguousarray(x.reshape(b, t, heads, hd).transpose(0, 2, 3, 1))
+    def by_step(x: Array, rows: RowLayout) -> Array:
+        """[N, d] -> [B, heads, T, head_dim], zero past each sequence's end"""
+        out = np.zeros((b, heads, rows.t_pad, hd))
+        out[rows.seq, :, rows.pos] = x.reshape(-1, heads, hd)
+        return out
 
-    def by_step(x: Array, t: int) -> Array:
-        """[B, T, d] -> [B, heads, T, head_dim]"""
-        return np.ascontiguousarray(x.reshape(b, t, heads, hd).transpose(0, 2, 1, 3))
+    def by_feature(x: Array, rows: RowLayout) -> Array:
+        """[N, d] -> [B, heads, head_dim, T], zero past each sequence's end"""
+        out = np.zeros((b, heads, hd, rows.t_pad))
+        out[rows.seq, :, :, rows.pos] = x.reshape(-1, heads, hd)
+        return out
 
-    def merge(x: Array) -> Array:
-        """[B, heads, T, head_dim] -> [B, T, d]"""
-        return x.transpose(0, 2, 1, 3).reshape(b, -1, d)
+    def packed(x: Array, rows: RowLayout) -> Array:
+        """[B, heads, T, head_dim] -> [N, d], the real steps only"""
+        return x[rows.seq, :, rows.pos].reshape(-1, d)
 
-    scores = by_step(q.data, t_tgt) @ by_feature(k.data, t_src)
+    scores = by_step(q.data, q_rows) @ by_feature(k.data, k_rows)
     maps = _softmax(scores * scale + key_bias[:, None, None, :])
-    # [B, heads, head_dim, T_tgt]
-    mixed = by_feature(v.data, t_src) @ np.ascontiguousarray(np.swapaxes(maps, -1, -2))
-    out_data = np.ascontiguousarray(np.swapaxes(mixed.reshape(b, d, t_tgt), -1, -2))
+    # [B, heads, head_dim, T_q]
+    mixed = by_feature(v.data, k_rows) @ np.ascontiguousarray(np.swapaxes(maps, -1, -2))
+    out_data = mixed[q_rows.seq, :, :, q_rows.pos].reshape(-1, d)
 
     def backward(g):
         # the head layouts are rebuilt from the inputs rather than kept
-        q_h = by_step(q.data, t_tgt)
-        k_h = by_feature(k.data, t_src)
-        v_h = by_feature(v.data, t_src)
-        g_h = g.reshape(b, t_tgt, heads, hd).transpose(0, 2, 1, 3)  # [B, heads, T_tgt, head_dim]
+        g_h = by_step(g, q_rows)
         if v.requires_grad:
-            v._accum(merge(np.swapaxes(maps, -1, -2) @ g_h))
-        g_scores = _softmax_grad(maps, g_h @ v_h) * scale
+            v._accum(packed(np.swapaxes(maps, -1, -2) @ g_h, k_rows))
+        g_scores = _softmax_grad(maps, g_h @ by_feature(v.data, k_rows)) * scale
         if q.requires_grad:
-            q._accum(merge(g_scores @ np.swapaxes(k_h, -1, -2)))
+            q._accum(packed(g_scores @ np.swapaxes(by_feature(k.data, k_rows), -1, -2), q_rows))
         if k.requires_grad:
-            k._accum(merge(np.swapaxes(g_scores, -1, -2) @ q_h))
+            k._accum(packed(np.swapaxes(g_scores, -1, -2) @ by_step(q.data, q_rows), k_rows))
 
     return Tensor._result(out_data, (q, k, v), backward), maps
 
@@ -491,65 +502,82 @@ def margin_hinge(cos: Tensor, mods: Array, classes: Array,
     return Tensor._result(out_data, (cos,), backward), total
 
 
-# ---- temporal convolution ----
+# ---- packed sequences ----
 
 
-def _taps(t: int, w: int):
-    """For each tap k of a width-``w`` window centred on each of ``t``
-    steps with zero same-padding: ``(k, lo, hi, src)``, where output rows
-    ``lo..hi-1`` read input rows ``src..src+hi-lo-1`` and every other
-    output row reads padding."""
-    pad = w // 2
-    for k in range(w):
-        lo, hi = max(0, pad - k), min(t, t + pad - k)
-        if lo < hi:
-            yield k, lo, hi, lo + k - pad
+class RowLayout:
+    """Where the time steps of B sequences sit when they are packed
+    sample-major, each sequence's steps in order, into N rows.
 
-
-def conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
-    """1-D temporal convolution with zero same-padding.
-
-    ``x`` is time-major ``[..., T, d_in]`` (leading axes are independent
-    sequences); ``kernel`` is ``[w, d_in, d_out]`` with odd width ``w`` so
-    the output keeps the input temporal length.  Zero rows after a shorter
-    sequence's end act exactly like its padding, so a zero-padded batch
-    gives every sequence's valid rows as if it were convolved alone.
-
-    Forward is one product of the im2col matrix (row t holds the window
-    centred on step t) with the flattened kernel.  That matrix is w times
-    the size of ``x``, so it is dropped: backward forms the kernel gradient
-    tap by tap from shifted slices of ``x``.
+    ``lengths`` ``[B]`` (each at least 1) and ``starts`` ``[B]`` give each
+    sequence's rows; ``seq`` and ``pos`` ``[N]`` give each row's sequence
+    and step, so row r sits at ``[seq[r], pos[r]]`` of a ``[B, t_pad]``
+    padded layout.  ``prev`` and ``next`` ``[N]`` give each row's neighbour
+    one step earlier and later in its own sequence, or N past either end:
+    the index of a zero row a caller appends.
     """
-    if x.ndim < 2 or kernel.ndim != 3:
-        raise ShapeError(f"conv1d: expected [..., T, d_in] and [w, d_in, d_out], got {x.shape} and {kernel.shape}")
-    w, d_in, d_out = kernel.shape
-    if x.shape[-1] != d_in:
-        raise ShapeError(f"conv1d: input feature dim {x.shape[-1]} != kernel d_in {d_in}")
-    t_in = x.shape[-2]
-    col = np.zeros(x.shape[:-1] + (w * d_in,))
-    for k, lo, hi, src in _taps(t_in, w):
-        col[..., lo:hi, k * d_in:(k + 1) * d_in] = x.data[..., src:src + hi - lo, :]
-    k_flat = kernel.data.reshape(w * d_in, d_out)
-    out_data = col @ k_flat
-    out_data += bias.data
+
+    def __init__(self, lengths):
+        self.lengths = np.asarray(lengths, dtype=np.intp)
+        if self.lengths.ndim != 1 or not self.lengths.size or self.lengths.min() < 1:
+            raise ShapeError(f"a row layout needs one or more lengths >= 1, got {lengths}")
+        self.size = n = int(self.lengths.sum())
+        self.t_pad = int(self.lengths.max())
+        ends = np.cumsum(self.lengths)
+        self.starts = ends - self.lengths
+        self.seq = np.repeat(np.arange(self.lengths.size), self.lengths)
+        self.pos = np.arange(n) - self.starts[self.seq]
+        self.prev = np.arange(-1, n - 1)
+        self.prev[self.starts] = n
+        self.next = np.arange(1, n + 1)
+        self.next[ends - 1] = n
+
+
+def conv1d(x: Tensor, kernel: Tensor, bias: Tensor, rows: RowLayout) -> Tensor:
+    """Width-3 temporal convolution of packed sequences with zero
+    same-padding.
+
+    ``x`` is ``[N, d_in]``, packed as ``rows`` says; ``kernel`` is ``[3,
+    d_in, d_out]``, its taps reading the previous step, the step itself and
+    the next step.  A tap that falls outside its own sequence reads a zero
+    row, exactly as zero padding would, so each sequence's output is what
+    it would be alone.
+
+    Forward is one product of ``x`` with the kernel laid out ``[d_in, 3 *
+    d_out]``, which gives every row's contribution at every tap, then two
+    row gathers through ``rows.prev`` and ``rows.next``.  Backward gathers
+    the output gradient the opposite way, ``[g[next], g, g[prev]]``, so the
+    kernel gradient is one product with ``x``.
+    """
+    if x.ndim != 2 or kernel.ndim != 3 or kernel.shape[0] != 3:
+        raise ShapeError(f"conv1d: expected [N, d_in] and [3, d_in, d_out], "
+                         f"got {x.shape} and {kernel.shape}")
+    _, d_in, d_out = kernel.shape
+    n = x.shape[0]
+    if x.shape[1] != d_in or n != rows.size:
+        raise ShapeError(f"conv1d: input {x.shape} for {rows.size} rows and kernel d_in {d_in}")
+    k_cat = kernel.data.transpose(1, 0, 2).reshape(d_in, 3 * d_out)
+    per_tap = np.empty((n + 1, 3 * d_out))  # the last row is the zero row
+    np.matmul(x.data, k_cat, out=per_tap[:n])
+    per_tap[n] = 0.0
+    out_data = per_tap[:n, d_out:2 * d_out] + bias.data
+    out_data += per_tap[rows.prev, :d_out]
+    out_data += per_tap[rows.next, 2 * d_out:]
 
     def backward(g):
-        g_rows = g.reshape(-1, d_out)
-        if kernel.requires_grad:
-            g_kernel = np.zeros((w, d_in, d_out))
-            for k, lo, hi, src in _taps(t_in, w):
-                g_kernel[k] = (x.data[..., src:src + hi - lo, :].reshape(-1, d_in).T
-                               @ g[..., lo:hi, :].reshape(-1, d_out))
-            kernel._accum(g_kernel)
         if bias.requires_grad:
-            bias._accum(g_rows.sum(axis=0))
-        if not x.requires_grad:
+            bias._accum(g.sum(axis=0))
+        if not (kernel.requires_grad or x.requires_grad):
             return
-        g_col = g @ k_flat.T
-        g_x = np.zeros(x.shape)
-        for k, lo, hi, src in _taps(t_in, w):
-            g_x[..., src:src + hi - lo, :] += g_col[..., lo:hi, k * d_in:(k + 1) * d_in]
-        x._accum(g_x)
+        g_ext = np.empty((n + 1, d_out))
+        g_ext[:n] = g
+        g_ext[n] = 0.0
+        # block k of row r: the gradient of the output that reads row r at tap k
+        g_taps = np.concatenate([g_ext[rows.next], g, g_ext[rows.prev]], axis=1)
+        if kernel.requires_grad:
+            kernel._accum((x.data.T @ g_taps).reshape(d_in, 3, d_out).transpose(1, 0, 2))
+        if x.requires_grad:
+            x._accum(g_taps @ k_cat.T)
 
     return Tensor._result(out_data, (x, kernel, bias), backward)
 
@@ -609,20 +637,15 @@ def l2_normalize(x: Tensor) -> Tensor:
     return Tensor._result(x.data / norms, (x,), backward)
 
 
-def masked_sq_distance(a: Tensor, b: Tensor, mask: Array) -> Tensor:
-    """Squared Frobenius norm of ``(a - b)`` with each row of ``[..., T, d]``
-    weighted by the constant ``mask`` ``[..., T]``, as one node that keeps
-    only the masked difference."""
-    if a.shape != b.shape or a.ndim < 1 or np.shape(mask) != a.shape[:-1]:
-        raise ShapeError(f"masked_sq_distance: shapes {a.shape} vs {b.shape}, "
-                         f"mask {np.shape(mask)}")
-    weights = mask[..., None]
+def sq_distance(a: Tensor, b: Tensor) -> Tensor:
+    """Squared Frobenius norm of ``(a - b)`` as one node that keeps only
+    the difference."""
+    if a.shape != b.shape:
+        raise ShapeError(f"sq_distance: shapes {a.shape} vs {b.shape}")
     diff = a.data - b.data
-    diff *= weights
 
     def backward(g):
         g_diff = (2.0 * g) * diff
-        g_diff *= weights
         if a.requires_grad:
             a._accum(g_diff)
         if b.requires_grad:
@@ -631,24 +654,15 @@ def masked_sq_distance(a: Tensor, b: Tensor, mask: Array) -> Tensor:
     return Tensor._result((diff * diff).sum(), (a, b), backward)
 
 
-def mean_pool_time(x: Tensor, mask: Array) -> Tensor:
-    """Temporal mean of ``[..., T, d]`` over the valid steps of each
-    sequence, giving ``[..., d]``.
-
-    ``mask`` is a constant 0/1 array shaped ``[..., T]``; the pool is one
-    node around one matmul with weights ``mask / length``, so padded rows
-    contribute exactly zero and the divisor is the true length, never the
-    padded one.
-    """
-    if x.ndim < 2 or np.shape(mask) != x.shape[:-1]:
-        raise ShapeError(f"mean_pool_time: got x {x.shape}, mask {np.shape(mask)}")
-    lengths = mask.sum(axis=-1, keepdims=True)
-    if np.any(lengths == 0):
-        raise ShapeError("mean_pool_time: a sequence has no valid step")
-    weights = (mask / lengths)[..., None, :]  # [..., 1, T]
-    pooled_shape = x.shape[:-2] + x.shape[-1:]
+def mean_pool_time(x: Tensor, rows: RowLayout) -> Tensor:
+    """Temporal mean of each sequence of packed ``[N, d]`` rows, giving
+    ``[B, d]``: a segment sum over ``rows.starts`` divided by the lengths,
+    so every row is real and the divisor is the true length."""
+    if x.ndim != 2 or x.shape[0] != rows.size:
+        raise ShapeError(f"mean_pool_time: got x {x.shape} for {rows.size} rows")
+    lengths = rows.lengths[:, None]
 
     def backward(g):
-        x._accum(np.swapaxes(weights, -1, -2) @ g.reshape(weights.shape[:-1] + g.shape[-1:]))
+        x._accum((g / lengths)[rows.seq])
 
-    return Tensor._result((weights @ x.data).reshape(pooled_shape), (x,), backward)
+    return Tensor._result(np.add.reduceat(x.data, rows.starts, axis=0) / lengths, (x,), backward)

@@ -29,7 +29,7 @@ from modal_distill.decouple import Decoupler, loss_cyc, loss_margin, loss_rec
 from modal_distill.fusion import bin7
 from modal_distill.graph_distill import EDGE_SOURCES, GDUnit
 from modal_distill.model import COMPONENT_NAMES
-from modal_distill.tensor import Tensor, mul, tsum
+from modal_distill.tensor import RowLayout, Tensor, mul, tsum
 from modal_distill.train import (
     collect_features,
     evaluate,
@@ -143,13 +143,13 @@ def test_criterion_4_identity_autoencoder():
     worst_cyc = 0.0
     for m in MODALITIES:
         # non-negative inputs keep the averaging decoder exact
-        x = Tensor(rng.uniform(0.05, 1.0, size=(1, 4, d)))
-        mask = np.ones((1, 4))
-        pair = dec.decouple(x, m, mask)
+        # two packed sequences, of 3 steps and 1
+        x = Tensor(rng.uniform(0.05, 1.0, size=(4, d)))
+        pair = dec.decouple(x, m, RowLayout([3, 1]))
         recon = dec.reconstruct(pair, m)
-        worst_rec = max(worst_rec, float(loss_rec(x, recon, mask).data))
+        worst_rec = max(worst_rec, float(loss_rec(x, recon).data))
         worst_cyc = max(worst_cyc, float(
-            loss_cyc(pair.hetero, dec.reencode_private(recon, m), mask).data))
+            loss_cyc(pair.hetero, dec.reencode_private(recon, m)).data))
     ok = worst_rec < 1e-10 and worst_cyc < 1e-10
     verdict(4, "identity autoencoder", ok,
             f"L_rec {worst_rec:.1e}, L_cyc {worst_cyc:.1e}")

@@ -29,6 +29,7 @@ from modal_distill.data import (
     shared_component,
     split_dataset,
 )
+from modal_distill.cli import main
 from modal_distill.errors import ConfigError, DataError
 
 from conftest import count_forks
@@ -492,6 +493,32 @@ def test_bad_file_in_helper_share_raises_the_one_core_error(tmp_path, monkeypatc
     assert str(warm.value) == str(serial.value)
 
 
+@pytest.mark.parametrize("large", [False, True], ids=["small", "helper_share"])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_empty_feature_file_is_one_stderr_line(tmp_path, monkeypatch, capfd, samples48,
+                                               large, warm):
+    """``train --data`` on a set with one empty CSV exits 2 and writes one
+    line to stderr, numpy's no-data warning included nowhere: on a set
+    never loaded and on one whose other files the parse cache holds, and,
+    with 144 files on two cores, from a forked helper's share."""
+    samples = samples48 if large else samples48[:4]
+    sid = HELPER_SAMPLE if large else samples[2].id
+    manifest = save_dataset(samples, tmp_path / "set")
+    _use_cores(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    if warm:
+        load_features(manifest)
+    empty = tmp_path / "set" / "features" / f"{sid}_L.csv"
+    empty.write_bytes(b"")
+    capfd.readouterr()
+    code = main(["train", "--data", str(manifest), "--epochs", "1",
+                 "--out", str(tmp_path / "run")])
+    out, err = capfd.readouterr()
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"data error: sample {sid}: empty L feature file {empty}"]
+    assert len(forks) == (1 + warm if large else 0)
+
+
 def test_first_bad_file_in_manifest_order_is_reported(tmp_path, monkeypatch, samples48):
     """A bad file in the parent's share wins over one in the helper's; the
     helper, still parsing, is stopped and reaped."""
@@ -874,18 +901,23 @@ def test_single_short_batch():
 
 
 def test_unaligned_padding_and_masks():
+    # an unaligned batch has no padding: each modality's rows are every
+    # sample's steps, sample after sample, and its layout says which are whose
     cfg = small_config()
     samples = generate(6, seed=8, config=cfg)
     batch = make_batch(samples, mode="unaligned")
     for m in MODALITIES:
-        t_pad = max(s.features[m].shape[0] for s in samples)
-        assert batch.features[m].shape == (6, t_pad, cfg.raw_dims[m])
+        lengths = [s.features[m].shape[0] for s in samples]
+        rows = batch.rows[m]
+        assert batch.features[m].shape == (sum(lengths), cfg.raw_dims[m])
+        assert rows.size == sum(lengths) and rows.t_pad == max(lengths)
+        np.testing.assert_array_equal(batch.lengths[m], lengths)
         for i, s in enumerate(samples):
-            t = s.features[m].shape[0]
-            assert batch.masks[m][i].sum() == t
-            assert batch.lengths[m][i] == t
-            np.testing.assert_array_equal(batch.features[m][i, :t], s.features[m])
-            assert np.all(batch.features[m][i, t:] == 0.0)
+            t = lengths[i]
+            lo = rows.starts[i]
+            np.testing.assert_array_equal(batch.features[m][lo:lo + t], s.features[m])
+            np.testing.assert_array_equal(rows.seq[lo:lo + t], i)
+            np.testing.assert_array_equal(rows.pos[lo:lo + t], np.arange(t))
 
 
 def test_epoch_shuffle_reproducible():

@@ -18,7 +18,7 @@ from modal_distill.decouple import (
     loss_rec,
 )
 from modal_distill.errors import ShapeError
-from modal_distill.tensor import Tensor, concat, margin_hinge, reshape
+from modal_distill.tensor import RowLayout, Tensor, concat, margin_hinge, reshape
 
 from conftest import (
     check_grads,
@@ -38,8 +38,9 @@ def make_decoupler(d=4, seed=0):
     return Decoupler(np.random.default_rng(seed), SMALL_RAW, d=d)
 
 
-def ones_mask(x):
-    return np.ones(x.shape[:-1])
+def one(x):
+    """The layout of a batch of one sequence, ``x``."""
+    return RowLayout([x.shape[0]])
 
 
 def pooled_pair(homo_vec, hetero_vec):
@@ -55,21 +56,23 @@ def pooled_pair(homo_vec, hetero_vec):
 def test_shallow_encode_shape():
     dec = make_decoupler(d=16)
     rng = np.random.default_rng(1)
-    out = dec.shallow_encode(Tensor(rng.standard_normal((1, 8, SMALL_RAW[V]))), V)
-    assert out.shape == (1, 8, 16)
+    out = dec.shallow_encode(Tensor(rng.standard_normal((8, SMALL_RAW[V]))), V, RowLayout([8]))
+    assert out.shape == (8, 16)
+    assert dec.shallow_encode(Tensor(rng.standard_normal((8, SMALL_RAW[V]))), V,
+                              RowLayout([3, 1, 4])).shape == (8, 16)
 
 
 def test_shallow_encode_rejects_wrong_dim():
     dec = make_decoupler()
     with pytest.raises(ShapeError):
-        dec.shallow_encode(Tensor(np.zeros((1, 8, SMALL_RAW[V] + 1))), V)
+        dec.shallow_encode(Tensor(np.zeros((8, SMALL_RAW[V] + 1))), V, RowLayout([8]))
 
 
 def test_shared_encoder_is_one_parameter_set():
     dec = make_decoupler(d=4)
-    x = Tensor(np.random.default_rng(2).standard_normal((1, 5, 4)))
-    as_l = dec.decouple(x, L, ones_mask(x))
-    as_v = dec.decouple(x, V, ones_mask(x))
+    x = Tensor(np.random.default_rng(2).standard_normal((5, 4)))
+    as_l = dec.decouple(x, L, one(x))
+    as_v = dec.decouple(x, V, one(x))
     np.testing.assert_array_equal(as_l.homo.data, as_v.homo.data)
     assert not np.array_equal(as_l.hetero.data, as_v.hetero.data)
 
@@ -77,63 +80,68 @@ def test_shared_encoder_is_one_parameter_set():
 @pytest.mark.parametrize("t", [1, 7, 50])
 def test_decouple_preserves_shapes(t):
     dec = make_decoupler(d=4)
-    x = Tensor(np.random.default_rng(t).standard_normal((1, t, 4)))
-    pair = dec.decouple(x, A, ones_mask(x))
-    assert pair.homo.shape == (1, t, 4) and pair.hetero.shape == (1, t, 4)
+    x = Tensor(np.random.default_rng(t).standard_normal((t, 4)))
+    pair = dec.decouple(x, A, one(x))
+    assert pair.homo.shape == (t, 4) and pair.hetero.shape == (t, 4)
     assert pair.homo_pooled.shape == (1, 4) and pair.hetero_pooled.shape == (1, 4)
 
 
 def test_pooled_vectors_are_temporal_means():
     dec = make_decoupler(d=3)
-    x = Tensor(np.random.default_rng(5).standard_normal((1, 6, 3)))
-    pair = dec.decouple(x, L, ones_mask(x))
-    np.testing.assert_allclose(pair.homo_pooled.data, pair.homo.data.mean(axis=1), atol=1e-15)
+    x = Tensor(np.random.default_rng(5).standard_normal((6, 3)))
+    pair = dec.decouple(x, L, RowLayout([2, 4]))
+    np.testing.assert_allclose(pair.homo_pooled.data, [pair.homo.data[:2].mean(axis=0),
+                                                       pair.homo.data[2:].mean(axis=0)],
+                               atol=1e-15)
 
 
 def test_pooling_and_rec_cyc_ignore_padded_rows():
-    # the padded rows of encoder outputs are not zero, so only the mask
-    # keeps them out of the pooled vectors and the rec/cyc sums
+    # a sequence packed beside another keeps its own pooled vectors and
+    # rec/cyc terms, whatever the other's rows hold: they take the place
+    # the padded rows of a padded batch had
     dec = make_decoupler(d=3)
     rng = np.random.default_rng(6)
-    x = rng.standard_normal((1, 6, 3))
-    mask = np.array([[1.0, 1.0, 1.0, 1.0, 0.0, 0.0]])
-    garbage = x.copy()
-    garbage[0, 4:] = 50.0
-    for seq in (x, garbage):
-        pair = dec.decouple(Tensor(seq), L, mask)
+    x = rng.standard_normal((4, 3))
+    for other in (rng.standard_normal((2, 3)), np.full((2, 3), 50.0)):
+        rows = RowLayout([4, 2])
+        both = Tensor(np.vstack([x, other]))
+        pair = dec.decouple(both, L, rows)
         recon = dec.reconstruct(pair, L)
-        short = dec.decouple(Tensor(seq[:, :4]), L, mask[:, :4])
-        short_recon = dec.reconstruct(short, L)
-        np.testing.assert_allclose(pair.homo_pooled.data, short.homo_pooled.data, atol=1e-14)
-        np.testing.assert_allclose(pair.hetero_pooled.data, short.hetero_pooled.data, atol=1e-14)
-        assert loss_rec(Tensor(seq), recon, mask).item() == pytest.approx(
-            loss_rec(Tensor(seq[:, :4]), short_recon, mask[:, :4]).item(), abs=1e-12)
-        assert loss_cyc(pair.hetero, dec.reencode_private(recon, L), mask).item() == pytest.approx(
-            loss_cyc(short.hetero, dec.reencode_private(short_recon, L), mask[:, :4]).item(),
-            abs=1e-12)
+        alone = dec.decouple(Tensor(x), L, RowLayout([4]))
+        alone_recon = dec.reconstruct(alone, L)
+        np.testing.assert_allclose(pair.homo_pooled.data[0], alone.homo_pooled.data[0], atol=1e-14)
+        np.testing.assert_allclose(pair.hetero_pooled.data[0], alone.hetero_pooled.data[0],
+                                   atol=1e-14)
+        other_pair = dec.decouple(Tensor(other), L, RowLayout([2]))
+        other_recon = dec.reconstruct(other_pair, L)
+        assert loss_rec(both, recon).item() == pytest.approx(
+            loss_rec(Tensor(x), alone_recon).item()
+            + loss_rec(Tensor(other), other_recon).item(), rel=1e-12, abs=1e-12)
+        assert loss_cyc(pair.hetero, dec.reencode_private(recon, L)).item() == pytest.approx(
+            loss_cyc(alone.hetero, dec.reencode_private(alone_recon, L)).item()
+            + loss_cyc(other_pair.hetero, dec.reencode_private(other_recon, L)).item(),
+            rel=1e-12, abs=1e-12)
 
 
 # ---- reconstruction losses ----
 
 
 def test_loss_rec_zero_when_equal():
-    x = Tensor(np.random.default_rng(0).standard_normal((1, 3, 4)))
-    assert loss_rec(x, Tensor(x.data.copy()), ones_mask(x)).item() == 0.0
-    z = Tensor(np.zeros((1, 3, 4)))
-    assert loss_rec(z, Tensor(np.zeros((1, 3, 4))), ones_mask(z)).item() == 0.0
+    x = Tensor(np.random.default_rng(0).standard_normal((3, 4)))
+    assert loss_rec(x, Tensor(x.data.copy())).item() == 0.0
+    assert loss_rec(Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 4)))).item() == 0.0
 
 
 def test_loss_rec_unit_differences():
-    x = Tensor(np.zeros((1, 2, 2)))
-    recon = Tensor(np.ones((1, 2, 2)))
-    assert loss_rec(x, recon, ones_mask(x)).item() == pytest.approx(4.0, abs=1e-15)
+    x = Tensor(np.zeros((2, 2)))
+    recon = Tensor(np.ones((2, 2)))
+    assert loss_rec(x, recon).item() == pytest.approx(4.0, abs=1e-15)
 
 
 def test_loss_cyc_fixtures():
-    h = Tensor(np.array([[[2.0]]]))
-    assert loss_cyc(h, Tensor(np.array([[[3.0]]])), ones_mask(h)).item() == pytest.approx(
-        1.0, abs=1e-15)
-    assert loss_cyc(h, Tensor(np.array([[[2.0]]])), ones_mask(h)).item() == 0.0
+    h = Tensor(np.array([[2.0]]))
+    assert loss_cyc(h, Tensor(np.array([[3.0]]))).item() == pytest.approx(1.0, abs=1e-15)
+    assert loss_cyc(h, Tensor(np.array([[2.0]]))).item() == 0.0
 
 
 def test_identity_autoencoder_zeros_rec_and_cyc():
@@ -143,13 +151,12 @@ def test_identity_autoencoder_zeros_rec_and_cyc():
         set_identity_two_layer(dec.private_encoders[m])
         set_averaging_decoder(dec.decoders[m])
     # non-negative input keeps the decoder's hidden relu in its linear region
-    x = Tensor(np.random.default_rng(3).uniform(0.1, 2.0, size=(1, 5, 4)))
-    mask = ones_mask(x)
+    x = Tensor(np.random.default_rng(3).uniform(0.1, 2.0, size=(5, 4)))
     for m in MODALITIES:
-        pair = dec.decouple(x, m, mask)
+        pair = dec.decouple(x, m, RowLayout([2, 3]))
         recon = dec.reconstruct(pair, m)
-        assert loss_rec(x, recon, mask).item() < 1e-10
-        assert loss_cyc(pair.hetero, dec.reencode_private(recon, m), mask).item() < 1e-10
+        assert loss_rec(x, recon).item() < 1e-10
+        assert loss_cyc(pair.hetero, dec.reencode_private(recon, m)).item() < 1e-10
 
 
 # ---- margin loss ----
@@ -308,22 +315,22 @@ def test_decoupling_losses_gradcheck(seed):
     # non-empty
     dec = make_decoupler(d=3, seed=seed)
     rng = np.random.default_rng(1000 + seed)
-    raw = [{m: rng.standard_normal((4, SMALL_RAW[m])) for m in MODALITIES}
-           for _ in range(2)]
-    feats = {m: np.stack([sample[m] for sample in raw]) for m in MODALITIES}
-    mask = np.ones((2, 4))
+    # each modality's two sequences have their own lengths, one of them a
+    # single step
+    layouts = {L: RowLayout([4, 1]), V: RowLayout([2, 3]), A: RowLayout([3, 3])}
+    feats = {m: rng.standard_normal((layouts[m].size, SMALL_RAW[m])) for m in MODALITIES}
     tags = [(m, c) for c in (1, -2) for m in MODALITIES]
 
     def build():
         total_rec, total_cyc = Tensor(0.0), Tensor(0.0)
         pairs = {}
         for m in MODALITIES:
-            x = dec.shallow_encode(Tensor(feats[m]), m)
-            pair = dec.decouple(x, m, mask)
+            x = dec.shallow_encode(Tensor(feats[m]), m, layouts[m])
+            pair = dec.decouple(x, m, layouts[m])
             pairs[m] = pair
             recon = dec.reconstruct(pair, m)
-            total_rec = total_rec + loss_rec(x, recon, mask)
-            total_cyc = total_cyc + loss_cyc(pair.hetero, dec.reencode_private(recon, m), mask)
+            total_rec = total_rec + loss_rec(x, recon)
+            total_cyc = total_cyc + loss_cyc(pair.hetero, dec.reencode_private(recon, m))
         rows = reshape(concat([pairs[m].homo_pooled for m in MODALITIES], axis=-1), (6, 3))
         mar, count = loss_margin(rows, *tag_arrays(tags), alpha=0.2)
         assert count > 0

@@ -82,9 +82,10 @@ def test_empty_sequence_rejected():
 
 
 def test_padding_invariance_per_sample():
-    """A sample's prediction is the same whether it sits in a padded batch
-    or alone, because masks keep its padded rows out of every sum; only the
-    grouping of float terms in those sums differs."""
+    """A sample's prediction is the same whether it sits in a batch or
+    alone: its packed rows meet other samples' rows only inside attention,
+    whose padded keys get zero weight; only the grouping of float terms in
+    the batch's matrix products may differ."""
     model, batch, samples = build(n=4, seed=1)
     batch_scores = model.forward_batch(batch).preds.tolist()
     for i, sample in enumerate(samples):
@@ -155,6 +156,40 @@ def test_default_step_node_ceiling():
     assert count_nodes(Model(ablated).forward_batch(batch).total) <= 69
 
 
+def test_no_stage_computes_padded_rows(monkeypatch):
+    """In a default B=16 forward, every input of the shallow conv, the
+    two-layer nets, the affine maps and attention has ΣT rows of some
+    modality or a small multiple of B rows (at most 6B: the GD edge scorer
+    reads 3 targets x 2 sources per sample), and never B·T_pad rows: padding
+    exists only inside the attention node."""
+    from modal_distill import crossmodal, decouple, layers
+    from modal_distill import model as model_module
+
+    batch = make_batch(generate(16, 3))
+    b = batch.size
+    packed = {r.size for r in batch.rows.values()}
+    padded = {b * r.t_pad for r in batch.rows.values()}
+    assert not packed & padded
+    seen = []
+
+    def watch(fn, n_inputs):
+        def wrapped(*args):
+            seen.extend((fn.__name__, int(np.prod(x.shape[:-1]))) for x in args[:n_inputs])
+            return fn(*args)
+        return wrapped
+
+    inputs = {"conv1d": 1, "two_layer": 1, "affine": 1, "attention": 3}
+    for module in (model_module, decouple, layers, crossmodal):
+        for name, n_inputs in inputs.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, watch(getattr(module, name), n_inputs))
+    Model(TrainConfig(seed=3)).forward_batch(batch)
+    assert {name for name, _ in seen} == set(inputs)
+    for name, rows in seen:
+        assert rows in packed or (rows % b == 0 and rows <= 6 * b), (name, rows)
+        assert rows not in padded, (name, rows)
+
+
 # ---- ablation toggles ----
 
 TOGGLE_ROWS = [
@@ -219,8 +254,8 @@ def test_hetero_pathway_alive_iff_ca_or_heterogd():
     zero = Tensor(np.zeros((batch.size, 2 * fd_only.config.d)))
     homo = {}
     for m in MODALITIES:
-        shallow = fd_only.decoupler.shallow_encode(Tensor(batch.features[m]), m)
-        homo[m] = fd_only.decoupler.decouple(shallow, m, batch.masks[m]).homo_pooled
+        shallow = fd_only.decoupler.shallow_encode(Tensor(batch.features[m]), m, batch.rows[m])
+        homo[m] = fd_only.decoupler.decouple(shallow, m, batch.rows[m]).homo_pooled
     pred = fd_only.fusion(homo, {m: zero for m in MODALITIES})
     assert pred.data.tolist() == out.preds.tolist()
 
@@ -318,7 +353,7 @@ def test_encode_shapes_and_fd_off_fallback():
     enc_off = off.encode(batch)
     assert enc_off.pairs is None
     for m in MODALITIES:
-        pooled = mean_pool_time(enc_off.shallow[m], batch.masks[m])
+        pooled = mean_pool_time(enc_off.shallow[m], batch.rows[m])
         assert np.array_equal(enc_off.homo[m].data, pooled.data)
         assert np.all(enc_off.hetero[m].data == 0.0)
 

@@ -3,7 +3,7 @@ backward pass against central finite differences."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modal_distill.errors import ShapeError
@@ -18,11 +18,12 @@ from modal_distill.tensor import (
     gram,
     l2_normalize,
     margin_hinge,
-    masked_sq_distance,
     mean_pool_time,
     reshape,
+    RowLayout,
     sigmoid,
     softmax,
+    sq_distance,
     tmean,
     tsum,
     two_layer,
@@ -33,6 +34,46 @@ from conftest import check_grads, numeric_grad, rel_err
 
 def make(rng, *shape):
     return Tensor(rng.standard_normal(shape), requires_grad=True)
+
+
+def one(t):
+    """The layout of a single sequence of ``t`` steps."""
+    return RowLayout([t])
+
+
+def padded(x, rows):
+    """Packed rows ``[N, d]`` as a zero-padded ``[B, t_pad, d]`` batch."""
+    out = np.zeros((rows.lengths.size, rows.t_pad, x.shape[-1]))
+    out[rows.seq, rows.pos] = x
+    return out
+
+
+def padded_conv(x_pad, kernel, bias):
+    """The convolution of a zero-padded ``[B, T, d_in]`` batch as one
+    product of its im2col matrix (row t holds the window centred on step t)
+    with the flattened kernel: the padded computation the packed one
+    replaces.  Zero rows after a sequence's end act as its padding, so
+    every real row is that sequence's own same-padding result."""
+    w, d_in, d_out = kernel.shape
+    t = x_pad.shape[1]
+    ext = np.pad(x_pad, ((0, 0), (w // 2, w // 2), (0, 0)))
+    col = np.concatenate([ext[:, k:k + t] for k in range(w)], axis=-1)
+    return col @ kernel.reshape(w * d_in, d_out) + bias
+
+
+def padded_attention(q, k, v, heads, lengths):
+    """Multi-head attention of padded ``[B, T, d]`` batches with keys past
+    each source's length masked out: the padded computation packed
+    attention replaces."""
+    b, t_q, d = q.shape
+    hd = d // heads
+    split = lambda x: x.reshape(b, -1, heads, hd).transpose(0, 2, 1, 3)
+    scores = split(q) @ np.swapaxes(split(k), -1, -2) / np.sqrt(hd)
+    valid = np.arange(k.shape[1]) < np.asarray(lengths)[:, None]
+    scores = np.where(valid[:, None, None, :], scores, -np.inf)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    maps = e / e.sum(axis=-1, keepdims=True)
+    return (maps @ split(v)).transpose(0, 2, 1, 3).reshape(b, t_q, d), maps
 
 
 # ---- forward fixtures ----
@@ -105,23 +146,31 @@ def test_softmax_rows_sum_to_one(values):
 
 
 def test_conv1d_width_one_identity():
+    # only the centre tap is nonzero: a width-one identity
     rng = np.random.default_rng(0)
     x = Tensor(rng.standard_normal((6, 3)))
-    kernel = Tensor(np.eye(3).reshape(1, 3, 3))
-    np.testing.assert_allclose(conv1d(x, kernel, Tensor(np.zeros(3))).data, x.data, atol=1e-15)
+    kernel = Tensor(np.stack([np.zeros((3, 3)), np.eye(3), np.zeros((3, 3))]))
+    np.testing.assert_allclose(conv1d(x, kernel, Tensor(np.zeros(3)), one(6)).data, x.data,
+                               atol=1e-15)
 
 
 def test_conv1d_preserves_temporal_length():
     rng = np.random.default_rng(1)
     x = Tensor(rng.standard_normal((5, 2)))
     kernel = Tensor(rng.standard_normal((3, 2, 4)))
-    assert conv1d(x, kernel, Tensor(np.zeros(4))).shape == (5, 4)
+    assert conv1d(x, kernel, Tensor(np.zeros(4)), one(5)).shape == (5, 4)
+    rows = RowLayout([2, 3])
+    assert conv1d(x, kernel, Tensor(np.zeros(4)), rows).shape == (5, 4)
+    with pytest.raises(ShapeError):
+        conv1d(x, kernel, Tensor(np.zeros(4)), one(4))
+    with pytest.raises(ShapeError):  # the conv is width 3, one tap per neighbour
+        conv1d(x, Tensor(rng.standard_normal((5, 2, 4))), Tensor(np.zeros(4)), one(5))
 
 
 def test_conv1d_matches_direct_convolution():
     # oracle: explicit loop over output steps and taps with zero padding
     rng = np.random.default_rng(2)
-    t_in, d_in, d_out, w = 7, 3, 4, 5
+    t_in, d_in, d_out, w = 7, 3, 4, 3
     x = rng.standard_normal((t_in, d_in))
     k = rng.standard_normal((w, d_in, d_out))
     b = rng.standard_normal(d_out)
@@ -133,8 +182,37 @@ def test_conv1d_matches_direct_convolution():
             if 0 <= src < t_in:
                 expected[t] += x[src] @ k[tap]
         expected[t] += b
-    got = conv1d(Tensor(x), Tensor(k), Tensor(b)).data
+    got = conv1d(Tensor(x), Tensor(k), Tensor(b), one(t_in)).data
     np.testing.assert_allclose(got, expected, atol=1e-12)
+
+
+@given(lengths=st.lists(st.integers(1, 7), min_size=1, max_size=5), seed=st.integers(0, 2**16))
+@example(lengths=[1, 2, 6, 1], seed=0)
+@settings(max_examples=60, deadline=None)
+def test_packed_conv_matches_padded_conv(lengths, seed):
+    # every real row of the packed conv is the padded conv's row, sequences
+    # of one and two steps included
+    rng = np.random.default_rng(seed)
+    rows = RowLayout(lengths)
+    x = rng.standard_normal((rows.size, 3))
+    k = rng.standard_normal((3, 3, 4))
+    b = rng.standard_normal(4)
+    got = conv1d(Tensor(x), Tensor(k), Tensor(b), rows).data
+    want = padded_conv(padded(x, rows), k, b)[rows.seq, rows.pos]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_row_layout_neighbours_stay_in_their_sequence():
+    rows = RowLayout([3, 1, 2])
+    np.testing.assert_array_equal(rows.starts, [0, 3, 4])
+    np.testing.assert_array_equal(rows.seq, [0, 0, 0, 1, 2, 2])
+    np.testing.assert_array_equal(rows.pos, [0, 1, 2, 0, 0, 1])
+    assert (rows.size, rows.t_pad) == (6, 3)
+    np.testing.assert_array_equal(rows.prev, [6, 0, 1, 6, 6, 4])
+    np.testing.assert_array_equal(rows.next, [1, 2, 6, 6, 5, 6])
+    for bad in ([], [2, 0], [[1, 2]]):
+        with pytest.raises(ShapeError):
+            RowLayout(bad)
 
 
 def test_cosine_fixed_points():
@@ -170,24 +248,29 @@ def test_cosine_along_last_axis():
                                          abs=1e-15)
 
 
-def test_masked_mean_pool_ignores_padding():
-    x = np.zeros((4, 2))
-    x[:2] = [[1.0, 2.0], [3.0, 4.0]]
-    x[2:] = 99.0  # padded garbage must not leak through the mask
-    mask = np.array([1.0, 1.0, 0.0, 0.0])
-    out = mean_pool_time(Tensor(x[None]), mask[None])
-    np.testing.assert_allclose(out.data, [[2.0, 3.0]], atol=1e-15)
+@given(lengths=st.lists(st.integers(1, 7), min_size=1, max_size=5), seed=st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_masked_mean_pool_ignores_padding(lengths, seed):
+    # the segment mean of packed rows is the masked mean of the padded
+    # batch, whatever its padded rows hold
+    rng = np.random.default_rng(seed)
+    rows = RowLayout(lengths)
+    x = rng.standard_normal((rows.size, 3))
+    x_pad = np.full((len(lengths), rows.t_pad, 3), 99.0)
+    x_pad[rows.seq, rows.pos] = x
+    mask = (np.arange(rows.t_pad) < np.array(lengths)[:, None]).astype(float)
+    want = (x_pad * mask[..., None]).sum(axis=1) / mask.sum(axis=1, keepdims=True)
+    np.testing.assert_allclose(mean_pool_time(Tensor(x), rows).data, want, rtol=0, atol=1e-14)
 
 
 def test_mean_pool_time_batch_and_errors():
-    x = np.arange(12.0).reshape(2, 3, 2)
-    mask = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
-    out = mean_pool_time(Tensor(x), mask)
-    np.testing.assert_allclose(out.data, [x[0].mean(axis=0), x[1, 0]], atol=1e-15)
+    x = np.arange(8.0).reshape(4, 2)
+    out = mean_pool_time(Tensor(x), RowLayout([3, 1]))
+    np.testing.assert_array_equal(out.data, [x[:3].mean(axis=0), x[3]])
     with pytest.raises(ShapeError):
-        mean_pool_time(Tensor(x), mask[:, :2])
-    with pytest.raises(ShapeError, match="no valid step"):
-        mean_pool_time(Tensor(x), np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+        mean_pool_time(Tensor(x), RowLayout([3, 2]))
+    with pytest.raises(ShapeError, match="lengths >= 1"):
+        RowLayout([4, 0])
 
 
 def test_margin_hinge_rejects_bad_shapes():
@@ -232,12 +315,10 @@ def test_fused_ops_match_their_numpy_chains():
     y = rng.standard_normal((2, 5, 4))
     w1, b1 = rng.standard_normal((4, 6)), rng.standard_normal(6)
     w2, b2 = rng.standard_normal((6, 3)), rng.standard_normal(3)
-    mask = np.array([[1.0, 1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0, 1.0]])
     fused = two_layer(Tensor(x), Tensor(w1), Tensor(b1), Tensor(w2), Tensor(b2)).data
     np.testing.assert_array_equal(fused, np.maximum(x @ w1 + b1, 0.0) @ w2 + b2)
-    masked = (x - y) * mask[..., None]
-    np.testing.assert_array_equal(masked_sq_distance(Tensor(x), Tensor(y), mask).data,
-                                  (masked * masked).sum())
+    np.testing.assert_array_equal(sq_distance(Tensor(x), Tensor(y)).data,
+                                  ((x - y) * (x - y)).sum())
     eps = 1e-12
     nx = np.sqrt(np.maximum((x * x).sum(axis=-1), eps * eps))
     ny = np.sqrt(np.maximum((y * y).sum(axis=-1), eps * eps))
@@ -245,9 +326,9 @@ def test_fused_ops_match_their_numpy_chains():
                                   (x * y).sum(axis=-1) / np.maximum(nx * ny, eps))
     norms = np.sqrt(np.maximum((x * x).sum(axis=-1, keepdims=True), 1e-24))
     np.testing.assert_array_equal(l2_normalize(Tensor(x)).data, x / norms)
-    weights = mask / mask.sum(axis=-1, keepdims=True)
-    np.testing.assert_array_equal(mean_pool_time(Tensor(x), mask).data,
-                                  (weights[:, None, :] @ x)[:, 0])
+    rows, packed_x = RowLayout([3, 7]), x.reshape(10, 4)
+    np.testing.assert_array_equal(mean_pool_time(Tensor(packed_x), rows).data,
+                                  np.add.reduceat(packed_x, [0, 3], axis=0) / [[3], [7]])
 
 
 def test_fused_op_shape_errors():
@@ -256,9 +337,9 @@ def test_fused_op_shape_errors():
         two_layer(x, Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)),
                   Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))
     with pytest.raises(ShapeError):
-        masked_sq_distance(x, Tensor(np.zeros((2, 3, 5))), np.ones((2, 3)))
+        sq_distance(x, Tensor(np.zeros((2, 3, 5))))
     with pytest.raises(ShapeError):
-        masked_sq_distance(x, x, np.ones((2, 4)))
+        mean_pool_time(x, RowLayout([1, 2]))
     with pytest.raises(ShapeError):
         l2_normalize(Tensor(3.0))
 
@@ -277,25 +358,54 @@ def test_affine_matches_matmul_plus_bias():
 
 
 def test_attention_shape_errors():
-    q, kv = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 5, 4)))
+    q, kv = Tensor(np.zeros((3, 4))), Tensor(np.zeros((5, 4)))
+    q_rows, kv_rows = RowLayout([2, 1]), RowLayout([3, 2])
+    attention(q, kv, kv, 2, q_rows, kv_rows)
     with pytest.raises(ShapeError):
-        attention(q, kv, kv, 2, np.zeros((2, 4)))  # bias misses a key
+        attention(q, kv, kv, 2, q_rows, RowLayout([3, 1]))  # the layout misses a key
     with pytest.raises(ShapeError):
-        attention(q, kv, Tensor(np.zeros((2, 4, 4))), 2, np.zeros((2, 5)))
+        attention(q, kv, kv, 2, q_rows, RowLayout([5]))  # another batch
+    with pytest.raises(ShapeError):
+        attention(q, kv, Tensor(np.zeros((4, 4))), 2, q_rows, kv_rows)
+
+
+@given(heads=st.sampled_from([1, 2, 4]), q_lengths=st.lists(st.integers(1, 5), min_size=1,
+                                                             max_size=4),
+       data=st.data(), seed=st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_packed_attention_matches_padded_attention(heads, q_lengths, data, seed):
+    # real rows equal the padded computation, and every key past its
+    # sequence's end gets weight exactly 0
+    k_lengths = data.draw(st.lists(st.integers(1, 5), min_size=len(q_lengths),
+                                   max_size=len(q_lengths)))
+    rng = np.random.default_rng(seed)
+    q_rows, k_rows = RowLayout(q_lengths), RowLayout(k_lengths)
+    d = 2 * heads
+    q = rng.standard_normal((q_rows.size, d))
+    k = rng.standard_normal((k_rows.size, d)) * 10.0
+    v = rng.standard_normal((k_rows.size, d))
+    out, maps = attention(Tensor(q), Tensor(k), Tensor(v), heads, q_rows, k_rows)
+    want_out, want_maps = padded_attention(padded(q, q_rows), padded(k, k_rows),
+                                           padded(v, k_rows), heads, k_lengths)
+    np.testing.assert_allclose(out.data, want_out[q_rows.seq, q_rows.pos], rtol=0, atol=1e-12)
+    for b, (t_q, t_k) in enumerate(zip(q_lengths, k_lengths)):
+        np.testing.assert_allclose(maps[b, :, :t_q, :t_k], want_maps[b, :, :t_q, :t_k],
+                                   rtol=0, atol=1e-12)
+        assert np.all(maps[b, :, :, t_k:] == 0.0)
 
 
 def test_conv1d_batch_matches_sequences_alone():
-    # a zero-padded shorter sequence keeps its same-padding result on its
-    # valid rows
+    # each packed sequence keeps its own same-padding result: no tap reads
+    # a neighbouring sequence's rows
     rng = np.random.default_rng(4)
     k = Tensor(rng.standard_normal((3, 2, 3)))
     b = Tensor(rng.standard_normal(3))
     short, long = rng.standard_normal((2, 2)), rng.standard_normal((5, 2))
-    padded = np.zeros((2, 5, 2))
-    padded[0, :2], padded[1] = short, long
-    out = conv1d(Tensor(padded), k, b)
-    np.testing.assert_allclose(out.data[0, :2], conv1d(Tensor(short), k, b).data, atol=1e-15)
-    np.testing.assert_allclose(out.data[1], conv1d(Tensor(long), k, b).data, atol=1e-15)
+    out = conv1d(Tensor(np.vstack([short, long])), k, b, RowLayout([2, 5]))
+    np.testing.assert_allclose(out.data[:2], conv1d(Tensor(short), k, b, one(2)).data,
+                               atol=1e-15)
+    np.testing.assert_allclose(out.data[2:], conv1d(Tensor(long), k, b, one(5)).data,
+                               atol=1e-15)
 
 
 # ---- backward: finite differences on every differentiable op ----
@@ -314,22 +424,23 @@ def test_gradients_match_finite_differences(seed):
     out_w = Tensor(rng.standard_normal((2, 3, 2)))
     conv_k = make(rng, 3, 4, 2)
     bias = make(rng, 2)
-    keys = make(rng, 2, 5, 4)
-    values = make(rng, 2, 5, 4)
-    mix_w = Tensor(rng.standard_normal((2, 3, 4)))
-    key_bias = np.zeros((2, 5))
-    key_bias[1, 3:] = -1e30  # the second sequence has two padded keys
+    # packed sequences of 3, 1 and 2 steps (both conv taps of the single
+    # step read padding), and keys of 2, 3 and 1
+    rows, key_rows = RowLayout([3, 1, 2]), RowLayout([2, 3, 1])
+    packed = make(rng, 6, 4)
+    packed_c = make(rng, 6, 4)
+    packed_w = Tensor(rng.standard_normal((6, 2)))
+    keys = make(rng, 6, 4)
+    values = make(rng, 6, 4)
+    mix_w = Tensor(rng.standard_normal((6, 4)))
+    pool_w = Tensor(rng.standard_normal((3, 4)))
     cos = make(rng, 6, 6)
-    batch_c = make(rng, 2, 3, 4)
-    pad_mask = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])  # the second sequence is padded
-    conv_wide = make(rng, 5, 4, 2)  # wider than the 3 steps, so some taps read only padding
     hidden_w = make(rng, 2, 3)
     hidden_b = make(rng, 3)
     out_3 = Tensor(rng.standard_normal((2, 3, 3)))
     zero_row = Tensor(np.vstack([np.zeros(4), rng.standard_normal((2, 4))]))
     w_rows = Tensor(rng.standard_normal(3))
     mods, classes = np.tile(np.arange(3), 2), np.repeat([0, 1], 3)
-    rows = make(rng, 6, 4)
 
     cases = {
         "add": (lambda: tsum(a + b), {"a": a, "b": b}),
@@ -344,32 +455,35 @@ def test_gradients_match_finite_differences(seed):
         "concat": (lambda: tsum(mul_concat()), {"a": a, "b": b}),
         "gram": (lambda: tsum(gram(a) * out_3.data[0]), {"a": a}),
         "gram_wide": (lambda: tsum(gram(c) * cos.data[:4, :4]), {"c": c}),
-        "gram_margin": (lambda: margin_hinge(gram(l2_normalize(rows)), mods, classes,
-                                             0.5)[0], {"rows": rows}),
+        "gram_margin": (lambda: margin_hinge(gram(l2_normalize(packed)), mods, classes,
+                                             0.5)[0], {"packed": packed}),
         "cosine": (lambda: cosine(v, w), {"v": v, "w": w}),
         "cosine_zero_row": (lambda: tsum(cosine(zero_row, b) * w_rows), {"b": b}),
         "l2_normalize": (lambda: tsum(l2_normalize(a) * b), {"a": a, "b": b}),
-        "masked_sq_distance": (lambda: masked_sq_distance(batch, batch_c, pad_mask) * 0.5,
-                               {"batch": batch, "batch_c": batch_c}),
+        "sq_distance": (lambda: sq_distance(packed, packed_c) * 0.5,
+                        {"packed": packed, "packed_c": packed_c}),
         "two_layer": (lambda: tsum(two_layer(a, c, bias, hidden_w, hidden_b) * out_3),
                       {"a": a, "c": c, "bias": bias, "hidden_w": hidden_w, "hidden_b": hidden_b}),
         "two_layer_3d": (lambda: tsum(two_layer(batch, c, bias, hidden_w, hidden_b) * out_3),
                          {"batch": batch, "c": c, "bias": bias, "hidden_w": hidden_w,
                           "hidden_b": hidden_b}),
-        "mean_pool": (lambda: tsum(mean_pool_time(a, np.ones(3)) * row), {"a": a, "row": row}),
+        "mean_pool": (lambda: tsum(mean_pool_time(a, one(3)) * row), {"a": a, "row": row}),
+        "mean_pool_packed": (lambda: tsum(mean_pool_time(packed, rows) * pool_w),
+                             {"packed": packed}),
         "cosine_rows": (lambda: tsum(cosine(a, b)), {"a": a, "b": b}),
-        "conv1d_batch": (lambda: tsum(conv1d(batch, conv_k, bias) * 0.5),
-                         {"batch": batch, "conv_k": conv_k, "bias": bias}),
-        "conv1d_wide_bias": (lambda: tsum(conv1d(batch, conv_wide, bias) * out_w),
-                             {"batch": batch, "conv_wide": conv_wide, "bias": bias}),
+        "conv1d_packed": (lambda: tsum(conv1d(packed, conv_k, bias, rows) * 0.5),
+                          {"packed": packed, "conv_k": conv_k, "bias": bias}),
+        "conv1d_weighted": (lambda: tsum(conv1d(packed, conv_k, bias, rows) * packed_w),
+                            {"packed": packed, "conv_k": conv_k, "bias": bias}),
         "affine": (lambda: tsum(affine(a, c) * out_w.data[0]), {"a": a, "c": c}),
         "affine_bias": (lambda: tsum(affine(a, c, bias) * out_w.data[1]),
                         {"a": a, "c": c, "bias": bias}),
         "affine_3d": (lambda: tsum(affine(batch, c) * out_w), {"batch": batch, "c": c}),
         "affine_3d_bias": (lambda: tsum(affine(batch, c, bias) * out_w),
                            {"batch": batch, "c": c, "bias": bias}),
-        "attention": (lambda: tsum(attention(batch, keys, values, 2, key_bias)[0] * mix_w),
-                      {"batch": batch, "keys": keys, "values": values}),
+        "attention": (lambda: tsum(attention(packed, keys, values, 2, rows, key_rows)[0]
+                                   * mix_w),
+                      {"packed": packed, "keys": keys, "values": values}),
         "margin_hinge": (lambda: margin_hinge(cos, mods, classes, 0.5)[0] * 3.0, {"cos": cos}),
     }
 
@@ -407,15 +521,17 @@ def test_conv1d_gradient_tight(seed):
     x = make(rng, 6, 3)
     k = make(rng, 3, 3, 2)
     b = make(rng, 2)
-    check_grads(lambda: tsum(conv1d(x, k, b) * 0.5), {"x": x, "k": k, "b": b}, tol=1e-6)
+    w = Tensor(rng.standard_normal((6, 2)))
+    for rows in (one(6), RowLayout([1, 2, 3]), RowLayout([2, 1, 1, 2])):
+        check_grads(lambda: tsum(conv1d(x, k, b, rows) * w), {"x": x, "k": k, "b": b}, tol=1e-6)
 
 
 def test_masked_pool_gradient():
+    # the segment mean of sequences of unequal length
     rng = np.random.default_rng(7)
-    x = make(rng, 2, 5, 3)
-    mask = np.array([[1.0, 1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0, 1.0]])
+    x = make(rng, 8, 3)
     w = Tensor(rng.standard_normal((2, 3)))
-    check_grads(lambda: tsum(mean_pool_time(x, mask) * w), {"x": x}, tol=1e-6)
+    check_grads(lambda: tsum(mean_pool_time(x, RowLayout([3, 5])) * w), {"x": x}, tol=1e-6)
 
 
 # ---- graph semantics ----
