@@ -60,11 +60,19 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], TrainConfi
         raise DataError(f"checkpoint {path} is corrupt or truncated: {exc}") from exc
     if meta is None:
         raise DataError(f"checkpoint {path} has no metadata block")
+    if not isinstance(meta, dict):
+        raise DataError(f"checkpoint {path}: metadata must be a JSON object")
     version = meta.get("format_version")
     if version != FORMAT_VERSION:
         raise DataError(f"checkpoint {path}: unsupported format version {version}")
+    for key in ("config", "extra"):
+        if not isinstance(meta.get(key), dict):
+            raise DataError(f"checkpoint {path}: metadata {key!r} must be a JSON object")
     params = {key[len(_PARAM_PREFIX):]: value
               for key, value in arrays.items() if key.startswith(_PARAM_PREFIX)}
+    for name, value in params.items():
+        if value.dtype != np.float64:  # the only dtype save_checkpoint writes
+            raise DataError(f"checkpoint {path}: parameter {name} is {value.dtype}, not float64")
     stored = {k: v for k, v in meta["config"].items() if k not in RETIRED_CONFIG_KEYS}
     types = field_types()
     for key in sorted(stored):
@@ -81,4 +89,4 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], TrainConfi
         config.validate()
     except ConfigError as exc:
         raise DataError(f"checkpoint {path}: {exc}") from exc
-    return params, config, meta.get("extra", {})
+    return params, config, meta["extra"]

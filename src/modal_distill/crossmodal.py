@@ -26,19 +26,13 @@ DIRECTED_PAIRS = tuple((src, tgt) for tgt in MODALITIES for src in MODALITIES
 class CrossmodalPair:
     """One src -> tgt multi-head attention layer."""
 
-    def __init__(self, rng: np.random.Generator, d: int, heads: int):
+    def __init__(self, rng: np.random.Generator, params: dict[str, Tensor], name: str,
+                 d: int, heads: int):
         self.heads = heads
-        self.proj_q = Linear(rng, d, d, bias=False)
-        self.proj_k = Linear(rng, d, d, bias=False)
-        self.proj_v = Linear(rng, d, d, bias=False)
-        self.proj_out = Linear(rng, d, d)
-
-    def parameters(self, prefix: str) -> dict[str, Tensor]:
-        out = self.proj_q.parameters(f"{prefix}.q")
-        out.update(self.proj_k.parameters(f"{prefix}.k"))
-        out.update(self.proj_v.parameters(f"{prefix}.v"))
-        out.update(self.proj_out.parameters(f"{prefix}.out"))
-        return out
+        self.proj_q = Linear(rng, params, f"{name}.q", d, d, bias=False)
+        self.proj_k = Linear(rng, params, f"{name}.k", d, d, bias=False)
+        self.proj_v = Linear(rng, params, f"{name}.v", d, d, bias=False)
+        self.proj_out = Linear(rng, params, f"{name}.out", d, d)
 
     def forward(self, src: Tensor, tgt: Tensor, src_rows: RowLayout,
                 tgt_rows: RowLayout) -> tuple[Tensor, np.ndarray]:
@@ -62,14 +56,11 @@ def incoming_sources(target: Modality) -> tuple[Modality, ...]:
 class CrossmodalReinforcer:
     """The six directed attention layers plus the concatenating combiner."""
 
-    def __init__(self, rng: np.random.Generator, d: int, heads: int = 4):
-        self.layers = {pair: CrossmodalPair(rng, d, heads) for pair in DIRECTED_PAIRS}
-
-    def parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for (src, tgt), layer in self.layers.items():
-            out.update(layer.parameters(f"ca.{src.tag}_to_{tgt.tag}.0"))
-        return out
+    def __init__(self, rng: np.random.Generator, params: dict[str, Tensor], name: str,
+                 d: int, heads: int = 4):
+        self.layers = {
+            (src, tgt): CrossmodalPair(rng, params, f"{name}.{src.tag}_to_{tgt.tag}.0", d, heads)
+            for src, tgt in DIRECTED_PAIRS}
 
     def reinforce(self, hetero: dict[Modality, Tensor],
                   rows: dict[Modality, RowLayout]) -> dict[Modality, Tensor]:

@@ -47,13 +47,6 @@ RAW_DIMS = {Modality.LANGUAGE: 300, Modality.VISION: 35, Modality.AUDIO: 74}
 
 
 @dataclass
-class Latents:
-    """Generator-side record of the shared latent behind one sample's label."""
-
-    z_shared: np.ndarray
-
-
-@dataclass
 class Sample:
     """One sample: a time-major ``[T_m, d_m]`` feature array per modality
     (lengths may differ across modalities), its label, and, for generated
@@ -63,7 +56,7 @@ class Sample:
     id: str
     features: dict[Modality, np.ndarray]
     label: float
-    latents: Latents | None = None
+    z_shared: np.ndarray | None = None
 
 
 def _by_modality(l, v, a) -> dict:
@@ -247,7 +240,7 @@ def generate(n: int, seed: int, config: SyntheticConfig | None = None) -> list[S
             features=features,
             # rounding in the projection can put an end label just past +-3
             label=float(np.clip(label, LABEL_MIN, LABEL_MAX)),
-            latents=Latents(z_shared=z_c),
+            z_shared=z_c,
         ))
     return samples
 
@@ -624,7 +617,7 @@ def align_sample(sample: Sample) -> Sample:
     target = sorted(f.shape[0] for f in sample.features.values())[1]
     features = {m: resample_to_length(f, target) for m, f in sample.features.items()}
     return Sample(id=sample.id, features=features, label=sample.label,
-                  latents=sample.latents)
+                  z_shared=sample.z_shared)
 
 
 def make_batch(samples: list[Sample], mode: str = "unaligned") -> Batch:

@@ -12,7 +12,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .data import MODALITIES, Modality
-from .layers import TwoLayer, xavier_uniform
+from .layers import TwoLayer, param, xavier_uniform
 from .tensor import (
     RowLayout,
     Tensor,
@@ -52,28 +52,21 @@ class Decoupler:
     which read across steps, also take the batch's ``RowLayout``.
     """
 
-    def __init__(self, rng: np.random.Generator, raw_dims: dict[Modality, int], d: int):
+    def __init__(self, rng: np.random.Generator, params: dict[str, Tensor],
+                 raw_dims: dict[Modality, int], d: int):
         self.shallow_kernel = {}
         self.shallow_bias = {}
         for m in MODALITIES:
             d_raw = raw_dims[m]
             k = xavier_uniform(rng, CONV_WIDTH * d_raw, d, shape=(CONV_WIDTH, d_raw, d))
-            self.shallow_kernel[m] = Tensor(k, requires_grad=True)
+            self.shallow_kernel[m] = param(params, f"shallow.{m.tag}.kernel", k)
             b = rng.uniform(-1.0, 1.0, size=d) / np.sqrt(CONV_WIDTH * d_raw)
-            self.shallow_bias[m] = Tensor(b, requires_grad=True)
-        self.shared_encoder = TwoLayer(rng, d, 2 * d, d)
-        self.private_encoders = {m: TwoLayer(rng, d, 2 * d, d) for m in MODALITIES}
-        self.decoders = {m: TwoLayer(rng, 2 * d, d, d) for m in MODALITIES}
-
-    def parameters(self) -> dict[str, Tensor]:
-        params: dict[str, Tensor] = {}
-        for m in MODALITIES:
-            params[f"shallow.{m.tag}.kernel"] = self.shallow_kernel[m]
-            params[f"shallow.{m.tag}.bias"] = self.shallow_bias[m]
-            params.update(self.private_encoders[m].parameters(f"private_encoder.{m.tag}"))
-            params.update(self.decoders[m].parameters(f"decoder.{m.tag}"))
-        params.update(self.shared_encoder.parameters("shared_encoder"))
-        return params
+            self.shallow_bias[m] = param(params, f"shallow.{m.tag}.bias", b)
+        self.shared_encoder = TwoLayer(rng, params, "shared_encoder", d, 2 * d, d)
+        self.private_encoders = {m: TwoLayer(rng, params, f"private_encoder.{m.tag}", d, 2 * d, d)
+                                 for m in MODALITIES}
+        self.decoders = {m: TwoLayer(rng, params, f"decoder.{m.tag}", 2 * d, d, d)
+                         for m in MODALITIES}
 
     def shallow_encode(self, features: Tensor, modality: Modality, rows: RowLayout) -> Tensor:
         """Project packed raw [N, d_raw] sequences into the common dim via

@@ -35,18 +35,12 @@ def bin7(score):
 class FusionHead:
     """Six gated streams -> concatenation -> two-layer regression head."""
 
-    def __init__(self, rng: np.random.Generator, d: int):
-        self.homo_gates = {m: Linear(rng, d, 1) for m in MODALITIES}
-        self.hetero_gates = {m: Linear(rng, 2 * d, 1) for m in MODALITIES}
-        self.head = TwoLayer(rng, 9 * d, d, 1)
-
-    def parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for m in MODALITIES:
-            out.update(self.homo_gates[m].parameters(f"fusion.gate_homo.{m.tag}"))
-            out.update(self.hetero_gates[m].parameters(f"fusion.gate_hetero.{m.tag}"))
-        out.update(self.head.parameters("fusion.head"))
-        return out
+    def __init__(self, rng: np.random.Generator, params: dict[str, Tensor], name: str, d: int):
+        self.homo_gates = {m: Linear(rng, params, f"{name}.gate_homo.{m.tag}", d, 1)
+                           for m in MODALITIES}
+        self.hetero_gates = {m: Linear(rng, params, f"{name}.gate_hetero.{m.tag}", 2 * d, 1)
+                             for m in MODALITIES}
+        self.head = TwoLayer(rng, params, f"{name}.head", 9 * d, d, 1)
 
     def _gated(self, stream: Tensor, gate: Linear) -> Tensor:
         return mul(stream, sigmoid(gate(stream)))

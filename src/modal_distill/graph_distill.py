@@ -94,16 +94,13 @@ class BatchDistill:
 class GDUnit:
     """One graph-distillation unit with its own logit head and edge gate."""
 
-    def __init__(self, rng: np.random.Generator, d_in: int, edge_mode: str = "squared"):
+    def __init__(self, rng: np.random.Generator, params: dict[str, Tensor], name: str,
+                 d_in: int, edge_mode: str = "squared"):
         self.edge_mode = edge_mode
-        self.logit_head = Linear(rng, d_in, 1)
+        self.logit_head = Linear(rng, params, f"{name}.logit_head", d_in, 1)
         # zero init makes untrained edges tie at weight 0.5 per target
-        self.edge_scorer = Linear(rng, 2 * (d_in + 1), 1, zero_init=True)
-
-    def parameters(self, prefix: str) -> dict[str, Tensor]:
-        out = self.logit_head.parameters(f"{prefix}.logit_head")
-        out.update(self.edge_scorer.parameters(f"{prefix}.edge_scorer"))
-        return out
+        self.edge_scorer = Linear(rng, params, f"{name}.edge_scorer", 2 * (d_in + 1), 1,
+                                  zero_init=True)
 
     def distill_batch(self, pooled: dict[Modality, Tensor],
                       frozen: FrozenGraph | None = None) -> BatchDistill:

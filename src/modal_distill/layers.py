@@ -1,7 +1,8 @@
 """Small parametric building blocks shared by all model components.
 
-Each component lists its parameters as a dict of name -> Tensor, and a
-``ParamTable`` holds a whole model's.  Initialization draws from a
+Each component registers every trainable tensor with ``param`` where it
+draws it, into a name -> Tensor dict the caller owns; a ``ParamTable`` lays
+a whole model's out in that draw order.  Initialization draws from a
 caller-supplied Generator; nothing in this module touches global RNG state.
 """
 
@@ -11,6 +12,12 @@ import numpy as np
 
 from .errors import DataError
 from .tensor import Tensor, affine, two_layer
+
+
+def param(params: dict[str, Tensor], name: str, data: np.ndarray) -> Tensor:
+    """A trainable tensor over ``data``, recorded in ``params`` as ``name``."""
+    params[name] = Tensor(data, requires_grad=True)
+    return params[name]
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
@@ -23,8 +30,8 @@ class Linear:
     """Affine map acting on the last axis of a ``[..., d_in]`` tensor, run as
     one autodiff node."""
 
-    def __init__(self, rng: np.random.Generator, d_in: int, d_out: int,
-                 bias: bool = True, zero_init: bool = False):
+    def __init__(self, rng: np.random.Generator, params: dict[str, Tensor], name: str,
+                 d_in: int, d_out: int, bias: bool = True, zero_init: bool = False):
         if zero_init:
             w = np.zeros((d_in, d_out))
             b = np.zeros(d_out)
@@ -33,35 +40,25 @@ class Linear:
             # nonzero bias init keeps relu pre-activations off exact kinks,
             # which finite-difference checks cannot straddle
             b = rng.uniform(-1.0, 1.0, size=d_out) / np.sqrt(d_in)
-        self.weight = Tensor(w, requires_grad=True)
-        self.bias = Tensor(b, requires_grad=True) if bias else None
+        self.weight = param(params, f"{name}.weight", w)
+        self.bias = param(params, f"{name}.bias", b) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
         return affine(x, self.weight, self.bias)
-
-    def parameters(self, prefix: str) -> dict[str, Tensor]:
-        params = {f"{prefix}.weight": self.weight}
-        if self.bias is not None:
-            params[f"{prefix}.bias"] = self.bias
-        return params
 
 
 class TwoLayer:
     """Linear -> ReLU -> Linear, the default shape for every small head, run
     as one autodiff node."""
 
-    def __init__(self, rng: np.random.Generator, d_in: int, d_hidden: int, d_out: int):
-        self.first = Linear(rng, d_in, d_hidden)
-        self.second = Linear(rng, d_hidden, d_out)
+    def __init__(self, rng: np.random.Generator, params: dict[str, Tensor], name: str,
+                 d_in: int, d_hidden: int, d_out: int):
+        self.first = Linear(rng, params, f"{name}.first", d_in, d_hidden)
+        self.second = Linear(rng, params, f"{name}.second", d_hidden, d_out)
 
     def __call__(self, x: Tensor) -> Tensor:
         return two_layer(x, self.first.weight, self.first.bias,
                          self.second.weight, self.second.bias)
-
-    def parameters(self, prefix: str) -> dict[str, Tensor]:
-        out = self.first.parameters(f"{prefix}.first")
-        out.update(self.second.parameters(f"{prefix}.second"))
-        return out
 
 
 class ParamTable:

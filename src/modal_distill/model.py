@@ -13,7 +13,10 @@ Ablation toggles change which pathway feeds each fusion slot:
   are zero and the model reduces to shared features plus decoupling.
 
 Every component is always constructed, whatever the toggles, so parameter
-names and checkpoint layout never depend on the ablation.
+names and checkpoint layout never depend on the ablation.  Components
+register each parameter where they draw it (``layers.param``), so the table
+holds each group as one run, in draw order: shallow | shared_encoder |
+private_encoder | decoder | gd_homo | gd_hetero | ca | fusion.
 
 The forward pass runs every stage once per batch, so the graph's size
 depends on the model's depth, not on ``B``.  A ``Batch`` carries each
@@ -85,15 +88,13 @@ class Model:
         self.config = config
         self.raw_dims = dict(raw_dims) if raw_dims is not None else dict(RAW_DIMS)
         rng = np.random.default_rng(config.seed)
-        self.decoupler = Decoupler(rng, self.raw_dims, config.d)
-        self.homo_gd = GDUnit(rng, config.d, config.edge_mode)
-        self.hetero_gd = GDUnit(rng, 2 * config.d, config.edge_mode)
-        self.reinforcer = CrossmodalReinforcer(rng, config.d, config.heads)
-        self.fusion = FusionHead(rng, config.d)
-        self.table = ParamTable({
-            **self.decoupler.parameters(), **self.homo_gd.parameters("gd_homo"),
-            **self.hetero_gd.parameters("gd_hetero"), **self.reinforcer.parameters(),
-            **self.fusion.parameters()})
+        params: dict[str, Tensor] = {}
+        self.decoupler = Decoupler(rng, params, self.raw_dims, config.d)
+        self.homo_gd = GDUnit(rng, params, "gd_homo", config.d, config.edge_mode)
+        self.hetero_gd = GDUnit(rng, params, "gd_hetero", 2 * config.d, config.edge_mode)
+        self.reinforcer = CrossmodalReinforcer(rng, params, "ca", config.d, config.heads)
+        self.fusion = FusionHead(rng, params, "fusion", config.d)
+        self.table = ParamTable(params)
 
     def parameters(self) -> dict[str, Tensor]:
         return self.table.tensors

@@ -72,7 +72,7 @@ def test_criterion_2_distillation_invariants():
     ok = True
     for draw in range(100):
         d_in = int(rng.integers(2, 7))
-        unit = GDUnit(rng, d_in)
+        unit = GDUnit(rng, {}, "gd", d_in)
         unit.edge_scorer.weight.data[:] = rng.standard_normal(
             unit.edge_scorer.weight.shape)
         unit.edge_scorer.bias.data[:] = rng.standard_normal(
@@ -134,7 +134,7 @@ def test_criterion_3_margin_oracle():
 def test_criterion_4_identity_autoencoder():
     rng = np.random.default_rng(3)
     d = 6
-    dec = Decoupler(rng, raw_dims={m: 5 for m in MODALITIES}, d=d)
+    dec = Decoupler(rng, {}, raw_dims={m: 5 for m in MODALITIES}, d=d)
     set_identity_two_layer(dec.shared_encoder)
     for m in MODALITIES:
         set_identity_two_layer(dec.private_encoders[m])

@@ -22,8 +22,10 @@ from conftest import check_grads
 L, V, A = Modality.LANGUAGE, Modality.VISION, Modality.AUDIO
 
 
-def make_pair(d=8, heads=4, seed=0):
-    return CrossmodalPair(np.random.default_rng(seed), d, heads)
+def make_pair(d=8, heads=4, seed=0, params=None):
+    """A layer drawn from ``seed``, registering its parameters in ``params``."""
+    return CrossmodalPair(np.random.default_rng(seed), {} if params is None else params,
+                          "ca", d, heads)
 
 
 def rand(shape, seed=0):
@@ -162,20 +164,21 @@ def test_dim_and_mask_mismatch_errors():
 
 
 def test_attention_gradcheck():
-    pair = make_pair(d=4, heads=2, seed=12)
+    params = {}
+    pair = make_pair(d=4, heads=2, seed=12, params=params)
     rng = np.random.default_rng(13)
     src = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
     tgt = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     weight = Tensor(rng.standard_normal((3, 4)))
     # the second source is shorter, the first target shorter still
     src_rows, tgt_rows = RowLayout([3, 2]), RowLayout([1, 2])
-    leaves = {"src": src, "tgt": tgt, **pair.parameters("ca")}
+    leaves = {"src": src, "tgt": tgt, **params}
     check_grads(lambda: tsum(pair(src, tgt, src_rows, tgt_rows) * weight), leaves, tol=1e-5)
 
 
 def test_reinforce_shapes_and_source_order():
     d = 8
-    reinf = CrossmodalReinforcer(np.random.default_rng(20), d, heads=4)
+    reinf = CrossmodalReinforcer(np.random.default_rng(20), {}, "ca", d, heads=4)
     hetero = {L: rand((6, d), 1), V: rand((4, d), 2), A: rand((9, d), 3)}
     out = reinf.reinforce(hetero, {m: one(hetero[m]) for m in MODALITIES})
     assert out[L].shape == (6, 2 * d)
@@ -189,8 +192,8 @@ def test_reinforce_shapes_and_source_order():
 def test_reinforce_deterministic_under_seed():
     hetero = {m: rand((3, 8), i) for i, m in enumerate(MODALITIES)}
     rows = {m: one(hetero[m]) for m in MODALITIES}
-    a = CrossmodalReinforcer(np.random.default_rng(7), 8).reinforce(hetero, rows)
-    b = CrossmodalReinforcer(np.random.default_rng(7), 8).reinforce(hetero, rows)
+    a = CrossmodalReinforcer(np.random.default_rng(7), {}, "ca", 8).reinforce(hetero, rows)
+    b = CrossmodalReinforcer(np.random.default_rng(7), {}, "ca", 8).reinforce(hetero, rows)
     for m in MODALITIES:
         np.testing.assert_array_equal(a[m].data, b[m].data)
 

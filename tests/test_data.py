@@ -54,7 +54,7 @@ def test_generate_deterministic():
         for m in MODALITIES:
             np.testing.assert_array_equal(sa.features[m],
                                           sb.features[m])
-        np.testing.assert_array_equal(sa.latents.z_shared, sb.latents.z_shared)
+        np.testing.assert_array_equal(sa.z_shared, sb.z_shared)
 
 
 def small_world():
@@ -76,7 +76,7 @@ def _fingerprint(samples) -> str:
             features = s.features[m]
             h.update(repr(features.shape).encode())
             h.update(np.ascontiguousarray(features).tobytes())
-        h.update(s.latents.z_shared.tobytes())
+        h.update(s.z_shared.tobytes())
     return h.hexdigest()
 
 
@@ -100,7 +100,7 @@ def test_generate_label_deterministic_in_shared_latent():
     cfg = small_config()
     maps = build_maps(cfg)
     for s in generate(50, seed=5, config=cfg):
-        assert s.label == pytest.approx(label_from_latent(maps, s.latents.z_shared), abs=1e-12)
+        assert s.label == pytest.approx(label_from_latent(maps, s.z_shared), abs=1e-12)
 
 
 def test_linear_regressor_on_shared_latent_recovers_label():
@@ -108,11 +108,11 @@ def test_linear_regressor_on_shared_latent_recovers_label():
     cfg = small_config()
     train = generate(400, seed=21, config=cfg)
     test = generate(200, seed=22, config=cfg)
-    xtr = np.stack([s.latents.z_shared for s in train])
+    xtr = np.stack([s.z_shared for s in train])
     ytr = np.array([s.label for s in train])
     xtr1 = np.hstack([xtr, np.ones((len(train), 1))])
     coef, *_ = np.linalg.lstsq(xtr1, ytr, rcond=None)
-    xte1 = np.hstack([np.stack([s.latents.z_shared for s in test]),
+    xte1 = np.hstack([np.stack([s.z_shared for s in test]),
                       np.ones((len(test), 1))])
     mae = np.abs(xte1 @ coef - np.array([s.label for s in test])).mean()
     assert mae < 0.3
@@ -137,7 +137,7 @@ def test_phase_multiplies_shared_component():
     maps = build_maps(cfg)
     s = generate(1, seed=3, config=cfg)[0]
     for m in MODALITIES:
-        expected = 2.0 * shared_component(maps, m, s.latents.z_shared)
+        expected = 2.0 * shared_component(maps, m, s.z_shared)
         for row in s.features[m]:
             np.testing.assert_allclose(row, expected, rtol=0, atol=1e-15)
 
@@ -153,7 +153,7 @@ def test_phase_set_rows_are_scaled_copies():
     maps = build_maps(cfg)
     s = generate(1, seed=12, config=cfg)[0]
     for m in MODALITIES:
-        base = shared_component(maps, m, s.latents.z_shared)
+        base = shared_component(maps, m, s.z_shared)
         anchor = np.abs(base).argmax()
         for row in s.features[m]:
             mult = row[anchor] / base[anchor]
@@ -951,7 +951,7 @@ def test_resample_nearest_neighbor_properties():
 def test_align_sample_keeps_label_and_latents():
     s = generate(1, seed=30, config=small_config())[0]
     aligned = align_sample(s)
-    assert aligned.label == s.label and aligned.latents is s.latents
+    assert aligned.label == s.label and aligned.z_shared is s.z_shared
     assert len({f.shape[0] for f in aligned.features.values()}) == 1
 
 

@@ -34,8 +34,10 @@ L, V, A = Modality.LANGUAGE, Modality.VISION, Modality.AUDIO
 SMALL_RAW = {L: 6, V: 5, A: 4}
 
 
-def make_decoupler(d=4, seed=0):
-    return Decoupler(np.random.default_rng(seed), SMALL_RAW, d=d)
+def make_decoupler(d=4, seed=0, params=None):
+    """A decoupler drawn from ``seed``, registering its parameters in ``params``."""
+    return Decoupler(np.random.default_rng(seed), {} if params is None else params,
+                     SMALL_RAW, d=d)
 
 
 def one(x):
@@ -313,7 +315,8 @@ def test_loss_dec_weighted_sum():
 def test_decoupling_losses_gradcheck(seed):
     # a batch of two samples with different class bins so the margin set is
     # non-empty
-    dec = make_decoupler(d=3, seed=seed)
+    params = {}
+    dec = make_decoupler(d=3, seed=seed, params=params)
     rng = np.random.default_rng(1000 + seed)
     # each modality's two sequences have their own lengths, one of them a
     # single step
@@ -336,7 +339,7 @@ def test_decoupling_losses_gradcheck(seed):
         assert count > 0
         return loss_dec(total_rec, total_cyc, mar, loss_ort(pairs), gamma=0.1)
 
-    check_grads(build, dec.parameters(), tol=1e-5)
+    check_grads(build, params, tol=1e-5)
 
 
 def test_margin_gradcheck():

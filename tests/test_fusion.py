@@ -24,8 +24,10 @@ L, V, A = Modality.LANGUAGE, Modality.VISION, Modality.AUDIO
 D = 4
 
 
-def make_head(seed=0):
-    return FusionHead(np.random.default_rng(seed), D)
+def make_head(seed=0, params=None):
+    """A head drawn from ``seed``, registering its parameters in ``params``."""
+    return FusionHead(np.random.default_rng(seed), {} if params is None else params,
+                      "fusion", D)
 
 
 def streams(seed=0):
@@ -67,11 +69,11 @@ def test_fuse_rejects_wrong_stream_width():
 
 
 def test_fuse_and_head_gradcheck():
-    head = make_head(5)
+    leaves = {}
+    head = make_head(5, leaves)
     rng = np.random.default_rng(6)
     homo = {m: Tensor(rng.standard_normal((1, D)), requires_grad=True) for m in MODALITIES}
     hetero = {m: Tensor(rng.standard_normal((1, 2 * D)), requires_grad=True) for m in MODALITIES}
-    leaves = {**head.parameters()}
     for m in MODALITIES:
         leaves[f"homo.{m.tag}"] = homo[m]
         leaves[f"hetero.{m.tag}"] = hetero[m]

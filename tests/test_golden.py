@@ -37,7 +37,8 @@ RAW = {Modality.LANGUAGE: 6, Modality.VISION: 5, Modality.AUDIO: 4}
 
 def gd_case(edge_mode: str, b: int) -> dict:
     rng = np.random.default_rng(1000 + b)
-    unit = GDUnit(rng, D_IN, edge_mode)
+    params = {}
+    unit = GDUnit(rng, params, "gd", D_IN, edge_mode)
     unit.edge_scorer.weight.data[:] = rng.standard_normal(unit.edge_scorer.weight.shape)
     unit.edge_scorer.bias.data[:] = rng.standard_normal(1)
     raw = rng.standard_normal((b, len(MODALITIES), D_IN))
@@ -49,7 +50,7 @@ def gd_case(edge_mode: str, b: int) -> dict:
         "W": out.weights.tolist(),
         "E": out.discrepancies.tolist(),
         "logits": out.logits.data.tolist(),
-        "param_grads": {k: p.grad.tolist() for k, p in unit.parameters("gd").items()},
+        "param_grads": {k: p.grad.tolist() for k, p in params.items()},
         "feat_grads": [[feats[m].grad[s].tolist() for m in MODALITIES] for s in range(b)],
     }
 

@@ -20,8 +20,10 @@ MOD_INDEX = {m: i for i, m in enumerate(MODALITIES)}
 D_IN = 4
 
 
-def make_unit(seed=0, randomize_gate=False, **kw):
-    unit = GDUnit(np.random.default_rng(seed), D_IN, **kw)
+def make_unit(seed=0, randomize_gate=False, params=None, **kw):
+    """A unit drawn from ``seed``, registering its parameters in ``params``."""
+    unit = GDUnit(np.random.default_rng(seed), {} if params is None else params, "gd", D_IN,
+                  **kw)
     if randomize_gate:
         rng = np.random.default_rng(seed + 100)
         unit.edge_scorer.weight.data[:] = rng.standard_normal(unit.edge_scorer.weight.shape)
@@ -67,10 +69,12 @@ def test_logit_ones_weight_basis_input():
 
 
 def test_logit_gradcheck():
-    unit = make_unit(3)
+    params = {}
+    unit = make_unit(3, params=params)
     feats = random_feats(5)
     coef = Tensor(np.array([[0.3, -1.1, 0.8]]))
-    leaves = {**{m.tag: feats[m] for m in MODALITIES}, **unit.logit_head.parameters("f")}
+    leaves = {**{m.tag: feats[m] for m in MODALITIES},
+              **{k: p for k, p in params.items() if k.startswith("gd.logit_head.")}}
     check_grads(lambda: tsum(mul(single(unit, feats).logits, coef)), leaves, tol=1e-6)
 
 
@@ -229,7 +233,7 @@ def test_batch_loss_is_mean_of_samples():
 @settings(max_examples=40, deadline=None)
 def test_batch_matches_samples_scored_alone(b, seed, edge_mode):
     rng = np.random.default_rng(seed)
-    unit = GDUnit(rng, D_IN, edge_mode)
+    unit = GDUnit(rng, {}, "gd", D_IN, edge_mode)
     unit.edge_scorer.weight.data[:] = rng.standard_normal(unit.edge_scorer.weight.shape)
     unit.edge_scorer.bias.data[:] = rng.standard_normal(1)
     raw = rng.standard_normal((b, len(MODALITIES), D_IN))
@@ -259,10 +263,10 @@ def test_frozen_replay_reproduces_forward_exactly():
 def test_unit_gradcheck_frozen_replay(seed):
     # finite differences must run against the frozen-teacher function, the
     # function backprop actually differentiates
-    unit = make_unit(seed, randomize_gate=True)
+    params = {}
+    unit = make_unit(seed, randomize_gate=True, params=params)
     rng = np.random.default_rng(500 + seed)
     raw = rng.standard_normal((2, len(MODALITIES), D_IN))
-    params = unit.parameters("gd")
     feats_leaves = {m.tag: Tensor(raw[:, k].copy(), requires_grad=True)
                     for k, m in enumerate(MODALITIES)}
 

@@ -516,7 +516,12 @@ def test_checkpoint_accepts_int_for_float_field(tmp_path):
     assert cfg.lr == 1.0 and type(cfg.lr) is float
 
 
-def test_corrupt_or_truncated_checkpoint_exits_two(tmp_path):
+def _assert_one_data_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and len(err.splitlines()) == 1, err
+
+
+def test_corrupt_or_truncated_checkpoint_exits_two(tmp_path, capsys):
     path = tmp_path / "ck.npz"
     _eval_checkpoint(path)
     raw = path.read_bytes()
@@ -526,6 +531,35 @@ def test_corrupt_or_truncated_checkpoint_exits_two(tmp_path):
         with pytest.raises(DataError, match="corrupt or truncated"):
             load_checkpoint(bad)
         assert main(["eval", "--checkpoint", str(bad), "--synthetic", "4"]) == 2
+        _assert_one_data_error_line(capsys)
+
+
+@pytest.mark.parametrize("edit_meta,weight,match", [
+    (lambda meta: [1, 2], None, "metadata must be a JSON object"),
+    (lambda meta: "checkpoint", None, "metadata must be a JSON object"),
+    (lambda meta: {k: v for k, v in meta.items() if k != "config"}, None,
+     "'config' must be a JSON object"),
+    (lambda meta: {**meta, "config": []}, None, "'config' must be a JSON object"),
+    (lambda meta: {**meta, "extra": []}, None, "'extra' must be a JSON object"),
+    (lambda meta: meta, "x", "fusion.head.first.weight is <U1"),
+    (lambda meta: meta, 1 + 1j, "fusion.head.first.weight is complex128"),
+], ids=["meta_list", "meta_string", "no_config", "config_list", "extra_list",
+        "string_param", "complex_param"])
+def test_checkpoint_with_malformed_metadata_or_arrays_exits_two(tmp_path, capsys, edit_meta,
+                                                                weight, match):
+    path = tmp_path / "ck.npz"
+    _eval_checkpoint(path)
+    with np.load(path) as bundle:
+        arrays = {k: bundle[k] for k in bundle.files}
+    arrays["__meta__"] = np.array(json.dumps(edit_meta(json.loads(str(arrays["__meta__"])))))
+    if weight is not None:
+        name = "param/fusion.head.first.weight"
+        arrays[name] = np.full(arrays[name].shape, weight)
+    np.savez(path, **arrays)
+    with pytest.raises(DataError, match=match):
+        load_checkpoint(path)
+    assert main(["eval", "--checkpoint", str(path), "--synthetic", "4"]) == 2
+    _assert_one_data_error_line(capsys)
 
 
 def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):

@@ -2,7 +2,8 @@
 every public module-level function and class is referred to somewhere
 in the package or the benchmark outside its own definition, every
 attribute the package sets on ``self`` and every dataclass field is read
-somewhere by name, and only the command line writes to stderr."""
+somewhere by name, only ``Model`` lists parameters, and only the command
+line writes to stderr."""
 
 import ast
 from collections import Counter
@@ -21,10 +22,9 @@ KEPT = {("cli", "predict_scores")}
 # on purpose; empty while every one of them has a caller
 UNREFERENCED = set()
 
-# (class, field) dataclass fields that only tests read: the world-fingerprint
-# and label tests read a sample's shared latent, and criterion 8 compares two
-# runs' histories bit for bit
-TEST_ONLY_FIELDS = {("Latents", "z_shared"), ("TrainResult", "history")}
+# (class, field) dataclass fields that only tests read: criterion 8 compares
+# two runs' histories bit for bit
+TEST_ONLY_FIELDS = {("TrainResult", "history")}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -169,6 +169,32 @@ def test_every_dataclass_field_is_read():
     assert found - TEST_ONLY_FIELDS == set()
     # a field that something in src/ or bench/ now reads is a stale exception
     assert TEST_ONLY_FIELDS <= found
+
+
+def parameter_listings(modules: dict[str, str]) -> set[tuple[str, str]]:
+    """(module, class) of each class in ``modules`` (module name -> source)
+    that defines a ``parameters`` method."""
+    return {(module, cls.name) for module, source in modules.items()
+            for cls in ast.walk(ast.parse(source)) if isinstance(cls, ast.ClassDef)
+            and any(isinstance(stmt, ast.FunctionDef) and stmt.name == "parameters"
+                    for stmt in cls.body)}
+
+
+def test_parameter_listing_is_found():
+    modules = {
+        "a": "class Model:\n    def parameters(self):\n        pass\n\n"
+             "class Head:\n    def parameters(self, prefix):\n        pass\n\n"
+             "class Plain:\n    parameters = None\n\n    def params(self):\n        pass\n",
+    }
+    assert parameter_listings(modules) == {("a", "Model"), ("a", "Head")}
+
+
+def test_only_model_lists_parameters():
+    """Components register each parameter where they draw it; a listing
+    that mirrors the registrations is how the table's order and the names
+    drift apart."""
+    modules = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert parameter_listings(modules) == {("model", "Model")}
 
 
 def test_only_cli_writes_to_stderr():

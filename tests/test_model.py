@@ -1,11 +1,15 @@
 """Full-model tests: padding invariance, ablation toggles, loss accounting,
 parameter management, and the encoded streams."""
 
+import hashlib
+from itertools import groupby
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modal_distill.checkpoint import save_checkpoint
 from modal_distill.config import TrainConfig
 from modal_distill.data import (
     MODALITIES,
@@ -17,7 +21,7 @@ from modal_distill.data import (
 from modal_distill.errors import DataError
 from modal_distill.model import COMPONENT_NAMES, Model
 from modal_distill.tensor import Tensor, mean_pool_time
-from modal_distill.train import Adam
+from modal_distill.train import Adam, model_from_checkpoint, predict_scores
 
 from conftest import ReferenceAdam
 
@@ -337,6 +341,98 @@ def test_load_parameters_rejects_mismatch():
         model.table.load(arrays)
 
 
+# ---- the parameter table's layout ----
+
+GROUPS = ("shallow", "shared_encoder", "private_encoder", "decoder",
+          "gd_homo", "gd_hetero", "ca", "fusion")
+# sha256 of the default model's sorted "name shape" lines: a checkpoint
+# written by any earlier version loads only while this holds
+NAME_SHAPE_DIGEST = "3a17012171a31c1196a9a8eda22940521b8328516c427ab32d6ebed94df21076"
+
+
+def test_table_lays_each_group_out_as_one_contiguous_run():
+    table = Model(TrainConfig()).table
+    runs = [group for group, _ in groupby(name.split(".")[0] for name in table.tensors)]
+    assert runs == list(GROUPS)
+
+
+def test_parameter_names_and_shapes_are_pinned():
+    lines = sorted(f"{name} {tuple(t.data.shape)}"
+                   for name, t in Model(TrainConfig()).parameters().items())
+    assert len(lines) == 88
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == NAME_SHAPE_DIGEST
+
+
+def reachable_parameters(obj, seen=None) -> list[Tensor]:
+    """Every trainable tensor reachable from ``obj`` through the attributes
+    of package objects, and through dicts, lists and tuples."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, Tensor):
+        return [obj] if obj.requires_grad else []
+    if isinstance(obj, dict):
+        children = [*obj.keys(), *obj.values()]
+    elif isinstance(obj, (list, tuple)):
+        children = list(obj)
+    elif type(obj).__module__.startswith("modal_distill."):
+        children = list(vars(obj).values())
+    else:
+        return []
+    return [t for child in children for t in reachable_parameters(child, seen)]
+
+
+def component_parameters(model) -> list[Tensor]:
+    """What the model's components hold, the table aside."""
+    return reachable_parameters([v for k, v in vars(model).items() if k != "table"])
+
+
+def test_orphan_parameter_is_found():
+    model = Model(small_config(), dict(SMALL_RAW))
+    orphan = Tensor(np.zeros(2), requires_grad=True)
+    model.fusion.extra = {"gate": [orphan]}
+    assert any(t is orphan for t in component_parameters(model))
+
+
+def test_every_component_parameter_is_in_the_table():
+    model = Model(small_config(), dict(SMALL_RAW))
+    table_ids = {id(t) for t in model.table.tensors.values()}
+    found = component_parameters(model)
+    assert [t for t in found if id(t) not in table_ids] == []
+    assert {id(t) for t in found} == table_ids
+
+
+def interleaved(names) -> list[str]:
+    """``names`` in the order earlier versions stored them: per modality its
+    shallow conv, private encoder and decoder, then the shared encoder, both
+    GD units, the attention layers, each modality's two fusion gates and the
+    fusion head."""
+    prefixes = ([f"{p}.{m.tag}." for m in MODALITIES
+                 for p in ("shallow", "private_encoder", "decoder")]
+                + ["shared_encoder.", "gd_homo.", "gd_hetero.", "ca."]
+                + [f"fusion.gate_{s}.{m.tag}." for m in MODALITIES for s in ("homo", "hetero")]
+                + ["fusion.head."])
+    return sorted(names, key=lambda n: next(i for i, p in enumerate(prefixes)
+                                            if n.startswith(p)))
+
+
+def test_checkpoint_in_interleaved_member_order_loads_bit_equal(tmp_path):
+    model = Model(small_config(seed=5), dict(SMALL_RAW))
+    params = model.parameters()
+    order = interleaved(params)
+    assert sorted(order) == sorted(params) and order != list(params)
+    path = save_checkpoint(tmp_path / "ck.npz", {k: params[k] for k in order}, model.config,
+                           {"raw_dims": {m.tag: d for m, d in SMALL_RAW.items()}})
+    with np.load(path) as bundle:
+        assert [k for k in bundle.files if k.startswith("param/")] == [
+            f"param/{k}" for k in order]
+    loaded = model_from_checkpoint(path)[0]
+    assert np.array_equal(loaded.table.flat, model.table.flat)
+    samples = generate(6, 4, small_world())
+    assert np.array_equal(predict_scores(loaded, samples)[1], predict_scores(model, samples)[1])
+
+
 # ---- encode ----
 
 
@@ -364,7 +460,5 @@ def test_gradients_flow_to_every_component_with_defaults():
     out.total.backward()
     touched = {name: p.grad is not None and np.any(p.grad != 0)
                for name, p in model.parameters().items()}
-    groups = ("shallow", "shared_encoder", "private_encoder", "decoder",
-              "gd_homo", "gd_hetero", "ca", "fusion")
-    for g in groups:
+    for g in GROUPS:
         assert any(v for k, v in touched.items() if k.startswith(g)), g
