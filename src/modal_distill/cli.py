@@ -17,6 +17,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 from .config import TrainConfig, apply_overrides, load_config
 from .data import MODALITIES, RAW_DIMS, generate, load_features, save_dataset
 from .errors import ConfigError, DataError, NumericError, ShapeError
@@ -236,7 +238,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
+        # overflow and NaN surface through the program's own finiteness
+        # checks as one line, never as numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -25,17 +26,26 @@ from .tensor import Tensor, mul, tsum
 
 
 class Adam:
-    """Adam with bias correction, run as one pass over a ``ParamTable``.
+    """Adam with bias correction over the live runs of a ``ParamTable``.
 
-    ``m`` and ``v`` are shaped like ``table.flat``, and ``step`` updates
-    ``table.flat``, ``m`` and ``v`` in place with whole-array ufuncs.  Adam
-    is elementwise and the ufuncs run the per-tensor expressions in the same
-    order, so every parameter is bit-identical to updating each tensor on
-    its own.  A parameter no loss term touched has a zero gradient, so the
-    update schedule never depends on which terms ran.
+    ``step`` takes the leaves ``Tensor.backward`` returned.  A parameter
+    joins the live set the first time a backward reaches it and never
+    leaves; the live set is kept as the table's contiguous runs of live
+    parameters (``runs``), one run, the whole table, for the default model.
+    The gradient check, the ``m`` and ``v`` updates, the parameter update,
+    its check and ``zero_grad`` work on those runs only, with whole-run
+    ufuncs that run the per-tensor expressions in the same order, so every
+    parameter is bit-identical to updating each tensor on its own.
 
-    A non-finite gradient raises ``NumericError`` before anything is
-    updated; a non-finite updated parameter raises it after the update."""
+    Skipping the rest is exact: only a backward that reaches a parameter
+    writes its gradient, so until then its gradient, ``m`` and ``v`` are
+    all exactly 0 and Adam would move it by exactly 0.  ``m`` and ``v`` are
+    shaped like ``table.flat`` and allocated with ``np.zeros``, so the pages
+    of values no backward reaches are never written.
+
+    A non-finite gradient in any live run raises ``NumericError`` before
+    anything is updated; a non-finite updated parameter raises it after the
+    update."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -43,44 +53,67 @@ class Adam:
         self.table = table
         self.lr = lr
         self.t = 0
-        self.m = np.zeros_like(table.flat)
-        self.v = np.zeros_like(table.flat)
+        self.m = np.zeros(table.flat.size)
+        self.v = np.zeros(table.flat.size)
+        self.runs: list[slice] = []
+        self._reached: set[Tensor] = set()
+
+    def _join(self, reached: Iterable[Tensor]) -> None:
+        """Add ``reached`` to the live set and recut ``runs`` if it grew.
+        A reached leaf outside the table is remembered and never updated."""
+        grown = self._reached.union(reached)
+        if len(grown) == len(self._reached):
+            return
+        self._reached = grown
+        self.runs = []
+        for t, lo, hi in zip(self.table.tensors.values(), self.table.bounds, self.table.bounds[1:]):
+            if t not in grown:
+                continue
+            if self.runs and self.runs[-1].stop == lo:
+                self.runs[-1] = slice(self.runs[-1].start, hi)
+            else:
+                self.runs.append(slice(lo, hi))
 
     def zero_grad(self) -> None:
-        self.table.grad[...] = 0.0
+        for run in self.runs:
+            self.table.grad[run] = 0.0
 
     def _check_finite(self, values: np.ndarray, what: str, t: int) -> None:
-        if np.isfinite(values).all():
-            return
-        name = self.table.name_at(int(np.argmin(np.isfinite(values))))
-        raise NumericError(f"non-finite {what} of parameter {name} at optimizer step {t}")
+        for run in self.runs:
+            part = values[run]
+            if not np.isfinite(part).all():
+                name = self.table.name_at(run.start + int(np.argmin(np.isfinite(part))))
+                raise NumericError(f"non-finite {what} of parameter {name} at optimizer step {t}")
 
-    def step(self) -> None:
+    def step(self, reached: Iterable[Tensor]) -> None:
+        """One update of the live runs, once the leaves in ``reached`` have
+        joined the live set."""
+        self._join(reached)
         t = self.t + 1
-        g = self.table.grad
-        self._check_finite(g, "gradient", t)
+        self._check_finite(self.table.grad, "gradient", t)
         self.t = t
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1 ** t
         bc2 = 1.0 - b2 ** t
-        m, v = self.m, self.v
-        # m = b1 * m + (1 - b1) * g
-        m *= b1
-        tmp = np.multiply(g, 1.0 - b1)
-        m += tmp
-        # v = b2 * v + (1 - b2) * (g * g)
-        v *= b2
-        np.multiply(g, g, out=tmp)
-        tmp *= 1.0 - b2
-        v += tmp
-        # flat = flat - lr * (m / bc1) / (sqrt(v / bc2) + eps)
-        np.divide(v, bc2, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += self.eps
-        update = np.divide(m, bc1)
-        update *= self.lr
-        update /= tmp
-        self.table.flat -= update
+        for run in self.runs:
+            g, m, v, flat = self.table.grad[run], self.m[run], self.v[run], self.table.flat[run]
+            # m = b1 * m + (1 - b1) * g
+            m *= b1
+            tmp = np.multiply(g, 1.0 - b1)
+            m += tmp
+            # v = b2 * v + (1 - b2) * (g * g)
+            v *= b2
+            np.multiply(g, g, out=tmp)
+            tmp *= 1.0 - b2
+            v += tmp
+            # flat = flat - lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            np.divide(v, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            update = np.divide(m, bc1)
+            update *= self.lr
+            update /= tmp
+            flat -= update
         self._check_finite(self.table.flat, "updated value", t)
 
 
@@ -278,9 +311,9 @@ def train(config: TrainConfig, samples: list[Sample], split: bool = True) -> Tra
                         f"(last finite components: {last_finite or 'none'})")
                 last_finite = out.scalars()
                 opt.zero_grad()
-                out.total.backward()
+                reached = out.total.backward()
                 opt.lr = lr_at(step)
-                opt.step()
+                opt.step(reached)
                 emit(_step_record(step, epoch, out))
                 del out  # frees this step's graph before the next one is built
                 step += 1

@@ -3,6 +3,7 @@ loop behavior, checkpoints, probes, and the CLI."""
 
 import argparse
 import ast
+import csv
 import gc
 import importlib
 import json
@@ -189,27 +190,33 @@ def test_adam_minimizes_quadratic():
     for _ in range(400):
         opt.zero_grad()
         loss = tsum((x - 1.0) * (x - 1.0))
-        loss.backward()
-        opt.step()
+        opt.step(loss.backward())
     assert np.allclose(x.data, [1.0, 1.0], atol=1e-3)
 
 
 def test_adam_leaves_gradless_params_untouched():
     x = Tensor(np.array([2.0]), requires_grad=True)
-    opt = Adam(ParamTable({"x": x}), lr=0.5)
+    table = ParamTable({"x": x})
+    opt = Adam(table, lr=0.5)
     opt.zero_grad()
-    opt.step()
+    opt.step(table.tensors.values())
     assert np.array_equal(x.data, [2.0])
 
 
 ALL_STAGES_OFF = dict(fd=False, homogd=False, ca=False, heterogd=False)
 
 
-@pytest.mark.parametrize("stages", [{}, ALL_STAGES_OFF], ids=["all_on", "all_off"])
-def test_adam_matches_per_tensor_reference(stages):
+@pytest.mark.parametrize("stages, task_steps", [
+    ({}, 0), (ALL_STAGES_OFF, 0), (dict(ca=False, heterogd=False), 0),
+    (dict(lambda2=0.0), 0), ({}, 5),
+], ids=["all_on", "all_off", "no_ca_no_heterogd", "lambda2_zero", "joined_late"])
+def test_adam_matches_per_tensor_reference(stages, task_steps):
     """Twenty steps with real gradients and a new lr before each, as
-    ``train`` runs them: every parameter and every moment slice of the
-    table's Adam equals the per-tensor oracle's bit for bit."""
+    ``train`` runs them, each step given the leaves its backward reached:
+    every parameter and every moment slice of the table's Adam equals the
+    per-tensor oracle's bit for bit.  The first ``task_steps`` steps
+    back-propagate the task loss alone, so the parameters only the other
+    terms reach join the live set at a later step."""
     cfg = TrainConfig(**stages)
     model = Model(cfg)
     table, params = model.table, model.parameters()
@@ -218,16 +225,21 @@ def test_adam_matches_per_tensor_reference(stages):
     ref = ReferenceAdam(twin, lr=cfg.lr)
     samples = generate(16, seed=3)
     n_steps = 20
+    live_sizes = []
     for step in range(n_steps):
         batch = make_batch(samples[4 * (step % 4):4 * (step % 4) + 4], mode=cfg.mode)
+        out = model.forward_batch(batch)
         opt.zero_grad()
-        model.forward_batch(batch).total.backward()
+        reached = (out.components["task"] if step < task_steps else out.total).backward()
         for name, p in params.items():
             assert np.shares_memory(p.grad, table.grad), name
             twin[name].grad = p.grad
         opt.lr = ref.lr = cfg.lr * 0.5 * (1.0 + math.cos(math.pi * step / n_steps))
-        opt.step()
+        opt.step(reached)
         ref.step()
+        live_sizes.append(sum(run.stop - run.start for run in opt.runs))
+    if task_steps:
+        assert live_sizes[task_steps - 1] < live_sizes[task_steps]
     for name, lo, hi in zip(params, table.bounds, table.bounds[1:]):
         assert np.array_equal(params[name].data, twin[name].data), name
         assert np.array_equal(opt.m[lo:hi], ref.m[name].ravel()), name
@@ -235,11 +247,67 @@ def test_adam_matches_per_tensor_reference(stages):
         assert np.shares_memory(params[name].data, table.flat), name
 
 
+def test_all_off_train_leaves_unreached_parameters_untouched(monkeypatch):
+    """All four stages off, ``train`` updates the shallow convs and the
+    fusion head, two runs of the table; every other parameter keeps its
+    initial value bit for bit, with ``m`` and ``v`` exactly 0."""
+    import modal_distill.train as train_mod
+
+    opts = []
+
+    class CapturedAdam(Adam):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            opts.append(self)
+
+    monkeypatch.setattr(train_mod, "Adam", CapturedAdam)
+    cfg = tiny_config(**ALL_STAGES_OFF)
+    samples = generate(12, seed=0, config=small_world())
+    initial = Model(cfg, dict(SMALL_RAW)).table.flat.copy()
+    result = train(cfg, samples, split=False)
+    (opt,) = opts
+    table = result.model.table
+    live = np.zeros(table.flat.size, dtype=bool)
+    for run in opt.runs:
+        live[run] = True
+    assert len(opt.runs) == 2
+    assert [name for name, lo in zip(table.tensors, table.bounds) if live[lo]] == [
+        name for name in table.tensors if name.startswith(("shallow.", "fusion."))]
+    assert not np.array_equal(table.flat[live], initial[live])
+    assert np.array_equal(table.flat[~live], initial[~live])
+    assert not opt.m[~live].any() and not opt.v[~live].any()
+
+
+def test_adam_non_finite_gradient_in_a_later_run_changes_nothing():
+    """On the all-off model a non-finite gradient in the fusion run is
+    found before the shallow run ahead of it is updated."""
+    model = Model(tiny_config(**ALL_STAGES_OFF), dict(SMALL_RAW))
+    table = model.table
+    opt = Adam(table, lr=0.1)
+    batch = make_batch(generate(4, seed=1, config=small_world()), mode="unaligned")
+    for _ in range(2):
+        opt.zero_grad()
+        opt.step(model.forward_batch(batch).total.backward())
+    shallow_run, fusion_run = opt.runs
+    before = table.flat.copy(), opt.m.copy(), opt.v.copy()
+    opt.zero_grad()
+    reached = model.forward_batch(batch).total.backward()
+    name = "fusion.head.first.weight"
+    assert table.bounds[list(table.tensors).index(name)] >= fusion_run.start
+    table.tensors[name].grad.flat[1] = np.nan
+    with pytest.raises(NumericError, match=re.escape(
+            f"non-finite gradient of parameter {name} at optimizer step 3")):
+        opt.step(reached)
+    assert opt.t == 2 and opt.runs == [shallow_run, fusion_run]
+    for kept, now in zip(before, (table.flat, opt.m, opt.v)):
+        assert np.array_equal(kept, now)
+
+
 def test_adam_non_finite_gradient_changes_nothing():
     table = Model(tiny_config(), dict(SMALL_RAW)).table
     opt = Adam(table, lr=0.1)
     table.grad[...] = 1.0
-    opt.step()
+    opt.step(table.tensors.values())
     before = table.flat.copy(), opt.m.copy(), opt.v.copy()
     names = list(table.tensors)
     first, later = names[len(names) // 2], names[-1]
@@ -248,7 +316,7 @@ def test_adam_non_finite_gradient_changes_nothing():
     table.tensors[first].grad.flat[-1] = np.nan
     with pytest.raises(NumericError, match=re.escape(
             f"non-finite gradient of parameter {first} at optimizer step 2")):
-        opt.step()
+        opt.step(table.tensors.values())
     assert opt.t == 1
     for kept, now in zip(before, (table.flat, opt.m, opt.v)):
         assert np.array_equal(kept, now)
@@ -261,7 +329,7 @@ def test_adam_non_finite_update_names_parameter():
     table.tensors[name].data.flat[0] = np.inf
     with pytest.raises(NumericError, match=re.escape(
             f"non-finite updated value of parameter {name} at optimizer step 1")):
-        opt.step()
+        opt.step(table.tensors.values())
 
 
 # ---- training loop ----
@@ -941,10 +1009,11 @@ def test_cli_non_finite_gradient_exits_three_keeping_best_checkpoint(tmp_path, m
     backward = Tensor.backward
 
     def poisoning_backward(self):
-        backward(self)
+        reached = backward(self)
         if ckpt.exists():  # written by the first epoch's validation
             saved.append(ckpt.read_bytes())
             models[0].parameters()["fusion.head.first.weight"].grad[0, 0] = np.nan
+        return reached
 
     monkeypatch.setattr(train_mod, "Model", CapturedModel)
     monkeypatch.setattr(Tensor, "backward", poisoning_backward)
@@ -953,6 +1022,31 @@ def test_cli_non_finite_gradient_exits_three_keeping_best_checkpoint(tmp_path, m
     assert rc == 3
     assert "non-finite gradient of parameter fusion.head.first.weight" in capsys.readouterr().err
     assert len(saved) == 1 and ckpt.read_bytes() == saved[0]
+
+
+def test_cli_overflowing_update_is_one_stderr_line(tmp_path, capfd):
+    """An lr that overflows the update exits 3 on the optimizer's own
+    check, with no numpy warning on stderr."""
+    rc = main(["train", "--synthetic", "6", "--max-steps", "1", "--lr", "1e308",
+               "--out", str(tmp_path / "run")])
+    err = capfd.readouterr().err.splitlines()
+    assert rc == 3
+    assert len(err) == 1 and err[0].startswith("numeric error: non-finite updated value of parameter")
+
+
+def test_cli_huge_finite_feature_is_one_stderr_line(tmp_path, capfd):
+    """A feature value of 1e300 is finite, so it loads; the forward then
+    overflows, and the loss check's line is all that reaches stderr."""
+    manifest = save_dataset(generate(12, seed=0), tmp_path / "set")
+    first = tmp_path / "set" / next(csv.DictReader(manifest.read_text().splitlines()))["path_L"]
+    rows = first.read_text().splitlines()
+    rows[0] = ",".join(["1e300"] + rows[0].split(",")[1:])
+    first.write_text("\n".join(rows) + "\n")
+    rc = main(["train", "--data", str(manifest), "--max-steps", "2", "--batch-size", "4",
+               "--d", "4", "--heads", "2", "--out", str(tmp_path / "run")])
+    err = capfd.readouterr().err.splitlines()
+    assert rc == 3
+    assert err == ["numeric error: non-finite total loss at step 0 (last finite components: none)"]
 
 
 def test_cli_gradcheck_passes():

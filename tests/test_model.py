@@ -322,7 +322,7 @@ def test_load_parameters_keeps_optimizer_arena_binding():
     rng = np.random.default_rng(0)
     for k, p in model.parameters().items():
         p.grad[...] = twin[k].grad = rng.standard_normal(p.data.shape)
-    opt.step()
+    opt.step(model.table.tensors.values())
     ref.step()
     for k, p in model.parameters().items():
         assert np.shares_memory(p.data, model.table.flat), k
