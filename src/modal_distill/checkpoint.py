@@ -73,6 +73,8 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], TrainConfi
     for name, value in params.items():
         if value.dtype != np.float64:  # the only dtype save_checkpoint writes
             raise DataError(f"checkpoint {path}: parameter {name} is {value.dtype}, not float64")
+        if not np.isfinite(value).all():
+            raise DataError(f"checkpoint {path}: parameter {name} holds a non-finite value")
     stored = {k: v for k, v in meta["config"].items() if k not in RETIRED_CONFIG_KEYS}
     types = field_types()
     for key in sorted(stored):

@@ -3,10 +3,10 @@
 Exit codes, each failure printed as one line on stderr:
 
     0  success
-    1  usage or configuration problem (an empty path included)
-    2  data problem (manifest, feature files, checkpoint contents, a text
-       input that is not UTF-8)
-    3  numerical failure (divergence, a non-finite score, a failed gradient check)
+    1  usage or configuration problem (an empty path, both or neither of --data and --synthetic)
+    2  data problem (manifest, feature files, checkpoint contents, a
+       non-finite input value, a text input that is not UTF-8)
+    3  numerical failure (overflow, invalid value, divide by zero; failed gradient check)
     4  I/O failure (a path that cannot be read or written)
 """
 
@@ -83,21 +83,20 @@ def _build_config(args, base: TrainConfig | None = None) -> TrainConfig:
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--data", type=_path, metavar="MANIFEST", help="dataset manifest csv")
-    p.add_argument("--synthetic", type=int, metavar="N",
-                   help="generate N synthetic samples instead of loading")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--data", type=_path, metavar="MANIFEST", help="dataset manifest csv")
+    source.add_argument("--synthetic", type=int, metavar="N",
+                        help="generate N synthetic samples instead of loading")
     p.add_argument("--data-seed", type=int, default=0, dest="data_seed")
 
 
 def _load_samples(args, dims=None):
     if args.data:
         return load_features(args.data, dims=dims)
-    if args.synthetic is not None:
-        if dims is not None and dims != RAW_DIMS:
-            raise ConfigError(f"--synthetic draws raw feature dims {_tags(RAW_DIMS)}, "
-                              f"the checkpoint expects {_tags(dims)}")
-        return generate(args.synthetic, args.data_seed)
-    raise ConfigError("need a data source: --data MANIFEST or --synthetic N")
+    if dims is not None and dims != RAW_DIMS:
+        raise ConfigError(f"--synthetic draws raw feature dims {_tags(RAW_DIMS)}, "
+                          f"the checkpoint expects {_tags(dims)}")
+    return generate(args.synthetic, args.data_seed)
 
 
 def _tags(dims) -> dict[str, int]:
@@ -238,9 +237,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        # overflow and NaN surface through the program's own finiteness
-        # checks as one line, never as numpy's warnings
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -251,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
     except UnicodeDecodeError as exc:  # a config file or manifest holding binary
         print(f"data error: an input file is not UTF-8 text: {exc}", file=sys.stderr)
         return 2
-    except (NumericError, ShapeError) as exc:
+    except (NumericError, ShapeError, FloatingPointError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:  # the message names the path

@@ -257,18 +257,20 @@ def save_dataset(samples: list[Sample], out_dir: str | Path) -> Path:
     Feature files are headerless, one time step per row, full float64
     precision so a round trip is bit-exact.  They are written over the
     usable cores (``_map_over_cores``), with the bytes of a one-process
-    write; ``manifest.csv`` is written last, so a failed write leaves none.
+    write; ``manifest.csv`` is removed first and written last, so a failed
+    write leaves none.
     """
     out = Path(out_dir)
     feat_dir = out / "features"
     feat_dir.mkdir(parents=True, exist_ok=True)
+    manifest_path = out / "manifest.csv"
+    manifest_path.unlink(missing_ok=True)
     rows, jobs = [], []
     for s in samples:
         rels = [f"features/{s.id}_{m.tag}.csv" for m in MODALITIES]
         jobs += [(out / rel, s.features[m]) for m, rel in zip(MODALITIES, rels)]
         rows.append([s.id, f"{s.label:.17g}", *rels])
     _map_over_cores(_write_feature_csv, jobs)
-    manifest_path = out / "manifest.csv"
     with open(manifest_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_COLUMNS)
@@ -310,8 +312,10 @@ def _read_feature_csv(path: Path, sample_id: str, modality: Modality,
         with warnings.catch_warnings():
             # a file without data is reported once, as the DataError of
             # _check_features, in the parent and in a forked helper alike
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            warnings.filterwarnings("error", "loadtxt: input contained no data", UserWarning)
             mat = np.loadtxt(text, delimiter=",", ndmin=2, dtype=np.float64)
+    except UserWarning:
+        mat = np.empty((0, 0))
     except ValueError as exc:
         raise DataError(f"sample {sample_id}: unparseable {modality.tag} feature file {path}: {exc}") from exc
     mat = _check_features(mat, path, sample_id, modality, expected_dim)
@@ -621,6 +625,7 @@ def align_sample(sample: Sample) -> Sample:
 
 
 def make_batch(samples: list[Sample], mode: str = "unaligned") -> Batch:
+    # every sample reaches the model through here, so here a non-finite feature stops
     if mode not in ("aligned", "unaligned"):
         raise ConfigError(f"batch mode must be 'aligned' or 'unaligned', got {mode!r}")
     if not samples:
@@ -631,12 +636,17 @@ def make_batch(samples: list[Sample], mode: str = "unaligned") -> Batch:
                 raise DataError(f"sample {s.id}: empty {m.tag} sequence")
     if mode == "aligned":
         samples = [align_sample(s) for s in samples]
-    return Batch(
+    batch = Batch(
         ids=[s.id for s in samples],
         labels=np.array([s.label for s in samples]),
         features={m: np.concatenate([s.features[m] for s in samples]) for m in MODALITIES},
         rows={m: RowLayout([s.features[m].shape[0] for s in samples]) for m in MODALITIES},
     )
+    for m, mat in batch.features.items():
+        if not np.isfinite(mat).all():
+            sid = batch.ids[batch.rows[m].seq[np.argmin(np.isfinite(mat).all(axis=1))]]
+            raise DataError(f"sample {sid}: non-finite {m.tag} feature value")
+    return batch
 
 
 def batches(samples: list[Sample], batch_size: int, mode: str = "unaligned",

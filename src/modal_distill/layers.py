@@ -82,10 +82,6 @@ class ParamTable:
             t.grad = self.grad[lo:hi].reshape(t.data.shape)
             t.data = self.flat[lo:hi].reshape(t.data.shape)
 
-    def name_at(self, index: int) -> str:
-        """The parameter whose slice holds flat position ``index``."""
-        return next(name for name, hi in zip(self.tensors, self.bounds[1:]) if index < hi)
-
     def load(self, arrays: dict[str, np.ndarray]) -> None:
         """Copy ``arrays`` (name -> array) in; on a name or shape mismatch
         raise ``DataError`` and change nothing."""

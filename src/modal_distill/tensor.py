@@ -455,8 +455,7 @@ def margin_hinge(cos: Tensor, mods: Array, classes: Array,
     c_ij)`` and a suffix sum gives their total: O(N² log N) time, O(N²)
     memory.  ``c_ik > -(alpha - c_ij)`` holds exactly when the enumerated
     ``(alpha - c_ij) + c_ik`` is positive in floating point, so ties resolve
-    as they would term by term.  With no triplet the loss is a constant 0;
-    a non-finite cosine makes it NaN.
+    as they would term by term.  With no triplet the loss is a constant 0.
     """
     n = len(mods)
     if cos.shape != (n, n) or len(classes) != n:
@@ -471,12 +470,6 @@ def margin_hinge(cos: Tensor, mods: Array, classes: Array,
     total = int(n_neg[pi].sum())
     if total == 0:
         return Tensor(0.0), 0
-    if not np.isfinite(c).all():
-        def poisoned(g):
-            cos._accum(np.full(c.shape, np.nan))
-
-        return Tensor._result(np.array(np.nan), (cos,), poisoned), total
-
     # each anchor's negatives ascending, then +inf over the rest of its row
     order = np.argsort(np.where(neg, c, np.inf), axis=1)
     sorted_neg = np.take_along_axis(c, order, axis=1)

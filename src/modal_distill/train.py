@@ -3,8 +3,10 @@ edge-weight dumps, and linear probes over pooled features."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import traceback
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -32,20 +34,16 @@ class Adam:
     joins the live set the first time a backward reaches it and never
     leaves; the live set is kept as the table's contiguous runs of live
     parameters (``runs``), one run, the whole table, for the default model.
-    The gradient check, the ``m`` and ``v`` updates, the parameter update,
-    its check and ``zero_grad`` work on those runs only, with whole-run
-    ufuncs that run the per-tensor expressions in the same order, so every
-    parameter is bit-identical to updating each tensor on its own.
+    The ``m`` and ``v`` updates, the parameter update and ``zero_grad``
+    work on those runs only, with whole-run ufuncs that run the per-tensor
+    expressions in the same order, so every parameter is bit-identical to
+    updating each tensor on its own.
 
     Skipping the rest is exact: only a backward that reaches a parameter
     writes its gradient, so until then its gradient, ``m`` and ``v`` are
     all exactly 0 and Adam would move it by exactly 0.  ``m`` and ``v`` are
     shaped like ``table.flat`` and allocated with ``np.zeros``, so the pages
-    of values no backward reaches are never written.
-
-    A non-finite gradient in any live run raises ``NumericError`` before
-    anything is updated; a non-finite updated parameter raises it after the
-    update."""
+    of values no backward reaches are never written."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -78,20 +76,11 @@ class Adam:
         for run in self.runs:
             self.table.grad[run] = 0.0
 
-    def _check_finite(self, values: np.ndarray, what: str, t: int) -> None:
-        for run in self.runs:
-            part = values[run]
-            if not np.isfinite(part).all():
-                name = self.table.name_at(run.start + int(np.argmin(np.isfinite(part))))
-                raise NumericError(f"non-finite {what} of parameter {name} at optimizer step {t}")
-
     def step(self, reached: Iterable[Tensor]) -> None:
         """One update of the live runs, once the leaves in ``reached`` have
         joined the live set."""
         self._join(reached)
-        t = self.t + 1
-        self._check_finite(self.table.grad, "gradient", t)
-        self.t = t
+        self.t = t = self.t + 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1 ** t
         bc2 = 1.0 - b2 ** t
@@ -114,7 +103,6 @@ class Adam:
             update *= self.lr
             update /= tmp
             flat -= update
-        self._check_finite(self.table.flat, "updated value", t)
 
 
 # ---- metrics ----
@@ -149,15 +137,11 @@ def binary_f1(pred_pos: np.ndarray, true_pos: np.ndarray) -> float:
 
 def compute_metrics(scores: np.ndarray, labels: np.ndarray) -> MetricsReport:
     """ACC7 over ``bin7`` classes, ACC2 and F1 over the ``>= 0`` split, and
-    MAE.  A non-finite score raises ``NumericError``."""
+    MAE."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if scores.shape != labels.shape or scores.ndim != 1 or scores.size == 0:
         raise DataError(f"metrics need matching non-empty 1-d arrays, got {scores.shape} vs {labels.shape}")
-    bad = np.flatnonzero(~np.isfinite(scores))
-    if bad.size:
-        raise NumericError(f"{bad.size} of {scores.size} scores are non-finite "
-                           f"(first: {scores[bad[0]]} at row {bad[0]})")
     pred_pos = scores >= 0
     true_pos = labels >= 0
     return MetricsReport(
@@ -172,14 +156,36 @@ def compute_metrics(scores: np.ndarray, labels: np.ndarray) -> MetricsReport:
 # ---- evaluation ----
 
 
+@contextlib.contextmanager
+def _trapped(where: str, first_id: str):
+    """Run the block with numpy raising on overflow, invalid values and
+    division by zero, not underflow (masked attention keys underflow to 0),
+    and re-raise the error as ``NumericError`` naming numpy's message, the
+    innermost package function, ``where`` and the block's first sample.  A
+    fresh ``errstate`` per call nests on numpy 1.x."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+            yield
+    except FloatingPointError as exc:
+        frame = [f for f, _ in traceback.walk_tb(exc.__traceback__)
+                 if f.f_globals.get("__name__", "").startswith(f"{__package__}.")][-1]
+        name = getattr(frame.f_code, "co_qualname", frame.f_code.co_name)  # 3.10: co_name
+        raise NumericError(f"{exc} in {frame.f_globals['__name__'].rpartition('.')[2]}.{name} "
+                           f"at {where} (first sample {first_id})") from exc
+
+
 def _walk(model: Model, samples: list[Sample], batch_size: int | None, read) -> list:
-    """``read(batch)`` for each batch of ``samples`` in order (batches of
-    ``batch_size``, by default the model's).  ``read`` returns plain arrays,
-    so each batch's graph is freed before the next batch's forward."""
+    """``read(batch)``, under ``_trapped``, for each batch of ``samples`` in
+    order (batches of ``batch_size``, by default the model's).  ``read``
+    returns plain arrays, so each batch's graph is freed before the next."""
     if not samples:
         raise DataError("no samples to score")
-    return [read(batch) for batch in batches(samples, batch_size or model.config.batch_size,
-                                             mode=model.config.mode, shuffle=False)]
+    out = []
+    for i, batch in enumerate(batches(samples, batch_size or model.config.batch_size,
+                                      mode=model.config.mode, shuffle=False)):
+        with _trapped(f"batch {i}", batch.ids[0]):
+            out.append(read(batch))
+    return out
 
 
 def predict_scores(model: Model, samples: list[Sample],
@@ -284,7 +290,6 @@ def train(config: TrainConfig, samples: list[Sample], split: bool = True) -> Tra
     best_val_mae: float | None = None
     best_params: np.ndarray | None = None
     best_step: int | None = None
-    last_finite: dict[str, float] = {}
     step = 0
 
     def emit(record: dict) -> None:
@@ -303,17 +308,12 @@ def train(config: TrainConfig, samples: list[Sample], split: bool = True) -> Tra
         for epoch in range(n_epochs):
             for batch in batches(train_s, config.batch_size, mode=config.mode,
                                  seed=config.seed, epoch=epoch):
-                out = model.forward_batch(batch)
-                total = float(out.total.data)
-                if not np.isfinite(total):
-                    raise NumericError(
-                        f"non-finite total loss at step {step} "
-                        f"(last finite components: {last_finite or 'none'})")
-                last_finite = out.scalars()
-                opt.zero_grad()
-                reached = out.total.backward()
-                opt.lr = lr_at(step)
-                opt.step(reached)
+                with _trapped(f"step {step}", batch.ids[0]):
+                    out = model.forward_batch(batch)
+                    opt.zero_grad()
+                    reached = out.total.backward()
+                    opt.lr = lr_at(step)
+                    opt.step(reached)
                 emit(_step_record(step, epoch, out))
                 del out  # frees this step's graph before the next one is built
                 step += 1
@@ -623,9 +623,10 @@ def probe_unimodal(model: Model, samples: list[Sample], seed: int = 0) -> ProbeR
     for k, m in enumerate(MODALITIES):
         feats = bundle.homo[:, k, :]
         target = np.where(true_pos, 1.0, -1.0)
-        fit_x, eval_x = standardize(feats[tr], feats[ev])
-        w = fit_linear_probe(fit_x, target[tr])
-        pred_pos = probe_scores(eval_x, w) >= 0
+        with _trapped(f"the {m.tag} probe", samples[0].id):
+            fit_x, eval_x = standardize(feats[tr], feats[ev])
+            w = fit_linear_probe(fit_x, target[tr])
+            pred_pos = probe_scores(eval_x, w) >= 0
         acc = float(np.mean(pred_pos == true_pos[ev]))
         per_modality[m.tag] = ModalityProbe(
             acc2=acc, f1=binary_f1(pred_pos, true_pos[ev]))

@@ -852,6 +852,23 @@ def test_failed_write_raises_the_one_core_error_and_writes_no_manifest(
     assert not (tmp_path / "manifest.csv").exists()
 
 
+def test_failed_overwrite_leaves_no_manifest_over_new_files(tmp_path):
+    """A second write into a directory that holds a dataset removes the old
+    manifest before any feature file is replaced.  So a write that fails
+    part way leaves no manifest, rather than the old labels over the new
+    draw's files."""
+    save_dataset(generate(4, seed=0, config=small_config()), tmp_path)
+    blocked = tmp_path / "features" / "syn00002_V.csv"
+    blocked.unlink()
+    blocked.mkdir()
+    new = generate(4, seed=1, config=small_config())
+    with pytest.raises(OSError, match="syn00002_V.csv"):
+        save_dataset(new, tmp_path)
+    assert not (tmp_path / "manifest.csv").exists()
+    assert np.array_equal(np.loadtxt(tmp_path / "features" / "syn00000_L.csv", delimiter=",",
+                                     ndmin=2), new[0].features[Modality.LANGUAGE])
+
+
 @pytest.mark.parametrize("owner,name,fails", [(tempfile, "TemporaryFile", _no_spool),
                                               (os, "fork", _no_fork)])
 def test_no_spool_or_no_helper_falls_back_to_writing_in_the_parent(
@@ -974,3 +991,26 @@ def test_batch_rejects_bad_mode_and_size():
     for mode in ("aligned", "unaligned"):
         with pytest.raises(DataError, match="at least one sample"):
             make_batch([], mode=mode)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("mode", ["aligned", "unaligned"])
+def test_batch_rejects_non_finite_feature_naming_sample_and_modality(mode, bad):
+    """Every source of samples reaches the model through ``make_batch``,
+    so a non-finite feature stops there, whatever made it."""
+    samples = generate(5, seed=2, config=small_config())
+    samples[3].features[Modality.AUDIO][:, 2] = bad
+    with pytest.raises(DataError, match=r"^sample syn00003: non-finite A feature value$"):
+        make_batch(samples, mode=mode)
+    with pytest.raises(DataError, match=r"^sample syn00003: non-finite A feature value$"):
+        list(batches(samples, batch_size=2, shuffle=False))
+
+
+def test_generated_nan_noise_is_rejected_at_the_batch():
+    """``SyntheticConfig.validate`` lets ``noise=nan`` through, and the
+    draw is all NaN; the first batch names its first sample."""
+    cfg = small_config()
+    cfg.noise = {m: float("nan") for m in MODALITIES}
+    samples = generate(3, seed=0, config=cfg)
+    with pytest.raises(DataError, match=r"^sample syn00000: non-finite L feature value$"):
+        make_batch(samples)

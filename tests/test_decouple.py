@@ -272,15 +272,6 @@ def test_margin_hinge_matches_enumeration_at_ties(b, levels, alpha, seed):
         np.testing.assert_array_equal(leaf.grad, want_grad)
 
 
-def test_margin_non_finite_row_gives_nan():
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal((4, 3))
-    x[2, 0] = np.nan
-    tags = [(L, 1), (V, 1), (L, 2), (A, 1)]
-    loss, count = loss_margin(Tensor(x), *tag_arrays(tags), alpha=0.2)
-    assert count == 2 and np.isnan(loss.item())
-
-
 # ---- orthogonality and combined loss ----
 
 

@@ -278,58 +278,57 @@ def test_all_off_train_leaves_unreached_parameters_untouched(monkeypatch):
     assert not opt.m[~live].any() and not opt.v[~live].any()
 
 
-def test_adam_non_finite_gradient_in_a_later_run_changes_nothing():
-    """On the all-off model a non-finite gradient in the fusion run is
-    found before the shallow run ahead of it is updated."""
-    model = Model(tiny_config(**ALL_STAGES_OFF), dict(SMALL_RAW))
-    table = model.table
-    opt = Adam(table, lr=0.1)
-    batch = make_batch(generate(4, seed=1, config=small_world()), mode="unaligned")
-    for _ in range(2):
-        opt.zero_grad()
-        opt.step(model.forward_batch(batch).total.backward())
-    shallow_run, fusion_run = opt.runs
-    before = table.flat.copy(), opt.m.copy(), opt.v.copy()
-    opt.zero_grad()
-    reached = model.forward_batch(batch).total.backward()
-    name = "fusion.head.first.weight"
-    assert table.bounds[list(table.tensors).index(name)] >= fusion_run.start
-    table.tensors[name].grad.flat[1] = np.nan
-    with pytest.raises(NumericError, match=re.escape(
-            f"non-finite gradient of parameter {name} at optimizer step 3")):
-        opt.step(reached)
-    assert opt.t == 2 and opt.runs == [shallow_run, fusion_run]
-    for kept, now in zip(before, (table.flat, opt.m, opt.v)):
-        assert np.array_equal(kept, now)
+def _poisoned(samples, value=1e300):
+    """``samples`` with ``value`` in the first cell of the first one's L
+    features: finite, so it enters, and large enough to overflow."""
+    samples[0].features[Modality.LANGUAGE][0, 0] = value
+    return samples
 
 
-def test_adam_non_finite_gradient_changes_nothing():
-    table = Model(tiny_config(), dict(SMALL_RAW)).table
-    opt = Adam(table, lr=0.1)
-    table.grad[...] = 1.0
-    opt.step(table.tensors.values())
-    before = table.flat.copy(), opt.m.copy(), opt.v.copy()
-    names = list(table.tensors)
-    first, later = names[len(names) // 2], names[-1]
-    table.grad[...] = 0.5
-    table.tensors[later].grad.flat[0] = np.inf
-    table.tensors[first].grad.flat[-1] = np.nan
-    with pytest.raises(NumericError, match=re.escape(
-            f"non-finite gradient of parameter {first} at optimizer step 2")):
-        opt.step(table.tensors.values())
-    assert opt.t == 1
-    for kept, now in zip(before, (table.flat, opt.m, opt.v)):
-        assert np.array_equal(kept, now)
+@pytest.mark.parametrize("stages, origin", [({}, r"tensor\.[\w.<>]+"),
+                                            (ALL_STAGES_OFF, r"train\.Adam\.step")],
+                         ids=["all_on", "all_off"])
+def test_train_overflow_stops_the_step_where_it_is_made(monkeypatch, stages, origin):
+    """A 1e300 feature overflows in the first step: in the forward of the
+    default model, and in the square of a gradient inside ``Adam.step`` on
+    the all-off model.  Either way training stops there, naming the
+    function, and no parameter has moved.  So no non-finite gradient is
+    left for Adam to check."""
+    import modal_distill.train as train_mod
+
+    opts = []
+
+    class CapturedAdam(Adam):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            opts.append(self)
+
+    monkeypatch.setattr(train_mod, "Adam", CapturedAdam)
+    cfg = tiny_config(**stages)
+    samples = _poisoned(generate(8, seed=2, config=small_world()))
+    with pytest.raises(NumericError, match=rf"^overflow encountered in \w+ in {origin} "
+                                           r"at step 0 \(first sample syn\d{5}\)$"):
+        train(cfg, samples, split=False)
+    (opt,) = opts
+    assert np.array_equal(opt.table.flat, Model(cfg, dict(SMALL_RAW)).table.flat)
 
 
-def test_adam_non_finite_update_names_parameter():
-    table = Model(tiny_config(), dict(SMALL_RAW)).table
-    opt = Adam(table, lr=0.1)
-    name = list(table.tensors)[3]
-    table.tensors[name].data.flat[0] = np.inf
-    with pytest.raises(NumericError, match=re.escape(
-            f"non-finite updated value of parameter {name} at optimizer step 1")):
-        opt.step(table.tensors.values())
+def test_train_and_scoring_hold_under_a_caller_raising_on_underflow():
+    """The trap sets its own policy, whatever the caller's: underflow, by
+    which masked attention keys get exactly zero weight, never raises."""
+    samples = generate(8, seed=2, config=small_world())
+    with np.errstate(all="raise"):
+        result = train(tiny_config(max_steps=2), samples, split=False)
+        assert evaluate(result.model, samples)[0].n == 8
+
+
+def test_train_overflowing_update_names_adam_step():
+    """An lr that overflows the update stops training in ``Adam.step``, the
+    function that made the first non-finite value, at the step it ran in."""
+    samples = generate(8, seed=2, config=small_world())
+    with pytest.raises(NumericError, match=r"^overflow encountered in multiply in train\.Adam\.step "
+                                           r"at step 0 \(first sample syn\d{5}\)$"):
+        train(tiny_config(lr=1e308), samples, split=False)
 
 
 # ---- training loop ----
@@ -390,9 +389,8 @@ def test_max_steps_stops_early():
 def test_train_raises_numeric_error_on_divergence():
     samples = generate(8, seed=2, config=small_world())
     cfg = tiny_config(lr=1e80, max_steps=30)
-    with np.errstate(all="ignore"):
-        with pytest.raises(NumericError, match="step"):
-            train(cfg, samples, split=False)
+    with pytest.raises(NumericError, match="step"):
+        train(cfg, samples, split=False)
 
 
 def test_train_rejects_empty_dataset():
@@ -562,19 +560,22 @@ def test_checkpoint_with_bad_raw_dims_exits_two(tmp_path, capsys, raw_dims):
     assert str(path) in capsys.readouterr().err
 
 
-def test_nan_weight_fails_at_step_zero(monkeypatch):
-    import modal_distill.train as train_mod
-
-    class PoisonedModel(Model):
-        def __init__(self, *args, **kw):
-            super().__init__(*args, **kw)
-            self.parameters()["private_encoder.L.first.weight"].data[0, 0] = np.nan
-
-    monkeypatch.setattr(train_mod, "Model", PoisonedModel)
-    samples = generate(8, seed=2, config=small_world())
-    with np.errstate(all="ignore"):
-        with pytest.raises(NumericError, match="at step 0 "):
-            train(tiny_config(max_steps=3), samples, split=False)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_with_non_finite_weight_is_rejected(tmp_path, bad):
+    """A non-finite parameter enters only through a checkpoint, and is a
+    data error there naming the parameter, before a model is built."""
+    path = tmp_path / "bad.npz"
+    cfg = tiny_config()
+    model = Model(cfg, SMALL_RAW)
+    model.parameters()["private_encoder.L.first.weight"].data[0, 1] = bad
+    save_checkpoint(path, model.parameters(), cfg,
+                    {"raw_dims": {m.tag: d for m, d in SMALL_RAW.items()}})
+    message = re.escape(f"checkpoint {path}: parameter private_encoder.L.first.weight "
+                        "holds a non-finite value")
+    with pytest.raises(DataError, match=message):
+        load_checkpoint(path)
+    with pytest.raises(DataError, match=message):
+        model_from_checkpoint(path)
 
 
 def test_checkpoint_accepts_int_for_float_field(tmp_path):
@@ -890,19 +891,34 @@ def test_cli_numeric_failures_exit_three():
     assert main(["gradcheck", "--probes", "2", "--tol", "1e-300"]) == 3
 
 
-def test_eval_of_checkpoint_with_nan_parameter_exits_three(tmp_path, capsys):
-    path = tmp_path / "nan.npz"
+# each command that reads a checkpoint, with the output file it would write
+CHECKPOINT_READERS = {
+    "eval": ["--predictions", "{out}"],
+    "dump-edges": ["--out", "{out}"],
+    "probe-unimodal": [],
+}
+
+
+@pytest.mark.parametrize("command", list(CHECKPOINT_READERS))
+@pytest.mark.parametrize("name", ["fusion.head.first.weight", "gd_homo.logit_head.weight"])
+def test_checkpoint_with_nan_parameter_exits_two(tmp_path, capsys, command, name):
+    """A NaN passes through numpy without raising, so it is stopped where it
+    enters: each command exits 2 with one line naming the parameter, and
+    writes nothing.  The GD units are off the scoring path, so at the parent
+    a NaN there left ``eval`` at exit 0 and put NaN into ``dump-edges``."""
+    path, out = tmp_path / "nan.npz", tmp_path / "out" / "file"
     cfg = tiny_config()
     model = Model(cfg)
-    model.parameters()["fusion.head.first.weight"].data[0, 0] = np.nan
+    model.parameters()[name].data[0, 0] = np.nan
     save_checkpoint(path, model.parameters(), cfg,
                     {"raw_dims": {m.tag: d for m, d in model.raw_dims.items()}})
-    with np.errstate(all="ignore"):
-        rc = main(["eval", "--checkpoint", str(path), "--synthetic", "4"])
-    err = capsys.readouterr().err
-    assert rc == 3
-    assert err.startswith("numeric error: 4 of 4 scores are non-finite")
-    assert len(err.splitlines()) == 1
+    rc = main([command, "--checkpoint", str(path), "--synthetic", "4",
+               *(a.format(out=out) for a in CHECKPOINT_READERS[command])])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == (f"data error: checkpoint {path}: parameter {name} "
+                            "holds a non-finite value\n")
+    assert not out.exists()
 
 
 def test_eval_synthetic_rejects_checkpoint_of_other_raw_dims(tmp_path, capsys):
@@ -952,6 +968,8 @@ BAD_INVOCATIONS = [
     ("eval --synthetic 3 --checkpoint {empty}", 1, "--checkpoint: empty path"),
     ("train --epochs 1 --data {nosamples}", 2, "lists no samples"),
     ("eval --data {nosamples} --checkpoint {ck}", 2, "lists no samples"),
+    ("probe-unimodal --synthetic 4 --data {nosamples} --checkpoint {ck}", 1,
+     "argument --data: not allowed with argument --synthetic"),
 ]
 
 
@@ -993,9 +1011,10 @@ def test_cli_bad_invocation_is_one_error_line(tmp_path, capsys, monkeypatch, arg
 
 
 def test_cli_non_finite_gradient_exits_three_keeping_best_checkpoint(tmp_path, monkeypatch, capsys):
-    """A non-finite gradient in the second epoch stops training with exit
-    code 3 before any update, and the first epoch's best checkpoint stays
-    as it was written."""
+    """A gradient whose square overflows in the second epoch stops training
+    in ``Adam.step`` with exit code 3, and the first epoch's best checkpoint
+    stays as it was written.  (A NaN would pass through without raising; no
+    program path can put one into a gradient.)"""
     import modal_distill.train as train_mod
 
     ckpt = tmp_path / "run" / "checkpoint.npz"
@@ -1012,7 +1031,7 @@ def test_cli_non_finite_gradient_exits_three_keeping_best_checkpoint(tmp_path, m
         reached = backward(self)
         if ckpt.exists():  # written by the first epoch's validation
             saved.append(ckpt.read_bytes())
-            models[0].parameters()["fusion.head.first.weight"].grad[0, 0] = np.nan
+            models[0].parameters()["fusion.head.first.weight"].grad[0, 0] = 1e300
         return reached
 
     monkeypatch.setattr(train_mod, "Model", CapturedModel)
@@ -1020,33 +1039,67 @@ def test_cli_non_finite_gradient_exits_three_keeping_best_checkpoint(tmp_path, m
     rc = main(["train", "--synthetic", "12", "--d", "4", "--heads", "2", "--epochs", "3",
                "--batch-size", "4", "--out", str(tmp_path / "run")])
     assert rc == 3
-    assert "non-finite gradient of parameter fusion.head.first.weight" in capsys.readouterr().err
+    assert re.fullmatch(r"numeric error: overflow encountered in multiply in train\.Adam\.step "
+                        r"at step \d+ \(first sample syn\d{5}\)\n", capsys.readouterr().err)
     assert len(saved) == 1 and ckpt.read_bytes() == saved[0]
 
 
 def test_cli_overflowing_update_is_one_stderr_line(tmp_path, capfd):
-    """An lr that overflows the update exits 3 on the optimizer's own
-    check, with no numpy warning on stderr."""
+    """An lr that overflows the update exits 3 from the trap in the step,
+    naming ``Adam.step``, with no numpy warning on stderr."""
     rc = main(["train", "--synthetic", "6", "--max-steps", "1", "--lr", "1e308",
                "--out", str(tmp_path / "run")])
     err = capfd.readouterr().err.splitlines()
     assert rc == 3
-    assert len(err) == 1 and err[0].startswith("numeric error: non-finite updated value of parameter")
+    assert len(err) == 1 and re.fullmatch(
+        r"numeric error: overflow encountered in multiply in train\.Adam\.step "
+        r"at step 0 \(first sample syn\d{5}\)", err[0])
+
+
+def _huge_feature_set(root: Path) -> Path:
+    """A 12-sample dataset whose first L feature cell is 1e300: finite, so
+    it loads, and large enough to overflow."""
+    manifest = save_dataset(generate(12, seed=0), root / "set")
+    first = root / "set" / next(csv.DictReader(manifest.read_text().splitlines()))["path_L"]
+    rows = first.read_text().splitlines()
+    rows[0] = ",".join(["1e300"] + rows[0].split(",")[1:])
+    first.write_text("\n".join(rows) + "\n")
+    return manifest
+
+
+# one stderr line: numpy's message, the package function, then the step,
+# batch or probe and the first sample of what it worked on
+TRAPPED_LINE = (r"numeric error: overflow encountered in \w+ in \w+\.[\w.<>]+ "
+                r"at (step \d+|batch \d+|the [LVA] probe) \(first sample syn\d{5}\)")
 
 
 def test_cli_huge_finite_feature_is_one_stderr_line(tmp_path, capfd):
     """A feature value of 1e300 is finite, so it loads; the forward then
-    overflows, and the loss check's line is all that reaches stderr."""
-    manifest = save_dataset(generate(12, seed=0), tmp_path / "set")
-    first = tmp_path / "set" / next(csv.DictReader(manifest.read_text().splitlines()))["path_L"]
-    rows = first.read_text().splitlines()
-    rows[0] = ",".join(["1e300"] + rows[0].split(",")[1:])
-    first.write_text("\n".join(rows) + "\n")
+    overflows, and the trap's line is all that reaches stderr."""
+    manifest = _huge_feature_set(tmp_path)
     rc = main(["train", "--data", str(manifest), "--max-steps", "2", "--batch-size", "4",
                "--d", "4", "--heads", "2", "--out", str(tmp_path / "run")])
     err = capfd.readouterr().err.splitlines()
     assert rc == 3
-    assert err == ["numeric error: non-finite total loss at step 0 (last finite components: none)"]
+    assert len(err) == 1 and re.fullmatch(TRAPPED_LINE, err[0]) and "at step 0 " in err[0]
+
+
+@pytest.mark.parametrize("command", list(CHECKPOINT_READERS))
+def test_cli_overflow_while_scoring_exits_three_writing_nothing(tmp_path, capfd, command):
+    """At the parent ``eval``, ``dump-edges`` and ``probe-unimodal`` exited 0
+    on this set, ``eval`` with an MAE near 1e297 and ``dump-edges`` with
+    ``Infinity`` in its JSONL.  Now each stops at the first overflow with
+    exit 3 and one line, and leaves no output file."""
+    manifest = _huge_feature_set(tmp_path)
+    ck, out = tmp_path / "ck.npz", tmp_path / "out" / "file"
+    _eval_checkpoint(ck)
+    rc = main([command, "--checkpoint", str(ck), "--data", str(manifest),
+               *(a.format(out=out) for a in CHECKPOINT_READERS[command])])
+    captured = capfd.readouterr()
+    err = captured.err.splitlines()
+    assert rc == 3 and captured.out == ""
+    assert len(err) == 1 and re.fullmatch(TRAPPED_LINE, err[0]), err
+    assert not out.exists()
 
 
 def test_cli_gradcheck_passes():

@@ -2,8 +2,9 @@
 every public module-level function and class is referred to somewhere
 in the package or the benchmark outside its own definition, every
 attribute the package sets on ``self`` and every dataclass field is read
-somewhere by name, only ``Model`` lists parameters, and only the command
-line writes to stderr."""
+somewhere by name, only ``Model`` lists parameters, only the command
+line writes to stderr, and only the command line and the trap in
+``train`` handle numpy's floating-point errors."""
 
 import ast
 from collections import Counter
@@ -210,3 +211,57 @@ def test_only_cli_writes_to_stderr():
         if "stderr" in _names(tree):
             writers.add(path.name)
     assert writers == {"cli.py"}
+
+
+# (module, function) that may set how numpy handles floating-point errors:
+# the command line raises on them for the whole command, and the trap
+# around each train step and scored batch names where one arose
+FLOAT_ERROR_HANDLERS = {("cli", "main"), ("train", "_trapped")}
+_FLOAT_ERROR_NAMES = {"errstate", "seterr", "FloatingPointError"}
+
+
+def float_error_handling(modules: dict[str, str]) -> set[tuple[str, str]]:
+    """(module, qualified function) of each function in ``modules`` (module
+    name -> source), or ``<module>`` for top-level code, that names
+    ``errstate``, ``seterr`` or ``FloatingPointError``, or passes the string
+    ``"ignore"`` to a call (a warnings filter hides numpy's warnings as
+    surely as ``errstate`` does)."""
+    found = set()
+
+    def visit(module: str, node: ast.AST, owner: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = f"{owner}.{node.name}" if owner != "<module>" else node.name
+        named = (isinstance(node, ast.Name) and node.id in _FLOAT_ERROR_NAMES
+                 or isinstance(node, ast.Attribute) and node.attr in _FLOAT_ERROR_NAMES)
+        ignores = isinstance(node, ast.Call) and any(
+            isinstance(n, ast.Constant) and n.value == "ignore"
+            for arg in [*node.args, *(k.value for k in node.keywords)] for n in ast.walk(arg))
+        if named or ignores:
+            found.add((module, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(module, child, owner)
+
+    for module, source in modules.items():
+        visit(module, ast.parse(source), "<module>")
+    return found
+
+
+def test_float_error_handling_is_found():
+    modules = {
+        "a": "import numpy as np\nnp.seterr(all='ignore')\n\n"
+             "def quiet():\n    with np.errstate(**{'over': 'ignore'}):\n        pass\n\n"
+             "class Step:\n    def run(self):\n        try:\n            pass\n"
+             "        except FloatingPointError:\n            pass\n\n"
+             "def hide():\n    import warnings\n    warnings.simplefilter('ignore')\n\n"
+             "def plain():\n    mode = 'ignore'\n    return warnings.simplefilter('error')\n",
+    }
+    assert float_error_handling(modules) == {("a", "<module>"), ("a", "quiet"),
+                                             ("a", "Step.run"), ("a", "hide")}
+
+
+def test_only_the_cli_and_the_trap_handle_float_errors():
+    """Overflow, invalid values and division by zero raise in every command
+    (``cli.main``) and are named where they arise (``train._trapped``); a
+    second place that sets or catches them is how silent overflow regrows."""
+    modules = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert float_error_handling(modules) == FLOAT_ERROR_HANDLERS
