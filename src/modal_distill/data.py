@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import hashlib
 import io
 import os
 import signal
+import struct
 import tempfile
 import warnings
 import zlib
@@ -280,30 +280,28 @@ def save_dataset(samples: list[Sample], out_dir: str | Path) -> Path:
 
 def _write_feature_csv(path: Path, mat: np.ndarray) -> tuple[bytes, np.ndarray]:
     np.savetxt(path, mat, delimiter=",", fmt="%.17g")
-    return _NO_DIGEST, np.empty((0, 0))  # an empty spool record: this file is written
+    return _NO_KEY, np.empty((0, 0))  # an empty spool record: this file is written
 
 
-def _digest(raw: bytes, encoding: str, mat: np.ndarray) -> bytes:
-    """The key of a parsed file's record: SHA-256 of the encoding the file
-    decodes with, a NUL, the file's bytes, then the array's shape and the
-    CRC-32 of its float64 bytes (a fixed-size tail, so two different inputs
-    never hash the same bytes).  So a record matches only the bytes it was
-    parsed from and, as a zip member is checked, the array stored with it."""
-    h = hashlib.sha256(encoding.encode() + b"\0")
-    h.update(raw)
-    h.update(np.array([*mat.shape, zlib.crc32(mat.data)], dtype=np.int64).tobytes())
-    return h.digest()
+def _key(st: os.stat_result, mat: np.ndarray) -> bytes:
+    """The key of a parsed file's record: the stamp of the file it was
+    parsed from (device, inode, size, mtime and ctime, from ``fstat`` of the
+    descriptor the parse read) and the CRC-32 of the array's shape and
+    float64 bytes, which checks the array stored with it."""
+    crc = zlib.crc32(mat.data, zlib.crc32(struct.pack("<2q", *mat.shape)))
+    return _KEY.pack(st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns, crc)
 
 
 def _read_feature_csv(path: Path, sample_id: str, modality: Modality,
                       expected_dim: int) -> tuple[bytes, np.ndarray]:
-    """Parse one feature file and check it; returns the key of the bytes it
-    parsed and the array they parsed to (``_digest``), and the array.  The
-    file is read once, so the key always belongs to the array, even if the
-    file is rewritten."""
+    """Parse one feature file and check it; returns the key of the file and
+    the array it parsed to (``_key``), and the array.  The stamp is taken
+    from the descriptor before its one read, so a write during the parse
+    leaves the file with another stamp than its record."""
     if not path.is_file():
         raise DataError(f"sample {sample_id}: missing {modality.tag} feature file {path}")
     with open(path, "rb") as fh:
+        st = os.fstat(fh.fileno())
         raw = fh.read()
     # the wrapper a plain open() builds, so the text, its newlines and any
     # decoding error are those of open(path)
@@ -319,7 +317,7 @@ def _read_feature_csv(path: Path, sample_id: str, modality: Modality,
     except ValueError as exc:
         raise DataError(f"sample {sample_id}: unparseable {modality.tag} feature file {path}: {exc}") from exc
     mat = _check_features(mat, path, sample_id, modality, expected_dim)
-    return _digest(raw, text.encoding, mat), mat
+    return _key(st, mat), mat
 
 
 def _check_features(mat: np.ndarray, path: Path, sample_id: str, modality: Modality,
@@ -346,13 +344,12 @@ def load_features(manifest_path: str | Path,
     any feature file is read.
 
     A successful parse leaves a cache beside the manifest,
-    ``.<manifest name>.parsed``: each file's array and a digest of the
-    file's bytes and that array.  A later load reads every file; if every
-    record matches its file and holds the array it was stored with, in
-    manifest order, and the arrays pass the per-file checks, it takes them
-    from there.  Otherwise ``_map_over_cores`` parses the files, raising
-    any error, and the cache is rewritten.  A cache that cannot be written
-    is left out.
+    ``.<manifest name>.parsed``, of each file's array under the file's
+    stamp (``_key``).  A later load takes the arrays from there when no
+    file has changed since it was parsed (``_load_cached``), reading no
+    file; otherwise ``_parse_and_cache`` parses the files, raising any
+    error, and rewrites the cache.  A cache that cannot be written is left
+    out.
     """
     dims = dims or RAW_DIMS
     manifest = Path(manifest_path)
@@ -395,9 +392,7 @@ def load_features(manifest_path: str | Path,
     cache = manifest.with_name(f".{manifest.name}.parsed")
     mats = _load_cached(cache, jobs)
     if mats is None:
-        parsed = _map_over_cores(_read_feature_csv, jobs)
-        _write_cache(cache, parsed)
-        mats = [mat for _, mat in parsed]
+        mats = _parse_and_cache(cache, jobs)
     it = iter(mats)
     return [Sample(id=sid, features={m: next(it) for m in MODALITIES}, label=label)
             for sid, label in rows]
@@ -405,32 +400,53 @@ def load_features(manifest_path: str | Path,
 
 # ---- parse cache ----
 
-# The cache is this magic (its last byte the format version), the number of
-# records as one int64, then one spool record (``_write_record``) per
-# feature file, in manifest order.
-_CACHE_MAGIC = b"MDPARSE\x01"
+# The cache is a header, then one spool record (``_write_record``) per
+# feature file, in manifest order.  The header is this magic (its last byte
+# the format version), the number of records, the marker (the device and
+# ctime of the cache's temporary file, taken as it was made, before any
+# feature file was read) and the name of the text encoding a plain open()
+# decodes with.
+_CACHE_MAGIC = b"MDPARSE\x02"
+_HEAD = struct.Struct("<8sQQq32s")
+
+
+def _head(count: int, marker_dev: int, marker_ctime: int) -> bytes:
+    encoding = io.TextIOWrapper(io.BytesIO()).encoding  # what open() decodes with
+    return _HEAD.pack(_CACHE_MAGIC, count, marker_dev, marker_ctime, encoding.encode())
 
 
 def _load_cached(cache: Path, jobs: list[tuple]) -> list[np.ndarray] | None:
-    """The checked arrays of ``jobs`` from ``cache``, or None if any file
-    cannot be read or differs from its record, a record's array is not the
-    one stored, an array fails its checks (the parse then raises the error),
-    or the cache is not one whole cache of ``len(jobs)`` records (which may
-    be any bytes at all)."""
-    encoding = io.TextIOWrapper(io.BytesIO()).encoding  # what open() decodes with
+    """The checked arrays of ``jobs`` from ``cache``, or None unless every
+    file is a regular file on the marker's device whose stamp is its
+    record's and whose ctime is older than the marker's, every record holds
+    the array it was stored with, the arrays pass their checks (the parse
+    then raises the error), and the cache is one whole cache of
+    ``len(jobs)`` records (it may be any bytes at all).
+
+    The kernel sets a file's ctime from the filesystem's clock on every
+    change to its bytes or metadata, and nothing sets it back.  The parse
+    read each file after the marker was made, so any later write gave the
+    file a ctime no older than the marker's, and so another stamp than a
+    record older than the marker.  Each file is opened, but not read,
+    because NFS revalidates a file's attributes on open."""
     try:
         with open(cache, "rb") as fh:
             end = os.fstat(fh.fileno()).st_size
-            if fh.read(16) != _CACHE_MAGIC + np.int64(len(jobs)).tobytes():
+            head = fh.read(_HEAD.size)
+            if len(head) != _HEAD.size:
+                return None
+            _, _, marker_dev, marker_ctime, _ = _HEAD.unpack(head)
+            if head != _head(len(jobs), marker_dev, marker_ctime):
                 return None
             mats = []
             for path, *_ in jobs:
-                if not path.is_file():  # a FIFO or device would block or never end
+                record = _read_record(fh, end)
+                if record is None or not path.is_file():  # a FIFO or device would block
                     return None
                 with open(path, "rb") as src:
-                    raw = src.read()
-                record = _read_record(fh, end)
-                if record is None or record[0] != _digest(raw, encoding, record[1]):
+                    st = os.fstat(src.fileno())
+                if (st.st_dev != marker_dev or st.st_ctime_ns >= marker_ctime
+                        or record[0] != _key(st, record[1])):
                     return None
                 mats.append(record[1])
             if fh.tell() != end:
@@ -440,22 +456,34 @@ def _load_cached(cache: Path, jobs: list[tuple]) -> list[np.ndarray] | None:
         return None
 
 
-def _write_cache(cache: Path, parsed: list[tuple[bytes, np.ndarray]]) -> None:
-    """Write ``parsed`` as ``save_checkpoint`` writes: to a temporary file
-    beside ``cache``, then renamed over it.  An ``OSError`` (a read-only
-    directory, a full disk) leaves no cache and no temporary file."""
+def _parse_and_cache(cache: Path, jobs: list[tuple]) -> list[np.ndarray]:
+    """Parse ``jobs`` over the usable cores (``_map_over_cores``), raising
+    any error, and return the arrays, after writing them as ``cache``.
+
+    The cache's temporary file is made, in the parent, before any file is
+    read, and its ctime is the marker.  The records are written to it and
+    it is renamed over ``cache``, as ``save_checkpoint`` writes.  An
+    ``OSError`` of the cache (a read-only directory, a full disk) or an
+    error of the parse leaves no temporary file, and no new cache."""
     tmp = cache.with_name(f"{cache.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(_CACHE_MAGIC + np.int64(len(parsed)).tobytes())
-            for digest, mat in parsed:
-                _write_record(fh, digest, mat)
-        os.replace(tmp, cache)
-    except BaseException as exc:
+        fh = open(tmp, "wb")
+    except OSError:
+        return [mat for _, mat in _map_over_cores(_read_feature_csv, jobs)]
+    try:
+        marker = os.fstat(fh.fileno())
+        parsed = _map_over_cores(_read_feature_csv, jobs)
+        with contextlib.suppress(OSError):
+            fh.write(_head(len(parsed), marker.st_dev, marker.st_ctime_ns))
+            for key, mat in parsed:
+                _write_record(fh, key, mat)
+            fh.close()
+            os.replace(tmp, cache)
+    finally:
+        fh.close()
         with contextlib.suppress(OSError):
             tmp.unlink(missing_ok=True)
-        if not isinstance(exc, OSError):
-            raise
+    return [mat for _, mat in parsed]
 
 
 # Below this many feature files per process a load or write stays in fewer
@@ -468,9 +496,9 @@ _FILES_PER_PROCESS = 32
 
 def _map_over_cores(fn, jobs: list[tuple]) -> list[tuple[bytes, np.ndarray]]:
     """``fn(*job)`` for each job, in order, over up to one process per
-    usable core; ``fn`` returns a spool record's ``(digest, array)``: a
-    32-byte digest (``_digest``, or ``_NO_DIGEST`` where there is none)
-    and a 2-d float64 array.
+    usable core; ``fn`` returns a spool record's ``(key, array)``: a
+    48-byte key (``_key``, or ``_NO_KEY`` where there is none) and a 2-d
+    float64 array.
 
     The parent runs the first contiguous share of the jobs and a forked
     helper each later one (``_fork_helper``).  Wherever a helper's spool
@@ -520,8 +548,8 @@ def _fork_helper(fn, share: list[tuple]):
     The spool is an unlinked temporary file of one ``_write_record`` record
     per job.  The helper stops at the first job that raises and leaves
     through ``os._exit``, so it never runs the caller's code.  It runs only
-    CSV parsing, hashing, CSV formatting and file writes, never BLAS, whose
-    threads a fork does not copy.
+    CSV parsing, CRC-32 sums, CSV formatting and file writes, never BLAS,
+    whose threads a fork does not copy.
     """
     try:
         spool = tempfile.TemporaryFile()
@@ -541,14 +569,15 @@ def _fork_helper(fn, share: list[tuple]):
     return pid, spool
 
 
-# A record is the array's shape as two int64, a 32-byte digest, then the
-# array's raw float64 bytes.
-_NO_DIGEST = bytes(32)
-_RECORD_HEAD = 2 * 8 + len(_NO_DIGEST)
+# A record is the array's shape as two int64, a 48-byte key (``_key``; all
+# zero where there is none), then the array's raw float64 bytes.
+_KEY = struct.Struct("<2Q3qQ")
+_NO_KEY = bytes(_KEY.size)
+_RECORD_HEAD = 2 * 8 + _KEY.size
 
 
-def _write_record(fh, digest: bytes, mat: np.ndarray) -> None:
-    fh.write(np.array(mat.shape, dtype=np.int64).tobytes() + digest)
+def _write_record(fh, key: bytes, mat: np.ndarray) -> None:
+    fh.write(np.array(mat.shape, dtype=np.int64).tobytes() + key)
     fh.write(mat.data)
 
 
@@ -625,7 +654,8 @@ def align_sample(sample: Sample) -> Sample:
 
 
 def make_batch(samples: list[Sample], mode: str = "unaligned") -> Batch:
-    # every sample reaches the model through here, so here a non-finite feature stops
+    # every sample reaches the model through here, so here a non-finite
+    # feature and a NaN or out-of-range label stop
     if mode not in ("aligned", "unaligned"):
         raise ConfigError(f"batch mode must be 'aligned' or 'unaligned', got {mode!r}")
     if not samples:
@@ -642,6 +672,11 @@ def make_batch(samples: list[Sample], mode: str = "unaligned") -> Batch:
         features={m: np.concatenate([s.features[m] for s in samples]) for m in MODALITIES},
         rows={m: RowLayout([s.features[m].shape[0] for s in samples]) for m in MODALITIES},
     )
+    in_range = (batch.labels >= LABEL_MIN) & (batch.labels <= LABEL_MAX)  # False for NaN
+    if not in_range.all():
+        i = int(np.argmin(in_range))
+        raise DataError(f"sample {batch.ids[i]}: label {batch.labels[i]} "
+                        f"outside [{LABEL_MIN}, {LABEL_MAX}]")
     for m, mat in batch.features.items():
         if not np.isfinite(mat).all():
             sid = batch.ids[batch.rows[m].seq[np.argmin(np.isfinite(mat).all(axis=1))]]

@@ -6,6 +6,7 @@ import os
 import shutil
 import signal
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -621,12 +622,28 @@ def _cache(root):
     return root / ".manifest.csv.parsed"
 
 
+def _settle(root):
+    """Wait until a file made now gets a later ctime than every file under
+    ``root``, and return that ctime.  A load's marker is then newer than the
+    tree, so the load's parse is trusted by the next one; a file changed in
+    the marker's own clock tick would be parsed once more."""
+    newest = max(p.stat().st_ctime_ns for p in root.rglob("*"))
+    while True:
+        with tempfile.TemporaryFile(dir=root) as probe:
+            made = os.stat(probe.fileno()).st_ctime_ns
+        if made > newest:
+            return made
+        time.sleep(0.001)
+
+
 def _small_tree(root):
-    """A saved 3-sample dataset (9 files, parsed in one process) and its
-    samples and dims."""
+    """A saved 3-sample dataset (9 files, parsed in one process), settled,
+    and its samples and dims."""
     cfg = small_config()
     samples = generate(3, seed=22, config=cfg)
-    return save_dataset(samples, root), samples, cfg.raw_dims
+    manifest = save_dataset(samples, root)
+    _settle(root)
+    return manifest, samples, cfg.raw_dims
 
 
 def _same_size_edit(raw: bytes) -> bytes:
@@ -636,9 +653,32 @@ def _same_size_edit(raw: bytes) -> bytes:
     return raw[:i] + (b"2" if raw[i:i + 1] == b"1" else b"1") + raw[i + 1:]
 
 
+def _count_parses(monkeypatch):
+    """Wrap ``np.loadtxt``; the returned list gains one entry per call."""
+    parses = []
+    real = np.loadtxt
+
+    def counted(*args, **kwargs):
+        parses.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    return parses
+
+
+def _restamp(st, **fields):
+    """``st`` with the named fields replaced."""
+    seq = ("st_mode", "st_ino", "st_dev", "st_nlink", "st_uid", "st_gid", "st_size")
+    head = [fields.get(name, value) for name, value in zip(seq, st)]
+    rest = {name: fields.get(name, getattr(st, name))
+            for name in dir(st) if name.startswith("st_") and name not in seq}
+    return os.stat_result(head + list(st)[len(seq):], rest)
+
+
 def test_warm_load_is_bit_equal_to_direct_reads_and_forks_nothing(tmp_path, monkeypatch,
                                                                   samples48):
     manifest = save_dataset(samples48, tmp_path)
+    _settle(tmp_path)
     _use_cores(monkeypatch, 2)
     load_features(manifest)
     forks = count_forks(monkeypatch)
@@ -665,20 +705,65 @@ def test_same_size_edit_with_the_old_mtime_is_parsed_again(tmp_path):
                               first[1].features[Modality.VISION])
 
 
-def _set_first_rows(cache, rows):
-    return cache[:16] + np.int64(rows).tobytes() + cache[24:]
+def test_touched_file_is_parsed_once_then_trusted_again(tmp_path, monkeypatch):
+    """``os.utime`` leaves the bytes as they were but moves the ctime, so
+    the next load parses once more and the loads after it are warm."""
+    manifest, samples, dims = _small_tree(tmp_path)
+    load_features(manifest, dims=dims)
+    os.utime(tmp_path / "features" / f"{samples[2].id}_V.csv")
+    _settle(tmp_path)
+    parses = _count_parses(monkeypatch)
+    counts = []
+    for _ in range(3):
+        parses.clear()
+        loaded = load_features(manifest, dims=dims)
+        counts.append(len(parses))
+        _assert_bit_equal_to_direct_reads(loaded, samples, tmp_path)
+    assert counts == [9, 0, 0]
 
 
-def _transpose_first_shape(cache):
-    """The first record's shape reversed: the same byte count, its digest
-    kept."""
-    rows, cols = np.frombuffer(cache, dtype=np.int64, count=2, offset=16)
-    return cache[:16] + np.array([cols, rows], dtype=np.int64).tobytes() + cache[32:]
+def test_file_reported_on_another_device_is_never_trusted(tmp_path, monkeypatch):
+    """A file whose ``fstat`` names another device than the marker's has a
+    ctime from another clock, so its record is never taken."""
+    manifest, samples, dims = _small_tree(tmp_path)
+    inode = (tmp_path / "features" / f"{samples[1].id}_A.csv").stat().st_ino
+    real = os.fstat
+
+    def elsewhere(fd):
+        st = real(fd)
+        return _restamp(st, st_dev=st.st_dev + 1) if st.st_ino == inode else st
+
+    monkeypatch.setattr(os, "fstat", elsewhere)
+    parses = _count_parses(monkeypatch)
+    for _ in range(3):
+        parses.clear()
+        loaded = load_features(manifest, dims=dims)
+        assert len(parses) == 9
+        _assert_bit_equal_to_direct_reads(loaded, samples, tmp_path)
 
 
 def _flip_first_payload_byte(cache):
-    i = 16 + 2 * 8 + 32  # the first record's first float64 byte
+    i = data._HEAD.size + data._RECORD_HEAD  # the first record's first float64 byte
     return cache[:i] + bytes([cache[i] ^ 1]) + cache[i + 1:]
+
+
+def _with_head(cache, **fields):
+    """``cache`` with the named fields of its header (``data._HEAD``)
+    replaced; a callable value maps the old value to the new."""
+    names = ("magic", "count", "marker_dev", "marker_ctime", "encoding")
+    head = dict(zip(names, data._HEAD.unpack(cache[:data._HEAD.size])))
+    for name, value in fields.items():
+        head[name] = value(head[name]) if callable(value) else value
+    return data._HEAD.pack(*head.values()) + cache[data._HEAD.size:]
+
+
+def _with_first_shape(cache, shape):
+    """``cache`` with the first record's shape replaced, its key kept; a
+    callable maps the old ``(rows, cols)`` to the new."""
+    i = data._HEAD.size
+    old = tuple(np.frombuffer(cache, dtype=np.int64, count=2, offset=i).tolist())
+    new = shape(old) if callable(shape) else shape
+    return cache[:i] + np.array(new, dtype=np.int64).tobytes() + cache[i + 16:]
 
 
 # every way a cache file can be wrong; each must be a miss, never an error
@@ -687,50 +772,86 @@ BAD_CACHES = {
     "foreign": lambda c: b"id,label,path_L,path_V,path_A\n" * 4,
     "all_zero": lambda c: bytes(len(c)),
     "empty": lambda c: b"",
-    "other_count": lambda c: c[:8] + np.int64(8).tobytes() + c[16:],
-    "negative_shape": lambda c: _set_first_rows(c, -1),
-    "shape_past_the_end": lambda c: _set_first_rows(c, 2 ** 40),
+    "previous_version": lambda c: _with_head(c, magic=b"MDPARSE\x01"),
+    "other_encoding": lambda c: _with_head(c, encoding=b"cp037"),
+    "other_count": lambda c: _with_head(c, count=8),
+    "marker_on_another_device": lambda c: _with_head(c, marker_dev=lambda dev: dev + 1),
+    "marker_older_than_the_files": lambda c: _with_head(c, marker_ctime=0),
+    "negative_shape": lambda c: _with_first_shape(c, lambda s: (-1, s[1])),
+    "shape_past_the_end": lambda c: _with_first_shape(c, lambda s: (2 ** 40, s[1])),
     "trailing_bytes": lambda c: c + bytes(8),
-    "reshaped_record_digest_intact": _transpose_first_shape,
-    "zero_columns_digest_intact": lambda c: c[:24] + np.int64(0).tobytes() + c[32:],
+    "reshaped_record_key_intact": lambda c: _with_first_shape(c, lambda s: s[::-1]),
+    "zero_columns_key_intact": lambda c: _with_first_shape(c, lambda s: (s[0], 0)),
     "payload_byte_flipped": _flip_first_payload_byte,
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CACHES))
-def test_bad_cache_is_a_miss_that_loads_and_rewrites_it(tmp_path, case):
+def test_bad_cache_is_a_miss_that_loads_and_rewrites_it(tmp_path, monkeypatch, case):
+    """The rewrite is the good cache but for its marker, which is the time
+    of the rewrite, and the load after it is warm."""
     manifest, samples, dims = _small_tree(tmp_path)
     load_features(manifest, dims=dims)
     good = _cache(tmp_path).read_bytes()
     _cache(tmp_path).write_bytes(BAD_CACHES[case](good))
+    parses = _count_parses(monkeypatch)
     loaded = load_features(manifest, dims=dims)
+    assert len(parses) == 9
     _assert_bit_equal_to_direct_reads(loaded, samples, tmp_path)
-    assert _cache(tmp_path).read_bytes() == good
+    unmarked = dict(marker_dev=0, marker_ctime=0)
+    assert _with_head(_cache(tmp_path).read_bytes(), **unmarked) == _with_head(good, **unmarked)
+    parses.clear()
+    loaded = load_features(manifest, dims=dims)
+    assert parses == []
+    _assert_bit_equal_to_direct_reads(loaded, samples, tmp_path)
+
+
+class _CountingReader:
+    """A binary file that adds each byte it reads to ``counts[name]``; it
+    has only what the loader uses of a file, so any other use fails."""
+
+    def __init__(self, fh, counts, name):
+        self.fh, self.counts, self.name = fh, counts, name
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def fileno(self):
+        return self.fh.fileno()
+
+    def read(self, *args):
+        raw = self.fh.read(*args)
+        self.counts[self.name] = self.counts.get(self.name, 0) + len(raw)
+        return raw
 
 
 def test_each_load_reads_each_file_once_and_only_a_cold_one_parses(tmp_path, monkeypatch):
+    """A cold load opens each file once and reads it whole; a warm one opens
+    each file once and reads no byte of any."""
     manifest, samples, dims = _small_tree(tmp_path)
     features = tmp_path / "features"
-    reads, parses = [], []
-    real_open, real_loadtxt = open, np.loadtxt
+    opens, read = [], {}
+    real_open = open
 
     def counting_open(path, *args, **kwargs):
-        if os.path.dirname(path) == str(features):
-            reads.append(os.path.basename(path))
-        return real_open(path, *args, **kwargs)
-
-    def counting_loadtxt(*args, **kwargs):
-        parses.append(1)
-        return real_loadtxt(*args, **kwargs)
+        fh = real_open(path, *args, **kwargs)
+        if os.path.dirname(path) != str(features):
+            return fh
+        opens.append(os.path.basename(path))
+        return _CountingReader(fh, read, os.path.basename(path))
 
     monkeypatch.setattr(data, "open", counting_open, raising=False)
-    monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
-    names = sorted(p.name for p in features.iterdir())
+    parses = _count_parses(monkeypatch)
+    sizes = {p.name: p.stat().st_size for p in features.iterdir()}
     for cold in (True, False):
-        reads.clear(), parses.clear()
+        opens.clear(), read.clear(), parses.clear()
         loaded = load_features(manifest, dims=dims)
-        assert sorted(reads) == names
-        assert len(parses) == (len(names) if cold else 0)
+        assert sorted(opens) == sorted(sizes)
+        assert read == (sizes if cold else {})
+        assert len(parses) == (len(sizes) if cold else 0)
         _assert_bit_equal_to_direct_reads(loaded, samples, tmp_path)
 
 
@@ -752,26 +873,56 @@ def test_unwritable_cache_still_loads_and_leaves_no_file(tmp_path, monkeypatch, 
         assert sorted(p.name for p in tmp_path.iterdir()) == ["features", "manifest.csv"]
 
 
-def test_file_rewritten_during_its_parse_is_never_cached_under_its_first_digest(
-        tmp_path, monkeypatch):
-    """A file that changes from A to B after its read and back to A after the
-    load loads as A next time: B's arrays are never stored under A's digest."""
+@pytest.mark.parametrize("sid", [PARENT_SAMPLE, HELPER_SAMPLE])
+def test_failed_cold_load_leaves_no_cache_no_temporary_file_and_no_descriptor(
+        tmp_path, monkeypatch, samples48, sid):
+    manifest = save_dataset(samples48, tmp_path)
+    _corrupt(tmp_path / "features" / f"{sid}_V.csv", "word")
+    _use_cores(monkeypatch, 2)
+    fds = _open_fds()
+    with pytest.raises(DataError, match=f"sample {sid}: unparseable V"):
+        load_features(manifest)
+    _assert_all_reaped(fds)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["features", "manifest.csv"]
+
+
+def test_file_rewritten_during_its_parse_is_never_trusted(tmp_path, monkeypatch):
+    """On a filesystem clock that does not tick between a file's save and
+    its rewrite during the parse, the rewrite keeps the file's whole stamp:
+    its size, mtime and ctime.  Its record is still never taken, because
+    the marker, made before the parse, is no newer than that ctime.  Here
+    ``fstat`` reports every time as 0 until the clock ticks, and as the
+    tick from then on; it ticks just after the rewrite (from A to B), so
+    the cached A is stamped as B is.  B loads as B, and A again as A."""
     manifest, samples, dims = _small_tree(tmp_path)
     path = tmp_path / "features" / f"{samples[0].id}_L.csv"  # the first file parsed
     a = path.read_bytes()
     b = _same_size_edit(a)
-    real = np.loadtxt
+    tick = []
+    real_fstat, real_loadtxt = os.fstat, np.loadtxt
+
+    def coarse(ns):
+        return tick[0] if tick and ns >= tick[0] else 0
+
+    def coarse_fstat(fd):
+        st = real_fstat(fd)
+        return _restamp(st, st_mtime_ns=coarse(st.st_mtime_ns), st_ctime_ns=coarse(st.st_ctime_ns))
 
     def rewrite_then_parse(*args, **kwargs):
-        path.write_bytes(b)
-        return real(*args, **kwargs)
+        if not tick:
+            path.write_bytes(b)
+            tick.append(_settle(tmp_path))
+        return real_loadtxt(*args, **kwargs)
 
+    monkeypatch.setattr(os, "fstat", coarse_fstat)
     monkeypatch.setattr(np, "loadtxt", rewrite_then_parse)
-    load_features(manifest, dims=dims)
-    monkeypatch.setattr(np, "loadtxt", real)
+    first = load_features(manifest, dims=dims)[0].features[Modality.LANGUAGE]
+    assert first.tobytes() == samples[0].features[Modality.LANGUAGE].tobytes()  # A, as read
+    parses = _count_parses(monkeypatch)
+    loaded = load_features(manifest, dims=dims)
+    assert len(parses) == 9
+    _assert_bit_equal_to_direct_reads(loaded, samples, tmp_path)
     path.write_bytes(a)
-    _assert_bit_equal_to_direct_reads(load_features(manifest, dims=dims), samples, tmp_path)
-    path.write_bytes(b)
     _assert_bit_equal_to_direct_reads(load_features(manifest, dims=dims), samples, tmp_path)
 
 
@@ -1004,6 +1155,17 @@ def test_batch_rejects_non_finite_feature_naming_sample_and_modality(mode, bad):
         make_batch(samples, mode=mode)
     with pytest.raises(DataError, match=r"^sample syn00003: non-finite A feature value$"):
         list(batches(samples, batch_size=2, shuffle=False))
+
+
+@pytest.mark.parametrize("bad", [3.5, -3.5, np.nan])
+def test_batch_rejects_a_label_out_of_range_or_nan_naming_the_sample(bad):
+    """Labels stop at the batch too, so a library caller's NaN label is a
+    data error, not a failure to bin a score."""
+    samples = generate(4, seed=2, config=small_config())
+    samples[2].label = bad
+    for mode in ("aligned", "unaligned"):
+        with pytest.raises(DataError, match=rf"^sample syn00002: label {bad} outside \["):
+            make_batch(samples, mode=mode)
 
 
 def test_generated_nan_noise_is_rejected_at_the_batch():

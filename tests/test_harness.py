@@ -398,6 +398,15 @@ def test_train_rejects_empty_dataset():
         train(tiny_config(), [])
 
 
+def test_train_with_a_nan_label_is_a_data_error_naming_the_sample():
+    """A library caller's NaN label stops at the batch, as a data error, not
+    as the exit-3 failure to bin a NaN score."""
+    samples = generate(20, seed=0)
+    samples[5].label = float("nan")
+    with pytest.raises(DataError, match=r"^sample syn00005: label nan outside \["):
+        train(TrainConfig(d=4, heads=2, max_steps=2), samples)
+
+
 def test_train_checks_samples_then_config_before_splitting():
     """The config is validated once, by ``Model``, after the empty-data
     check and before ``split_dataset`` could fail on it."""
