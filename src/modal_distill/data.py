@@ -462,25 +462,30 @@ def _parse_and_cache(cache: Path, jobs: list[tuple]) -> list[np.ndarray]:
 
     The cache's temporary file is made, in the parent, before any file is
     read, and its ctime is the marker.  The records are written to it and
-    it is renamed over ``cache``, as ``save_checkpoint`` writes.  An
-    ``OSError`` of the cache (a read-only directory, a full disk) or an
-    error of the parse leaves no temporary file, and no new cache."""
+    it is renamed over ``cache``, as ``save_checkpoint`` writes.  Where a
+    file is on another device than the marker, no load could take its
+    record, so nothing is written.  An ``OSError`` of the cache (a
+    read-only directory, a full disk) or an error of the parse leaves no
+    temporary file, and no new cache."""
     tmp = cache.with_name(f"{cache.name}.{os.getpid()}.tmp")
-    try:
+    fh = marker = None
+    with contextlib.suppress(OSError):
         fh = open(tmp, "wb")
-    except OSError:
-        return [mat for _, mat in _map_over_cores(_read_feature_csv, jobs)]
-    try:
         marker = os.fstat(fh.fileno())
+    try:
         parsed = _map_over_cores(_read_feature_csv, jobs)
-        with contextlib.suppress(OSError):
-            fh.write(_head(len(parsed), marker.st_dev, marker.st_ctime_ns))
-            for key, mat in parsed:
-                _write_record(fh, key, mat)
-            fh.close()
-            os.replace(tmp, cache)
+        if marker is not None and all(_KEY.unpack(key)[0] == marker.st_dev
+                                      for key, _ in parsed):
+            with contextlib.suppress(OSError):
+                fh.write(_head(len(parsed), marker.st_dev, marker.st_ctime_ns))
+                for key, mat in parsed:
+                    _write_record(fh, key, mat)
+                fh.close()
+                os.replace(tmp, cache)
     finally:
-        fh.close()
+        with contextlib.suppress(OSError):
+            if fh is not None:
+                fh.close()  # flushes what a failed write left buffered, and may fail again
         with contextlib.suppress(OSError):
             tmp.unlink(missing_ok=True)
     return [mat for _, mat in parsed]

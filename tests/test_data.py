@@ -1,7 +1,9 @@
 """Dataset tests: generator determinism and latent structure, CSV round
 trips, ingestion error reporting, batching and masking."""
 
+import errno
 import hashlib
+import io
 import os
 import shutil
 import signal
@@ -722,9 +724,10 @@ def test_touched_file_is_parsed_once_then_trusted_again(tmp_path, monkeypatch):
     assert counts == [9, 0, 0]
 
 
-def test_file_reported_on_another_device_is_never_trusted(tmp_path, monkeypatch):
+def test_file_reported_on_another_device_is_never_trusted_nor_cached(tmp_path, monkeypatch):
     """A file whose ``fstat`` names another device than the marker's has a
-    ctime from another clock, so its record is never taken."""
+    ctime from another clock, so its record is never taken, and no cache is
+    written that no load could use."""
     manifest, samples, dims = _small_tree(tmp_path)
     inode = (tmp_path / "features" / f"{samples[1].id}_A.csv").stat().st_ino
     real = os.fstat
@@ -740,6 +743,7 @@ def test_file_reported_on_another_device_is_never_trusted(tmp_path, monkeypatch)
         loaded = load_features(manifest, dims=dims)
         assert len(parses) == 9
         _assert_bit_equal_to_direct_reads(loaded, samples, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["features", "manifest.csv"]
 
 
 def _flip_first_payload_byte(cache):
@@ -863,6 +867,43 @@ def _fails_for_temporary_files(real):
     return fake
 
 
+class _FullDisk(io.RawIOBase):
+    """An unbuffered file that takes the first ``room`` bytes written to it
+    and fails every later write, as a full disk does."""
+
+    def __init__(self, raw, room):
+        self.raw, self.room = raw, room
+
+    def writable(self):
+        return True
+
+    def fileno(self):
+        return self.raw.fileno()
+
+    def write(self, b):
+        n = min(len(b), self.room)
+        if n == 0:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.room -= n
+        return self.raw.write(memoryview(b)[:n])
+
+    def close(self):
+        self.raw.close()
+        super().close()
+
+
+def _full_after_the_header(real):
+    """``open`` whose temporary files take the cache's header and then fail
+    every write.  Their buffer is smaller than a record, so the failing
+    write leaves bytes buffered, and closing the file fails again."""
+    def fake(path, *args, **kwargs):
+        if str(path).endswith(".tmp"):
+            return io.BufferedWriter(_FullDisk(real(path, "wb", buffering=0), data._HEAD.size),
+                                     buffer_size=256)
+        return real(path, *args, **kwargs)
+    return fake
+
+
 @pytest.mark.parametrize("owner,name", [(data, "open"), (os, "replace")])
 def test_unwritable_cache_still_loads_and_leaves_no_file(tmp_path, monkeypatch, owner, name):
     manifest, samples, dims = _small_tree(tmp_path)
@@ -871,6 +912,17 @@ def test_unwritable_cache_still_loads_and_leaves_no_file(tmp_path, monkeypatch, 
     for _ in range(2):
         _assert_bit_equal_to_direct_reads(load_features(manifest, dims=dims), samples, tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["features", "manifest.csv"]
+
+
+def test_cache_write_failing_after_the_header_still_loads_and_leaves_no_file(tmp_path,
+                                                                              monkeypatch):
+    manifest, samples, dims = _small_tree(tmp_path)
+    monkeypatch.setattr(data, "open", _full_after_the_header(open), raising=False)
+    fds = _open_fds()
+    for _ in range(2):
+        _assert_bit_equal_to_direct_reads(load_features(manifest, dims=dims), samples, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["features", "manifest.csv"]
+    assert _open_fds() == fds
 
 
 @pytest.mark.parametrize("sid", [PARENT_SAMPLE, HELPER_SAMPLE])
