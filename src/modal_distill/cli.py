@@ -70,12 +70,9 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _build_config(args, base: TrainConfig | None = None) -> TrainConfig:
-    if args.config:
-        config = load_config(args.config)
-    elif base is not None:
-        config = base
-    else:
-        config = TrainConfig()
+    config = base if base is not None else TrainConfig()
+    if args.config:  # the file layers on the command's base, as the flags do
+        config = load_config(args.config, config)
     apply_overrides(config, {f.name: getattr(args, f.name) for f in _config_fields()
                              if getattr(args, f.name) is not None})
     config.validate()

@@ -6,10 +6,9 @@ import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .data import MODES
 from .errors import ConfigError
 from .graph_distill import EDGE_MODES
-
-MODES = ("aligned", "unaligned")
 
 
 def _option(default, help: str, choices: tuple[str, ...] | None = None):
@@ -107,8 +106,9 @@ def apply_overrides(config: TrainConfig, overrides: dict[str, str]) -> TrainConf
     return config
 
 
-def load_config(path: str | Path) -> TrainConfig:
-    """Read a key=value file (one pair per line, # comments allowed)."""
+def load_config(path: str | Path, base: TrainConfig | None = None) -> TrainConfig:
+    """Read a key=value file (one pair per line, # comments allowed) and
+    apply it to ``base``, by default ``TrainConfig()``."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
@@ -121,4 +121,4 @@ def load_config(path: str | Path) -> TrainConfig:
             raise ConfigError(f"{p}:{lineno}: expected key=value, got {line!r}")
         key, value = stripped.split("=", 1)
         overrides[key.strip()] = value
-    return apply_overrides(TrainConfig(), overrides)
+    return apply_overrides(base if base is not None else TrainConfig(), overrides)

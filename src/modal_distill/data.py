@@ -45,6 +45,8 @@ MODALITIES = (Modality.LANGUAGE, Modality.VISION, Modality.AUDIO)
 
 RAW_DIMS = {Modality.LANGUAGE: 300, Modality.VISION: 35, Modality.AUDIO: 74}
 
+MODES = ("aligned", "unaligned")  # how make_batch lays out a batch's sequences
+
 
 @dataclass
 class Sample:
@@ -661,8 +663,8 @@ def align_sample(sample: Sample) -> Sample:
 def make_batch(samples: list[Sample], mode: str = "unaligned") -> Batch:
     # every sample reaches the model through here, so here a non-finite
     # feature and a NaN or out-of-range label stop
-    if mode not in ("aligned", "unaligned"):
-        raise ConfigError(f"batch mode must be 'aligned' or 'unaligned', got {mode!r}")
+    if mode not in MODES:
+        raise ConfigError(f"batch mode must be one of {MODES}, got {mode!r}")
     if not samples:
         raise DataError("a batch needs at least one sample")
     for s in samples:

@@ -52,19 +52,6 @@ def discrepancy(teacher: np.ndarray, student: Tensor, mode: str = "squared") -> 
     return mul(diff, diff) if mode == "squared" else absolute(diff)
 
 
-@dataclass
-class FrozenGraph:
-    """The constants of one pass.  A finite-difference re-run that passes
-    them back in differentiates exactly the function backprop saw.
-
-    ``gate_inputs`` is ``[B, 3, 2, 2(d+1)]``, indexed by target then
-    incoming source, each row ``[logit_src, feat_src, logit_tgt, feat_tgt]``;
-    ``teacher_logits`` is ``[B, 3, 2]`` in the same edge order."""
-
-    gate_inputs: np.ndarray
-    teacher_logits: np.ndarray
-
-
 def _by_source_target(x: np.ndarray) -> np.ndarray:
     """[B, 3, 2] per-target edge values -> [B, 3, 3] indexed [source, target]."""
     out = np.zeros((x.shape[0], 3, 3))
@@ -79,7 +66,10 @@ class BatchDistill:
     logits: Tensor               # [B, 3] in (L, V, A) order
     weights: np.ndarray          # [B, 3, 3], W[b, i, j] = w_{i -> j}, diagonal 0
     discrepancies: np.ndarray    # [B, 3, 3], same layout
-    frozen: FrozenGraph
+    # the constants a replay passes back in; gate rows are
+    # [logit_src, feat_src, logit_tgt, feat_tgt]
+    gate_inputs: np.ndarray      # [B, 3, 2, 2(d_in+1)], EDGE_SOURCES order
+    teacher_logits: np.ndarray   # [B, 3, 2], same order
 
     def record(self) -> dict:
         """Batch-mean edge weights, discrepancies and logits, for logging
@@ -103,24 +93,27 @@ class GDUnit:
                                   zero_init=True)
 
     def distill_batch(self, pooled: dict[Modality, Tensor],
-                      frozen: FrozenGraph | None = None) -> BatchDistill:
+                      replay: BatchDistill | None = None) -> BatchDistill:
         """Mean sample loss and per-sample edge records for pooled features
-        ``[B, d_in]`` per modality; ``frozen`` replays an earlier pass's
-        constants."""
+        ``[B, d_in]`` per modality.  ``replay`` passes an earlier result's
+        constants back in, so a finite-difference re-run differentiates
+        exactly the function backprop saw."""
         b, d = pooled[MODALITIES[0]].shape
-        feats = concat([reshape(pooled[m], (b, 1, d)) for m in MODALITIES], axis=1)
+        feats = reshape(concat([pooled[m] for m in MODALITIES], axis=-1), (b, 3, d))
         logits = reshape(self.logit_head(feats), (b, 3))
-        if frozen is None:
+        if replay is None:
             nodes = np.concatenate([logits.data[..., None], feats.data], axis=-1)
-            frozen = FrozenGraph(
-                gate_inputs=np.concatenate([nodes[:, EDGE_SOURCES], nodes[:, _EDGE_TARGETS]],
-                                           axis=-1),
-                teacher_logits=logits.data[:, EDGE_SOURCES])
+            gate_inputs = np.concatenate([nodes[:, EDGE_SOURCES], nodes[:, _EDGE_TARGETS]],
+                                         axis=-1)
+            teacher_logits = logits.data[:, EDGE_SOURCES]
+        else:
+            gate_inputs, teacher_logits = replay.gate_inputs, replay.teacher_logits
 
-        gates = Tensor(frozen.gate_inputs.reshape(6 * b, -1))
+        gates = Tensor(gate_inputs.reshape(6 * b, -1))
         weights = softmax(reshape(self.edge_scorer(gates), (b, 3, 2)))
-        eps = discrepancy(frozen.teacher_logits, reshape(logits, (b, 3, 1)), self.edge_mode)
+        eps = discrepancy(teacher_logits, reshape(logits, (b, 3, 1)), self.edge_mode)
         edges = mul(weights, eps)
         return BatchDistill(loss=tsum(edges) * (1.0 / b), edges=edges, logits=logits,
                             weights=_by_source_target(weights.data),
-                            discrepancies=_by_source_target(eps.data), frozen=frozen)
+                            discrepancies=_by_source_target(eps.data),
+                            gate_inputs=gate_inputs, teacher_logits=teacher_logits)

@@ -44,7 +44,7 @@ from .crossmodal import CrossmodalReinforcer, passthrough
 from .data import MODALITIES, RAW_DIMS, Batch, Modality
 from .decouple import DecoupledPair, Decoupler, loss_cyc, loss_dec, loss_margin, loss_ort, loss_rec
 from .fusion import FusionHead, bin7, task_loss, total_loss
-from .graph_distill import BatchDistill, FrozenGraph, GDUnit
+from .graph_distill import BatchDistill, GDUnit
 from .layers import ParamTable
 from .tensor import Tensor, concat, mean_pool_time, reshape
 
@@ -119,21 +119,18 @@ class Model:
         return Encoded(shallow=shallow, pairs=pairs,
                        homo={m: pairs[m].homo_pooled for m in MODALITIES}, hetero=hetero)
 
-    def distill(self, enc: Encoded,
-                frozen_homo: FrozenGraph | None = None,
-                frozen_hetero: FrozenGraph | None = None
+    def distill(self, enc: Encoded, replay: StepOutput | None = None
                 ) -> tuple[BatchDistill | None, BatchDistill | None]:
-        """Run each active GD unit on the pooled streams; ``frozen_*`` replay
-        an earlier pass's constants."""
+        """Run each active GD unit on the pooled streams; ``replay`` passes
+        an earlier pass's unit constants back in."""
         cfg = self.config
-        homo = self.homo_gd.distill_batch(enc.homo, frozen_homo) if cfg.homogd else None
-        hetero = (self.hetero_gd.distill_batch(enc.hetero, frozen_hetero)
+        homo = (self.homo_gd.distill_batch(enc.homo, replay and replay.homo)
+                if cfg.homogd else None)
+        hetero = (self.hetero_gd.distill_batch(enc.hetero, replay and replay.hetero)
                   if cfg.heterogd else None)
         return homo, hetero
 
-    def forward_batch(self, batch: Batch,
-                      frozen_homo: FrozenGraph | None = None,
-                      frozen_hetero: FrozenGraph | None = None) -> StepOutput:
+    def forward_batch(self, batch: Batch, replay: StepOutput | None = None) -> StepOutput:
         cfg = self.config
         enc = self.encode(batch)
         b, pairs = batch.size, enc.pairs
@@ -159,7 +156,7 @@ class Model:
         preds = self.fusion(enc.homo, enc.hetero)
         task = task_loss(preds, batch.labels)
 
-        homo, hetero = self.distill(enc, frozen_homo, frozen_hetero)
+        homo, hetero = self.distill(enc, replay)
         dtl_homo = homo.loss if homo is not None else Tensor(0.0)
         dtl_hetero = hetero.loss if hetero is not None else Tensor(0.0)
         total = total_loss(task, dec, dtl_homo, dtl_hetero, cfg.lambda1, cfg.lambda2)

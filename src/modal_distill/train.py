@@ -78,7 +78,10 @@ class Adam:
 
     def step(self, reached: Iterable[Tensor]) -> None:
         """One update of the live runs, once the leaves in ``reached`` have
-        joined the live set."""
+        joined the live set.  Not atomic: a ``NumericError`` raised inside
+        it (under ``_trapped``) can leave ``m``/``v`` of earlier runs
+        stepped, so the optimizer must then be discarded, as ``train``
+        discards it with its model."""
         self._join(reached)
         self.t = t = self.t + 1
         b1, b2 = self.beta1, self.beta2
@@ -276,12 +279,8 @@ def train(config: TrainConfig, samples: list[Sample], split: bool = True) -> Tra
     extra_meta = {"raw_dims": {m.tag: raw_dims[m] for m in MODALITIES}}
 
     steps_per_epoch = math.ceil(len(train_s) / config.batch_size)
-    if config.max_steps > 0:
-        n_epochs = math.ceil(config.max_steps / steps_per_epoch)
-        total_steps = config.max_steps
-    else:
-        n_epochs = config.epochs
-        total_steps = n_epochs * steps_per_epoch
+    total_steps = config.max_steps or config.epochs * steps_per_epoch
+    n_epochs = math.ceil(total_steps / steps_per_epoch)
 
     def lr_at(step: int) -> float:
         return config.lr * 0.5 * (1.0 + math.cos(math.pi * step / max(1, total_steps)))
@@ -304,7 +303,6 @@ def train(config: TrainConfig, samples: list[Sample], split: bool = True) -> Tra
             save_checkpoint(checkpoint_path, model.parameters(), config, meta)
 
     try:
-        done = False
         for epoch in range(n_epochs):
             for batch in batches(train_s, config.batch_size, mode=config.mode,
                                  seed=config.seed, epoch=epoch):
@@ -317,8 +315,7 @@ def train(config: TrainConfig, samples: list[Sample], split: bool = True) -> Tra
                 emit(_step_record(step, epoch, out))
                 del out  # frees this step's graph before the next one is built
                 step += 1
-                if config.max_steps > 0 and step >= config.max_steps:
-                    done = True
+                if step == total_steps:
                     break
             if val_s:
                 report, _ = evaluate(model, val_s)
@@ -328,8 +325,6 @@ def train(config: TrainConfig, samples: list[Sample], split: bool = True) -> Tra
                     best_val_mae, best_step = report.mae, step
                     best_params = model.table.flat.copy()
                     save("best_val")
-            if done:
-                break
         if not val_s:
             save("final")
     finally:
@@ -427,9 +422,9 @@ def gradcheck(config: TrainConfig | None = None, n_probes: int = 20,
     """Compare backprop gradients of every loss component against central
     finite differences at ``n_probes`` random parameter coordinates.
 
-    Finite differences re-run the forward pass with the gate inputs and
-    teacher logits frozen at their base values, which is exactly the
-    function backprop differentiates (both are constants on the live pass).
+    Finite differences replay the base pass, with its gate inputs and
+    teacher logits held constant, which is exactly the function backprop
+    differentiates (both are constants on the live pass).
     """
     if n_probes < 1:
         raise ConfigError(f"gradcheck needs n_probes >= 1, got {n_probes}")
@@ -444,12 +439,6 @@ def gradcheck(config: TrainConfig | None = None, n_probes: int = 20,
     params = model.parameters()
 
     base = model.forward_batch(batch)
-    frozen_h = base.homo.frozen if base.homo else None
-    frozen_het = base.hetero.frozen if base.hetero else None
-
-    def frozen_forward() -> StepOutput:
-        return model.forward_batch(batch, frozen_homo=frozen_h,
-                                   frozen_hetero=frozen_het)
 
     # sorted names keep the probes independent of parameter registration order
     coords = [(k, i) for k in sorted(params) for i in range(params[k].data.size)]
@@ -463,15 +452,15 @@ def gradcheck(config: TrainConfig | None = None, n_probes: int = 20,
         buf = params[pname].data
         original = buf.flat[offset]
         buf.flat[offset] = original + h
-        plus_vals.append(frozen_forward().scalars())
+        plus_vals.append(model.forward_batch(batch, replay=base).scalars())
         buf.flat[offset] = original - h
-        minus_vals.append(frozen_forward().scalars())
+        minus_vals.append(model.forward_batch(batch, replay=base).scalars())
         buf.flat[offset] = original
 
     checks: list[ComponentCheck] = []
     for cname in COMPONENT_NAMES:
         model.table.grad[...] = 0.0
-        out = frozen_forward()
+        out = model.forward_batch(batch, replay=base)
         comp = out.components[cname]
         if comp.requires_grad:
             comp.backward()

@@ -153,7 +153,7 @@ def test_weights_match_manual_softmax_and_shift_invariance():
         return e / e.sum()
 
     for j in range(3):
-        raw = out.frozen.gate_inputs[0, j] @ gw + gb
+        raw = out.gate_inputs[0, j] @ gw + gb
         expected = softmax_np(raw)
         got = out.weights[0, EDGE_SOURCES[j], j]
         np.testing.assert_allclose(got, expected, atol=1e-12)
@@ -166,10 +166,10 @@ def test_gate_input_layout():
     out = single(unit, feats)
     logit = {m: out.logits.data[0, MOD_INDEX[m]] for m in MODALITIES}
     # the first edge entering A comes from L
-    row = out.frozen.gate_inputs[0, MOD_INDEX[A], 0]
+    row = out.gate_inputs[0, MOD_INDEX[A], 0]
     expected = np.concatenate([[logit[L]], feats[L].data[0], [logit[A]], feats[A].data[0]])
     np.testing.assert_array_equal(row, expected)
-    assert out.frozen.teacher_logits[0, MOD_INDEX[A], 0] == logit[L]
+    assert out.teacher_logits[0, MOD_INDEX[A], 0] == logit[L]
 
 
 def test_swapping_sources_swaps_weights():
@@ -255,7 +255,7 @@ def test_frozen_replay_reproduces_forward_exactly():
     unit = make_unit(randomize_gate=True)
     pooled = batch_of([random_feats(s) for s in range(2)])
     base = unit.distill_batch(pooled)
-    replay = unit.distill_batch(pooled, frozen=base.frozen)
+    replay = unit.distill_batch(pooled, replay=base)
     assert replay.loss.item() == base.loss.item()
 
 
@@ -273,9 +273,9 @@ def test_unit_gradcheck_frozen_replay(seed):
     def pooled():
         return {m: feats_leaves[m.tag] for m in MODALITIES}
 
-    frozen = unit.distill_batch(pooled()).frozen
+    base = unit.distill_batch(pooled())
 
     def build():
-        return unit.distill_batch(pooled(), frozen=frozen).loss
+        return unit.distill_batch(pooled(), replay=base).loss
 
     check_grads(build, {**params, **feats_leaves}, tol=1e-5)

@@ -12,13 +12,14 @@ import os
 import re
 import shutil
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from modal_distill import cli
 from modal_distill.checkpoint import load_checkpoint, save_checkpoint
 from modal_distill.cli import _build_config, build_parser, main
 from modal_distill.config import TrainConfig, apply_overrides, load_config
@@ -42,6 +43,7 @@ from modal_distill.train import (
     dump_edges,
     evaluate,
     gradcheck,
+    gradcheck_model_config,
     model_from_checkpoint,
     predict_scores,
     probe_split,
@@ -1126,6 +1128,19 @@ def test_cli_config_file_with_flag_override(tmp_path):
 
     args = parser.parse_args(["train", "--config", str(cfg_file), "--synthetic", "4"])
     assert _build_config(args).lambda1 == 0.9
+
+
+def test_cli_gradcheck_config_file_layers_on_its_base(tmp_path, monkeypatch):
+    """A config file, like a flag, sets only the keys it names: gradcheck
+    keeps its own small model (d=4, heads=2) under ``--config``."""
+    cfg_file = tmp_path / "lr.cfg"
+    cfg_file.write_text("lr = 0.001\n")
+    seen = []
+    monkeypatch.setattr(cli, "gradcheck", lambda config, **kw: seen.append(config)
+                        or SimpleNamespace(lines=lambda: [], passed=True))
+    assert main(["gradcheck", "--config", str(cfg_file)]) == 0
+    assert main(["gradcheck", "--lr", "0.001"]) == 0
+    assert seen == [replace(gradcheck_model_config(0), lr=0.001)] * 2
 
 
 def test_cli_toggle_flags():
