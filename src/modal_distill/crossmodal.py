@@ -6,9 +6,11 @@ No positional encodings are used, so outputs are invariant to permutations
 of source time steps; temporal length always follows the target.  Streams
 are packed rows ``[N, d]`` with a ``RowLayout`` each, and every projection
 runs on real rows only.  Attention is the one step that mixes time steps:
-its node scatters each sample's steps into a padded layout, gives a
-source's steps past its end exactly zero weight, and gathers the target's
-real rows back.
+its node writes each row into a zero-padded ``[B * T, d]`` buffer at one
+flat index per layout, reads the heads through views of it, scores keys
+first so the softmax reduces over the leading axis, gives a source's steps
+past its end exactly zero weight, and gathers the target's real rows back
+through the same index.
 """
 
 from __future__ import annotations

@@ -284,8 +284,8 @@ def gram(x: Tensor) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
-    out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    out_data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def backward(g):
         a._accum(g * out_data * (1.0 - out_data))
@@ -324,33 +324,22 @@ def tmean(a: Tensor) -> Tensor:
     return Tensor._result(a.data.mean(), (a,), backward)
 
 
-def _softmax(x: Array) -> Array:
-    """Softmax of an array along its last axis, stabilized by max
-    subtraction."""
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _softmax_grad(p: Array, g: Array) -> Array:
-    """Gradient at the input of a last-axis softmax with output ``p``, given
-    ``g`` at its output."""
-    return p * (g - (g * p).sum(axis=-1, keepdims=True))
-
-
 def softmax(a: Tensor) -> Tensor:
     """Softmax along the last axis, stabilized by max subtraction."""
     if a.data.size == 0 or a.shape[-1] == 0:
         raise ShapeError(f"softmax over an empty axis (shape {a.shape})")
-    out_data = _softmax(a.data)
+    e = np.exp(a.data - a.data.max(axis=-1, keepdims=True))
+    out_data = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        a._accum(_softmax_grad(out_data, g))
+        a._accum(out_data * (g - (g * out_data).sum(axis=-1, keepdims=True)))
 
     return Tensor._result(out_data, (a,), backward)
 
 
-# added to the scores of keys past a sequence's end: finite, yet far enough
-# below any real score that exp() of it after max subtraction is exactly 0
+# the score of each key past a sequence's end, in place of its zero padded
+# row's score of 0: finite, yet far enough below any real score that exp()
+# of it after max subtraction is exactly 0
 MASKED_SCORE = -1e30
 
 
@@ -362,13 +351,20 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     ``q`` is ``[N_q, d]``, packed as ``q_rows`` says, and ``k``, ``v`` are
     ``[N_k, d]``, packed as ``k_rows`` says; both layouts hold the same B
     samples, and each sample's queries attend over its own keys only.  Head
-    h owns feature columns h*d/heads .. (h+1)*d/heads of all three.  Inside
-    the node every input is scattered into a zero-padded per-sample head
-    layout, and each key past its sequence's end scores ``MASKED_SCORE``,
-    so its weight is exactly 0.  Returns the heads' mixed values, packed
-    ``[N_q, d]`` as the queries are, and the attention maps ``[B, heads,
-    T_q, T_k]`` over the padded layouts (a padded query's row is never
-    read).
+    h owns feature columns h*d/heads .. (h+1)*d/heads of all three.
+    Returns the heads' mixed values, packed ``[N_q, d]`` as the queries
+    are, and the attention maps ``[B, heads, T_q, T_k]`` over the padded
+    layouts (a padded query's row is never read).
+
+    Inside the node each input's rows are scattered whole into a zero
+    ``[B * T, d]`` buffer at the flat index ``seq * T + pos``, which reads
+    as ``[B, heads, T, head_dim]`` through a reshape and a transpose
+    without a copy; each head product writes through the same view of a
+    fresh ``[B * T, d]`` buffer, whose real rows come back through the same
+    index.  The scores sit keys first, ``[T_k, B, heads, T_q]``, so the
+    softmax and its backward reduce over the leading axis, and the maps
+    are a transposed view of them.  Each key past its sequence's end
+    scores ``MASKED_SCORE``, so its weight is exactly 0.
     """
     if (q.ndim != 2 or k.ndim != 2 or k.shape != v.shape or q.shape[1] != k.shape[1]
             or q.shape[0] != q_rows.size or k.shape[0] != k_rows.size
@@ -379,43 +375,62 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     b, d = q_rows.lengths.size, q.shape[1]
     hd = d // heads
     scale = 1.0 / np.sqrt(hd)
-    key_bias = np.where(np.arange(k_rows.t_pad) < k_rows.lengths[:, None], 0.0, MASKED_SCORE)
-    # BLAS rounding depends on operand layout, so these contiguous
-    # orientations are part of the result: another layout changes the
-    # forward values in the last bits
+    tq, tk = q_rows.t_pad, k_rows.t_pad
+    q_at = q_rows.seq * tq + q_rows.pos
+    k_at = k_rows.seq * tk + k_rows.pos
+    # each key step past its sample's end, as a row of [T_k * B, heads * T_q]
+    past_end = np.flatnonzero(np.arange(tk)[:, None] >= k_rows.lengths)
 
-    def by_step(x: Array, rows: RowLayout) -> Array:
+    def by_head(rows: Array, t: int) -> Array:
+        """a [B * T, d] buffer viewed as [B, heads, T, head_dim]"""
+        return rows.reshape(b, t, heads, hd).transpose(0, 2, 1, 3)
+
+    def padded(x: Array, at: Array, t: int) -> Array:
         """[N, d] -> [B, heads, T, head_dim], zero past each sequence's end"""
-        out = np.zeros((b, heads, rows.t_pad, hd))
-        out[rows.seq, :, rows.pos] = x.reshape(-1, heads, hd)
+        out = np.zeros((b * t, d))
+        out[at] = x
+        return by_head(out, t)
+
+    def product(x: Array, y: Array, at: Array, t: int) -> Array:
+        """x @ y per sample and head, [B, heads, T, head_dim], as the [N, d]
+        rows at ``at``"""
+        out = np.empty((b * t, d))
+        np.matmul(x, y, out=by_head(out, t))
+        return out[at]
+
+    def keys_first(x: Array, y: Array) -> Array:
+        """x @ y per sample and head, [B, heads, T_k, T_q], in a [T_k, B,
+        heads, T_q] buffer"""
+        out = np.empty((tk, b, heads, tq))
+        np.matmul(x, y, out=out.transpose(1, 2, 0, 3))
         return out
 
-    def by_feature(x: Array, rows: RowLayout) -> Array:
-        """[N, d] -> [B, heads, head_dim, T], zero past each sequence's end"""
-        out = np.zeros((b, heads, hd, rows.t_pad))
-        out[rows.seq, :, :, rows.pos] = x.reshape(-1, heads, hd)
-        return out
-
-    def packed(x: Array, rows: RowLayout) -> Array:
-        """[B, heads, T, head_dim] -> [N, d], the real steps only"""
-        return x[rows.seq, :, rows.pos].reshape(-1, d)
-
-    scores = by_step(q.data, q_rows) @ by_feature(k.data, k_rows)
-    maps = _softmax(scores * scale + key_bias[:, None, None, :])
-    # [B, heads, head_dim, T_q]
-    mixed = by_feature(v.data, k_rows) @ np.ascontiguousarray(np.swapaxes(maps, -1, -2))
-    out_data = mixed[q_rows.seq, :, :, q_rows.pos].reshape(-1, d)
+    # keys on the leading axis, so the softmax reduces over whole
+    # contiguous [B, heads, T_q] blocks.  BLAS rounding depends on operand
+    # layout and a sum's on its axis, so these layouts are part of the
+    # result: another layout changes the values in the last bits
+    p = keys_first(padded(k.data, k_at, tk), padded(q.data, q_at, tq).swapaxes(-1, -2))
+    p *= scale
+    p.reshape(tk * b, -1)[past_end] = MASKED_SCORE
+    p -= p.max(axis=0)
+    np.exp(p, out=p)
+    p /= p.sum(axis=0)
+    maps = p.transpose(1, 2, 3, 0)
+    out_data = product(maps, padded(v.data, k_at, tk), q_at, tq)
 
     def backward(g):
-        # the head layouts are rebuilt from the inputs rather than kept
-        g_h = by_step(g, q_rows)
+        # the padded inputs are rebuilt rather than kept
+        g_h = padded(g, q_at, tq)
         if v.requires_grad:
-            v._accum(packed(np.swapaxes(maps, -1, -2) @ g_h, k_rows))
-        g_scores = _softmax_grad(maps, g_h @ by_feature(v.data, k_rows)) * scale
+            v._accum(product(p.transpose(1, 2, 0, 3), g_h, k_at, tk))
+        g_p = keys_first(padded(v.data, k_at, tk), g_h.swapaxes(-1, -2))
+        g_p -= (g_p * p).sum(axis=0)
+        g_p *= p
+        g_p *= scale
         if q.requires_grad:
-            q._accum(packed(g_scores @ np.swapaxes(by_feature(k.data, k_rows), -1, -2), q_rows))
+            q._accum(product(g_p.transpose(1, 2, 3, 0), padded(k.data, k_at, tk), q_at, tq))
         if k.requires_grad:
-            k._accum(packed(np.swapaxes(g_scores, -1, -2) @ by_step(q.data, q_rows), k_rows))
+            k._accum(product(g_p.transpose(1, 2, 0, 3), padded(q.data, q_at, tq), k_at, tk))
 
     return Tensor._result(out_data, (q, k, v), backward), maps
 

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modal_distill.crossmodal import (
+    DIRECTED_PAIRS,
     CrossmodalPair,
     CrossmodalReinforcer,
     incoming_sources,
     passthrough,
 )
-from modal_distill.data import MODALITIES, Modality
+from modal_distill.data import MODALITIES, Modality, generate, make_batch
 from modal_distill.errors import ShapeError
 from modal_distill.tensor import RowLayout, Tensor, tsum
 
@@ -109,6 +110,31 @@ def test_padded_keys_get_zero_weight(heads, lengths, data, seed):
         np.testing.assert_allclose(maps[b, :, :t_tgt, :t], want_maps, rtol=0, atol=1e-12)
         np.testing.assert_allclose(out.data[tgt_rows.starts[b]:tgt_rows.starts[b] + t_tgt],
                                    want_out, rtol=0, atol=1e-12)
+
+
+def test_default_geometry_matches_per_head_oracle():
+    # the default run's shapes: a generated batch of 16 samples, d=32 and
+    # 4 heads, every directed pair, each stream its modality's features
+    # projected to d
+    batch = make_batch(generate(16, seed=3))
+    rng = np.random.default_rng(4)
+    streams = {m: batch.features[m] @ rng.standard_normal((batch.features[m].shape[1], 32))
+               / np.sqrt(batch.features[m].shape[1]) for m in MODALITIES}
+    for i, (src_m, tgt_m) in enumerate(DIRECTED_PAIRS):
+        pair = make_pair(d=32, heads=4, seed=i)
+        src_rows, tgt_rows = batch.rows[src_m], batch.rows[tgt_m]
+        out, maps = pair.forward(Tensor(streams[src_m]), Tensor(streams[tgt_m]),
+                                 src_rows, tgt_rows)
+        assert maps.shape == (16, 4, tgt_rows.t_pad, src_rows.t_pad)
+        assert np.any(src_rows.lengths < src_rows.t_pad)
+        for b, (t_src, t_tgt) in enumerate(zip(src_rows.lengths, tgt_rows.lengths)):
+            tgt_at = slice(tgt_rows.starts[b], tgt_rows.starts[b] + t_tgt)
+            want_out, want_maps = per_head_attention(
+                pair, streams[src_m][src_rows.starts[b]:src_rows.starts[b] + t_src],
+                streams[tgt_m][tgt_at])
+            assert np.all(maps[b, :, :, t_src:] == 0.0)
+            np.testing.assert_allclose(maps[b, :, :t_tgt, :t_src], want_maps, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(out.data[tgt_at], want_out, rtol=0, atol=1e-12)
 
 
 def test_singleton_source_uniform_attention():

@@ -381,6 +381,27 @@ def test_packed_attention_matches_padded_attention(heads, q_lengths, data, seed)
         assert np.all(maps[b, :, :, t_k:] == 0.0)
 
 
+@given(heads=st.sampled_from([1, 2, 4]), head_dim=st.integers(1, 3),
+       q_lengths=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+       data=st.data(), seed=st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_attention_gradients_across_layouts(heads, head_dim, q_lengths, data, seed):
+    # each sequence's query and key lengths are drawn apart, so queries
+    # are sometimes longer than keys and sometimes shorter, and a row index
+    # of the one layout used for the other shows
+    k_lengths = data.draw(st.lists(st.integers(1, 6), min_size=len(q_lengths),
+                                   max_size=len(q_lengths)))
+    rng = np.random.default_rng(seed)
+    q_rows, k_rows = RowLayout(q_lengths), RowLayout(k_lengths)
+    d = heads * head_dim
+    q = Tensor(rng.standard_normal((q_rows.size, d)), requires_grad=True)
+    k = Tensor(rng.standard_normal((k_rows.size, d)), requires_grad=True)
+    v = Tensor(rng.standard_normal((k_rows.size, d)), requires_grad=True)
+    w = rng.standard_normal((q_rows.size, d))
+    check_grads(lambda: tsum(attention(q, k, v, heads, q_rows, k_rows)[0] * w),
+                {"q": q, "k": k, "v": v}, tol=1e-5)
+
+
 def test_conv1d_batch_matches_sequences_alone():
     # each packed sequence keeps its own same-padding result: no tap reads
     # a neighbouring sequence's rows
