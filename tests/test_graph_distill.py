@@ -251,7 +251,7 @@ def test_batch_matches_samples_scored_alone(b, seed, edge_mode):
         gd_loss(batch.weights, batch.discrepancies) / b, abs=1e-12)
 
 
-def test_frozen_replay_reproduces_forward_exactly():
+def test_unit_replay_reproduces_forward_exactly():
     unit = make_unit(randomize_gate=True)
     pooled = batch_of([random_feats(s) for s in range(2)])
     base = unit.distill_batch(pooled)

@@ -264,13 +264,13 @@ def test_hetero_pathway_alive_iff_ca_or_heterogd():
     assert pred.data.tolist() == out.preds.tolist()
 
 
-def test_frozen_records_match_toggles():
+def test_distill_records_match_toggles():
     model, batch, _ = build(heterogd=False)
     out = model.forward_batch(batch)
     assert out.homo is not None and out.hetero is None
 
 
-def test_frozen_replay_reproduces_batch_loss():
+def test_replay_reproduces_batch_loss():
     model, batch, _ = build(seed=6)
     out = model.forward_batch(batch)
     replay = model.forward_batch(batch, replay=out)

@@ -250,7 +250,7 @@ def test_cosine_along_last_axis():
 
 @given(lengths=st.lists(st.integers(1, 7), min_size=1, max_size=5), seed=st.integers(0, 2**16))
 @settings(max_examples=40, deadline=None)
-def test_masked_mean_pool_ignores_padding(lengths, seed):
+def test_mean_pool_time_ignores_padding(lengths, seed):
     # the segment mean of packed rows is the masked mean of the padded
     # batch, whatever its padded rows hold
     rng = np.random.default_rng(seed)
@@ -534,7 +534,7 @@ def test_conv1d_gradient_tight(seed):
         check_grads(lambda: tsum(conv1d(x, k, b, rows) * w), {"x": x, "k": k, "b": b}, tol=1e-6)
 
 
-def test_masked_pool_gradient():
+def test_mean_pool_time_gradient():
     # the segment mean of sequences of unequal length
     rng = np.random.default_rng(7)
     x = make(rng, 8, 3)
