@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import lzma
 import os
 import zipfile
+import zlib
 from dataclasses import asdict
 from pathlib import Path
 
@@ -56,7 +58,10 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], TrainConfi
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as bundle:
             arrays = {key: bundle[key] for key in bundle.files}
         meta = json.loads(str(arrays[_META_KEY])) if _META_KEY in arrays else None
-    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+    # a damaged zip header can name an unknown compression method or set the
+    # encryption flag (RuntimeError), or send the bytes to zlib or lzma
+    except (OSError, ValueError, EOFError, RuntimeError, zipfile.BadZipFile,
+            zlib.error, lzma.LZMAError) as exc:
         raise DataError(f"checkpoint {path} is corrupt or truncated: {exc}") from exc
     if meta is None:
         raise DataError(f"checkpoint {path} has no metadata block")

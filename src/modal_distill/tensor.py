@@ -1,13 +1,15 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every operation records a backward closure on the output tensor; calling
-``backward()`` on a scalar walks the recorded graph once in reverse
-topological order, accumulates gradients into the leaves and returns the
-``requires_grad`` leaves it reached, so an optimizer can skip the rest: no
-closure writes to a tensor that is not one of its node's parents.  The tape is
-rebuilt on every forward pass, so a tensor graph is a throwaway value: there
-are no retained-graph semantics and no global state, which also makes
-independent graphs safe to build on different threads.
+An operation records its parents and a backward closure on the output
+tensor only when one of its inputs requires grad; otherwise the output is a
+plain value with no tape behind it.  Calling ``backward()`` on a scalar
+walks the recorded graph once in reverse topological order, accumulates
+gradients into the leaves and returns the ``requires_grad`` leaves it
+reached, so an optimizer can skip the rest: no closure writes to a tensor
+that is not one of its node's parents.  The tape is rebuilt on every
+forward pass, so a tensor graph is a throwaway value: there are no
+retained-graph semantics and no global state, which also makes independent
+graphs safe to build on different threads.
 
 Tensors are treated as immutable once created inside a forward pass.
 """

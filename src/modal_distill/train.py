@@ -179,15 +179,24 @@ def _trapped(where: str, first_id: str):
 
 def _walk(model: Model, samples: list[Sample], batch_size: int | None, read) -> list:
     """``read(batch)``, under ``_trapped``, for each batch of ``samples`` in
-    order (batches of ``batch_size``, by default the model's).  ``read``
-    returns plain arrays, so each batch's graph is freed before the next."""
+    order (batches of ``batch_size``, by default the model's), with no tape:
+    no parameter requires grad until the walk ends, however it ends, so each
+    op keeps its value but no parents or closure.  ``read`` returns plain
+    arrays."""
     if not samples:
         raise DataError("no samples to score")
+    params = model.parameters().values()
     out = []
-    for i, batch in enumerate(batches(samples, batch_size or model.config.batch_size,
-                                      mode=model.config.mode, shuffle=False)):
-        with _trapped(f"batch {i}", batch.ids[0]):
-            out.append(read(batch))
+    try:
+        for p in params:
+            p.requires_grad = False
+        for i, batch in enumerate(batches(samples, batch_size or model.config.batch_size,
+                                          mode=model.config.mode, shuffle=False)):
+            with _trapped(f"batch {i}", batch.ids[0]):
+                out.append(read(batch))
+    finally:
+        for p in params:
+            p.requires_grad = True
     return out
 
 

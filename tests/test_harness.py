@@ -49,6 +49,7 @@ from modal_distill.train import (
     probe_split,
     probe_unimodal,
     train,
+    _walk,
 )
 
 from conftest import ReferenceAdam, count_forks, probe_multiclass_accuracy
@@ -612,6 +613,24 @@ def test_corrupt_or_truncated_checkpoint_exits_two(tmp_path, capsys):
             load_checkpoint(bad)
         assert main(["eval", "--checkpoint", str(bad), "--synthetic", "4"]) == 2
         _assert_one_data_error_line(capsys)
+
+
+@pytest.mark.parametrize("offset, value", [(10, 99), (10, 14), (8, 1)],
+                         ids=["unknown_method", "lzma_method", "encrypted_flag"])
+def test_checkpoint_with_a_damaged_zip_header_exits_two(tmp_path, capsys, offset, value):
+    """A damaged byte in the first central directory entry, its compression
+    method or its flags, is corrupt data like any other: zipfile raises
+    ``NotImplementedError``, ``lzma.LZMAError`` or ``RuntimeError`` here."""
+    path = tmp_path / "ck.npz"
+    _eval_checkpoint(path)
+    raw = bytearray(path.read_bytes())
+    entry = raw.find(b"PK\x01\x02")
+    raw[entry + offset:entry + offset + 2] = value.to_bytes(2, "little")
+    path.write_bytes(raw)
+    with pytest.raises(DataError, match="corrupt or truncated"):
+        load_checkpoint(path)
+    assert main(["eval", "--checkpoint", str(path), "--synthetic", "4"]) == 2
+    _assert_one_data_error_line(capsys)
 
 
 @pytest.mark.parametrize("edit_meta,weight,match", [
@@ -1277,6 +1296,76 @@ def test_no_graph_is_alive_when_a_forward_starts(entry, monkeypatch):
     monkeypatch.setattr(Model, "encode", counting_encode)
     run()
     assert len(counts) >= 3 and counts == [0] * len(counts)
+
+
+# ---- the tape-free walk ----
+
+
+def _requires_grad(model: Model) -> set[bool]:
+    return {p.requires_grad for p in model.parameters().values()}
+
+
+def test_scoring_records_no_tape_and_restores_the_flags(monkeypatch):
+    """``forward_batch`` runs under the walk as it does in training, but
+    with no parameter requiring grad its total has no parents; afterwards
+    every parameter requires grad again."""
+    samples = generate(12, seed=4, config=small_world())
+    model = Model(tiny_config(batch_size=4), dict(SMALL_RAW))
+    totals = []
+    forward = Model.forward_batch
+
+    def recording_forward(self, batch, replay=None):
+        out = forward(self, batch, replay)
+        totals.append(out.total)
+        return out
+
+    monkeypatch.setattr(Model, "forward_batch", recording_forward)
+    predict_scores(model, samples)
+    assert len(totals) == 3
+    assert all(t._parents == () and not t.requires_grad for t in totals)
+    assert _requires_grad(model) == {True}
+
+
+@pytest.mark.parametrize("failure", ["read", "numeric"])
+def test_walk_restores_the_flags_when_it_raises(failure):
+    """A walk that stops part-way, in its reader or on a batch that
+    overflows, leaves every parameter requiring grad as before."""
+    samples = generate(12, seed=4, config=small_world())
+    model = Model(tiny_config(batch_size=4), dict(SMALL_RAW))
+    if failure == "read":
+        seen = []
+
+        def read(batch):
+            seen.append(_requires_grad(model))
+            if len(seen) == 2:
+                raise RuntimeError("read failed")
+            return batch.ids
+
+        with pytest.raises(RuntimeError, match="read failed"):
+            _walk(model, samples, None, read)
+        assert seen == [{False}, {False}]
+    else:
+        with pytest.raises(NumericError, match="at batch 0 "):
+            predict_scores(model, _poisoned(samples))
+    assert _requires_grad(model) == {True}
+
+
+def test_a_scored_model_steps_like_a_fresh_one():
+    """Scoring leaves nothing behind that a training step reads: one
+    backward after a full scoring walk fills ``table.grad`` exactly as it
+    does on a model that never scored."""
+    samples = generate(12, seed=4, config=small_world())
+    cfg = tiny_config(batch_size=4)
+    batch = make_batch(samples[:4], mode=cfg.mode)
+    grads = []
+    for scored in (True, False):
+        model = Model(cfg, dict(SMALL_RAW))
+        if scored:
+            predict_scores(model, samples)
+        model.forward_batch(batch).total.backward()
+        grads.append(model.table.grad)
+    assert grads[0].any()
+    np.testing.assert_array_equal(grads[0], grads[1])
 
 
 def test_cli_help_exits_zero():

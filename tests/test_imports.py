@@ -3,8 +3,9 @@ every public module-level function and class is referred to somewhere
 in the package or the benchmark outside its own definition, every
 attribute the package sets on ``self`` and every dataclass field is read
 somewhere by name, only ``Model`` lists parameters, only the command
-line writes to stderr, and only the command line and the trap in
-``train`` handle numpy's floating-point errors."""
+line writes to stderr, only the command line and the trap in ``train``
+handle numpy's floating-point errors, and only the engine and the
+read-only walk in ``train`` set ``requires_grad``."""
 
 import ast
 from collections import Counter
@@ -220,23 +221,16 @@ FLOAT_ERROR_HANDLERS = {("cli", "main"), ("train", "_trapped")}
 _FLOAT_ERROR_NAMES = {"errstate", "seterr", "FloatingPointError"}
 
 
-def float_error_handling(modules: dict[str, str]) -> set[tuple[str, str]]:
+def owners(modules: dict[str, str], hit) -> set[tuple[str, str]]:
     """(module, qualified function) of each function in ``modules`` (module
-    name -> source), or ``<module>`` for top-level code, that names
-    ``errstate``, ``seterr`` or ``FloatingPointError``, or passes the string
-    ``"ignore"`` to a call (a warnings filter hides numpy's warnings as
-    surely as ``errstate`` does)."""
+    name -> source), or ``<module>`` for top-level code, holding a node for
+    which ``hit`` is true."""
     found = set()
 
     def visit(module: str, node: ast.AST, owner: str) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             owner = f"{owner}.{node.name}" if owner != "<module>" else node.name
-        named = (isinstance(node, ast.Name) and node.id in _FLOAT_ERROR_NAMES
-                 or isinstance(node, ast.Attribute) and node.attr in _FLOAT_ERROR_NAMES)
-        ignores = isinstance(node, ast.Call) and any(
-            isinstance(n, ast.Constant) and n.value == "ignore"
-            for arg in [*node.args, *(k.value for k in node.keywords)] for n in ast.walk(arg))
-        if named or ignores:
+        if hit(node):
             found.add((module, owner))
         for child in ast.iter_child_nodes(node):
             visit(module, child, owner)
@@ -244,6 +238,19 @@ def float_error_handling(modules: dict[str, str]) -> set[tuple[str, str]]:
     for module, source in modules.items():
         visit(module, ast.parse(source), "<module>")
     return found
+
+
+def handles_float_errors(node: ast.AST) -> bool:
+    """Whether ``node`` names ``errstate``, ``seterr`` or
+    ``FloatingPointError``, or passes the string ``"ignore"`` to a call (a
+    warnings filter hides numpy's warnings as surely as ``errstate``
+    does)."""
+    named = (isinstance(node, ast.Name) and node.id in _FLOAT_ERROR_NAMES
+             or isinstance(node, ast.Attribute) and node.attr in _FLOAT_ERROR_NAMES)
+    ignores = isinstance(node, ast.Call) and any(
+        isinstance(n, ast.Constant) and n.value == "ignore"
+        for arg in [*node.args, *(k.value for k in node.keywords)] for n in ast.walk(arg))
+    return named or ignores
 
 
 def test_float_error_handling_is_found():
@@ -255,7 +262,7 @@ def test_float_error_handling_is_found():
              "def hide():\n    import warnings\n    warnings.simplefilter('ignore')\n\n"
              "def plain():\n    mode = 'ignore'\n    return warnings.simplefilter('error')\n",
     }
-    assert float_error_handling(modules) == {("a", "<module>"), ("a", "quiet"),
+    assert owners(modules, handles_float_errors) == {("a", "<module>"), ("a", "quiet"),
                                              ("a", "Step.run"), ("a", "hide")}
 
 
@@ -264,4 +271,40 @@ def test_only_the_cli_and_the_trap_handle_float_errors():
     (``cli.main``) and are named where they arise (``train._trapped``); a
     second place that sets or catches them is how silent overflow regrows."""
     modules = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    assert float_error_handling(modules) == FLOAT_ERROR_HANDLERS
+    assert owners(modules, handles_float_errors) == FLOAT_ERROR_HANDLERS
+
+
+# (module, function) that may set ``requires_grad``: a tensor takes its flag
+# when it is made, an op's result when an input requires grad, and the
+# read-only walk turns the parameters' flags off for its length and back on
+REQUIRES_GRAD_SETTERS = {("tensor", "Tensor.__init__"), ("tensor", "Tensor._result"),
+                         ("train", "_walk")}
+
+
+def sets_requires_grad(node: ast.AST) -> bool:
+    """Whether ``node`` assigns ``.requires_grad`` or sets it through
+    ``setattr``."""
+    return (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and node.attr == "requires_grad"
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "setattr" and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant) and node.args[1].value == "requires_grad")
+
+
+def test_requires_grad_setter_is_found():
+    modules = {
+        "a": "class T:\n    def __init__(self, flag):\n        self.requires_grad = flag\n\n"
+             "def freeze(ts):\n    for t in ts:\n        t.requires_grad = False\n\n"
+             "def thaw(t):\n    setattr(t, 'requires_grad', True)\n\n"
+             "def pair(a, b):\n    a.requires_grad, b.data = True, None\n\n"
+             "def reads(t):\n    return t.requires_grad and T(requires_grad=True)\n",
+    }
+    assert owners(modules, sets_requires_grad) == {("a", "T.__init__"), ("a", "freeze"),
+                                              ("a", "thaw"), ("a", "pair")}
+
+
+def test_only_the_engine_and_the_walk_set_requires_grad():
+    """The flag is toggled in one place, the read-only walk; a second
+    setter is how a global no-grad switch grows into the engine."""
+    modules = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert owners(modules, sets_requires_grad) == REQUIRES_GRAD_SETTERS
