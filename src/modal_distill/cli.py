@@ -224,6 +224,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# every character str.splitlines() breaks at, printed as its escape
+_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
+def _fail(code: int, message: str) -> int:
+    """Print ``message`` as one stderr line, whatever paths or values it
+    quotes, and return the exit code."""
+    print(message.translate(_LINE_BREAKS), file=sys.stderr)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -231,26 +242,20 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help exits 0 through here
         return int(exc.code or 0)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(1, f"error: {exc}")
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(1, f"error: {exc}")
     except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(2, f"data error: {exc}")
     except UnicodeDecodeError as exc:  # a config file or manifest holding binary
-        print(f"data error: an input file is not UTF-8 text: {exc}", file=sys.stderr)
-        return 2
+        return _fail(2, f"data error: an input file is not UTF-8 text: {exc}")
     except (NumericError, ShapeError, FloatingPointError) as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 3
+        return _fail(3, f"numeric error: {exc}")
     except OSError as exc:  # the message names the path
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 4
+        return _fail(4, f"I/O error: {exc}")
 
 
 def entry() -> None:

@@ -18,7 +18,6 @@ from .tensor import (
     Tensor,
     concat,
     conv1d,
-    cosine,
     gram,
     l2_normalize,
     margin_hinge,
@@ -121,12 +120,11 @@ def loss_margin(x: Tensor, mods: np.ndarray, classes: np.ndarray,
 
 
 def loss_ort(pairs: dict[Modality, DecoupledPair]) -> Tensor:
-    """Sum over modalities and the batch of cos(pooled shared, pooled private)."""
-    total = None
-    for m in MODALITIES:
-        c = tsum(cosine(pairs[m].homo_pooled, pairs[m].hetero_pooled))
-        total = c if total is None else total + c
-    return total
+    """Sum over modalities and the batch of cos(pooled shared, pooled
+    private): the row dot products of the L2-normalised pooled rows."""
+    homo = l2_normalize(concat([pairs[m].homo_pooled for m in MODALITIES], axis=0))
+    hetero = l2_normalize(concat([pairs[m].hetero_pooled for m in MODALITIES], axis=0))
+    return tsum(homo * hetero)
 
 
 def loss_dec(rec: Tensor, cyc: Tensor, margin: Tensor, ort: Tensor, gamma: float) -> Tensor:

@@ -602,41 +602,7 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor, rows: RowLayout) -> Tensor:
 
 # ---- fused losses and poolings used throughout the model ----
 
-_EPS = 1e-12  # a smaller norm counts as zero
-_SQ_FLOOR = _EPS * _EPS  # the same floor on a squared norm
-
-
-def cosine(u: Tensor, v: Tensor) -> Tensor:
-    """Cosine similarity along the last axis, in [-1, 1]; ``[..., d]``
-    inputs give ``[...]``.  One node; backward reads only the inputs and
-    per-row scalars.
-
-    Each squared norm is clamped at ``_SQ_FLOOR`` and the norms' product at
-    ``_EPS``, so an all-zero vector yields 0 instead of dividing by zero
-    (and keeps the backward pass finite).
-    """
-    if u.ndim < 1 or u.shape != v.shape:
-        raise ShapeError(f"cosine expects equal-shape vectors, got {u.shape} and {v.shape}")
-    num = (u.data * v.data).sum(axis=-1)
-    su = (u.data * u.data).sum(axis=-1)
-    sv = (v.data * v.data).sum(axis=-1)
-    nu = np.sqrt(np.maximum(su, _SQ_FLOOR))
-    nv = np.sqrt(np.maximum(sv, _SQ_FLOOR))
-    prod = nu * nv
-    den = np.maximum(prod, _EPS)
-    out_data = num / den
-
-    def backward(g):
-        g_num = (g / den)[..., None]
-        g_prod = (-g * num / (den * den)) * (prod > _EPS)
-        if u.requires_grad:
-            g_su = g_prod * nv * 0.5 / nu * (su > _SQ_FLOOR)
-            u._accum(g_num * v.data + (2.0 * g_su)[..., None] * u.data)
-        if v.requires_grad:
-            g_sv = g_prod * nu * 0.5 / nv * (sv > _SQ_FLOOR)
-            v._accum(g_num * u.data + (2.0 * g_sv)[..., None] * v.data)
-
-    return Tensor._result(out_data, (u, v), backward)
+_SQ_FLOOR = 1e-24  # a smaller squared norm counts as zero
 
 
 def l2_normalize(x: Tensor) -> Tensor:

@@ -9,6 +9,7 @@ parsed, and runs ``main`` in-process.  The examples are drawn from a fixed
 seed and their number is fixed, which keeps the test to a few seconds."""
 
 import contextlib
+import csv
 import io
 import shutil
 
@@ -100,7 +101,27 @@ def test_damaged_input_is_a_clean_exit(pristine, target, how, seed):
         assert err == "" and left == {predictions}, (target, how, seed, err, left)
     else:
         assert rc in FAILURES, (target, how, seed, rc, err)
-        # lines end at "\n" only: a damaged path may hold other line breaks
-        assert err.count("\n") == 1 and err.endswith("\n"), (target, how, seed, err)
+        assert len(err.splitlines()) == 1 and err.endswith("\n"), (target, how, seed, err)
         assert err.startswith(FAILURES[rc]), (target, how, seed, err)
         assert left == set(), (target, how, seed, left)
+
+
+# every line break str.splitlines() knows, and the CRLF pair
+@pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e",
+                                 "\x85", "\u2028", "\u2029"])
+def test_line_break_in_a_manifest_path_is_one_stderr_line(pristine, tmp_path, brk):
+    # the manifest names a feature file that does not exist, and the
+    # message quoting its path must still be one line
+    root, _, _ = pristine
+    manifest = tmp_path / "manifest.csv"
+    with open(manifest, "w", newline="") as fh:
+        csv.writer(fh).writerows([["id", "label", "path_L", "path_V", "path_A"],
+                                  ["syn00000", "0.5", f"features/x{brk}y.csv",
+                                   "features/v.csv", "features/a.csv"]])
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(["eval", "--checkpoint", str(root / "ck.npz"), "--data", str(manifest)])
+    err = err.getvalue()
+    assert rc == 2 and len(err.splitlines()) == 1 and err.endswith("\n"), err
+    assert err.startswith("data error: sample syn00000: missing L feature file "), err
+    assert f"x{repr(brk)[1:-1]}y.csv" in err, err

@@ -810,6 +810,34 @@ def test_bad_cache_is_a_miss_that_loads_and_rewrites_it(tmp_path, monkeypatch, c
     _assert_bit_equal_to_direct_reads(loaded, samples, tmp_path)
 
 
+def test_damaged_cache_fuzz_loads_bit_equal_and_leaves_no_temporary_file(tmp_path):
+    """Seeded byte-level damage to the parse cache, for about two seconds:
+    one to three bytes flipped, the file cut short, or random bytes added
+    at its end.  Every load returns the arrays of a clean parse, bit for
+    bit, and leaves no temporary file."""
+    manifest, samples, dims = _small_tree(tmp_path)
+    load_features(manifest, dims=dims)
+    good = _cache(tmp_path).read_bytes()
+    rng = np.random.default_rng(32)
+    runs, deadline = 0, time.monotonic() + 2.0
+    while runs < 600 and time.monotonic() < deadline:
+        how = ("flip", "truncate", "extend")[runs % 3]
+        if how == "flip":
+            bad = bytearray(good)
+            for i in rng.choice(len(good), size=int(rng.integers(1, 4)), replace=False):
+                bad[i] ^= int(rng.integers(1, 256))
+        elif how == "truncate":
+            bad = good[:int(rng.integers(len(good)))]
+        else:
+            bad = good + rng.bytes(int(rng.integers(1, 65)))
+        _cache(tmp_path).write_bytes(bytes(bad))
+        loaded = load_features(manifest, dims=dims)
+        _assert_bit_equal_to_direct_reads(loaded, samples, tmp_path)
+        assert list(tmp_path.rglob("*.tmp")) == [], (runs, how)
+        runs += 1
+    assert runs >= 3
+
+
 class _CountingReader:
     """A binary file that adds each byte it reads to ``counts[name]``; it
     has only what the loader uses of a file, so any other use fails."""

@@ -45,11 +45,15 @@ def one(x):
     return RowLayout([x.shape[0]])
 
 
+def pooled_rows(h, p):
+    """A pair whose pooled rows are the tensors ``h`` and ``p``."""
+    return DecoupledPair(homo=h, hetero=p, homo_pooled=h, hetero_pooled=p)
+
+
 def pooled_pair(homo_vec, hetero_vec):
     """A batch of one whose pooled vectors are the given ones."""
-    h = Tensor(np.asarray(homo_vec, dtype=float)[None])
-    p = Tensor(np.asarray(hetero_vec, dtype=float)[None])
-    return DecoupledPair(homo=h, hetero=p, homo_pooled=h, hetero_pooled=p)
+    return pooled_rows(Tensor(np.asarray(homo_vec, dtype=float)[None]),
+                       Tensor(np.asarray(hetero_vec, dtype=float)[None]))
 
 
 # ---- shallow encoding and decoupling ----
@@ -290,6 +294,36 @@ def test_ort_range():
     pairs = {m: pooled_pair(rng.standard_normal(5), rng.standard_normal(5))
              for m in MODALITIES}
     assert -3.0 <= loss_ort(pairs).item() <= 3.0
+
+
+def test_ort_matches_per_row_cosines():
+    # a batch of three per modality, one pooled shared row all zero: its
+    # cosine counts as 0
+    rng = np.random.default_rng(10)
+    homo = {m: rng.standard_normal((3, 4)) for m in MODALITIES}
+    hetero = {m: rng.standard_normal((3, 4)) for m in MODALITIES}
+    homo[V][1] = 0.0
+    pairs = {m: pooled_rows(Tensor(homo[m]), Tensor(hetero[m])) for m in MODALITIES}
+    want = 0.0
+    for m in MODALITIES:
+        for u, v in zip(homo[m], hetero[m]):
+            nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+            want += u @ v / (nu * nv) if nu > 0 else 0.0
+    assert loss_ort(pairs).item() == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_ort_gradcheck_with_a_zero_shared_row():
+    # the zero shared row's cosine is 0 whatever its private row holds, so
+    # that row's gradient is 0, and the other rows' stay finite and exact
+    rng = np.random.default_rng(11)
+    leaves = {m.tag: Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+              for m in MODALITIES}
+    homo = {m: Tensor(rng.standard_normal((2, 3))) for m in MODALITIES}
+    homo[L].data[0] = 0.0
+    pairs = {m: pooled_rows(homo[m], leaves[m.tag]) for m in MODALITIES}
+    check_grads(lambda: loss_ort(pairs), leaves, tol=1e-5)
+    # the gradient that check_grads' own backward left
+    np.testing.assert_array_equal(leaves[L.tag].grad[0], 0.0)
 
 
 def test_loss_dec_weighted_sum():

@@ -260,7 +260,7 @@ def test_unit_replay_reproduces_forward_exactly():
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_unit_gradcheck_frozen_replay(seed):
+def test_unit_gradcheck_against_replay(seed):
     # finite differences must run against the frozen-teacher function, the
     # function backprop actually differentiates
     params = {}

@@ -14,7 +14,6 @@ from modal_distill.tensor import (
     attention,
     concat,
     conv1d,
-    cosine,
     gram,
     l2_normalize,
     margin_hinge,
@@ -81,14 +80,14 @@ def padded_attention(q, k, v, heads, lengths):
 # given) and ``gram`` (``x @ x.T``).
 
 
-def test_matmul_identity():
+def test_affine_and_gram_identity():
     eye = Tensor(np.eye(2))
     m = Tensor([[1.0, 2.0], [3.0, 4.0]])
     np.testing.assert_array_equal(affine(eye, m).data, m.data)
     np.testing.assert_array_equal(gram(eye).data, np.eye(2))
 
 
-def test_matmul_forced_zero():
+def test_affine_and_gram_forced_zero():
     a = Tensor([[1.0, 0.0]])
     b = Tensor([[0.0], [5.0]])
     np.testing.assert_array_equal(affine(a, b).data, [[0.0]])
@@ -97,13 +96,13 @@ def test_matmul_forced_zero():
                                   [[1.0, 0.0], [0.0, 25.0]])
 
 
-def test_matmul_shape_error_names_both_shapes():
+def test_affine_shape_error_names_both_shapes():
     with pytest.raises(ShapeError) as exc:
         affine(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
     assert "(2, 3)" in str(exc.value) and "(4, 5)" in str(exc.value)
 
 
-def test_matmul_batched_matches_numpy():
+def test_affine_and_gram_batched_match_numpy():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((3, 2, 4))
     b = rng.standard_normal((4, 5))
@@ -113,7 +112,7 @@ def test_matmul_batched_matches_numpy():
     np.testing.assert_array_equal(gram(Tensor(x)).data, x @ x.T.copy())
 
 
-def test_matmul_batched_shape_errors():
+def test_affine_and_gram_batched_shape_errors():
     with pytest.raises(ShapeError) as exc:
         affine(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 5, 3))))
     assert "(2, 3, 4)" in str(exc.value) and "(2, 5, 3)" in str(exc.value)
@@ -215,39 +214,6 @@ def test_row_layout_neighbours_stay_in_their_sequence():
             RowLayout(bad)
 
 
-def test_cosine_fixed_points():
-    u = Tensor([1.0, 2.0, -3.0])
-    assert cosine(u, Tensor([1.0, 2.0, -3.0])).item() == pytest.approx(1.0, abs=1e-12)
-    assert cosine(Tensor([1.0, 0.0]), Tensor([0.0, 1.0])).item() == pytest.approx(0.0, abs=1e-12)
-    assert cosine(u, Tensor([-1.0, -2.0, 3.0])).item() == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_cosine_zero_vector_returns_zero():
-    out = cosine(Tensor([0.0, 0.0]), Tensor([1.0, 2.0]))
-    assert out.item() == 0.0
-    out.backward()  # must stay finite
-
-
-@given(st.lists(st.floats(-10, 10), min_size=2, max_size=6),
-       st.lists(st.floats(-10, 10), min_size=2, max_size=6))
-@settings(max_examples=50, deadline=None)
-def test_cosine_bounded(u, v):
-    n = min(len(u), len(v))
-    val = cosine(Tensor(u[:n]), Tensor(v[:n])).item()
-    assert -1.0 - 1e-9 <= val <= 1.0 + 1e-9
-
-
-def test_cosine_along_last_axis():
-    rng = np.random.default_rng(3)
-    u = rng.standard_normal((2, 3, 4))
-    v = rng.standard_normal((2, 3, 4))
-    got = cosine(Tensor(u), Tensor(v)).data
-    assert got.shape == (2, 3)
-    for idx in np.ndindex(2, 3):
-        assert got[idx] == pytest.approx(cosine(Tensor(u[idx]), Tensor(v[idx])).item(),
-                                         abs=1e-15)
-
-
 @given(lengths=st.lists(st.integers(1, 7), min_size=1, max_size=5), seed=st.integers(0, 2**16))
 @settings(max_examples=40, deadline=None)
 def test_mean_pool_time_ignores_padding(lengths, seed):
@@ -306,11 +272,6 @@ def test_fused_ops_match_their_numpy_chains():
     np.testing.assert_array_equal(fused, np.maximum(x @ w1 + b1, 0.0) @ w2 + b2)
     np.testing.assert_array_equal(sq_distance(Tensor(x), Tensor(y)).data,
                                   ((x - y) * (x - y)).sum())
-    eps = 1e-12
-    nx = np.sqrt(np.maximum((x * x).sum(axis=-1), eps * eps))
-    ny = np.sqrt(np.maximum((y * y).sum(axis=-1), eps * eps))
-    np.testing.assert_array_equal(cosine(Tensor(x), Tensor(y)).data,
-                                  (x * y).sum(axis=-1) / np.maximum(nx * ny, eps))
     norms = np.sqrt(np.maximum((x * x).sum(axis=-1, keepdims=True), 1e-24))
     np.testing.assert_array_equal(l2_normalize(Tensor(x)).data, x / norms)
     rows, packed_x = RowLayout([3, 7]), x.reshape(10, 4)
@@ -425,8 +386,6 @@ def test_gradients_match_finite_differences(seed):
     a = make(rng, 3, 4)
     b = make(rng, 3, 4)
     c = make(rng, 4, 2)
-    v = make(rng, 5)
-    w = make(rng, 5)
     row = make(rng, 1, 4)
     batch = make(rng, 2, 3, 4)
     out_w = Tensor(rng.standard_normal((2, 3, 2)))
@@ -446,8 +405,6 @@ def test_gradients_match_finite_differences(seed):
     hidden_w = make(rng, 2, 3)
     hidden_b = make(rng, 3)
     out_3 = Tensor(rng.standard_normal((2, 3, 3)))
-    zero_row = Tensor(np.vstack([np.zeros(4), rng.standard_normal((2, 4))]))
-    w_rows = Tensor(rng.standard_normal(3))
     mods, classes = np.tile(np.arange(3), 2), np.repeat([0, 1], 3)
 
     cases = {
@@ -465,8 +422,6 @@ def test_gradients_match_finite_differences(seed):
         "gram_wide": (lambda: tsum(gram(c) * cos.data[:4, :4]), {"c": c}),
         "gram_margin": (lambda: margin_hinge(gram(l2_normalize(packed)), mods, classes,
                                              0.5)[0], {"packed": packed}),
-        "cosine": (lambda: cosine(v, w), {"v": v, "w": w}),
-        "cosine_zero_row": (lambda: tsum(cosine(zero_row, b) * w_rows), {"b": b}),
         "l2_normalize": (lambda: tsum(l2_normalize(a) * b), {"a": a, "b": b}),
         "sq_distance": (lambda: sq_distance(packed, packed_c) * 0.5,
                         {"packed": packed, "packed_c": packed_c}),
@@ -478,7 +433,6 @@ def test_gradients_match_finite_differences(seed):
         "mean_pool": (lambda: tsum(mean_pool_time(a, one(3)) * row), {"a": a, "row": row}),
         "mean_pool_packed": (lambda: tsum(mean_pool_time(packed, rows) * pool_w),
                              {"packed": packed}),
-        "cosine_rows": (lambda: tsum(cosine(a, b)), {"a": a, "b": b}),
         "conv1d_packed": (lambda: tsum(conv1d(packed, conv_k, bias, rows) * 0.5),
                           {"packed": packed, "conv_k": conv_k, "bias": bias}),
         "conv1d_weighted": (lambda: tsum(conv1d(packed, conv_k, bias, rows) * packed_w),
@@ -506,7 +460,7 @@ def test_gradients_match_finite_differences(seed):
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_matmul_gradient_tight(seed):
+def test_affine_and_gram_gradient_tight(seed):
     rng = np.random.default_rng(100 + seed)
     a = make(rng, 3, 4)
     b = make(rng, 4, 2)
