@@ -155,9 +155,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    config = _build_config(args, base=gradcheck_model_config(args.seed or 0))
-    report = gradcheck(config, n_probes=args.probes, seed=args.seed or 0,
-                       tol=args.tol)
+    config = _build_config(args, base=gradcheck_model_config())
+    # the audit batch and probes follow the model's seed, wherever it was set
+    report = gradcheck(config, n_probes=args.probes, seed=config.seed, tol=args.tol)
     for line in report.lines():
         print(line)
     return 0 if report.passed else 3

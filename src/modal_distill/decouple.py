@@ -67,7 +67,7 @@ class Decoupler:
         self.decoders = {m: TwoLayer(rng, params, f"decoder.{m.tag}", 2 * d, d, d)
                          for m in MODALITIES}
 
-    def shallow_encode(self, features: Tensor, modality: Modality, rows: RowLayout) -> Tensor:
+    def shallow_encode(self, features: np.ndarray, modality: Modality, rows: RowLayout) -> Tensor:
         """Project packed raw [N, d_raw] sequences into the common dim via
         temporal conv, each sequence zero-padded at its own ends."""
         return conv1d(features, self.shallow_kernel[modality], self.shallow_bias[modality], rows)

@@ -104,7 +104,7 @@ class Model:
     def encode(self, batch: Batch) -> Encoded:
         cfg = self.config
         rows = batch.rows
-        shallow = {m: self.decoupler.shallow_encode(Tensor(batch.features[m]), m, rows[m])
+        shallow = {m: self.decoupler.shallow_encode(batch.features[m], m, rows[m])
                    for m in MODALITIES}
         zero_2d = Tensor(np.zeros((batch.size, 2 * cfg.d)))
         hetero = {m: zero_2d for m in MODALITIES}

@@ -5,9 +5,9 @@ tensor only when one of its inputs requires grad; otherwise the output is a
 plain value with no tape behind it.  Calling ``backward()`` on a scalar
 walks the recorded graph once in reverse topological order, accumulates
 gradients into the leaves and returns the ``requires_grad`` leaves it
-reached, so an optimizer can skip the rest: no closure writes to a tensor
-that is not one of its node's parents.  The tape is rebuilt on every
-forward pass, so a tensor graph is a throwaway value: there are no
+reached, so an optimizer can skip the rest: a closure writes only to
+those of its node's parents that require grad.  The tape is rebuilt on
+every forward pass, so a tensor graph is a throwaway value: there are no
 retained-graph semantics and no global state, which also makes independent
 graphs safe to build on different threads.
 
@@ -67,8 +67,6 @@ class Tensor:
         return out
 
     def _accum(self, g: Array) -> None:
-        if not self.requires_grad:
-            return
         if self.grad is None:
             # a private copy: g may be a view of another node's buffers
             self.grad = np.array(g, dtype=np.float64)
@@ -188,6 +186,16 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 # ---- matrix ops ----
 
 
+def _weight_grads(x: Array, w: Tensor, b: Tensor | None, g: Array) -> None:
+    """Accumulate the gradients of ``w`` and ``b`` in ``x @ w + b`` from
+    the output gradient ``g``, one product over all leading axes."""
+    g_rows = g.reshape(-1, w.shape[1])
+    if w.requires_grad:
+        w._accum(x.reshape(-1, w.shape[0]).T @ g_rows)
+    if b is not None and b.requires_grad:
+        b._accum(g_rows.sum(axis=0))
+
+
 def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """``x @ w + b`` as one node: ``x`` is ``[..., d_in]``, ``w`` is
     ``[d_in, d_out]`` and ``b`` is ``[d_out]``.  The weight gradient is one
@@ -196,17 +204,12 @@ def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise ShapeError(f"affine: incompatible shapes {x.shape} and {w.shape}")
     if b is not None and b.shape != w.shape[1:]:
         raise ShapeError(f"affine: bias {b.shape} does not match weight {w.shape}")
-    d_in, d_out = w.shape
     out_data = x.data @ w.data
     if b is not None:
         out_data += b.data
 
     def backward(g):
-        g_rows = g.reshape(-1, d_out)
-        if w.requires_grad:
-            w._accum(x.data.reshape(-1, d_in).T @ g_rows)
-        if b is not None and b.requires_grad:
-            b._accum(g_rows.sum(axis=0))
+        _weight_grads(x.data, w, b, g)
         if x.requires_grad:
             x._accum(g @ w.data.T)
 
@@ -227,8 +230,6 @@ def two_layer(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tens
             or b2.shape != w2.shape[1:]):
         raise ShapeError(f"two_layer: incompatible shapes x {x.shape}, w1 {w1.shape}, "
                          f"b1 {b1.shape}, w2 {w2.shape}, b2 {b2.shape}")
-    d_in, d_hidden = w1.shape
-    d_out = w2.shape[1]
     h = x.data @ w1.data
     h += b1.data
     np.maximum(h, 0.0, out=h)
@@ -236,18 +237,10 @@ def two_layer(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tens
     out_data += b2.data
 
     def backward(g):
-        g_rows = g.reshape(-1, d_out)
-        if w2.requires_grad:
-            w2._accum(h.reshape(-1, d_hidden).T @ g_rows)
-        if b2.requires_grad:
-            b2._accum(g_rows.sum(axis=0))
+        _weight_grads(h, w2, b2, g)
         g_pre = g @ w2.data.T
         g_pre *= h > 0.0
-        g_pre_rows = g_pre.reshape(-1, d_hidden)
-        if w1.requires_grad:
-            w1._accum(x.data.reshape(-1, d_in).T @ g_pre_rows)
-        if b1.requires_grad:
-            b1._accum(g_pre_rows.sum(axis=0))
+        _weight_grads(x.data, w1, b1, g_pre)
         if x.requires_grad:
             x._accum(g_pre @ w1.data.T)
 
@@ -449,9 +442,10 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
 
     def backward(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis if axis >= 0 else g.ndim + axis] = slice(lo, hi)
-            t._accum(g[tuple(idx)])
+            if t.requires_grad:
+                idx = [slice(None)] * g.ndim
+                idx[axis if axis >= 0 else g.ndim + axis] = slice(lo, hi)
+                t._accum(g[tuple(idx)])
 
     return Tensor._result(out_data, tuple(tensors), backward)
 
@@ -551,15 +545,16 @@ class RowLayout:
         self.next[ends - 1] = n
 
 
-def conv1d(x: Tensor, kernel: Tensor, bias: Tensor, rows: RowLayout) -> Tensor:
+def conv1d(x: Array, kernel: Tensor, bias: Tensor, rows: RowLayout) -> Tensor:
     """Width-3 temporal convolution of packed sequences with zero
     same-padding.
 
-    ``x`` is ``[N, d_in]``, packed as ``rows`` says; ``kernel`` is ``[3,
-    d_in, d_out]``, its taps reading the previous step, the step itself and
-    the next step.  A tap that falls outside its own sequence reads a zero
-    row, exactly as zero padding would, so each sequence's output is what
-    it would be alone.
+    ``x`` is a plain ``[N, d_in]`` array, packed as ``rows`` says: raw
+    features are data, so they get no gradient.  ``kernel`` is ``[3, d_in,
+    d_out]``, its taps reading the previous step, the step itself and the
+    next step.  A tap that falls outside its own sequence reads a zero row,
+    exactly as zero padding would, so each sequence's output is what it
+    would be alone.
 
     Forward is one product of ``x`` with the kernel laid out ``[d_in, 3 *
     d_out]``, which gives every row's contribution at every tap, then two
@@ -576,7 +571,7 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor, rows: RowLayout) -> Tensor:
         raise ShapeError(f"conv1d: input {x.shape} for {rows.size} rows and kernel d_in {d_in}")
     k_cat = kernel.data.transpose(1, 0, 2).reshape(d_in, 3 * d_out)
     per_tap = np.empty((n + 1, 3 * d_out))  # the last row is the zero row
-    np.matmul(x.data, k_cat, out=per_tap[:n])
+    np.matmul(x, k_cat, out=per_tap[:n])
     per_tap[n] = 0.0
     out_data = per_tap[:n, d_out:2 * d_out] + bias.data
     out_data += per_tap[rows.prev, :d_out]
@@ -585,19 +580,15 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor, rows: RowLayout) -> Tensor:
     def backward(g):
         if bias.requires_grad:
             bias._accum(g.sum(axis=0))
-        if not (kernel.requires_grad or x.requires_grad):
-            return
-        g_ext = np.empty((n + 1, d_out))
-        g_ext[:n] = g
-        g_ext[n] = 0.0
-        # block k of row r: the gradient of the output that reads row r at tap k
-        g_taps = np.concatenate([g_ext[rows.next], g, g_ext[rows.prev]], axis=1)
         if kernel.requires_grad:
-            kernel._accum((x.data.T @ g_taps).reshape(d_in, 3, d_out).transpose(1, 0, 2))
-        if x.requires_grad:
-            x._accum(g_taps @ k_cat.T)
+            g_ext = np.empty((n + 1, d_out))
+            g_ext[:n] = g
+            g_ext[n] = 0.0
+            # block k of row r: the gradient of the output that reads row r at tap k
+            g_taps = np.concatenate([g_ext[rows.next], g, g_ext[rows.prev]], axis=1)
+            kernel._accum((x.T @ g_taps).reshape(d_in, 3, d_out).transpose(1, 0, 2))
 
-    return Tensor._result(out_data, (x, kernel, bias), backward)
+    return Tensor._result(out_data, (kernel, bias), backward)
 
 
 # ---- fused losses and poolings used throughout the model ----

@@ -270,8 +270,6 @@ def train(config: TrainConfig, samples: list[Sample], split: bool = True) -> Tra
         train_s, val_s, test_s = split_dataset(samples, seed=config.seed)
     else:
         train_s, val_s, test_s = list(samples), [], []
-    if not train_s:
-        raise DataError("empty training split")
 
     opt = Adam(model.table, lr=config.lr)
 

@@ -131,6 +131,32 @@ def test_generate_rejects_bad_args():
         generate(2, seed=1, config=bad)
 
 
+# one bad value per rule of SyntheticConfig.validate past the raw dims
+BAD_WORLDS = {
+    "length_below_one": (lambda c: c.length_ranges.update({Modality.VISION: (0, 5)}),
+                         r"length range for V must satisfy 1 <= lo <= hi, got \(0, 5\)"),
+    "length_reversed": (lambda c: c.length_ranges.update({Modality.AUDIO: (8, 4)}),
+                        r"length range for A must satisfy 1 <= lo <= hi, got \(8, 4\)"),
+    "negative_noise": (lambda c: c.noise.update({Modality.LANGUAGE: -0.1}),
+                       "noise scale for L must be >= 0"),
+    "no_phase": (lambda c: c.shared_phase.update({Modality.VISION: ()}),
+                 "shared_phase for V needs at least one multiplier"),
+    "negative_class_view_noise": (lambda c: c.class_view_noise.update({Modality.AUDIO: -1.0}),
+                                  "class_view_noise for A must be >= 0"),
+    "one_shared_dim": (lambda c: setattr(c, "z_shared_dim", 1), "latent dims too small"),
+    "no_private_dim": (lambda c: setattr(c, "z_private_dim", 0), "latent dims too small"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_WORLDS))
+def test_generate_rejects_each_bad_world(case):
+    spoil, message = BAD_WORLDS[case]
+    bad = small_config()
+    spoil(bad)
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        generate(2, seed=1, config=bad)
+
+
 def test_phase_multiplies_shared_component():
     cfg = small_config()
     cfg.noise = {m: 0.0 for m in MODALITIES}
@@ -834,6 +860,52 @@ def test_damaged_cache_fuzz_loads_bit_equal_and_leaves_no_temporary_file(tmp_pat
         loaded = load_features(manifest, dims=dims)
         _assert_bit_equal_to_direct_reads(loaded, samples, tmp_path)
         assert list(tmp_path.rglob("*.tmp")) == [], (runs, how)
+        runs += 1
+    assert runs >= 3
+
+
+def test_damaged_feature_fuzz_fails_naming_the_file_and_keeps_the_cache(tmp_path):
+    """Seeded damage to one feature CSV (a word, a short row or a NaN in a
+    random row), with the parse cache kept, damaged or removed, for about
+    two seconds.  Every load raises a ``DataError`` naming that CSV, leaves
+    no temporary file, and leaves the cache as it was: byte for byte, or
+    still absent."""
+    manifest, samples, dims = _small_tree(tmp_path)
+    load_features(manifest, dims=dims)
+    good = _cache(tmp_path).read_bytes()
+    files = sorted((tmp_path / "features").iterdir())
+    originals = {path: path.read_bytes() for path in files}
+    rng = np.random.default_rng(16)
+    runs, deadline = 0, time.monotonic() + 2.0
+    while runs < 1000 and time.monotonic() < deadline:
+        path = files[int(rng.integers(len(files)))]
+        rows = originals[path].decode().splitlines()
+        at = int(rng.integers(len(rows)))
+        fields = rows[at].split(",")
+        how = ("word", "short", "nan")[runs % 3]
+        if how == "short":
+            del fields[int(rng.integers(len(fields)))]
+        else:
+            fields[int(rng.integers(len(fields)))] = "spam" if how == "word" else "nan"
+        rows[at] = ",".join(fields)
+        path.write_text("\n".join(rows) + "\n")
+        # kept, removed, cut short or extended; with the three damages above
+        # every pairing comes round once in 12 runs
+        cache = (good, None, good[:int(rng.integers(len(good)))],
+                 good + rng.bytes(int(rng.integers(1, 65))))[runs % 4]
+        if cache is None:
+            _cache(tmp_path).unlink(missing_ok=True)
+        else:
+            _cache(tmp_path).write_bytes(cache)
+        with pytest.raises(DataError) as exc:
+            load_features(manifest, dims=dims)
+        assert str(path) in str(exc.value), (runs, how, str(exc.value))
+        assert list(tmp_path.rglob("*.tmp")) == [], (runs, how)
+        if cache is None:
+            assert not _cache(tmp_path).exists(), (runs, how)
+        else:
+            assert _cache(tmp_path).read_bytes() == cache, (runs, how)
+        path.write_bytes(originals[path])
         runs += 1
     assert runs >= 3
 

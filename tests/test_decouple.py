@@ -62,16 +62,16 @@ def pooled_pair(homo_vec, hetero_vec):
 def test_shallow_encode_shape():
     dec = make_decoupler(d=16)
     rng = np.random.default_rng(1)
-    out = dec.shallow_encode(Tensor(rng.standard_normal((8, SMALL_RAW[V]))), V, RowLayout([8]))
+    out = dec.shallow_encode(rng.standard_normal((8, SMALL_RAW[V])), V, RowLayout([8]))
     assert out.shape == (8, 16)
-    assert dec.shallow_encode(Tensor(rng.standard_normal((8, SMALL_RAW[V]))), V,
+    assert dec.shallow_encode(rng.standard_normal((8, SMALL_RAW[V])), V,
                               RowLayout([3, 1, 4])).shape == (8, 16)
 
 
 def test_shallow_encode_rejects_wrong_dim():
     dec = make_decoupler()
     with pytest.raises(ShapeError):
-        dec.shallow_encode(Tensor(np.zeros((8, SMALL_RAW[V] + 1))), V, RowLayout([8]))
+        dec.shallow_encode(np.zeros((8, SMALL_RAW[V] + 1)), V, RowLayout([8]))
 
 
 def test_shared_encoder_is_one_parameter_set():
@@ -353,7 +353,7 @@ def test_decoupling_losses_gradcheck(seed):
         total_rec, total_cyc = Tensor(0.0), Tensor(0.0)
         pairs = {}
         for m in MODALITIES:
-            x = dec.shallow_encode(Tensor(feats[m]), m, layouts[m])
+            x = dec.shallow_encode(feats[m], m, layouts[m])
             pair = dec.decouple(x, m, layouts[m])
             pairs[m] = pair
             recon = dec.reconstruct(pair, m)

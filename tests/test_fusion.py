@@ -104,6 +104,13 @@ def test_task_loss_fixtures():
     assert batch.item() == pytest.approx(0.5, abs=1e-15)
 
 
+@pytest.mark.parametrize("preds,labels", [([1.0, 2.0], [1.0]), ([[1.0]], [[1.0]]), ([], [])],
+                         ids=["length", "two_axes", "empty"])
+def test_task_loss_rejects_mismatched_or_empty_labels(preds, labels):
+    with pytest.raises(ShapeError, match="^task_loss: predictions "):
+        task_loss(Tensor(preds), np.array(labels))
+
+
 def test_total_loss_fixtures():
     only_task = total_loss(Tensor(1.7), Tensor(9.0), Tensor(9.0), Tensor(9.0), 0.0, 0.0)
     assert only_task.item() == pytest.approx(1.7, abs=1e-15)

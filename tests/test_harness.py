@@ -11,6 +11,7 @@ import math
 import os
 import re
 import shutil
+import subprocess
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -488,6 +489,15 @@ def test_checkpoint_missing_and_bad_version(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_without_metadata_exits_two(tmp_path, capsys):
+    path = tmp_path / "bare.npz"
+    np.savez(path, **{"param/w": np.ones(3)})
+    with pytest.raises(DataError, match="has no metadata block"):
+        load_checkpoint(path)
+    assert main(["eval", "--checkpoint", str(path), "--synthetic", "4"]) == 2
+    assert capsys.readouterr().err == f"data error: checkpoint {path} has no metadata block\n"
+
+
 def test_checkpoint_appends_npz_suffix(tmp_path):
     out = save_checkpoint(tmp_path / "plain", {"w": Tensor(np.ones(2))}, tiny_config())
     assert out.exists() and out.name == "plain"
@@ -908,6 +918,20 @@ def test_cli_data_errors_exit_two(tmp_path):
                  "--synthetic", "4"]) == 2
 
 
+def test_cli_eval_of_a_missing_manifest_exits_two(tmp_path, capsys):
+    ck, manifest = tmp_path / "ck.npz", tmp_path / "absent" / "manifest.csv"
+    _eval_checkpoint(ck)
+    assert main(["eval", "--checkpoint", str(ck), "--data", str(manifest)]) == 2
+    assert capsys.readouterr().err == f"data error: manifest not found: {manifest}\n"
+
+
+def test_cli_probe_of_one_sample_exits_two(tmp_path, capsys):
+    ck = tmp_path / "ck.npz"
+    _eval_checkpoint(ck)
+    assert main(["probe-unimodal", "--checkpoint", str(ck), "--synthetic", "1"]) == 2
+    assert capsys.readouterr().err == "data error: probing needs at least 2 samples, got 1\n"
+
+
 def test_cli_manifest_with_duplicate_id_exits_two(tmp_path):
     manifest = save_dataset(generate(3, 0), tmp_path / "data")
     lines = manifest.read_text().splitlines()
@@ -1162,6 +1186,18 @@ def test_cli_gradcheck_config_file_layers_on_its_base(tmp_path, monkeypatch):
     assert seen == [replace(gradcheck_model_config(0), lr=0.001)] * 2
 
 
+def test_cli_gradcheck_audits_the_seed_a_config_file_sets(tmp_path, capsys):
+    """The audit batch and probes follow the model's seed, so a config file
+    holding ``seed = 5`` audits what ``--seed 5`` audits."""
+    cfg_file = tmp_path / "seed.cfg"
+    cfg_file.write_text("seed = 5\n")
+    printed = []
+    for flags in (["--config", str(cfg_file)], ["--seed", "5"]):
+        assert main(["gradcheck", "--probes", "3", *flags]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1] and printed[0].endswith("PASS\n")
+
+
 def test_cli_toggle_flags():
     parser = build_parser()
     args = parser.parse_args(["train", "--synthetic", "4", "--no-fd", "--no-homogd",
@@ -1379,3 +1415,21 @@ def test_a_scored_model_steps_like_a_fresh_one():
 def test_cli_help_exits_zero():
     assert main(["--help"]) == 0
     assert main(["train", "--help"]) == 0
+
+
+def test_cli_module_entry_point_exit_codes():
+    """``python -m modal_distill.cli`` runs ``entry``: ``--help`` exits 0,
+    and an unknown subcommand exits 1 with one stderr line."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "modal_distill.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    shown = run("--help")
+    assert shown.returncode == 0 and shown.stdout.startswith("usage: modal-distill")
+    assert shown.stderr == ""
+    unknown = run("frobnicate")
+    assert unknown.returncode == 1 and unknown.stdout == ""
+    assert len(unknown.stderr.splitlines()) == 1, unknown.stderr
+    assert unknown.stderr.startswith("error: modal-distill: argument command: invalid choice")

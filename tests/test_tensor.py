@@ -147,15 +147,15 @@ def test_softmax_rows_sum_to_one(values):
 def test_conv1d_width_one_identity():
     # only the centre tap is nonzero: a width-one identity
     rng = np.random.default_rng(0)
-    x = Tensor(rng.standard_normal((6, 3)))
+    x = rng.standard_normal((6, 3))
     kernel = Tensor(np.stack([np.zeros((3, 3)), np.eye(3), np.zeros((3, 3))]))
-    np.testing.assert_allclose(conv1d(x, kernel, Tensor(np.zeros(3)), one(6)).data, x.data,
+    np.testing.assert_allclose(conv1d(x, kernel, Tensor(np.zeros(3)), one(6)).data, x,
                                atol=1e-15)
 
 
 def test_conv1d_preserves_temporal_length():
     rng = np.random.default_rng(1)
-    x = Tensor(rng.standard_normal((5, 2)))
+    x = rng.standard_normal((5, 2))
     kernel = Tensor(rng.standard_normal((3, 2, 4)))
     assert conv1d(x, kernel, Tensor(np.zeros(4)), one(5)).shape == (5, 4)
     rows = RowLayout([2, 3])
@@ -181,7 +181,7 @@ def test_conv1d_matches_direct_convolution():
             if 0 <= src < t_in:
                 expected[t] += x[src] @ k[tap]
         expected[t] += b
-    got = conv1d(Tensor(x), Tensor(k), Tensor(b), one(t_in)).data
+    got = conv1d(x, Tensor(k), Tensor(b), one(t_in)).data
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
@@ -196,7 +196,7 @@ def test_packed_conv_matches_padded_conv(lengths, seed):
     x = rng.standard_normal((rows.size, 3))
     k = rng.standard_normal((3, 3, 4))
     b = rng.standard_normal(4)
-    got = conv1d(Tensor(x), Tensor(k), Tensor(b), rows).data
+    got = conv1d(x, Tensor(k), Tensor(b), rows).data
     want = padded_conv(padded(x, rows), k, b)[rows.seq, rows.pos]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -370,11 +370,9 @@ def test_conv1d_batch_matches_sequences_alone():
     k = Tensor(rng.standard_normal((3, 2, 3)))
     b = Tensor(rng.standard_normal(3))
     short, long = rng.standard_normal((2, 2)), rng.standard_normal((5, 2))
-    out = conv1d(Tensor(np.vstack([short, long])), k, b, RowLayout([2, 5]))
-    np.testing.assert_allclose(out.data[:2], conv1d(Tensor(short), k, b, one(2)).data,
-                               atol=1e-15)
-    np.testing.assert_allclose(out.data[2:], conv1d(Tensor(long), k, b, one(5)).data,
-                               atol=1e-15)
+    out = conv1d(np.vstack([short, long]), k, b, RowLayout([2, 5]))
+    np.testing.assert_allclose(out.data[:2], conv1d(short, k, b, one(2)).data, atol=1e-15)
+    np.testing.assert_allclose(out.data[2:], conv1d(long, k, b, one(5)).data, atol=1e-15)
 
 
 # ---- backward: finite differences on every differentiable op ----
@@ -433,10 +431,10 @@ def test_gradients_match_finite_differences(seed):
         "mean_pool": (lambda: tsum(mean_pool_time(a, one(3)) * row), {"a": a, "row": row}),
         "mean_pool_packed": (lambda: tsum(mean_pool_time(packed, rows) * pool_w),
                              {"packed": packed}),
-        "conv1d_packed": (lambda: tsum(conv1d(packed, conv_k, bias, rows) * 0.5),
-                          {"packed": packed, "conv_k": conv_k, "bias": bias}),
-        "conv1d_weighted": (lambda: tsum(conv1d(packed, conv_k, bias, rows) * packed_w),
-                            {"packed": packed, "conv_k": conv_k, "bias": bias}),
+        "conv1d_packed": (lambda: tsum(conv1d(packed.data, conv_k, bias, rows) * 0.5),
+                          {"conv_k": conv_k, "bias": bias}),
+        "conv1d_weighted": (lambda: tsum(conv1d(packed.data, conv_k, bias, rows) * packed_w),
+                            {"conv_k": conv_k, "bias": bias}),
         "affine": (lambda: tsum(affine(a, c) * out_w.data[0]), {"a": a, "c": c}),
         "affine_bias": (lambda: tsum(affine(a, c, bias) * out_w.data[1]),
                         {"a": a, "c": c, "bias": bias}),
@@ -480,12 +478,12 @@ def test_softmax_gradient_tight(seed):
 @pytest.mark.parametrize("seed", range(5))
 def test_conv1d_gradient_tight(seed):
     rng = np.random.default_rng(300 + seed)
-    x = make(rng, 6, 3)
+    x = rng.standard_normal((6, 3))
     k = make(rng, 3, 3, 2)
     b = make(rng, 2)
     w = Tensor(rng.standard_normal((6, 2)))
     for rows in (one(6), RowLayout([1, 2, 3]), RowLayout([2, 1, 1, 2])):
-        check_grads(lambda: tsum(conv1d(x, k, b, rows) * w), {"x": x, "k": k, "b": b}, tol=1e-6)
+        check_grads(lambda: tsum(conv1d(x, k, b, rows) * w), {"k": k, "b": b}, tol=1e-6)
 
 
 def test_mean_pool_time_gradient():
@@ -555,6 +553,40 @@ def test_grads_accumulate_until_reset():
     (x * x).backward()
     (x * x).backward()
     assert x.grad == pytest.approx(16.0)  # two passes, no zeroing in between
+
+
+def test_no_closure_writes_a_gradient_to_a_constant_parent():
+    """``_accum`` takes every gradient it is given, so each node of two or
+    more parents guards them itself: with any one parent constant, that
+    parent gets no gradient and the others get theirs."""
+    rng = np.random.default_rng(12)
+    rows, key_rows = RowLayout([2, 1]), RowLayout([1, 2])
+    raw = rng.standard_normal((3, 2))
+    cases = {
+        "add": (lambda a, b: a + b, [(3, 2), (3, 2)]),
+        "sub": (lambda a, b: a - b, [(3, 2), (1, 2)]),
+        "mul": (lambda a, b: a * b, [(3, 2), (3, 2)]),
+        "affine": (affine, [(3, 2), (2, 4), (4,)]),
+        "two_layer": (two_layer, [(3, 2), (2, 4), (4,), (4, 2), (2,)]),
+        "concat": (lambda a, b, c: concat([a, b, c], axis=0), [(3, 2), (1, 2), (2, 2)]),
+        "sq_distance": (sq_distance, [(3, 2), (3, 2)]),
+        "attention": (lambda q, k, v: attention(q, k, v, 2, rows, key_rows)[0],
+                      [(3, 4), (3, 4), (3, 4)]),
+        "conv1d": (lambda k, b: conv1d(raw, k, b, rows), [(3, 2, 4), (4,)]),
+    }
+    for name, (op, shapes) in cases.items():
+        for const in range(len(shapes)):
+            parents = [Tensor(rng.standard_normal(s), requires_grad=i != const)
+                       for i, s in enumerate(shapes)]
+            out = op(*parents)
+            tsum(out * Tensor(rng.standard_normal(out.shape))).backward()
+            without = [p.grad is None for p in parents]
+            assert without == [i == const for i in range(len(shapes))], (name, const)
+
+
+def test_concat_rejects_an_empty_list():
+    with pytest.raises(ShapeError, match="^concat of an empty tensor list$"):
+        concat([])
 
 
 def test_no_tape_recorded_without_requires_grad():
