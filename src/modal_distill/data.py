@@ -328,8 +328,8 @@ def _check_features(mat: np.ndarray, path: Path, sample_id: str, modality: Modal
         raise DataError(f"sample {sample_id}: empty {modality.tag} feature file {path}")
     if mat.shape[1] != expected_dim:
         raise DataError(
-            f"sample {sample_id}: {modality.tag} feature file has {mat.shape[1]} columns, "
-            f"expected {expected_dim}")
+            f"sample {sample_id}: {modality.tag} feature file {path} has {mat.shape[1]} "
+            f"columns, expected {expected_dim}")
     if not np.all(np.isfinite(mat)):
         raise DataError(f"sample {sample_id}: non-finite values in {modality.tag} feature file {path}")
     return mat

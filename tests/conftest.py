@@ -7,7 +7,10 @@ re-running the forward function with perturbed leaf values.
 
 from __future__ import annotations
 
+import json
 import os
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 
@@ -195,3 +198,14 @@ def count_forks(monkeypatch) -> list:
 
     monkeypatch.setattr(os, "fork", counted)
     return forks
+
+
+def save_v1_checkpoint(path, params: dict[str, Tensor], config, extra=None) -> Path:
+    """Write ``params`` as checkpoint format version 1 stored them: one
+    ``param/<name>`` member each, in the dict's order, then the metadata
+    block, which lists no parameters."""
+    meta = {"format_version": 1, "config": asdict(config), "extra": extra or {}}
+    arrays = {f"param/{name}": np.asarray(t.data) for name, t in params.items()}
+    arrays["__meta__"] = np.array(json.dumps(meta, sort_keys=True))
+    np.savez(path, **arrays)
+    return Path(path)

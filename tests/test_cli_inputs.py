@@ -1,7 +1,8 @@
 """Property test of ``eval``'s inputs: a manifest, a feature CSV or a
-checkpoint, damaged byte by byte, ends ``modal-distill eval`` in a known
-exit code with no traceback, one line on stderr on failure, and no file
-left behind but the parse cache and, on success, the predictions.
+checkpoint (in format 2, or as format 1 stored it), damaged byte by byte,
+ends ``modal-distill eval`` in a known exit code with no traceback, one
+line on stderr on failure, and no file left behind but the parse cache
+and, on success, the predictions.
 
 Each example writes one damaged copy over a pristine 10-sample dataset and
 checkpoint (a d=4 model), removes the parse cache, so the damaged bytes are
@@ -24,6 +25,8 @@ from modal_distill.config import TrainConfig
 from modal_distill.data import Modality, SyntheticConfig, generate, save_dataset
 from modal_distill.model import Model
 
+from conftest import save_v1_checkpoint
+
 RAW = {Modality.LANGUAGE: 6, Modality.VISION: 5, Modality.AUDIO: 4}
 
 # what a failing run's one stderr line starts with, by exit code; exit 3
@@ -34,7 +37,7 @@ FAILURES = {2: "data error: ", 3: "numeric error: "}
 # finite, bytes that are not UTF-8 or end a C string, and CSV separators
 INSERTS = [b"nan", b"1e400", b"\xff", b"\x00", b",", b"\n"]
 DAMAGE = ["flip", "truncate", "insert", "duplicate"]
-TARGETS = ["manifest", "feature", "checkpoint"]
+TARGETS = ["manifest", "feature", "checkpoint", "checkpoint_v1"]
 
 
 def damaged(data: bytes, how: str, rng: np.random.Generator) -> bytes:
@@ -57,8 +60,8 @@ def damaged(data: bytes, how: str, rng: np.random.Generator) -> bytes:
 
 @pytest.fixture(scope="module")
 def pristine(tmp_path_factory):
-    """A 10-sample dataset and a checkpoint of an untrained d=4 model at its
-    raw dims, and the bytes of each file."""
+    """A 10-sample dataset and checkpoints of an untrained d=4 model at its
+    raw dims, in both formats, and the bytes of each file."""
     root = tmp_path_factory.mktemp("inputs")
     world = SyntheticConfig(raw_dims=dict(RAW), z_shared_dim=4, z_private_dim=3,
                             length_ranges={Modality.LANGUAGE: (3, 9), Modality.VISION: (2, 6),
@@ -66,26 +69,27 @@ def pristine(tmp_path_factory):
     manifest = save_dataset(generate(10, seed=0, config=world), root / "data")
     cfg = TrainConfig(d=4, heads=2, batch_size=4)
     model = Model(cfg, dict(RAW))
-    save_checkpoint(root / "ck.npz", model.parameters(), cfg,
-                    {"raw_dims": {m.tag: d for m, d in RAW.items()}})
+    for save, name in ((save_checkpoint, "ck.npz"), (save_v1_checkpoint, "ck_v1.npz")):
+        save(root / name, model.parameters(), cfg, {"raw_dims": {m.tag: d for m, d in RAW.items()}})
     files = {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
     return root, manifest, files
 
 
 @given(target=st.sampled_from(TARGETS), how=st.sampled_from(DAMAGE),
        seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
 def test_damaged_input_is_a_clean_exit(pristine, target, how, seed):
     root, manifest, files = pristine
     rng = np.random.default_rng(seed)
     features = sorted(p for p in files if p.suffix == ".csv" and p != manifest)
-    path = {"manifest": manifest, "checkpoint": root / "ck.npz",
+    checkpoint = root / ("ck_v1.npz" if target == "checkpoint_v1" else "ck.npz")
+    path = {"manifest": manifest, "checkpoint": checkpoint, "checkpoint_v1": checkpoint,
             "feature": features[int(rng.integers(len(features)))]}[target]
     cache = manifest.with_name(f".{manifest.name}.parsed")
     predictions = root / "out" / "predictions.csv"
     path.write_bytes(damaged(files[path], how, rng))
     cache.unlink(missing_ok=True)
-    argv = ["eval", "--checkpoint", str(root / "ck.npz"), "--data", str(manifest),
+    argv = ["eval", "--checkpoint", str(checkpoint), "--data", str(manifest),
             "--predictions", str(predictions)]
     out, err = io.StringIO(), io.StringIO()
     try:

@@ -357,8 +357,27 @@ def test_load_with_other_dims_names_the_first_mismatching_file_warm_and_cold(tmp
     samples = generate(3, seed=15, config=cfg)
     dims = {**cfg.raw_dims, Modality.AUDIO: cfg.raw_dims[Modality.AUDIO] + 1}
     msg = _error_cold_and_warm(samples, tmp_path, lambda root: None, cfg.raw_dims, dims)
-    assert msg == (f"sample {samples[0].id}: A feature file has "
+    path = tmp_path / "features" / f"{samples[0].id}_A.csv"
+    assert msg == (f"sample {samples[0].id}: A feature file {path} has "
                    f"{cfg.raw_dims[Modality.AUDIO]} columns, expected {dims[Modality.AUDIO]}")
+
+
+def test_one_step_file_with_its_last_field_cut_names_the_file(tmp_path):
+    """A one-row file parses at any width, so a cut last field reaches the
+    column check rather than the parser, and the error names the file."""
+    cfg = SyntheticConfig(raw_dims=small_config().raw_dims,
+                          length_ranges={m: (1, 1) for m in MODALITIES})
+    samples = generate(2, seed=15, config=cfg)
+    path = tmp_path / "features" / f"{samples[1].id}_V.csv"
+
+    def cut_last_field(root):
+        text = path.read_text()
+        path.write_text(text[:text.rstrip().rindex(",")] + "\n")
+
+    msg = _error_cold_and_warm(samples, tmp_path, cut_last_field, cfg.raw_dims)
+    dim = cfg.raw_dims[Modality.VISION]
+    assert msg == (f"sample {samples[1].id}: V feature file {path} has {dim - 1} columns, "
+                   f"expected {dim}")
 
 
 def test_load_label_out_of_range(tmp_path):

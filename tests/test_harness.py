@@ -53,7 +53,7 @@ from modal_distill.train import (
     _walk,
 )
 
-from conftest import ReferenceAdam, count_forks, probe_multiclass_accuracy
+from conftest import ReferenceAdam, count_forks, probe_multiclass_accuracy, save_v1_checkpoint
 
 SMALL_RAW = {Modality.LANGUAGE: 6, Modality.VISION: 5, Modality.AUDIO: 4}
 
@@ -503,13 +503,13 @@ def test_checkpoint_appends_npz_suffix(tmp_path):
     assert out.exists() and out.name == "plain"
 
 
-def _eval_checkpoint(path, config_extra=None):
-    """Save an untrained default-dims model to ``path``, with ``config_extra``
-    merged into its stored config."""
+def _eval_checkpoint(path, config_extra=None, save=save_checkpoint):
+    """Save an untrained default-dims model to ``path`` with ``save``, with
+    ``config_extra`` merged into its stored config."""
     cfg = tiny_config()
     model = Model(cfg)
-    save_checkpoint(path, model.parameters(), cfg,
-                    {"raw_dims": {m.tag: d for m, d in model.raw_dims.items()}})
+    save(path, model.parameters(), cfg,
+         {"raw_dims": {m.tag: d for m, d in model.raw_dims.items()}})
     if config_extra:
         with np.load(path) as bundle:
             arrays = {k: bundle[k] for k in bundle.files}
@@ -656,8 +656,10 @@ def test_checkpoint_with_a_damaged_zip_header_exits_two(tmp_path, capsys, offset
         "string_param", "complex_param"])
 def test_checkpoint_with_malformed_metadata_or_arrays_exits_two(tmp_path, capsys, edit_meta,
                                                                 weight, match):
+    """The metadata cases damage a version-2 file; the array cases a
+    version-1 file, whose parameters are members of their own."""
     path = tmp_path / "ck.npz"
-    _eval_checkpoint(path)
+    _eval_checkpoint(path, save=save_checkpoint if weight is None else save_v1_checkpoint)
     with np.load(path) as bundle:
         arrays = {k: bundle[k] for k in bundle.files}
     arrays["__meta__"] = np.array(json.dumps(edit_meta(json.loads(str(arrays["__meta__"])))))
@@ -669,6 +671,117 @@ def test_checkpoint_with_malformed_metadata_or_arrays_exits_two(tmp_path, capsys
         load_checkpoint(path)
     assert main(["eval", "--checkpoint", str(path), "--synthetic", "4"]) == 2
     _assert_one_data_error_line(capsys)
+
+
+def _edit_checkpoint(path, edit):
+    """Rewrite the checkpoint at ``path`` with ``edit(arrays, meta)`` applied
+    to its members and its decoded metadata."""
+    with np.load(path) as bundle:
+        arrays = {k: bundle[k] for k in bundle.files}
+    meta = json.loads(str(arrays["__meta__"]))
+    edit(arrays, meta)
+    arrays["__meta__"] = np.array(json.dumps(meta))
+    np.savez(path, **arrays)
+
+
+def _set_dim(meta, i, dim):
+    meta["params"][i][1][0] = dim
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda a, m: a.pop("flat"), "has no 'flat' array"),
+    (lambda a, m: a.update(flat=a["flat"].reshape(1, -1)), "not a 1-D float64 array"),
+    (lambda a, m: a.update(flat=a["flat"].astype(np.float32)), "not a 1-D float64 array"),
+    (lambda a, m: a.update(flat=a["flat"].astype(np.int64)), "not a 1-D float64 array"),
+    (lambda a, m: m.pop("params"), "'params' must list"),
+    (lambda a, m: m.update(params={"w": [3]}), "'params' must list"),
+    (lambda a, m: m["params"].append("fusion.head.first.weight"), "'params' must list"),
+    (lambda a, m: _set_dim(m, 0, 2.0), "'params' must list"),
+    (lambda a, m: _set_dim(m, 0, "2"), "'params' must list"),
+    (lambda a, m: _set_dim(m, 0, True), "'params' must list"),
+    (lambda a, m: _set_dim(m, 0, -1), "'params' must list"),
+    (lambda a, m: m["params"][1].__setitem__(0, m["params"][0][0]), "lists shallow.L.kernel twice"),
+    (lambda a, m: m["params"].pop(), "the parameter shapes hold"),
+    (lambda a, m: a.update(flat=a["flat"][:-1]), "the parameter shapes hold"),
+    (lambda a, m: _set_dim(m, 0, 0), "the parameter shapes hold"),
+], ids=["no_flat", "flat_2d", "flat_float32", "flat_int64", "no_params", "params_dict",
+        "params_bare_name", "float_dim", "string_dim", "bool_dim", "negative_dim",
+        "repeated_name", "entry_dropped", "flat_short", "zero_dim"])
+def test_checkpoint_with_a_damaged_table_exits_two(tmp_path, capsys, edit, match):
+    """Each damage to the ``flat`` array or the ``params`` list is a data
+    error naming the checkpoint: one stderr line and exit 2 through eval."""
+    path = tmp_path / "ck.npz"
+    _eval_checkpoint(path)
+    _edit_checkpoint(path, edit)
+    with pytest.raises(DataError, match=re.escape(f"checkpoint {path}") + ".*" + match):
+        load_checkpoint(path)
+    assert main(["eval", "--checkpoint", str(path), "--synthetic", "4"]) == 2
+    _assert_one_data_error_line(capsys)
+
+
+@pytest.mark.parametrize("save", [save_checkpoint, save_v1_checkpoint], ids=["v2", "v1"])
+def test_checkpoint_names_the_first_of_two_non_finite_parameters(tmp_path, save):
+    """With NaN in two parameters, the one earlier in the file is named,
+    whichever was damaged first."""
+    path = tmp_path / "bad.npz"
+    cfg = tiny_config()
+    model = Model(cfg, SMALL_RAW)
+    params = model.parameters()
+    first, later = "private_encoder.V.second.bias", "fusion.head.second.weight"
+    assert list(params).index(first) < list(params).index(later)
+    params[later].data[0, 0] = np.nan
+    params[first].data[-1] = np.nan
+    save(path, params, cfg, {"raw_dims": {m.tag: d for m, d in SMALL_RAW.items()}})
+    with pytest.raises(DataError, match=re.escape(
+            f"checkpoint {path}: parameter {first} holds a non-finite value")):
+        load_checkpoint(path)
+
+
+def test_train_writes_the_table_as_one_flat_member(tmp_path):
+    """The checkpoint train writes holds the table as it is: the members
+    ``flat`` and ``__meta__`` only, the kept model's ``table.flat`` and its
+    names and shapes in table order."""
+    samples = generate(20, seed=5, config=small_world())
+    result = train(tiny_config(max_steps=3, batch_size=4, out_dir=str(tmp_path)), samples)
+    kept = result.kept_model()
+    with np.load(result.checkpoint_path) as bundle:
+        assert bundle.files == ["flat", "__meta__"]
+        assert np.array_equal(bundle["flat"], kept.table.flat)
+        meta = json.loads(str(bundle["__meta__"]))
+    assert meta["format_version"] == 2
+    assert meta["params"] == [[name, list(t.data.shape)]
+                              for name, t in kept.parameters().items()]
+
+
+def test_version_1_checkpoint_loads_and_scores_as_version_2(tmp_path, capsys):
+    """A version-1 file of a model loads bit-equal to the version-2 save of
+    the same model, and eval and dump-edges write byte-equal files."""
+    cfg = tiny_config()
+    model = Model(cfg)
+    rng = np.random.default_rng(0)
+    model.table.flat[...] = rng.normal(size=model.table.flat.size)
+    extra = {"raw_dims": {m.tag: d for m, d in model.raw_dims.items()}}
+    outputs = []
+    loaded = []
+    for save in (save_checkpoint, save_v1_checkpoint):
+        path = tmp_path / f"{save.__name__}.npz"
+        save(path, model.parameters(), cfg, extra)
+        loaded.append(load_checkpoint(path))
+        files = tmp_path / save.__name__
+        assert main(["eval", "--checkpoint", str(path), "--synthetic", "6",
+                     "--predictions", str(files / "predictions.csv")]) == 0
+        assert main(["dump-edges", "--checkpoint", str(path), "--synthetic", "6",
+                     "--out", str(files / "edges.jsonl")]) == 0
+        outputs.append([(files / name).read_bytes()
+                        for name in ("predictions.csv", "edges.jsonl")])
+        capsys.readouterr()
+    (v2, cfg2, extra2), (v1, cfg1, extra1) = loaded
+    assert list(v2) == list(v1) == list(model.parameters())
+    for name, value in v2.items():
+        assert value.dtype == v1[name].dtype and value.shape == v1[name].shape, name
+        assert value.tobytes() == v1[name].tobytes(), name
+    assert cfg2 == cfg1 == cfg and extra2 == extra1 == extra
+    assert outputs[0] == outputs[1]
 
 
 def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):

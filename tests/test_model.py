@@ -2,6 +2,7 @@
 parameter management, and the encoded streams."""
 
 import hashlib
+import json
 from itertools import groupby
 
 import numpy as np
@@ -23,7 +24,7 @@ from modal_distill.model import COMPONENT_NAMES, Model
 from modal_distill.tensor import Tensor, mean_pool_time
 from modal_distill.train import Adam, model_from_checkpoint, predict_scores
 
-from conftest import ReferenceAdam
+from conftest import ReferenceAdam, save_v1_checkpoint
 
 SMALL_RAW = {Modality.LANGUAGE: 6, Modality.VISION: 5, Modality.AUDIO: 4}
 
@@ -417,19 +418,27 @@ def interleaved(names) -> list[str]:
 
 
 def test_checkpoint_in_interleaved_member_order_loads_bit_equal(tmp_path):
+    """Parameters stored in another order than the table's, as version-1
+    members or as version-2 ``params`` entries, load by name."""
     model = Model(small_config(seed=5), dict(SMALL_RAW))
     params = model.parameters()
     order = interleaved(params)
     assert sorted(order) == sorted(params) and order != list(params)
-    path = save_checkpoint(tmp_path / "ck.npz", {k: params[k] for k in order}, model.config,
-                           {"raw_dims": {m.tag: d for m, d in SMALL_RAW.items()}})
-    with np.load(path) as bundle:
-        assert [k for k in bundle.files if k.startswith("param/")] == [
-            f"param/{k}" for k in order]
-    loaded = model_from_checkpoint(path)[0]
-    assert np.array_equal(loaded.table.flat, model.table.flat)
     samples = generate(6, 4, small_world())
-    assert np.array_equal(predict_scores(loaded, samples)[1], predict_scores(model, samples)[1])
+    for save in (save_v1_checkpoint, save_checkpoint):
+        path = save(tmp_path / f"{save.__name__}.npz", {k: params[k] for k in order},
+                    model.config, {"raw_dims": {m.tag: d for m, d in SMALL_RAW.items()}})
+        with np.load(path) as bundle:
+            if save is save_v1_checkpoint:
+                assert [k for k in bundle.files if k.startswith("param/")] == [
+                    f"param/{k}" for k in order]
+            else:
+                meta = json.loads(str(bundle["__meta__"]))
+                assert [name for name, _ in meta["params"]] == order
+        loaded = model_from_checkpoint(path)[0]
+        assert np.array_equal(loaded.table.flat, model.table.flat)
+        assert np.array_equal(predict_scores(loaded, samples)[1],
+                              predict_scores(model, samples)[1])
 
 
 # ---- encode ----
