@@ -46,7 +46,7 @@ def save_checkpoint(path: str | Path, params: dict[str, Tensor],
         "extra": extra or {},
         "params": [[name, list(t.data.shape)] for name, t in params.items()],
     }
-    arrays = {_FLAT_KEY: _end_to_end([t.data for t in params.values()]),
+    arrays = {_FLAT_KEY: np.concatenate([t.data.reshape(-1) for t in params.values()]),
               _META_KEY: np.array(json.dumps(meta, sort_keys=True))}
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -57,20 +57,6 @@ def save_checkpoint(path: str | Path, params: dict[str, Tensor],
         tmp.unlink(missing_ok=True)
         raise
     return path
-
-
-def _end_to_end(values: list[np.ndarray]) -> np.ndarray:
-    """``values`` raveled and joined: where they are consecutive slices of
-    one flat float64 array, as a ``ParamTable``'s parameters are, that
-    array itself, else a copy."""
-    base = values[0].base
-    if base is not None and base.ndim == 1 and base.dtype == np.float64:
-        starts = itertools.accumulate((v.nbytes for v in values), initial=base.ctypes.data)
-        if (sum(v.size for v in values) == base.size
-                and all(v.base is base and v.flags.c_contiguous and v.ctypes.data == at
-                        for v, at in zip(values, starts))):
-            return base
-    return np.concatenate([v.reshape(-1) for v in values])
 
 
 def _table(path: Path, arrays: dict[str, np.ndarray], meta: dict):
@@ -141,6 +127,15 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], TrainConfi
     names, shapes, flat = (_table(path, arrays, meta) if version == FORMAT_VERSION
                            else _table_v1(path, arrays))
     bounds = list(itertools.accumulate(map(math.prod, shapes), initial=0))
+    params = {}
+    for name, shape, lo, hi in zip(names, shapes, bounds, bounds[1:]):
+        try:
+            params[name] = flat[lo:hi].reshape(shape)
+        # a zero dim makes a shape hold no values whatever its other dims,
+        # so a shape numpy cannot make can still pass the size check
+        except (ValueError, OverflowError) as exc:
+            raise DataError(f"checkpoint {path}: parameter {name} has shape "
+                            f"{list(shape)}, which numpy cannot make: {exc}") from exc
     if not np.isfinite(flat).all():
         first = np.flatnonzero(~np.isfinite(flat))[0]
         name = names[bisect.bisect_right(bounds, first) - 1]
@@ -161,6 +156,4 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], TrainConfi
         config.validate()
     except ConfigError as exc:
         raise DataError(f"checkpoint {path}: {exc}") from exc
-    params = {name: flat[lo:hi].reshape(shape)
-              for name, shape, lo, hi in zip(names, shapes, bounds, bounds[1:])}
     return params, config, meta["extra"]

@@ -688,6 +688,14 @@ def _set_dim(meta, i, dim):
     meta["params"][i][1][0] = dim
 
 
+def _empty_shape(arrays, meta, shape):
+    """Give the first parameter ``shape``, which holds no values, and drop
+    its values from ``flat``, so the shapes still add up to its size."""
+    size = math.prod(meta["params"][0][1])
+    meta["params"][0][1] = shape
+    arrays["flat"] = arrays["flat"][size:]
+
+
 @pytest.mark.parametrize("edit,match", [
     (lambda a, m: a.pop("flat"), "has no 'flat' array"),
     (lambda a, m: a.update(flat=a["flat"].reshape(1, -1)), "not a 1-D float64 array"),
@@ -704,9 +712,13 @@ def _set_dim(meta, i, dim):
     (lambda a, m: m["params"].pop(), "the parameter shapes hold"),
     (lambda a, m: a.update(flat=a["flat"][:-1]), "the parameter shapes hold"),
     (lambda a, m: _set_dim(m, 0, 0), "the parameter shapes hold"),
+    (lambda a, m: _empty_shape(a, m, [0, 10 ** 20]), "numpy cannot make"),
+    (lambda a, m: _empty_shape(a, m, [0, 2 ** 62, 4]), "numpy cannot make"),
+    (lambda a, m: _empty_shape(a, m, [0] + [2] * 70), "numpy cannot make"),
 ], ids=["no_flat", "flat_2d", "flat_float32", "flat_int64", "no_params", "params_dict",
         "params_bare_name", "float_dim", "string_dim", "bool_dim", "negative_dim",
-        "repeated_name", "entry_dropped", "flat_short", "zero_dim"])
+        "repeated_name", "entry_dropped", "flat_short", "zero_dim", "zero_and_huge_dim",
+        "zero_and_overflowing_dims", "zero_and_too_many_dims"])
 def test_checkpoint_with_a_damaged_table_exits_two(tmp_path, capsys, edit, match):
     """Each damage to the ``flat`` array or the ``params`` list is a data
     error naming the checkpoint: one stderr line and exit 2 through eval."""
