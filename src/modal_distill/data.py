@@ -642,6 +642,14 @@ class Batch:
         """Each modality's ``[B]`` sequence lengths."""
         return {m: r.lengths for m, r in self.rows.items()}
 
+    def alone(self) -> list[Batch]:
+        """Each sample as a one-sample batch of its own rows, in order."""
+        return [Batch(ids=[sid], labels=self.labels[i:i + 1],
+                      features={m: self.features[m][r.starts[i]:r.starts[i] + r.lengths[i]]
+                                for m, r in self.rows.items()},
+                      rows={m: RowLayout(r.lengths[i:i + 1]) for m, r in self.rows.items()})
+                for i, sid in enumerate(self.ids)]
+
 
 def resample_to_length(features: np.ndarray, target: int) -> np.ndarray:
     """Nearest-neighbor temporal resample of a [T, d] matrix to [target, d]."""

@@ -12,11 +12,13 @@ Ablation toggles change which pathway feeds each fusion slot:
   ``ca`` or ``heterogd`` is on (the pathway is alive); with both off they
   are zero and the model reduces to shared features plus decoupling.
 
-Every component is always constructed, whatever the toggles, so parameter
-names and checkpoint layout never depend on the ablation.  Components
-register each parameter where they draw it (``layers.param``), so the table
-holds each group as one run, in draw order: shallow | shared_encoder |
-private_encoder | decoder | gd_homo | gd_hetero | ca | fusion.
+Every component draws its initial values, in the same order, whatever the
+toggles, and registers each parameter where it draws it (``layers.param``),
+so a parameter starts at the same value in every ablation.  The table
+leaves out the stages the config turns off (``STAGE_PREFIXES``), so it
+holds exactly what a training step reaches, each group as one run, in draw
+order: shallow | shared_encoder | private_encoder | decoder | gd_homo |
+gd_hetero | ca | fusion.
 
 The forward pass runs every stage once per batch, so the graph's size
 depends on the model's depth, not on ``B``.  A ``Batch`` carries each
@@ -50,6 +52,9 @@ from .tensor import Tensor, concat, mean_pool_time, reshape
 
 COMPONENT_NAMES = ("task", "rec", "cyc", "margin", "ort", "dec",
                    "dtl_homo", "dtl_hetero", "total")
+# each toggle's stage, by the prefixes of its parameter names
+STAGE_PREFIXES = {"fd": ("shared_encoder.", "private_encoder.", "decoder."),
+                  "homogd": ("gd_homo.",), "heterogd": ("gd_hetero.",), "ca": ("ca.",)}
 
 
 @dataclass
@@ -81,7 +86,8 @@ class Encoded:
 
 
 class Model:
-    """The complete network; ``table`` holds its parameters by stable dotted path."""
+    """The complete network; ``table`` holds the parameters its config
+    trains, by stable dotted path."""
 
     def __init__(self, config: TrainConfig, raw_dims: dict[Modality, int] | None = None):
         config.validate()
@@ -94,7 +100,11 @@ class Model:
         self.hetero_gd = GDUnit(rng, params, "gd_hetero", 2 * config.d, config.edge_mode)
         self.reinforcer = CrossmodalReinforcer(rng, params, "ca", config.d, config.heads)
         self.fusion = FusionHead(rng, params, "fusion", config.d)
-        self.table = ParamTable(params)
+        off = tuple(prefix for stage, prefixes in STAGE_PREFIXES.items()
+                    if not getattr(config, stage) for prefix in prefixes)
+        # a checkpoint written when the table held every stage carries these
+        self.off_names = frozenset(name for name in params if name.startswith(off))
+        self.table = ParamTable({k: t for k, t in params.items() if k not in self.off_names})
 
     def parameters(self) -> dict[str, Tensor]:
         return self.table.tensors

@@ -3,10 +3,9 @@
 An operation records its parents and a backward closure on the output
 tensor only when one of its inputs requires grad; otherwise the output is a
 plain value with no tape behind it.  Calling ``backward()`` on a scalar
-walks the recorded graph once in reverse topological order, accumulates
-gradients into the leaves and returns the ``requires_grad`` leaves it
-reached, so an optimizer can skip the rest: a closure writes only to
-those of its node's parents that require grad.  The tape is rebuilt on
+walks the recorded graph once in reverse topological order and
+accumulates gradients into the leaves; a closure writes only to those of
+its node's parents that require grad.  The tape is rebuilt on
 every forward pass, so a tensor graph is a throwaway value: there are no
 retained-graph semantics and no global state, which also makes independent
 graphs safe to build on different threads.
@@ -73,20 +72,18 @@ class Tensor:
         else:
             self.grad += g
 
-    def backward(self) -> list[Tensor]:
-        """Backpropagate from this scalar through the recorded graph, and
-        return the ``requires_grad`` leaves it reached, each once.
+    def backward(self) -> None:
+        """Backpropagate from this scalar through the recorded graph into
+        the ``requires_grad`` leaves it reaches.
 
         Iterative post-order traversal; each node's closure runs exactly once,
         after all of its consumers, so gradients of shared subexpressions
         accumulate correctly.  Interior nodes drop their gradient once their
         closure has run, so only leaves (and this root) hold one afterwards.
-        A leaf that is not returned got no gradient from this call.
         """
         if self.data.shape != ():
             raise ShapeError(f"backward() needs a scalar, got shape {self.shape}")
         topo: list[Tensor] = []
-        leaves: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
         while stack:
@@ -98,8 +95,6 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            if node._backward is None and node.requires_grad:
-                leaves.append(node)
             for parent in node._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
@@ -111,7 +106,6 @@ class Tensor:
                 # leaves and the root keep theirs
                 if node is not self:
                     node.grad = None
-        return leaves
 
     # ---- arithmetic ----
 

@@ -7,7 +7,7 @@ import contextlib
 import json
 import math
 import traceback
-from collections.abc import Iterable
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -28,22 +28,14 @@ from .tensor import Tensor, mul, tsum
 
 
 class Adam:
-    """Adam with bias correction over the live runs of a ``ParamTable``.
+    """Adam with bias correction over a whole ``ParamTable``.
 
-    ``step`` takes the leaves ``Tensor.backward`` returned.  A parameter
-    joins the live set the first time a backward reaches it and never
-    leaves; the live set is kept as the table's contiguous runs of live
-    parameters (``runs``), one run, the whole table, for the default model.
-    The ``m`` and ``v`` updates, the parameter update and ``zero_grad``
-    work on those runs only, with whole-run ufuncs that run the per-tensor
-    expressions in the same order, so every parameter is bit-identical to
-    updating each tensor on its own.
-
-    Skipping the rest is exact: only a backward that reaches a parameter
-    writes its gradient, so until then its gradient, ``m`` and ``v`` are
-    all exactly 0 and Adam would move it by exactly 0.  ``m`` and ``v`` are
-    shaped like ``table.flat`` and allocated with ``np.zeros``, so the pages
-    of values no backward reaches are never written."""
+    The ``m`` and ``v`` updates and the parameter update are whole-table
+    ufuncs that run the per-tensor expressions in the same order, so every
+    parameter is bit-identical to updating each tensor on its own.  The
+    table holds only what the config trains; a parameter no backward has
+    reached yet has a gradient, ``m`` and ``v`` of exactly 0, and moves by
+    exactly 0."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -53,59 +45,37 @@ class Adam:
         self.t = 0
         self.m = np.zeros(table.flat.size)
         self.v = np.zeros(table.flat.size)
-        self.runs: list[slice] = []
-        self._reached: set[Tensor] = set()
-
-    def _join(self, reached: Iterable[Tensor]) -> None:
-        """Add ``reached`` to the live set and recut ``runs`` if it grew.
-        A reached leaf outside the table is remembered and never updated."""
-        grown = self._reached.union(reached)
-        if len(grown) == len(self._reached):
-            return
-        self._reached = grown
-        self.runs = []
-        for t, lo, hi in zip(self.table.tensors.values(), self.table.bounds, self.table.bounds[1:]):
-            if t not in grown:
-                continue
-            if self.runs and self.runs[-1].stop == lo:
-                self.runs[-1] = slice(self.runs[-1].start, hi)
-            else:
-                self.runs.append(slice(lo, hi))
 
     def zero_grad(self) -> None:
-        for run in self.runs:
-            self.table.grad[run] = 0.0
+        self.table.grad[...] = 0.0
 
-    def step(self, reached: Iterable[Tensor]) -> None:
-        """One update of the live runs, once the leaves in ``reached`` have
-        joined the live set.  Not atomic: a ``NumericError`` raised inside
-        it (under ``_trapped``) can leave ``m``/``v`` of earlier runs
+    def step(self) -> None:
+        """One update of the whole table.  Not atomic: a ``NumericError``
+        raised inside it (under ``_trapped``) can leave ``m``/``v``
         stepped, so the optimizer must then be discarded, as ``train``
         discards it with its model."""
-        self._join(reached)
         self.t = t = self.t + 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1 ** t
         bc2 = 1.0 - b2 ** t
-        for run in self.runs:
-            g, m, v, flat = self.table.grad[run], self.m[run], self.v[run], self.table.flat[run]
-            # m = b1 * m + (1 - b1) * g
-            m *= b1
-            tmp = np.multiply(g, 1.0 - b1)
-            m += tmp
-            # v = b2 * v + (1 - b2) * (g * g)
-            v *= b2
-            np.multiply(g, g, out=tmp)
-            tmp *= 1.0 - b2
-            v += tmp
-            # flat = flat - lr * (m / bc1) / (sqrt(v / bc2) + eps)
-            np.divide(v, bc2, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += self.eps
-            update = np.divide(m, bc1)
-            update *= self.lr
-            update /= tmp
-            flat -= update
+        g, m, v, flat = self.table.grad, self.m, self.v, self.table.flat
+        # m = b1 * m + (1 - b1) * g
+        m *= b1
+        tmp = np.multiply(g, 1.0 - b1)
+        m += tmp
+        # v = b2 * v + (1 - b2) * (g * g)
+        v *= b2
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - b2
+        v += tmp
+        # flat = flat - lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        update = np.divide(m, bc1)
+        update *= self.lr
+        update /= tmp
+        flat -= update
 
 
 # ---- metrics ----
@@ -160,21 +130,36 @@ def compute_metrics(scores: np.ndarray, labels: np.ndarray) -> MetricsReport:
 
 
 @contextlib.contextmanager
-def _trapped(where: str, first_id: str):
+def _trapped(where: str, first_id: str, replay: tuple[Callable, Batch] | None = None):
     """Run the block with numpy raising on overflow, invalid values and
     division by zero, not underflow (masked attention keys underflow to 0),
     and re-raise the error as ``NumericError`` naming numpy's message, the
     innermost package function, ``where`` and the block's first sample.  A
-    fresh ``errstate`` per call nests on numpy 1.x."""
+    fresh ``errstate`` per call nests on numpy 1.x.  With ``replay``, a
+    ``(forward, batch)`` pair, ``forward`` reruns on each sample of
+    ``batch`` alone under the same policy, and the first that raises alone
+    is named instead; none does when the failure is in the backward, in
+    Adam or in a loss that couples the batch."""
+    policy = dict(over="raise", invalid="raise", divide="raise", under="ignore")
     try:
-        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+        with np.errstate(**policy):
             yield
     except FloatingPointError as exc:
         frame = [f for f, _ in traceback.walk_tb(exc.__traceback__)
                  if f.f_globals.get("__name__", "").startswith(f"{__package__}.")][-1]
         name = getattr(frame.f_code, "co_qualname", frame.f_code.co_name)  # 3.10: co_name
+        sample = f"first sample {first_id}"
+        if replay is not None:
+            forward, batch = replay
+            for alone in batch.alone():
+                try:
+                    with np.errstate(**policy):
+                        forward(alone)
+                except FloatingPointError:
+                    sample = f"sample {alone.ids[0]}"
+                    break
         raise NumericError(f"{exc} in {frame.f_globals['__name__'].rpartition('.')[2]}.{name} "
-                           f"at {where} (first sample {first_id})") from exc
+                           f"at {where} ({sample})") from exc
 
 
 def _walk(model: Model, samples: list[Sample], batch_size: int | None, read) -> list:
@@ -192,7 +177,7 @@ def _walk(model: Model, samples: list[Sample], batch_size: int | None, read) -> 
             p.requires_grad = False
         for i, batch in enumerate(batches(samples, batch_size or model.config.batch_size,
                                           mode=model.config.mode, shuffle=False)):
-            with _trapped(f"batch {i}", batch.ids[0]):
+            with _trapped(f"batch {i}", batch.ids[0], (read, batch)):
                 out.append(read(batch))
     finally:
         for p in params:
@@ -313,12 +298,12 @@ def train(config: TrainConfig, samples: list[Sample], split: bool = True) -> Tra
         for epoch in range(n_epochs):
             for batch in batches(train_s, config.batch_size, mode=config.mode,
                                  seed=config.seed, epoch=epoch):
-                with _trapped(f"step {step}", batch.ids[0]):
+                with _trapped(f"step {step}", batch.ids[0], (model.forward_batch, batch)):
                     out = model.forward_batch(batch)
                     opt.zero_grad()
-                    reached = out.total.backward()
+                    out.total.backward()
                     opt.lr = lr_at(step)
-                    opt.step(reached)
+                    opt.step()
                 emit(_step_record(step, epoch, out))
                 del out  # frees this step's graph before the next one is built
                 step += 1
@@ -354,7 +339,7 @@ def model_from_checkpoint(path: str | Path) -> tuple[Model, TrainConfig, dict]:
                         f"to positive integers, got {dims_meta!r}")
     raw_dims = {Modality(tag): d for tag, d in dims_meta.items()}
     model = Model(config, raw_dims)
-    model.table.load(params)
+    model.table.load({name: a for name, a in params.items() if name not in model.off_names})
     return model, config, extra
 
 

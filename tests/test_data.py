@@ -1259,6 +1259,21 @@ def test_unaligned_padding_and_masks():
             np.testing.assert_array_equal(rows.pos[lo:lo + t], np.arange(t))
 
 
+@pytest.mark.parametrize("mode", ["unaligned", "aligned"])
+def test_batch_alone_is_each_sample_batched_by_itself(mode):
+    samples = generate(5, seed=8, config=small_config())
+    alone = make_batch(samples, mode=mode).alone()
+    assert [b.ids for b in alone] == [[s.id] for s in samples]
+    for one, s in zip(alone, samples):
+        ref = make_batch([s], mode=mode)
+        np.testing.assert_array_equal(one.labels, ref.labels)
+        for m in MODALITIES:
+            np.testing.assert_array_equal(one.features[m], ref.features[m])
+            for key in ("lengths", "starts", "seq", "pos", "prev", "next"):
+                np.testing.assert_array_equal(getattr(one.rows[m], key),
+                                              getattr(ref.rows[m], key))
+
+
 def test_epoch_shuffle_reproducible():
     samples = generate(20, seed=4, config=small_config())
     ids1 = [b.ids for b in batches(samples, 8, seed=99, epoch=3)]

@@ -27,7 +27,9 @@ from modal_distill.config import TrainConfig, apply_overrides, load_config
 from modal_distill.data import (
     Modality,
     SyntheticConfig,
+    batches,
     generate,
+    load_features,
     make_batch,
     save_dataset,
     split_dataset,
@@ -193,8 +195,8 @@ def test_adam_minimizes_quadratic():
     opt = Adam(ParamTable({"x": x}), lr=0.1)
     for _ in range(400):
         opt.zero_grad()
-        loss = tsum((x - 1.0) * (x - 1.0))
-        opt.step(loss.backward())
+        tsum((x - 1.0) * (x - 1.0)).backward()
+        opt.step()
     assert np.allclose(x.data, [1.0, 1.0], atol=1e-3)
 
 
@@ -203,7 +205,7 @@ def test_adam_leaves_gradless_params_untouched():
     table = ParamTable({"x": x})
     opt = Adam(table, lr=0.5)
     opt.zero_grad()
-    opt.step(table.tensors.values())
+    opt.step()
     assert np.array_equal(x.data, [2.0])
 
 
@@ -216,11 +218,11 @@ ALL_STAGES_OFF = dict(fd=False, homogd=False, ca=False, heterogd=False)
 ], ids=["all_on", "all_off", "no_ca_no_heterogd", "lambda2_zero", "joined_late"])
 def test_adam_matches_per_tensor_reference(stages, task_steps):
     """Twenty steps with real gradients and a new lr before each, as
-    ``train`` runs them, each step given the leaves its backward reached:
-    every parameter and every moment slice of the table's Adam equals the
-    per-tensor oracle's bit for bit.  The first ``task_steps`` steps
-    back-propagate the task loss alone, so the parameters only the other
-    terms reach join the live set at a later step."""
+    ``train`` runs them: every parameter and every moment slice of the
+    table's Adam equals the per-tensor oracle's bit for bit.  The first
+    ``task_steps`` steps back-propagate the task loss alone, so the
+    parameters only the other terms reach get their first gradient at a
+    later step, and are stepped by exactly 0 until then."""
     cfg = TrainConfig(**stages)
     model = Model(cfg)
     table, params = model.table, model.parameters()
@@ -229,21 +231,17 @@ def test_adam_matches_per_tensor_reference(stages, task_steps):
     ref = ReferenceAdam(twin, lr=cfg.lr)
     samples = generate(16, seed=3)
     n_steps = 20
-    live_sizes = []
     for step in range(n_steps):
         batch = make_batch(samples[4 * (step % 4):4 * (step % 4) + 4], mode=cfg.mode)
         out = model.forward_batch(batch)
         opt.zero_grad()
-        reached = (out.components["task"] if step < task_steps else out.total).backward()
+        (out.components["task"] if step < task_steps else out.total).backward()
         for name, p in params.items():
             assert np.shares_memory(p.grad, table.grad), name
             twin[name].grad = p.grad
         opt.lr = ref.lr = cfg.lr * 0.5 * (1.0 + math.cos(math.pi * step / n_steps))
-        opt.step(reached)
+        opt.step()
         ref.step()
-        live_sizes.append(sum(run.stop - run.start for run in opt.runs))
-    if task_steps:
-        assert live_sizes[task_steps - 1] < live_sizes[task_steps]
     for name, lo, hi in zip(params, table.bounds, table.bounds[1:]):
         assert np.array_equal(params[name].data, twin[name].data), name
         assert np.array_equal(opt.m[lo:hi], ref.m[name].ravel()), name
@@ -251,35 +249,25 @@ def test_adam_matches_per_tensor_reference(stages, task_steps):
         assert np.shares_memory(params[name].data, table.flat), name
 
 
-def test_all_off_train_leaves_unreached_parameters_untouched(monkeypatch):
-    """All four stages off, ``train`` updates the shallow convs and the
-    fusion head, two runs of the table; every other parameter keeps its
-    initial value bit for bit, with ``m`` and ``v`` exactly 0."""
-    import modal_distill.train as train_mod
-
-    opts = []
-
-    class CapturedAdam(Adam):
-        def __init__(self, *args, **kw):
-            super().__init__(*args, **kw)
-            opts.append(self)
-
-    monkeypatch.setattr(train_mod, "Adam", CapturedAdam)
+def test_all_off_table_holds_the_shallow_convs_and_the_fusion_head():
+    """All four stages off, the table holds the ``shallow.*`` and
+    ``fusion.*`` parameters, in draw order, each starting at the default
+    model's value for the same seed; the other stages still draw theirs, so
+    nothing after them shifts.  Training moves every one of them but the
+    private-stream gates, whose streams are zero with ``fd`` off."""
     cfg = tiny_config(**ALL_STAGES_OFF)
     samples = generate(12, seed=0, config=small_world())
-    initial = Model(cfg, dict(SMALL_RAW)).table.flat.copy()
-    result = train(cfg, samples, split=False)
-    (opt,) = opts
-    table = result.model.table
-    live = np.zeros(table.flat.size, dtype=bool)
-    for run in opt.runs:
-        live[run] = True
-    assert len(opt.runs) == 2
-    assert [name for name, lo in zip(table.tensors, table.bounds) if live[lo]] == [
-        name for name in table.tensors if name.startswith(("shallow.", "fusion."))]
-    assert not np.array_equal(table.flat[live], initial[live])
-    assert np.array_equal(table.flat[~live], initial[~live])
-    assert not opt.m[~live].any() and not opt.v[~live].any()
+    full = Model(tiny_config(), dict(SMALL_RAW)).parameters()
+    off = Model(cfg, dict(SMALL_RAW))
+    assert list(off.parameters()) == [
+        name for name in full if name.startswith(("shallow.", "fusion."))]
+    for name, t in off.parameters().items():
+        assert np.array_equal(t.data, full[name].data), name
+    initial = {name: t.data.copy() for name, t in off.parameters().items()}
+    trained = train(cfg, samples, split=False).model.parameters()
+    assert list(trained) == list(initial)
+    assert [name for name, t in trained.items() if np.array_equal(t.data, initial[name])] == [
+        name for name in initial if name.startswith("fusion.gate_hetero.")]
 
 
 def _poisoned(samples, value=1e300):
@@ -289,15 +277,18 @@ def _poisoned(samples, value=1e300):
     return samples
 
 
-@pytest.mark.parametrize("stages, origin", [({}, r"tensor\.[\w.<>]+"),
-                                            (ALL_STAGES_OFF, r"train\.Adam\.step")],
-                         ids=["all_on", "all_off"])
-def test_train_overflow_stops_the_step_where_it_is_made(monkeypatch, stages, origin):
+@pytest.mark.parametrize("stages, origin, sample", [
+    ({}, r"tensor\.[\w.<>]+", r"sample syn00000"),
+    (ALL_STAGES_OFF, r"train\.Adam\.step", r"first sample syn\d{5}"),
+], ids=["all_on", "all_off"])
+def test_train_overflow_stops_the_step_where_it_is_made(monkeypatch, stages, origin, sample):
     """A 1e300 feature overflows in the first step: in the forward of the
     default model, and in the square of a gradient inside ``Adam.step`` on
     the all-off model.  Either way training stops there, naming the
     function, and no parameter has moved.  So no non-finite gradient is
-    left for Adam to check."""
+    left for Adam to check.  The forward's overflow is traced to the
+    poisoned sample, which overflows alone; the all-off forward overflows
+    for no sample alone, so the batch's first sample is named."""
     import modal_distill.train as train_mod
 
     opts = []
@@ -310,8 +301,9 @@ def test_train_overflow_stops_the_step_where_it_is_made(monkeypatch, stages, ori
     monkeypatch.setattr(train_mod, "Adam", CapturedAdam)
     cfg = tiny_config(**stages)
     samples = _poisoned(generate(8, seed=2, config=small_world()))
+    assert samples[0].id == "syn00000"
     with pytest.raises(NumericError, match=rf"^overflow encountered in \w+ in {origin} "
-                                           r"at step 0 \(first sample syn\d{5}\)$"):
+                                           rf"at step 0 \({sample}\)$"):
         train(cfg, samples, split=False)
     (opt,) = opts
     assert np.array_equal(opt.table.flat, Model(cfg, dict(SMALL_RAW)).table.flat)
@@ -796,6 +788,54 @@ def test_version_1_checkpoint_loads_and_scores_as_version_2(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("save", [save_checkpoint, save_v1_checkpoint], ids=["v2", "v1"])
+def test_all_off_checkpoint_holding_every_stage_loads(tmp_path, capsys, save):
+    """An all-off checkpoint written before the table held only the trained
+    stages holds all 88 names.  It loads, the off stages' names skipped, and
+    eval writes the predictions the 22-name checkpoint of the same values
+    does, byte for byte."""
+    cfg = tiny_config(**ALL_STAGES_OFF)
+    full = Model(tiny_config())
+    full.table.flat[...] = np.random.default_rng(0).normal(size=full.table.flat.size)
+    off = Model(cfg)
+    for name, t in off.parameters().items():
+        t.data[...] = full.parameters()[name].data
+    extra = {"raw_dims": {m.tag: d for m, d in off.raw_dims.items()}}
+    old, new = tmp_path / "all88.npz", tmp_path / "table22.npz"
+    save(old, full.parameters(), cfg, extra)
+    save_checkpoint(new, off.parameters(), cfg, extra)
+    assert (len(load_checkpoint(old)[0]), len(load_checkpoint(new)[0])) == (88, 22)
+    assert np.array_equal(model_from_checkpoint(old)[0].table.flat, off.table.flat)
+    outputs = []
+    for path in (old, new):
+        dest = tmp_path / path.stem / "predictions.csv"
+        assert main(["eval", "--checkpoint", str(path), "--synthetic", "6",
+                     "--predictions", str(dest)]) == 0
+        outputs.append(dest.read_bytes())
+    capsys.readouterr()
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("edit, name", [
+    (lambda params: params.update({"bogus.weight": Tensor(np.zeros(2))}), "bogus.weight"),
+    (lambda params: params.pop("fusion.head.first.bias"), "fusion.head.first.bias"),
+], ids=["surplus", "missing"])
+def test_all_off_checkpoint_with_a_name_outside_the_stages_exits_two(tmp_path, capsys,
+                                                                     edit, name):
+    """Only the names of the stages the config turns off are skipped: a
+    name neither in the table nor in an off stage, or a table name left
+    out, is still a data error naming it."""
+    cfg = tiny_config(**ALL_STAGES_OFF)
+    params = dict(Model(tiny_config()).parameters())
+    edit(params)
+    path = tmp_path / "ck.npz"
+    save_checkpoint(path, params, cfg,
+                    {"raw_dims": {m.tag: d for m, d in Model(cfg).raw_dims.items()}})
+    assert main(["eval", "--checkpoint", str(path), "--synthetic", "4"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("data error: ") and name in err
+
+
 def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     path = tmp_path / "checkpoint.npz"
     good = {"w": Tensor(np.arange(3.0))}
@@ -1207,11 +1247,10 @@ def test_cli_non_finite_gradient_exits_three_keeping_best_checkpoint(tmp_path, m
     backward = Tensor.backward
 
     def poisoning_backward(self):
-        reached = backward(self)
+        backward(self)
         if ckpt.exists():  # written by the first epoch's validation
             saved.append(ckpt.read_bytes())
             models[0].parameters()["fusion.head.first.weight"].grad[0, 0] = 1e300
-        return reached
 
     monkeypatch.setattr(train_mod, "Model", CapturedModel)
     monkeypatch.setattr(Tensor, "backward", poisoning_backward)
@@ -1246,10 +1285,11 @@ def _huge_feature_set(root: Path) -> Path:
     return manifest
 
 
-# one stderr line: numpy's message, the package function, then the step,
-# batch or probe and the first sample of what it worked on
+# one stderr line: numpy's message, the package function, then the step or
+# batch and the sample whose forward overflows alone, or the probe and the
+# first sample it fit
 TRAPPED_LINE = (r"numeric error: overflow encountered in \w+ in \w+\.[\w.<>]+ "
-                r"at (step \d+|batch \d+|the [LVA] probe) \(first sample syn\d{5}\)")
+                r"at ((step|batch) \d+ \(sample|the [LVA] probe \(first sample) syn00000\)")
 
 
 def test_cli_huge_finite_feature_is_one_stderr_line(tmp_path, capfd):
@@ -1261,6 +1301,21 @@ def test_cli_huge_finite_feature_is_one_stderr_line(tmp_path, capfd):
     err = capfd.readouterr().err.splitlines()
     assert rc == 3
     assert len(err) == 1 and re.fullmatch(TRAPPED_LINE, err[0]) and "at step 0 " in err[0]
+
+
+def test_cli_trap_names_the_sample_that_overflows_alone(tmp_path, capfd):
+    """On the 1e300 set the bad value is in syn00000, which is not the first
+    sample of the step-0 batch; the trap replays the forward one sample at
+    a time and names syn00000."""
+    manifest = _huge_feature_set(tmp_path)
+    train_s = split_dataset(load_features(manifest), seed=TrainConfig().seed)[0]
+    first = next(batches(train_s, 4, seed=TrainConfig().seed)).ids
+    assert "syn00000" in first and first[0] != "syn00000"
+    rc = main(["train", "--data", str(manifest), "--max-steps", "2", "--batch-size", "4",
+               "--d", "4", "--heads", "2", "--out", str(tmp_path / "run")])
+    assert rc == 3
+    assert capfd.readouterr().err == ("numeric error: overflow encountered in multiply in "
+                                      "tensor.sq_distance at step 0 (sample syn00000)\n")
 
 
 @pytest.mark.parametrize("command", list(CHECKPOINT_READERS))

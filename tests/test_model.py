@@ -25,6 +25,7 @@ from modal_distill.tensor import Tensor, mean_pool_time
 from modal_distill.train import Adam, model_from_checkpoint, predict_scores
 
 from conftest import ReferenceAdam, save_v1_checkpoint
+from test_acceptance import TOGGLE_ROWS
 
 SMALL_RAW = {Modality.LANGUAGE: 6, Modality.VISION: 5, Modality.AUDIO: 4}
 
@@ -292,11 +293,26 @@ def test_aligned_mode_runs_and_aligns():
 # ---- parameters and loading ----
 
 
-def test_parameter_names_stable_across_toggles():
-    base = Model(small_config(), dict(SMALL_RAW)).parameters()
-    ablated = Model(small_config(fd=False, homogd=False, ca=False, heterogd=False),
-                    dict(SMALL_RAW)).parameters()
-    assert set(base) == set(ablated)
+@pytest.mark.parametrize("fd, homogd, ca, heterogd", TOGGLE_ROWS,
+                         ids=["all_on", "no_heterogd", "no_ca", "no_ca_no_heterogd",
+                              "fd_only", "all_off"])
+def test_table_is_what_a_training_step_reaches(fd, homogd, ca, heterogd):
+    """The ``requires_grad`` leaves a walk of ``_parents`` from one step's
+    total reaches are exactly the table's tensors, so Adam stepping the
+    whole table steps nothing a backward cannot reach."""
+    model = Model(small_config(fd=fd, homogd=homogd, ca=ca, heterogd=heterogd),
+                  dict(SMALL_RAW))
+    out = model.forward_batch(make_batch(generate(4, seed=5, config=small_world())))
+    leaves, seen, stack = set(), set(), [out.total]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node.requires_grad and not node._parents:
+            leaves.add(id(node))
+        stack.extend(node._parents)
+    assert leaves == {id(t) for t in model.table.tensors.values()}
 
 
 def test_load_parameters_round_trip():
@@ -322,7 +338,7 @@ def test_load_parameters_keeps_optimizer_arena_binding():
     rng = np.random.default_rng(0)
     for k, p in model.parameters().items():
         p.grad[...] = twin[k].grad = rng.standard_normal(p.data.shape)
-    opt.step(model.table.tensors.values())
+    opt.step()
     ref.step()
     for k, p in model.parameters().items():
         assert np.shares_memory(p.data, model.table.flat), k

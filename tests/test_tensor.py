@@ -530,24 +530,6 @@ def test_backward_frees_interior_gradients():
     assert out.grad == 1.0
 
 
-def test_backward_returns_each_reached_leaf_once():
-    """The leaves returned are the ``requires_grad`` ones the walk reached:
-    a leaf shared by several nodes once, a constant leaf and a leaf outside
-    the graph never."""
-    shared = Tensor([1.0, -2.0], requires_grad=True)
-    other = Tensor([0.5, 3.0], requires_grad=True)
-    unused = Tensor([7.0, 7.0], requires_grad=True)
-    const = Tensor([2.0, 4.0])
-    out = tsum(shared * shared * const + shared * other) + tsum(const)
-    reached = out.backward()
-    assert len(reached) == 2
-    assert {id(t) for t in reached} == {id(shared), id(other)}
-    assert unused.grad is None and const.grad is None
-    root = Tensor(1.5, requires_grad=True)
-    assert [id(t) for t in root.backward()] == [id(root)]
-    assert Tensor(1.5).backward() == []
-
-
 def test_grads_accumulate_until_reset():
     x = Tensor(4.0, requires_grad=True)
     (x * x).backward()
