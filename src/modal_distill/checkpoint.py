@@ -1,5 +1,6 @@
 """Versioned npz checkpoints: a model's parameters end to end as one flat
-float64 array, plus a JSON metadata block that names each one's slice."""
+float64 array, plus a JSON metadata block that lists each one's name and
+shape in that order."""
 
 from __future__ import annotations
 
@@ -20,16 +21,11 @@ from .config import TrainConfig, field_types
 from .errors import ConfigError, DataError
 from .tensor import Tensor
 
-# version 2 holds the parameters as one ``flat`` member and lists their
-# names and shapes in the metadata; version 1 held one ``param/<name>``
-# member each, and still loads
+# the only version read: the parameters as one ``flat`` member, their
+# names and shapes listed in the metadata
 FORMAT_VERSION = 2
 _META_KEY = "__meta__"
 _FLAT_KEY = "flat"
-_PARAM_PREFIX = "param/"
-# config keys of options that no longer exist; older checkpoints carry them
-RETIRED_CONFIG_KEYS = ("detach_teacher", "data_manifest", "lr_schedule", "ca_layers",
-                       "conv_width")
 
 
 def save_checkpoint(path: str | Path, params: dict[str, Tensor],
@@ -59,47 +55,10 @@ def save_checkpoint(path: str | Path, params: dict[str, Tensor],
     return path
 
 
-def _table(path: Path, arrays: dict[str, np.ndarray], meta: dict):
-    """Version 2: the names and shapes ``meta["params"]`` lists, and ``flat``."""
-    flat = arrays.get(_FLAT_KEY)
-    if flat is None:
-        raise DataError(f"checkpoint {path} has no {_FLAT_KEY!r} array")
-    if flat.ndim != 1 or flat.dtype != np.float64:
-        raise DataError(f"checkpoint {path}: {_FLAT_KEY!r} is {flat.dtype} of shape "
-                        f"{flat.shape}, not a 1-D float64 array")
-    entries = meta.get("params")
-    if not isinstance(entries, list) or not all(
-            isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
-            and isinstance(e[1], list) and all(type(dim) is int and dim >= 0 for dim in e[1])
-            for e in entries):
-        raise DataError(f"checkpoint {path}: metadata 'params' must list [name, shape] "
-                        "pairs, each shape of non-negative integers")
-    names = [name for name, _ in entries]
-    if len(set(names)) != len(names):
-        twice = next(name for i, name in enumerate(names) if name in names[:i])
-        raise DataError(f"checkpoint {path}: metadata 'params' lists {twice} twice")
-    shapes = [tuple(shape) for _, shape in entries]
-    total = sum(map(math.prod, shapes))
-    if total != flat.size:
-        raise DataError(f"checkpoint {path}: the parameter shapes hold {total} values, "
-                        f"{_FLAT_KEY!r} holds {flat.size}")
-    return names, shapes, flat
-
-
-def _table_v1(path: Path, arrays: dict[str, np.ndarray]):
-    """Version 1: each ``param/<name>`` member, in file order, end to end."""
-    values = {key[len(_PARAM_PREFIX):]: value
-              for key, value in arrays.items() if key.startswith(_PARAM_PREFIX)}
-    for name, value in values.items():
-        if value.dtype != np.float64:  # the only dtype save_checkpoint wrote
-            raise DataError(f"checkpoint {path}: parameter {name} is {value.dtype}, not float64")
-    flat = np.concatenate([v.reshape(-1) for v in values.values()] or [np.empty(0)])
-    return list(values), [v.shape for v in values.values()], flat
-
-
-def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], TrainConfig, dict]:
-    """The parameters by name, each a view of the checkpoint's one checked
-    flat array, the config and the ``extra`` metadata."""
+def load_checkpoint(path: str | Path) -> tuple[tuple[list, np.ndarray], TrainConfig, dict]:
+    """The checkpoint's ``[name, shape]`` entries with its one checked flat
+    array, the config and the ``extra`` metadata; ``ParamTable.load``
+    matches the entries to a model's own."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"checkpoint not found: {path}")
@@ -119,28 +78,33 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], TrainConfi
     if not isinstance(meta, dict):
         raise DataError(f"checkpoint {path}: metadata must be a JSON object")
     version = meta.get("format_version")
-    if version not in (1, FORMAT_VERSION):
+    if version != FORMAT_VERSION:
         raise DataError(f"checkpoint {path}: unsupported format version {version}")
     for key in ("config", "extra"):
         if not isinstance(meta.get(key), dict):
             raise DataError(f"checkpoint {path}: metadata {key!r} must be a JSON object")
-    names, shapes, flat = (_table(path, arrays, meta) if version == FORMAT_VERSION
-                           else _table_v1(path, arrays))
-    bounds = list(itertools.accumulate(map(math.prod, shapes), initial=0))
-    params = {}
-    for name, shape, lo, hi in zip(names, shapes, bounds, bounds[1:]):
-        try:
-            params[name] = flat[lo:hi].reshape(shape)
-        # a zero dim makes a shape hold no values whatever its other dims,
-        # so a shape numpy cannot make can still pass the size check
-        except (ValueError, OverflowError) as exc:
-            raise DataError(f"checkpoint {path}: parameter {name} has shape "
-                            f"{list(shape)}, which numpy cannot make: {exc}") from exc
+    flat = arrays.get(_FLAT_KEY)
+    if flat is None:
+        raise DataError(f"checkpoint {path} has no {_FLAT_KEY!r} array")
+    if flat.ndim != 1 or flat.dtype != np.float64:
+        raise DataError(f"checkpoint {path}: {_FLAT_KEY!r} is {flat.dtype} of shape "
+                        f"{flat.shape}, not a 1-D float64 array")
+    entries = meta.get("params")
+    if not isinstance(entries, list) or not all(
+            isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
+            and isinstance(e[1], list) and all(type(dim) is int and dim >= 0 for dim in e[1])
+            for e in entries):
+        raise DataError(f"checkpoint {path}: metadata 'params' must list [name, shape] "
+                        "pairs, each shape of non-negative integers")
+    bounds = list(itertools.accumulate((math.prod(shape) for _, shape in entries), initial=0))
+    if bounds[-1] != flat.size:
+        raise DataError(f"checkpoint {path}: the parameter shapes hold {bounds[-1]} values, "
+                        f"{_FLAT_KEY!r} holds {flat.size}")
     if not np.isfinite(flat).all():
         first = np.flatnonzero(~np.isfinite(flat))[0]
-        name = names[bisect.bisect_right(bounds, first) - 1]
+        name = entries[bisect.bisect_right(bounds, first) - 1][0]
         raise DataError(f"checkpoint {path}: parameter {name} holds a non-finite value")
-    stored = {k: v for k, v in meta["config"].items() if k not in RETIRED_CONFIG_KEYS}
+    stored = dict(meta["config"])
     types = field_types()
     for key in sorted(stored):
         if key not in types:
@@ -156,4 +120,4 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], TrainConfi
         config.validate()
     except ConfigError as exc:
         raise DataError(f"checkpoint {path}: {exc}") from exc
-    return params, config, meta["extra"]
+    return (entries, flat), config, meta["extra"]

@@ -8,6 +8,8 @@ caller-supplied Generator; nothing in this module touches global RNG state.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import DataError
@@ -82,18 +84,15 @@ class ParamTable:
             t.grad = self.grad[lo:hi].reshape(t.data.shape)
             t.data = self.flat[lo:hi].reshape(t.data.shape)
 
-    def load(self, arrays: dict[str, np.ndarray]) -> None:
-        """Copy ``arrays`` (name -> array) in; on a name or shape mismatch
-        raise ``DataError`` and change nothing."""
-        missing = sorted(set(self.tensors) - set(arrays))
-        surplus = sorted(set(arrays) - set(self.tensors))
-        if missing or surplus:
-            raise DataError(
-                f"parameter set mismatch: missing {missing[:3]}, unexpected {surplus[:3]}")
-        for name, t in self.tensors.items():
-            if t.data.shape != arrays[name].shape:
-                raise DataError(
-                    f"parameter {name}: checkpoint shape {arrays[name].shape} "
-                    f"!= model shape {t.data.shape}")
-        for name, t in self.tensors.items():
-            t.data[...] = arrays[name]
+    def load(self, source: object, entries: list, flat: np.ndarray) -> None:
+        """Copy ``flat``, checkpoint ``source``'s parameters end to end, in
+        whole once its ``entries`` (``[name, shape]`` pairs) equal the
+        table's own, entry for entry; otherwise raise ``DataError`` naming
+        ``source`` and the first entry that differs, and change nothing."""
+        own = [[name, list(t.data.shape)] for name, t in self.tensors.items()]
+        if entries != own:
+            i, theirs, mine = next((i, a, b) for i, (a, b) in
+                                   enumerate(itertools.zip_longest(entries, own)) if a != b)
+            raise DataError(f"checkpoint {source}: parameter entry {i} is {theirs or 'absent'} "
+                            f"in the file, {mine or 'absent'} in the model")
+        self.flat[...] = flat

@@ -102,9 +102,7 @@ class Model:
         self.fusion = FusionHead(rng, params, "fusion", config.d)
         off = tuple(prefix for stage, prefixes in STAGE_PREFIXES.items()
                     if not getattr(config, stage) for prefix in prefixes)
-        # a checkpoint written when the table held every stage carries these
-        self.off_names = frozenset(name for name in params if name.startswith(off))
-        self.table = ParamTable({k: t for k, t in params.items() if k not in self.off_names})
+        self.table = ParamTable({k: t for k, t in params.items() if not k.startswith(off)})
 
     def parameters(self) -> dict[str, Tensor]:
         return self.table.tensors

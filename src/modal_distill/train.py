@@ -130,16 +130,16 @@ def compute_metrics(scores: np.ndarray, labels: np.ndarray) -> MetricsReport:
 
 
 @contextlib.contextmanager
-def _trapped(where: str, first_id: str, replay: tuple[Callable, Batch] | None = None):
+def _trapped(where: str, blame: tuple[Callable, Batch] | Callable[[], str]):
     """Run the block with numpy raising on overflow, invalid values and
     division by zero, not underflow (masked attention keys underflow to 0),
     and re-raise the error as ``NumericError`` naming numpy's message, the
-    innermost package function, ``where`` and the block's first sample.  A
-    fresh ``errstate`` per call nests on numpy 1.x.  With ``replay``, a
-    ``(forward, batch)`` pair, ``forward`` reruns on each sample of
-    ``batch`` alone under the same policy, and the first that raises alone
-    is named instead; none does when the failure is in the backward, in
-    Adam or in a loss that couples the batch."""
+    innermost package function, ``where`` and a sample.  A fresh ``errstate``
+    per call nests on numpy 1.x.  ``blame`` is a function, called only then,
+    that returns the sample's id, or a ``(forward, batch)`` pair: ``forward``
+    reruns on each sample of ``batch`` alone under the same policy and the
+    first that raises alone is named, else (a failure in the backward, in
+    Adam or in a loss that couples the batch) the batch's first sample."""
     policy = dict(over="raise", invalid="raise", divide="raise", under="ignore")
     try:
         with np.errstate(**policy):
@@ -148,9 +148,11 @@ def _trapped(where: str, first_id: str, replay: tuple[Callable, Batch] | None = 
         frame = [f for f, _ in traceback.walk_tb(exc.__traceback__)
                  if f.f_globals.get("__name__", "").startswith(f"{__package__}.")][-1]
         name = getattr(frame.f_code, "co_qualname", frame.f_code.co_name)  # 3.10: co_name
-        sample = f"first sample {first_id}"
-        if replay is not None:
-            forward, batch = replay
+        if callable(blame):
+            sample = f"sample {blame()}"
+        else:
+            forward, batch = blame
+            sample = f"first sample {batch.ids[0]}"
             for alone in batch.alone():
                 try:
                     with np.errstate(**policy):
@@ -177,7 +179,7 @@ def _walk(model: Model, samples: list[Sample], batch_size: int | None, read) -> 
             p.requires_grad = False
         for i, batch in enumerate(batches(samples, batch_size or model.config.batch_size,
                                           mode=model.config.mode, shuffle=False)):
-            with _trapped(f"batch {i}", batch.ids[0], (read, batch)):
+            with _trapped(f"batch {i}", (read, batch)):
                 out.append(read(batch))
     finally:
         for p in params:
@@ -298,7 +300,7 @@ def train(config: TrainConfig, samples: list[Sample], split: bool = True) -> Tra
         for epoch in range(n_epochs):
             for batch in batches(train_s, config.batch_size, mode=config.mode,
                                  seed=config.seed, epoch=epoch):
-                with _trapped(f"step {step}", batch.ids[0], (model.forward_batch, batch)):
+                with _trapped(f"step {step}", (model.forward_batch, batch)):
                     out = model.forward_batch(batch)
                     opt.zero_grad()
                     out.total.backward()
@@ -330,7 +332,7 @@ def train(config: TrainConfig, samples: list[Sample], split: bool = True) -> Tra
 
 
 def model_from_checkpoint(path: str | Path) -> tuple[Model, TrainConfig, dict]:
-    params, config, extra = load_checkpoint(path)
+    (entries, flat), config, extra = load_checkpoint(path)
     dims_meta = extra.get("raw_dims")
     tags = sorted(m.tag for m in MODALITIES)
     if (not isinstance(dims_meta, dict) or sorted(dims_meta) != tags
@@ -339,7 +341,7 @@ def model_from_checkpoint(path: str | Path) -> tuple[Model, TrainConfig, dict]:
                         f"to positive integers, got {dims_meta!r}")
     raw_dims = {Modality(tag): d for tag, d in dims_meta.items()}
     model = Model(config, raw_dims)
-    model.table.load({name: a for name, a in params.items() if name not in model.off_names})
+    model.table.load(path, entries, flat)
     return model, config, extra
 
 
@@ -394,7 +396,7 @@ def gradcheck_model_config(seed: int = 0) -> TrainConfig:
     return TrainConfig(d=4, heads=2, seed=seed)
 
 
-def _gradcheck_batch(data_config: SyntheticConfig, seed: int) -> Batch:
+def _gradcheck_batch(data_config: SyntheticConfig, seed: int, mode: str) -> Batch:
     # draw 12 samples and keep a class-diverse subset of 3 so the margin
     # term always has triplets to differentiate
     pool = generate(12, seed, data_config)
@@ -406,7 +408,7 @@ def _gradcheck_batch(data_config: SyntheticConfig, seed: int) -> Batch:
             seen_bins.add(b)
         if len(chosen) == 3:
             break
-    return make_batch(chosen, mode="unaligned")
+    return make_batch(chosen, mode=mode)
 
 
 def gradcheck(config: TrainConfig | None = None, n_probes: int = 20,
@@ -426,7 +428,7 @@ def gradcheck(config: TrainConfig | None = None, n_probes: int = 20,
         config = gradcheck_model_config(seed)
     h = 1e-5  # central-difference step
     data_config = gradcheck_data_config()
-    batch = _gradcheck_batch(data_config, seed)
+    batch = _gradcheck_batch(data_config, seed, config.mode)
     model = Model(config, dict(data_config.raw_dims))
     params = model.parameters()
 
@@ -604,7 +606,9 @@ def probe_unimodal(model: Model, samples: list[Sample], seed: int = 0) -> ProbeR
     for k, m in enumerate(MODALITIES):
         feats = bundle.homo[:, k, :]
         target = np.where(true_pos, 1.0, -1.0)
-        with _trapped(f"the {m.tag} probe", samples[0].id):
+        # an overflow here comes from the largest pooled feature
+        with _trapped(f"the {m.tag} probe",
+                      lambda: samples[int(np.abs(feats).max(axis=1).argmax())].id):
             fit_x, eval_x = standardize(feats[tr], feats[ev])
             w = fit_linear_probe(fit_x, target[tr])
             pred_pos = probe_scores(eval_x, w) >= 0

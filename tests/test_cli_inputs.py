@@ -1,5 +1,5 @@
 """Property test of ``eval``'s inputs: a manifest, a feature CSV or a
-checkpoint (in format 2, or as format 1 stored it), damaged byte by byte,
+checkpoint, damaged byte by byte,
 ends ``modal-distill eval`` in a known exit code with no traceback, one
 line on stderr on failure, and no file left behind but the parse cache
 and, on success, the predictions.
@@ -25,8 +25,6 @@ from modal_distill.config import TrainConfig
 from modal_distill.data import Modality, SyntheticConfig, generate, save_dataset
 from modal_distill.model import Model
 
-from conftest import save_v1_checkpoint
-
 RAW = {Modality.LANGUAGE: 6, Modality.VISION: 5, Modality.AUDIO: 4}
 
 # what a failing run's one stderr line starts with, by exit code; exit 3
@@ -37,7 +35,7 @@ FAILURES = {2: "data error: ", 3: "numeric error: "}
 # finite, bytes that are not UTF-8 or end a C string, and CSV separators
 INSERTS = [b"nan", b"1e400", b"\xff", b"\x00", b",", b"\n"]
 DAMAGE = ["flip", "truncate", "insert", "duplicate"]
-TARGETS = ["manifest", "feature", "checkpoint", "checkpoint_v1"]
+TARGETS = ["manifest", "feature", "checkpoint"]
 
 
 def damaged(data: bytes, how: str, rng: np.random.Generator) -> bytes:
@@ -60,8 +58,8 @@ def damaged(data: bytes, how: str, rng: np.random.Generator) -> bytes:
 
 @pytest.fixture(scope="module")
 def pristine(tmp_path_factory):
-    """A 10-sample dataset and checkpoints of an untrained d=4 model at its
-    raw dims, in both formats, and the bytes of each file."""
+    """A 10-sample dataset and a checkpoint of an untrained d=4 model at its
+    raw dims, and the bytes of each file."""
     root = tmp_path_factory.mktemp("inputs")
     world = SyntheticConfig(raw_dims=dict(RAW), z_shared_dim=4, z_private_dim=3,
                             length_ranges={Modality.LANGUAGE: (3, 9), Modality.VISION: (2, 6),
@@ -69,8 +67,8 @@ def pristine(tmp_path_factory):
     manifest = save_dataset(generate(10, seed=0, config=world), root / "data")
     cfg = TrainConfig(d=4, heads=2, batch_size=4)
     model = Model(cfg, dict(RAW))
-    for save, name in ((save_checkpoint, "ck.npz"), (save_v1_checkpoint, "ck_v1.npz")):
-        save(root / name, model.parameters(), cfg, {"raw_dims": {m.tag: d for m, d in RAW.items()}})
+    save_checkpoint(root / "ck.npz", model.parameters(), cfg,
+                    {"raw_dims": {m.tag: d for m, d in RAW.items()}})
     files = {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
     return root, manifest, files
 
@@ -82,8 +80,8 @@ def test_damaged_input_is_a_clean_exit(pristine, target, how, seed):
     root, manifest, files = pristine
     rng = np.random.default_rng(seed)
     features = sorted(p for p in files if p.suffix == ".csv" and p != manifest)
-    checkpoint = root / ("ck_v1.npz" if target == "checkpoint_v1" else "ck.npz")
-    path = {"manifest": manifest, "checkpoint": checkpoint, "checkpoint_v1": checkpoint,
+    checkpoint = root / "ck.npz"
+    path = {"manifest": manifest, "checkpoint": checkpoint,
             "feature": features[int(rng.integers(len(features)))]}[target]
     cache = manifest.with_name(f".{manifest.name}.parsed")
     predictions = root / "out" / "predictions.csv"

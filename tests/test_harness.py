@@ -25,6 +25,7 @@ from modal_distill.checkpoint import load_checkpoint, save_checkpoint
 from modal_distill.cli import _build_config, build_parser, main
 from modal_distill.config import TrainConfig, apply_overrides, load_config
 from modal_distill.data import (
+    MODALITIES,
     Modality,
     SyntheticConfig,
     batches,
@@ -46,16 +47,18 @@ from modal_distill.train import (
     dump_edges,
     evaluate,
     gradcheck,
+    gradcheck_data_config,
     gradcheck_model_config,
     model_from_checkpoint,
     predict_scores,
     probe_split,
     probe_unimodal,
     train,
+    _gradcheck_batch,
     _walk,
 )
 
-from conftest import ReferenceAdam, count_forks, probe_multiclass_accuracy, save_v1_checkpoint
+from conftest import ReferenceAdam, count_forks, probe_multiclass_accuracy
 
 SMALL_RAW = {Modality.LANGUAGE: 6, Modality.VISION: 5, Modality.AUDIO: 4}
 
@@ -445,7 +448,8 @@ def _assert_bound(model):
 def test_param_table_binding_survives_training_and_loading(tmp_path):
     """After real steps, in the kept best-val model and in a model read back
     from the checkpoint, every parameter is still a view of its table; a
-    load that fails on a name or a shape changes nothing."""
+    load whose entries differ from the table's in a name or a shape changes
+    nothing."""
     samples = generate(20, seed=5, config=small_world())
     result = train(tiny_config(max_steps=3, batch_size=4, out_dir=str(tmp_path)), samples)
     kept = result.kept_model()
@@ -455,12 +459,11 @@ def test_param_table_binding_survives_training_and_loading(tmp_path):
     for model in (result.model, kept, loaded):
         _assert_bound(model)
     before = loaded.table.flat.copy()
-    arrays = {k: p.data + 1.0 for k, p in loaded.parameters().items()}
-    last = list(arrays)[-1]
-    renamed = {(k + "_" if k == last else k): a for k, a in arrays.items()}
-    for bad in (renamed, {**arrays, last: np.zeros(999)}):
-        with pytest.raises(DataError):
-            loaded.table.load(bad)
+    entries = load_checkpoint(result.checkpoint_path)[0][0]
+    name, shape = entries[-1]
+    for bad in ([*entries[:-1], [name + "_", shape]], [*entries[:-1], [name, [999]]]):
+        with pytest.raises(DataError, match="parameter entry"):
+            loaded.table.load(result.checkpoint_path, bad, before + 1.0)
         assert np.array_equal(loaded.table.flat, before)
     _assert_bound(loaded)
 
@@ -495,12 +498,12 @@ def test_checkpoint_appends_npz_suffix(tmp_path):
     assert out.exists() and out.name == "plain"
 
 
-def _eval_checkpoint(path, config_extra=None, save=save_checkpoint):
-    """Save an untrained default-dims model to ``path`` with ``save``, with
+def _eval_checkpoint(path, config_extra=None):
+    """Save an untrained default-dims model to ``path``, with
     ``config_extra`` merged into its stored config."""
     cfg = tiny_config()
     model = Model(cfg)
-    save(path, model.parameters(), cfg,
+    save_checkpoint(path, model.parameters(), cfg,
          {"raw_dims": {m.tag: d for m, d in model.raw_dims.items()}})
     if config_extra:
         with np.load(path) as bundle:
@@ -510,14 +513,6 @@ def _eval_checkpoint(path, config_extra=None, save=save_checkpoint):
         arrays["__meta__"] = np.array(json.dumps(meta))
         np.savez(path, **arrays)
     return cfg
-
-
-def test_checkpoint_with_retired_config_key_loads(tmp_path):
-    path = tmp_path / "old.npz"
-    cfg = _eval_checkpoint(path, {"detach_teacher": True, "data_manifest": "",
-                                  "lr_schedule": "cosine", "ca_layers": 1, "conv_width": 3})
-    assert load_checkpoint(path)[1] == cfg
-    assert main(["eval", "--checkpoint", str(path), "--synthetic", "4"]) == 0
 
 
 def test_eval_of_single_class_batches_logs_no_warning(tmp_path, capsys):
@@ -642,22 +637,21 @@ def test_checkpoint_with_a_damaged_zip_header_exits_two(tmp_path, capsys, offset
      "'config' must be a JSON object"),
     (lambda meta: {**meta, "config": []}, None, "'config' must be a JSON object"),
     (lambda meta: {**meta, "extra": []}, None, "'extra' must be a JSON object"),
-    (lambda meta: meta, "x", "fusion.head.first.weight is <U1"),
-    (lambda meta: meta, 1 + 1j, "fusion.head.first.weight is complex128"),
+    (lambda meta: meta, "x", "'flat' is <U1"),
+    (lambda meta: meta, 1 + 1j, "'flat' is complex128"),
 ], ids=["meta_list", "meta_string", "no_config", "config_list", "extra_list",
         "string_param", "complex_param"])
 def test_checkpoint_with_malformed_metadata_or_arrays_exits_two(tmp_path, capsys, edit_meta,
                                                                 weight, match):
-    """The metadata cases damage a version-2 file; the array cases a
-    version-1 file, whose parameters are members of their own."""
+    """The metadata cases damage the metadata block; the array cases fill
+    ``flat`` with values of another dtype."""
     path = tmp_path / "ck.npz"
-    _eval_checkpoint(path, save=save_checkpoint if weight is None else save_v1_checkpoint)
+    _eval_checkpoint(path)
     with np.load(path) as bundle:
         arrays = {k: bundle[k] for k in bundle.files}
     arrays["__meta__"] = np.array(json.dumps(edit_meta(json.loads(str(arrays["__meta__"])))))
     if weight is not None:
-        name = "param/fusion.head.first.weight"
-        arrays[name] = np.full(arrays[name].shape, weight)
+        arrays["flat"] = np.full(arrays["flat"].shape, weight)
     np.savez(path, **arrays)
     with pytest.raises(DataError, match=match):
         load_checkpoint(path)
@@ -688,6 +682,29 @@ def _empty_shape(arrays, meta, shape):
     arrays["flat"] = arrays["flat"][size:]
 
 
+def _as_version_1(arrays, meta):
+    """The file as format version 1 stored it: one ``param/<name>`` member
+    per parameter, and neither a ``flat`` member nor a ``params`` list."""
+    flat, at = arrays.pop("flat"), 0
+    for name, shape in meta.pop("params"):
+        arrays[f"param/{name}"] = flat[at:at + math.prod(shape)].reshape(shape)
+        at += math.prod(shape)
+    meta["format_version"] = 1
+
+
+def _swap_first_two(arrays, meta):
+    """List the first two parameters the other way round, their values
+    moved with them, so the shapes still add up."""
+    (a, shape_a), (b, shape_b) = meta["params"][:2]
+    n_a, n_b, flat = math.prod(shape_a), math.prod(shape_b), arrays["flat"]
+    arrays["flat"] = np.concatenate([flat[n_a:n_a + n_b], flat[:n_a], flat[n_a + n_b:]])
+    meta["params"][:2] = [[b, shape_b], [a, shape_a]]
+
+
+# what _empty_shape's zero-and-huge shapes are refused with
+EMPTIED_FIRST = r"entry 0 is \['shallow\.L\.kernel', \[0, "
+
+
 @pytest.mark.parametrize("edit,match", [
     (lambda a, m: a.pop("flat"), "has no 'flat' array"),
     (lambda a, m: a.update(flat=a["flat"].reshape(1, -1)), "not a 1-D float64 array"),
@@ -700,31 +717,42 @@ def _empty_shape(arrays, meta, shape):
     (lambda a, m: _set_dim(m, 0, "2"), "'params' must list"),
     (lambda a, m: _set_dim(m, 0, True), "'params' must list"),
     (lambda a, m: _set_dim(m, 0, -1), "'params' must list"),
-    (lambda a, m: m["params"][1].__setitem__(0, m["params"][0][0]), "lists shallow.L.kernel twice"),
+    (lambda a, m: m["params"][1].__setitem__(0, m["params"][0][0]),
+     r"parameter entry 1 is \['shallow\.L\.kernel', \[4\]\] in the file, "
+     r"\['shallow\.L\.bias', \[4\]\] in the model"),
     (lambda a, m: m["params"].pop(), "the parameter shapes hold"),
     (lambda a, m: a.update(flat=a["flat"][:-1]), "the parameter shapes hold"),
     (lambda a, m: _set_dim(m, 0, 0), "the parameter shapes hold"),
-    (lambda a, m: _empty_shape(a, m, [0, 10 ** 20]), "numpy cannot make"),
-    (lambda a, m: _empty_shape(a, m, [0, 2 ** 62, 4]), "numpy cannot make"),
-    (lambda a, m: _empty_shape(a, m, [0] + [2] * 70), "numpy cannot make"),
+    (lambda a, m: _empty_shape(a, m, [0, 10 ** 20]), EMPTIED_FIRST),
+    (lambda a, m: _empty_shape(a, m, [0, 2 ** 62, 4]), EMPTIED_FIRST),
+    (lambda a, m: _empty_shape(a, m, [0] + [2] * 70), EMPTIED_FIRST),
+    (_as_version_1, "unsupported format version 1"),
+    (lambda a, m: m["config"].update(ALL_STAGES_OFF),
+     r"entry 6 is \['shared_encoder\.first\.weight', \[4, 8\]\] in the file, "
+     r"\['fusion\.gate_homo\.L\.weight', "),
+    (_swap_first_two, r"entry 0 is \['shallow\.L\.bias', \[4\]\] in the file"),
+    (lambda a, m: m["config"].update(detach_teacher=True), "unknown config key 'detach_teacher'"),
 ], ids=["no_flat", "flat_2d", "flat_float32", "flat_int64", "no_params", "params_dict",
         "params_bare_name", "float_dim", "string_dim", "bool_dim", "negative_dim",
         "repeated_name", "entry_dropped", "flat_short", "zero_dim", "zero_and_huge_dim",
-        "zero_and_overflowing_dims", "zero_and_too_many_dims"])
+        "zero_and_overflowing_dims", "zero_and_too_many_dims", "version_1",
+        "all_off_holding_every_stage", "another_order", "retired_config_key"])
 def test_checkpoint_with_a_damaged_table_exits_two(tmp_path, capsys, edit, match):
-    """Each damage to the ``flat`` array or the ``params`` list is a data
-    error naming the checkpoint: one stderr line and exit 2 through eval."""
+    """Each damage to the ``flat`` array, the ``params`` list or the stored
+    config, and each file in a form this code does not write, is a data
+    error naming the checkpoint: one stderr line and exit 2 through eval.
+    The file's ``[name, shape]`` entries must equal the model's table
+    entry for entry; the first that differs is named."""
     path = tmp_path / "ck.npz"
     _eval_checkpoint(path)
     _edit_checkpoint(path, edit)
     with pytest.raises(DataError, match=re.escape(f"checkpoint {path}") + ".*" + match):
-        load_checkpoint(path)
+        model_from_checkpoint(path)
     assert main(["eval", "--checkpoint", str(path), "--synthetic", "4"]) == 2
     _assert_one_data_error_line(capsys)
 
 
-@pytest.mark.parametrize("save", [save_checkpoint, save_v1_checkpoint], ids=["v2", "v1"])
-def test_checkpoint_names_the_first_of_two_non_finite_parameters(tmp_path, save):
+def test_checkpoint_names_the_first_of_two_non_finite_parameters(tmp_path):
     """With NaN in two parameters, the one earlier in the file is named,
     whichever was damaged first."""
     path = tmp_path / "bad.npz"
@@ -735,7 +763,7 @@ def test_checkpoint_names_the_first_of_two_non_finite_parameters(tmp_path, save)
     assert list(params).index(first) < list(params).index(later)
     params[later].data[0, 0] = np.nan
     params[first].data[-1] = np.nan
-    save(path, params, cfg, {"raw_dims": {m.tag: d for m, d in SMALL_RAW.items()}})
+    save_checkpoint(path, params, cfg, {"raw_dims": {m.tag: d for m, d in SMALL_RAW.items()}})
     with pytest.raises(DataError, match=re.escape(
             f"checkpoint {path}: parameter {first} holds a non-finite value")):
         load_checkpoint(path)
@@ -757,76 +785,16 @@ def test_train_writes_the_table_as_one_flat_member(tmp_path):
                               for name, t in kept.parameters().items()]
 
 
-def test_version_1_checkpoint_loads_and_scores_as_version_2(tmp_path, capsys):
-    """A version-1 file of a model loads bit-equal to the version-2 save of
-    the same model, and eval and dump-edges write byte-equal files."""
-    cfg = tiny_config()
-    model = Model(cfg)
-    rng = np.random.default_rng(0)
-    model.table.flat[...] = rng.normal(size=model.table.flat.size)
-    extra = {"raw_dims": {m.tag: d for m, d in model.raw_dims.items()}}
-    outputs = []
-    loaded = []
-    for save in (save_checkpoint, save_v1_checkpoint):
-        path = tmp_path / f"{save.__name__}.npz"
-        save(path, model.parameters(), cfg, extra)
-        loaded.append(load_checkpoint(path))
-        files = tmp_path / save.__name__
-        assert main(["eval", "--checkpoint", str(path), "--synthetic", "6",
-                     "--predictions", str(files / "predictions.csv")]) == 0
-        assert main(["dump-edges", "--checkpoint", str(path), "--synthetic", "6",
-                     "--out", str(files / "edges.jsonl")]) == 0
-        outputs.append([(files / name).read_bytes()
-                        for name in ("predictions.csv", "edges.jsonl")])
-        capsys.readouterr()
-    (v2, cfg2, extra2), (v1, cfg1, extra1) = loaded
-    assert list(v2) == list(v1) == list(model.parameters())
-    for name, value in v2.items():
-        assert value.dtype == v1[name].dtype and value.shape == v1[name].shape, name
-        assert value.tobytes() == v1[name].tobytes(), name
-    assert cfg2 == cfg1 == cfg and extra2 == extra1 == extra
-    assert outputs[0] == outputs[1]
-
-
-@pytest.mark.parametrize("save", [save_checkpoint, save_v1_checkpoint], ids=["v2", "v1"])
-def test_all_off_checkpoint_holding_every_stage_loads(tmp_path, capsys, save):
-    """An all-off checkpoint written before the table held only the trained
-    stages holds all 88 names.  It loads, the off stages' names skipped, and
-    eval writes the predictions the 22-name checkpoint of the same values
-    does, byte for byte."""
-    cfg = tiny_config(**ALL_STAGES_OFF)
-    full = Model(tiny_config())
-    full.table.flat[...] = np.random.default_rng(0).normal(size=full.table.flat.size)
-    off = Model(cfg)
-    for name, t in off.parameters().items():
-        t.data[...] = full.parameters()[name].data
-    extra = {"raw_dims": {m.tag: d for m, d in off.raw_dims.items()}}
-    old, new = tmp_path / "all88.npz", tmp_path / "table22.npz"
-    save(old, full.parameters(), cfg, extra)
-    save_checkpoint(new, off.parameters(), cfg, extra)
-    assert (len(load_checkpoint(old)[0]), len(load_checkpoint(new)[0])) == (88, 22)
-    assert np.array_equal(model_from_checkpoint(old)[0].table.flat, off.table.flat)
-    outputs = []
-    for path in (old, new):
-        dest = tmp_path / path.stem / "predictions.csv"
-        assert main(["eval", "--checkpoint", str(path), "--synthetic", "6",
-                     "--predictions", str(dest)]) == 0
-        outputs.append(dest.read_bytes())
-    capsys.readouterr()
-    assert outputs[0] == outputs[1]
-
-
 @pytest.mark.parametrize("edit, name", [
     (lambda params: params.update({"bogus.weight": Tensor(np.zeros(2))}), "bogus.weight"),
     (lambda params: params.pop("fusion.head.first.bias"), "fusion.head.first.bias"),
 ], ids=["surplus", "missing"])
 def test_all_off_checkpoint_with_a_name_outside_the_stages_exits_two(tmp_path, capsys,
                                                                      edit, name):
-    """Only the names of the stages the config turns off are skipped: a
-    name neither in the table nor in an off stage, or a table name left
-    out, is still a data error naming it."""
+    """A name the all-off table lacks, or a table name left out, is a data
+    error naming it."""
     cfg = tiny_config(**ALL_STAGES_OFF)
-    params = dict(Model(tiny_config()).parameters())
+    params = dict(Model(cfg).parameters())
     edit(params)
     path = tmp_path / "ck.npz"
     save_checkpoint(path, params, cfg,
@@ -849,8 +817,9 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(path, {"w": Tensor(np.zeros(3))}, tiny_config())
     monkeypatch.undo()
-    params, _, _ = load_checkpoint(path)
-    np.testing.assert_array_equal(params["w"], good["w"].data)
+    (entries, flat), _, _ = load_checkpoint(path)
+    assert entries == [["w", [3]]]
+    np.testing.assert_array_equal(flat, good["w"].data)
     assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.npz"]
 
 
@@ -870,6 +839,20 @@ def test_gradcheck_reports_parameter_paths():
     report = gradcheck(n_probes=4, seed=2)
     for check in report.checks:
         assert check.worst_param == "-" or "[" in check.worst_param
+
+
+def test_gradcheck_audits_the_configured_mode():
+    """The audit batch is built in the config's mode: aligned, each sample's
+    three sequences share one length, and the two modes' reports differ."""
+    reports = []
+    for mode, one_length in (("aligned", True), ("unaligned", False)):
+        rows = _gradcheck_batch(gradcheck_data_config(), 0, mode).rows
+        lengths = np.stack([rows[m].lengths for m in MODALITIES])
+        assert bool((lengths == lengths[0]).all()) is one_length, (mode, lengths)
+        report = gradcheck(replace(gradcheck_model_config(0), mode=mode), n_probes=4)
+        assert report.passed, mode
+        reports.append([(c.max_rel_err, c.worst_param) for c in report.checks])
+    assert reports[0] != reports[1]
 
 
 # ---- probes and edge dumps ----
@@ -1274,22 +1257,23 @@ def test_cli_overflowing_update_is_one_stderr_line(tmp_path, capfd):
         r"at step 0 \(first sample syn\d{5}\)", err[0])
 
 
-def _huge_feature_set(root: Path) -> Path:
-    """A 12-sample dataset whose first L feature cell is 1e300: finite, so
-    it loads, and large enough to overflow."""
+def _huge_feature_set(root: Path, poisoned: str = "syn00000") -> Path:
+    """A 12-sample dataset whose sample ``poisoned`` has 1e300 in its first
+    L feature cell: finite, so it loads, and large enough to overflow."""
     manifest = save_dataset(generate(12, seed=0), root / "set")
-    first = root / "set" / next(csv.DictReader(manifest.read_text().splitlines()))["path_L"]
-    rows = first.read_text().splitlines()
-    rows[0] = ",".join(["1e300"] + rows[0].split(",")[1:])
-    first.write_text("\n".join(rows) + "\n")
+    rows = csv.DictReader(manifest.read_text().splitlines())
+    feature = root / "set" / next(r for r in rows if r["id"] == poisoned)["path_L"]
+    lines = feature.read_text().splitlines()
+    lines[0] = ",".join(["1e300"] + lines[0].split(",")[1:])
+    feature.write_text("\n".join(lines) + "\n")
     return manifest
 
 
 # one stderr line: numpy's message, the package function, then the step or
 # batch and the sample whose forward overflows alone, or the probe and the
-# first sample it fit
+# sample holding the largest pooled feature of its modality
 TRAPPED_LINE = (r"numeric error: overflow encountered in \w+ in \w+\.[\w.<>]+ "
-                r"at ((step|batch) \d+ \(sample|the [LVA] probe \(first sample) syn00000\)")
+                r"at ((step|batch) \d+|the [LVA] probe) \(sample syn00000\)")
 
 
 def test_cli_huge_finite_feature_is_one_stderr_line(tmp_path, capfd):
@@ -1318,13 +1302,18 @@ def test_cli_trap_names_the_sample_that_overflows_alone(tmp_path, capfd):
                                       "tensor.sq_distance at step 0 (sample syn00000)\n")
 
 
-@pytest.mark.parametrize("command", list(CHECKPOINT_READERS))
-def test_cli_overflow_while_scoring_exits_three_writing_nothing(tmp_path, capfd, command):
+@pytest.mark.parametrize("command, poisoned", [
+    *((command, "syn00000") for command in CHECKPOINT_READERS),
+    ("probe-unimodal", "syn00007"),
+], ids=[*CHECKPOINT_READERS, "probe-unimodal-later-sample"])
+def test_cli_overflow_while_scoring_exits_three_writing_nothing(tmp_path, capfd, command,
+                                                               poisoned):
     """At the parent ``eval``, ``dump-edges`` and ``probe-unimodal`` exited 0
     on this set, ``eval`` with an MAE near 1e297 and ``dump-edges`` with
     ``Infinity`` in its JSONL.  Now each stops at the first overflow with
-    exit 3 and one line, and leaves no output file."""
-    manifest = _huge_feature_set(tmp_path)
+    exit 3 and one line naming the poisoned sample, also when it is not
+    the first the probe fits, and leaves no output file."""
+    manifest = _huge_feature_set(tmp_path, poisoned)
     ck, out = tmp_path / "ck.npz", tmp_path / "out" / "file"
     _eval_checkpoint(ck)
     rc = main([command, "--checkpoint", str(ck), "--data", str(manifest),
@@ -1332,7 +1321,8 @@ def test_cli_overflow_while_scoring_exits_three_writing_nothing(tmp_path, capfd,
     captured = capfd.readouterr()
     err = captured.err.splitlines()
     assert rc == 3 and captured.out == ""
-    assert len(err) == 1 and re.fullmatch(TRAPPED_LINE, err[0]), err
+    assert len(err) == 1 and re.fullmatch(TRAPPED_LINE.replace("syn00000", poisoned),
+                                          err[0]), err
     assert not out.exists()
 
 

@@ -4,8 +4,9 @@ in the package or the benchmark outside its own definition, every
 attribute the package sets on ``self`` and every dataclass field is read
 somewhere by name, only ``Model`` lists parameters, only the command
 line writes to stderr, only the command line and the trap in ``train``
-handle numpy's floating-point errors, and only the engine and the
-read-only walk in ``train`` set ``requires_grad``."""
+handle numpy's floating-point errors, only the engine and the
+read-only walk in ``train`` set ``requires_grad``, and only the
+checkpoint's save and load name numpy's npz writer and reader."""
 
 import ast
 from collections import Counter
@@ -308,3 +309,32 @@ def test_only_the_engine_and_the_walk_set_requires_grad():
     setter is how a global no-grad switch grows into the engine."""
     modules = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert owners(modules, sets_requires_grad) == REQUIRES_GRAD_SETTERS
+
+
+# (module, function) that may name numpy's npz writer and reader: the
+# checkpoint format lives in one module, so one reader checks every file
+NPZ_IO = {("checkpoint", "save_checkpoint"), ("checkpoint", "load_checkpoint")}
+
+
+def names_npz_io(node: ast.AST) -> bool:
+    """Whether ``node`` is ``np.savez``, ``np.savez_compressed`` or
+    ``np.load`` (``numpy.`` likewise)."""
+    return (isinstance(node, ast.Attribute) and node.attr in {"savez", "savez_compressed", "load"}
+            and isinstance(node.value, ast.Name) and node.value.id in {"np", "numpy"})
+
+
+def test_npz_io_is_found():
+    modules = {
+        "a": "import numpy as np\n\ndef save(p, x):\n    np.savez(p, x=x)\n\n"
+             "class Cache:\n    def read(self, p):\n        return np.load(p)\n\n"
+             "def text(p):\n    return np.loadtxt(p)\n\n"
+             "def other(table, p):\n    return table.load(p)\n",
+    }
+    assert owners(modules, names_npz_io) == {("a", "save"), ("a", "Cache.read")}
+
+
+def test_only_the_checkpoint_module_reads_and_writes_npz():
+    """``save_checkpoint`` writes the one format and ``load_checkpoint``
+    checks it; a second reader or writer is how a second format regrows."""
+    modules = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert owners(modules, names_npz_io) == NPZ_IO

@@ -2,7 +2,7 @@
 parameter management, and the encoded streams."""
 
 import hashlib
-import json
+import re
 from itertools import groupby
 
 import numpy as np
@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modal_distill.checkpoint import save_checkpoint
 from modal_distill.config import TrainConfig
 from modal_distill.data import (
     MODALITIES,
@@ -22,9 +21,9 @@ from modal_distill.data import (
 from modal_distill.errors import DataError
 from modal_distill.model import COMPONENT_NAMES, Model
 from modal_distill.tensor import Tensor, mean_pool_time
-from modal_distill.train import Adam, model_from_checkpoint, predict_scores
+from modal_distill.train import Adam
 
-from conftest import ReferenceAdam, save_v1_checkpoint
+from conftest import ReferenceAdam
 from test_acceptance import TOGGLE_ROWS
 
 SMALL_RAW = {Modality.LANGUAGE: 6, Modality.VISION: 5, Modality.AUDIO: 4}
@@ -315,11 +314,16 @@ def test_table_is_what_a_training_step_reaches(fd, homogd, ca, heterogd):
     assert leaves == {id(t) for t in model.table.tensors.values()}
 
 
+def entries(model) -> list:
+    """The ``[name, shape]`` list a checkpoint of ``model`` holds."""
+    return [[name, list(t.data.shape)] for name, t in model.parameters().items()]
+
+
 def test_load_parameters_round_trip():
     model_a = Model(small_config(seed=1), dict(SMALL_RAW))
     model_b = Model(small_config(seed=2), dict(SMALL_RAW))
     arrays = {k: t.data.copy() for k, t in model_a.parameters().items()}
-    model_b.table.load(arrays)
+    model_b.table.load("a", entries(model_a), model_a.table.flat.copy())
     for k, t in model_b.parameters().items():
         assert np.array_equal(t.data, arrays[k])
 
@@ -332,7 +336,7 @@ def test_load_parameters_keeps_optimizer_arena_binding():
     opt = Adam(model.table, lr=0.01)
     donor = Model(small_config(seed=2), dict(SMALL_RAW))
     loaded = {k: t.data.copy() for k, t in donor.parameters().items()}
-    model.table.load(loaded)
+    model.table.load("donor", entries(donor), donor.table.flat.copy())
     twin = {k: Tensor(a.copy()) for k, a in loaded.items()}
     ref = ReferenceAdam(twin, lr=0.01)
     rng = np.random.default_rng(0)
@@ -346,15 +350,20 @@ def test_load_parameters_keeps_optimizer_arena_binding():
 
 
 def test_load_parameters_rejects_mismatch():
+    """The first entry that differs from the table's own is named, and the
+    table is left as it was."""
     model = Model(small_config(), dict(SMALL_RAW))
-    arrays = {k: t.data.copy() for k, t in model.parameters().items()}
-    arrays.pop("fusion.head.first.bias")
-    with pytest.raises(DataError, match="mismatch"):
-        model.table.load(arrays)
-    arrays = {k: t.data.copy() for k, t in model.parameters().items()}
-    arrays["fusion.head.first.bias"] = np.zeros(999)
-    with pytest.raises(DataError, match="shape"):
-        model.table.load(arrays)
+    before = model.table.flat.copy()
+    own = entries(model)
+    i = [name for name, _ in own].index("fusion.head.first.bias")
+    for bad, theirs in ((own[:i] + own[i + 1:], own[i + 1]),
+                        (own[:i] + [["fusion.head.first.bias", [999]]] + own[i + 1:],
+                         ["fusion.head.first.bias", [999]])):
+        with pytest.raises(DataError, match=re.escape(
+                f"checkpoint ck.npz: parameter entry {i} is {theirs} in the file, "
+                f"{own[i]} in the model")):
+            model.table.load("ck.npz", bad, before + 1.0)
+        assert np.array_equal(model.table.flat, before)
 
 
 # ---- the parameter table's layout ----
@@ -362,7 +371,8 @@ def test_load_parameters_rejects_mismatch():
 GROUPS = ("shallow", "shared_encoder", "private_encoder", "decoder",
           "gd_homo", "gd_hetero", "ca", "fusion")
 # sha256 of the default model's sorted "name shape" lines: a checkpoint
-# written by any earlier version loads only while this holds
+# loads only into a table of its own names and shapes, in its order, so a
+# change here leaves every checkpoint written before it unreadable
 NAME_SHAPE_DIGEST = "3a17012171a31c1196a9a8eda22940521b8328516c427ab32d6ebed94df21076"
 
 
@@ -417,44 +427,6 @@ def test_every_component_parameter_is_in_the_table():
     found = component_parameters(model)
     assert [t for t in found if id(t) not in table_ids] == []
     assert {id(t) for t in found} == table_ids
-
-
-def interleaved(names) -> list[str]:
-    """``names`` in the order earlier versions stored them: per modality its
-    shallow conv, private encoder and decoder, then the shared encoder, both
-    GD units, the attention layers, each modality's two fusion gates and the
-    fusion head."""
-    prefixes = ([f"{p}.{m.tag}." for m in MODALITIES
-                 for p in ("shallow", "private_encoder", "decoder")]
-                + ["shared_encoder.", "gd_homo.", "gd_hetero.", "ca."]
-                + [f"fusion.gate_{s}.{m.tag}." for m in MODALITIES for s in ("homo", "hetero")]
-                + ["fusion.head."])
-    return sorted(names, key=lambda n: next(i for i, p in enumerate(prefixes)
-                                            if n.startswith(p)))
-
-
-def test_checkpoint_in_interleaved_member_order_loads_bit_equal(tmp_path):
-    """Parameters stored in another order than the table's, as version-1
-    members or as version-2 ``params`` entries, load by name."""
-    model = Model(small_config(seed=5), dict(SMALL_RAW))
-    params = model.parameters()
-    order = interleaved(params)
-    assert sorted(order) == sorted(params) and order != list(params)
-    samples = generate(6, 4, small_world())
-    for save in (save_v1_checkpoint, save_checkpoint):
-        path = save(tmp_path / f"{save.__name__}.npz", {k: params[k] for k in order},
-                    model.config, {"raw_dims": {m.tag: d for m, d in SMALL_RAW.items()}})
-        with np.load(path) as bundle:
-            if save is save_v1_checkpoint:
-                assert [k for k in bundle.files if k.startswith("param/")] == [
-                    f"param/{k}" for k in order]
-            else:
-                meta = json.loads(str(bundle["__meta__"]))
-                assert [name for name, _ in meta["params"]] == order
-        loaded = model_from_checkpoint(path)[0]
-        assert np.array_equal(loaded.table.flat, model.table.flat)
-        assert np.array_equal(predict_scores(loaded, samples)[1],
-                              predict_scores(model, samples)[1])
 
 
 # ---- encode ----
